@@ -103,7 +103,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	modelParallel := fs.Float64("model-parallel", 1, "degree of model parallelism M")
 	systemName := fs.String("system", "DEEP", "system the profiles were measured on (for ϱ of the cost model)")
 	topKernels := fs.Int("top", 10, "number of kernels to list in report bottleneck rankings")
-	jobs := fs.Int("j", 0, "fit worker parallelism per campaign: 0 = all cores")
+	jobs := fs.Int("j", 0, "worker parallelism for upload validation and each campaign's decode and fit: 0 = all cores")
 	maxCampaigns := fs.Int("max-campaigns", 0, "concurrent fit campaigns across applications (0 = default of 2)")
 	coalesce := fs.Duration("coalesce", 0, "window to coalesce an upload burst into one re-fit campaign")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline budget (0 = default of 30s, negative disables)")

@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	loadModels := fs.String("models", "", "skip profiling/modeling and load previously saved models from this file (prediction-only mode)")
 	checkOnly := fs.Bool("check", false, "diagnose the profile set's measurement quality and exit")
 	strict := fs.Bool("strict", false, "abort on the first unreadable profile instead of quarantining it")
-	jobs := fs.Int("j", 0, "fit worker parallelism: 0 = all cores, 1 = sequential (output is identical either way)")
+	jobs := fs.Int("j", 0, "worker parallelism for profile decode and fit: 0 = all cores, 1 = sequential (output is identical either way)")
 	timings := fs.Bool("timings", false, "print per-stage timings and counters to stderr")
 	checkpointDir := fs.String("checkpoint-dir", "", "persist campaign checkpoint state incrementally into this directory")
 	resume := fs.Bool("resume", false, "reuse completed fit results from -checkpoint-dir (content-keyed, so changed inputs refit)")
@@ -172,8 +172,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The staged analysis pipeline: Ingest → Aggregate → Epoch → Fit →
-	// Analyze → Report. -j bounds the fit worker pool; -timings exposes
-	// the per-stage observer on stderr.
+	// Analyze → Report. -j bounds the decode and fit worker pool;
+	// -timings exposes the per-stage observer on stderr.
 	var obs pipeline.Observer
 	if *timings {
 		obs = &pipeline.LogObserver{W: stderr}

@@ -24,6 +24,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -141,7 +142,26 @@ type Report struct {
 // dir under the options' policy. An unreadable directory or an unknown
 // format is an error under either policy; per-file failures are
 // quarantined (Lenient) or returned immediately (Strict).
+//
+// LoadDir is the one-worker composition of the three loading steps —
+// ListDir, LoadFile per file, Assemble — that pipeline.Ingest runs with
+// the per-file loads fanned out across its worker pool.
 func LoadDir(dir, format string, opts Options) (*Report, error) {
+	paths, err := ListDir(dir, format)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]File, len(paths))
+	for i, path := range paths {
+		files[i] = LoadFile(path, format, Decoded{})
+	}
+	return Assemble(dir, format, files, opts)
+}
+
+// ListDir returns the paths of every profile file of the given format
+// ("json" or "csv") in dir, in file-name order — the order Assemble
+// requires.
+func ListDir(dir, format string) ([]string, error) {
 	var ext string
 	switch format {
 	case "json":
@@ -162,31 +182,82 @@ func LoadDir(dir, format string, opts Options) (*Report, error) {
 		}
 	}
 	sort.Strings(names)
+	paths := make([]string, len(names))
+	for i, name := range names {
+		paths[i] = filepath.Join(dir, name)
+	}
+	return paths, nil
+}
 
+// File is the outcome of loading one profile file: the validated
+// profile, or the stage and error it failed with.
+type File struct {
+	Path    string
+	Profile *profile.Profile
+	Stage   Stage
+	Err     error
+	// Reused reports that the profile was taken from a prior decode
+	// instead of decoded again (see Decoded).
+	Reused bool
+}
+
+// Decoded is a profile a caller already decoded and validated from
+// Data — edserve's upload validation, handed to the campaign that
+// ingests the spooled copy so the file is not decoded twice. The zero
+// value means no prior decode.
+type Decoded struct {
+	Data    []byte
+	Profile *profile.Profile
+}
+
+// LoadFile reads, decodes and validates one profile file, classifying
+// any failure by stage. When prior holds a profile decoded from exactly
+// the bytes now on disk, that profile is returned instead of decoding
+// again; any other content — a file changed after the prior decode
+// included — goes through the normal decode and validation. LoadFile is
+// safe to call concurrently for different files.
+func LoadFile(path, format string, prior Decoded) File {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return File{Path: path, Stage: StageRead, Err: err}
+	}
+	if prior.Profile != nil && bytes.Equal(data, prior.Data) {
+		return File{Path: path, Profile: prior.Profile, Reused: true}
+	}
+	p, stage, err := DecodeBytes(data, format)
+	return File{Path: path, Profile: p, Stage: stage, Err: err}
+}
+
+// Assemble builds the report of one directory ingestion from its per-file
+// loads, which must be in file-name order (ListDir's order). It detects
+// duplicate identities — the later file in name order is quarantined —
+// and applies the policy: under Strict the first failing file in name
+// order aborts the load. The result depends only on the loads and their
+// order, never on how they were scheduled.
+func Assemble(dir, format string, files []File, opts Options) (*Report, error) {
 	rep := &Report{Dir: dir, Format: format}
-	seen := make(map[identity]string, len(names))
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		p, stage, err := loadFile(path, format)
-		if err == nil {
+	seen := make(map[identity]string, len(files))
+	for _, f := range files {
+		if f.Err == nil {
+			p := f.Profile
 			id := identityOf(p)
 			if prev, dup := seen[id]; dup {
-				stage = StageValidate
-				err = fmt.Errorf("duplicate profile: %s already provides %s x%s rank %d rep %d",
+				f.Stage = StageValidate
+				f.Err = fmt.Errorf("duplicate profile: %s already provides %s x%s rank %d rep %d",
 					prev, p.App, measurement.Point(p.Config).Key(), p.Rank, p.Rep)
 			} else {
-				seen[id] = path
+				seen[id] = f.Path
 			}
 		}
-		if err != nil {
-			q := Quarantined{Path: path, Stage: stage, Err: err}
+		if f.Err != nil {
+			q := Quarantined{Path: f.Path, Stage: f.Stage, Err: f.Err}
 			if opts.Policy == Strict {
 				return nil, fmt.Errorf("ingest: %w", q)
 			}
 			rep.Quarantined = append(rep.Quarantined, q)
 			continue
 		}
-		rep.Profiles = append(rep.Profiles, p)
+		rep.Profiles = append(rep.Profiles, f.Profile)
 	}
 	return rep, nil
 }
@@ -201,15 +272,6 @@ type identity struct {
 
 func identityOf(p *profile.Profile) identity {
 	return identity{app: p.App, point: measurement.Point(p.Config).Key(), rank: p.Rank, rep: p.Rep}
-}
-
-// loadFile loads one profile file and classifies any failure by stage.
-func loadFile(path, format string) (*profile.Profile, Stage, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, StageRead, err
-	}
-	return DecodeBytes(data, format)
 }
 
 // DecodeBytes decodes and validates one profile held in memory,

@@ -470,3 +470,34 @@ func TestDecodeBytesStageClassification(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadFileReusesOnlyIdenticalBytes pins the decode handoff: a prior
+// decode is reused only when the file still holds exactly its bytes. A
+// file damaged after the prior decode is decoded from disk and fails
+// with the stage a plain load reports.
+func TestLoadFileReusesOnlyIdenticalBytes(t *testing.T) {
+	dir, names := writeCampaign(t, "json")
+	path := filepath.Join(dir, names[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := Decoded{Data: data, Profile: fixtureProfile(2, 0, 1)}
+
+	f := LoadFile(path, "json", prior)
+	if !f.Reused || f.Profile != prior.Profile || f.Err != nil {
+		t.Fatalf("identical bytes: reused=%v err=%v, want the prior profile", f.Reused, f.Err)
+	}
+
+	if _, err := faults.CorruptFile(path, faults.Truncate); err != nil {
+		t.Fatal(err)
+	}
+	f = LoadFile(path, "json", prior)
+	want := LoadFile(path, "json", Decoded{})
+	if f.Reused || f.Profile != nil || f.Stage != StageDecode || f.Err == nil {
+		t.Fatalf("changed bytes: reused=%v stage=%v err=%v, want a decode failure", f.Reused, f.Stage, f.Err)
+	}
+	if f.Err.Error() != want.Err.Error() {
+		t.Errorf("changed bytes: error %q, want the plain load's %q", f.Err, want.Err)
+	}
+}

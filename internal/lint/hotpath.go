@@ -65,7 +65,7 @@ var hotPathDefaults = []hotPathDefault{
 	{"internal/pmnf", "Function.Eval"},
 	{"internal/pmnf", "Function.EvalAt"},
 	// The worker pool's fan-out and the per-task fit driver.
-	{"internal/pipeline", "pipeline.forEach"},
+	{"internal/pipeline", "pipeline.ForEach"},
 	{"internal/pipeline", "Pipeline.fitOne"},
 	// The solver each fold lands in, and the fit-quality scorers called
 	// once per hypothesis.

@@ -571,7 +571,7 @@ func dedupSorted(s []string) []string {
 
 // runPool runs fn(0..n-1) on at most workers goroutines and returns the
 // error of the smallest failing index, mirroring internal/pipeline's
-// forEach contract: results are deterministic for any worker count, and
+// ForEach contract: results are deterministic for any worker count, and
 // every started task runs to completion before the pool returns.
 func runPool(workers, n int, fn func(i int) error) error {
 	if n == 0 {

@@ -4,9 +4,10 @@
 //	Ingest → Aggregate → EpochExtrapolate → Fit → Analyze → Report
 //
 // sharing one context.Context, with per-stage timing and counters exposed
-// through an observer hook and a bounded worker pool that fans the
-// per-kernel PMNF hypothesis search out across goroutines (one task per
-// kernel × metric).
+// through an observer hook and a bounded worker pool (ForEach) that fans
+// the per-file profile decode, the per-configuration aggregation and the
+// per-kernel PMNF hypothesis search (one task per kernel × metric) out
+// across goroutines.
 //
 // Determinism guarantee: for identical inputs, a pipeline run with any
 // worker count produces output byte-identical to the sequential run.
@@ -166,7 +167,9 @@ func Observe(obs Observer, s Stage, fn func() (Counters, error)) error {
 
 // Config assembles a pipeline.
 type Config struct {
-	// Workers bounds the fit worker pool: 1 runs strictly sequentially
+	// Workers bounds the worker pool every fan-out stage runs on — the
+	// ingest stage's per-file read/decode/validate, the per-configuration
+	// aggregation and the per-kernel fit: 1 runs strictly sequentially
 	// (the -j 1 mode), N > 1 uses at most N goroutines, and 0 defaults to
 	// runtime.GOMAXPROCS(0). Output is byte-identical for every value.
 	Workers int

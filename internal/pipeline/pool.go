@@ -5,8 +5,10 @@ import (
 	"sync"
 )
 
-// forEach runs fn(0..n-1) with at most `workers` goroutines and returns
-// the first error in task order.
+// ForEach runs fn(0..n-1) with at most `workers` goroutines (≤ 0 means
+// runtime.GOMAXPROCS(0)) and returns the first error in task order. It
+// is the module's one worker pool: the pipeline's ingest, aggregate and
+// fit stages and edserve's upload validation all fan out through it.
 //
 // Determinism contract: with workers == 1 the tasks run strictly
 // sequentially on the calling goroutine. With workers > 1 the tasks may
@@ -16,11 +18,11 @@ import (
 // reduction over the index-addressed results is order-independent.
 //
 // Cancellation contract: when ctx is cancelled, no new task starts, the
-// pool drains promptly, all worker goroutines exit before forEach
+// pool drains promptly, all worker goroutines exit before ForEach
 // returns, and ctx.Err() is returned. When a task returns an error, the
 // remaining tasks are cancelled and the error with the smallest task
 // index among the tasks that ran is returned.
-func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
+func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

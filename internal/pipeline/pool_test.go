@@ -13,7 +13,7 @@ func TestForEachRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		const n = 100
 		counts := make([]int32, n)
-		err := forEach(context.Background(), workers, n, func(i int) error {
+		err := ForEach(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -29,7 +29,7 @@ func TestForEachRunsEveryTaskOnce(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := forEach(context.Background(), 4, 0, func(int) error { t.Fatal("task ran"); return nil }); err != nil {
+	if err := ForEach(context.Background(), 4, 0, func(int) error { t.Fatal("task ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,7 +37,7 @@ func TestForEachZeroTasks(t *testing.T) {
 func TestForEachSequentialStopsAtFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []int
-	err := forEach(context.Background(), 1, 10, func(i int) error {
+	err := ForEach(context.Background(), 1, 10, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return boom
@@ -54,7 +54,7 @@ func TestForEachSequentialStopsAtFirstError(t *testing.T) {
 
 func TestForEachParallelSurfacesTaskError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEach(context.Background(), 4, 50, func(i int) error {
+	err := ForEach(context.Background(), 4, 50, func(i int) error {
 		if i == 20 {
 			return boom
 		}
@@ -68,7 +68,7 @@ func TestForEachParallelSurfacesTaskError(t *testing.T) {
 func TestForEachPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := forEach(ctx, 4, 10, func(int) error { t.Error("task ran after cancellation"); return nil })
+	err := ForEach(ctx, 4, 10, func(int) error { t.Error("task ran after cancellation"); return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -83,7 +83,7 @@ func TestForEachCancellationStopsPromptly(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var executed int32
 		const n = 10_000
-		err := forEach(ctx, workers, n, func(i int) error {
+		err := ForEach(ctx, workers, n, func(i int) error {
 			if atomic.AddInt32(&executed, 1) == 5 {
 				cancel()
 			}
@@ -101,7 +101,7 @@ func TestForEachCancellationStopsPromptly(t *testing.T) {
 }
 
 // assertNoGoroutineLeak polls until the goroutine count returns to (or
-// below) the baseline, failing after a deadline. forEach must join all
+// below) the baseline, failing after a deadline. ForEach must join all
 // workers before returning, so only scheduler lag is tolerated.
 func assertNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Helper()

@@ -16,6 +16,11 @@ type RunSpec struct {
 	Format      string
 	// Ingest configures quarantine policy and the degradation gate.
 	Ingest ingest.Options
+	// Decoded hands profiles the caller already decoded to the ingest
+	// stage, keyed by file name within ProfilesDir. A listed file whose
+	// bytes on disk equal the entry's Data reuses its Profile; every
+	// other file is decoded from disk as usual. nil decodes everything.
+	Decoded map[string]ingest.Decoded
 	// Setup derives the training-setup values per configuration
 	// (Section 2.3.1).
 	Setup epoch.SetupFunc
@@ -55,7 +60,7 @@ func (p *Pipeline) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 
 	res := &RunResult{}
 	var err error
-	if res.Ingest, err = p.Ingest(rctx, spec.ProfilesDir, spec.Format, spec.Ingest); err != nil {
+	if res.Ingest, err = p.ingest(rctx, spec.ProfilesDir, spec.Format, spec.Ingest, spec.Decoded); err != nil {
 		return res, err
 	}
 	if err = res.Ingest.Gate(spec.Ingest); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 
 	"extradeep/internal/aggregate"
@@ -50,19 +51,46 @@ func (m *ModelSet) KernelCount() int {
 // with quarantine (internal/ingest). The returned report, its warnings,
 // and the error semantics — including the degradation gate and
 // strict-mode abort — are exactly those of ingest.LoadDir; the pipeline
-// adds stage timing, counters and the resilience hooks (injection point
-// "ingest", deadline budget, retry of retryable-class failures).
+// fans the per-file read/decode/validate out across the worker pool,
+// assembles the report in file-name order, and adds stage timing,
+// counters and the resilience hooks (injection point "ingest", deadline
+// budget, retry of retryable-class failures).
 func (p *Pipeline) Ingest(ctx context.Context, dir, format string, opts ingest.Options) (*ingest.Report, error) {
+	return p.ingest(ctx, dir, format, opts, nil)
+}
+
+// ingest is Ingest with a decode handoff: a file whose name is in
+// decoded and whose bytes on disk equal the handed-off bytes reuses that
+// profile instead of being decoded again (see RunSpec.Decoded).
+func (p *Pipeline) ingest(ctx context.Context, dir, format string, opts ingest.Options, decoded map[string]ingest.Decoded) (*ingest.Report, error) {
 	var report *ingest.Report
 	err := p.runStage(ctx, StageIngest, func(sctx context.Context) (Counters, error) {
-		var err error
-		report, err = ingest.LoadDir(dir, format, opts)
+		paths, err := ingest.ListDir(dir, format)
+		if err != nil {
+			return nil, err
+		}
+		files := make([]ingest.File, len(paths))
+		err = ForEach(sctx, p.cfg.Workers, len(paths), func(i int) error {
+			files[i] = ingest.LoadFile(paths[i], format, decoded[filepath.Base(paths[i])])
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		reused := 0
+		for _, f := range files {
+			if f.Reused {
+				reused++
+			}
+		}
+		report, err = ingest.Assemble(dir, format, files, opts)
 		if report == nil {
 			return nil, err
 		}
 		return Counters{
 			"loaded":      len(report.Profiles),
 			"quarantined": len(report.Quarantined),
+			"reused":      reused,
 		}, err
 	})
 	return report, err
@@ -81,7 +109,7 @@ func (p *Pipeline) Aggregate(ctx context.Context, profiles []*profile.Profile) (
 		groups := profile.GroupByConfig(profiles)
 		keys := profile.SortedKeys(groups)
 		out := make([]*aggregate.ConfigAggregate, len(keys))
-		err := forEach(sctx, p.cfg.Workers, len(keys), func(i int) error {
+		err := ForEach(sctx, p.cfg.Workers, len(keys), func(i int) error {
 			agg, err := aggregate.Aggregate(groups[keys[i]], p.cfg.Aggregation)
 			if err != nil {
 				return fmt.Errorf("pipeline: aggregating %s %s: %w", keys[i].App, keys[i].Point, err)
@@ -187,7 +215,7 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 		models := make([]*modeling.Model, len(tasks))
 		failures := make([]*FitFailure, len(tasks))
 		reused := make([]bool, len(tasks))
-		err = forEach(sctx, p.cfg.Workers, len(tasks), func(i int) error {
+		err = ForEach(sctx, p.cfg.Workers, len(tasks), func(i int) error {
 			if rec, ok := plan.reuse(i); ok {
 				if rec.Status == resilience.StatusFitted {
 					if m, derr := decodeModel(rec.Payload); derr == nil {

@@ -46,7 +46,7 @@ func (s *Server) fitLoop(ctx context.Context, a *appState) {
 		if w := s.cfg.CoalesceWindow; w > 0 && ctx.Err() == nil {
 			_ = s.clock.Sleep(ctx, w)
 		}
-		gen, done := a.takeTurn(ctx.Err() != nil)
+		gen, decoded, done := a.takeTurn(ctx.Err() != nil)
 		if done {
 			return
 		}
@@ -57,7 +57,7 @@ func (s *Server) fitLoop(ctx context.Context, a *appState) {
 			a.abort()
 			return
 		}
-		snap, out := s.campaign(ctx, a, gen)
+		snap, out := s.campaign(ctx, a, gen, decoded)
 		<-s.fitSem
 		if ctx.Err() != nil && snap == nil {
 			// Interrupted mid-campaign: the spool content this turn
@@ -72,7 +72,8 @@ func (s *Server) fitLoop(ctx context.Context, a *appState) {
 
 // abort returns an unconsumed turn: the spool stays dirty and the loop's
 // claim is released, so the work is picked up by the next kick (in this
-// process or after a restart's spool rescan).
+// process or after a restart's spool rescan). The turn's decode handoff
+// is dropped; the next campaign decodes those files from the spool.
 func (a *appState) abort() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -90,7 +91,12 @@ func (a *appState) abort() {
 // CheckpointDir/<app> and (with Resume) reuses every fit task whose
 // content key is unchanged, which is what makes incremental uploads
 // cheap: one new configuration re-fits only affected kernels.
-func (s *Server) campaign(ctx context.Context, a *appState, gen int64) (*Snapshot, *fitOutcome) {
+//
+// decoded is the turn's decode handoff: the campaign still lists and
+// reads every spooled file — the spool stays the durable truth — but a
+// file whose bytes equal the admitted upload reuses the profile the
+// upload handler decoded instead of decoding it a second time.
+func (s *Server) campaign(ctx context.Context, a *appState, gen int64, decoded map[string]ingest.Decoded) (*Snapshot, *fitOutcome) {
 	cfg := s.cfg
 	var ckpt *resilience.Store
 	if cfg.CheckpointDir != "" {
@@ -120,6 +126,7 @@ func (s *Server) campaign(ctx context.Context, a *appState, gen int64) (*Snapsho
 		ProfilesDir: filepath.Join(cfg.SpoolDir, a.name),
 		Format:      a.spoolFormat(),
 		Ingest:      ingest.Options{Policy: ingest.Lenient, MinConfigurations: cfg.MinConfigurations},
+		Decoded:     decoded,
 		Setup:       cfg.Setup,
 		Analyze:     cfg.Analyze,
 	})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,8 @@ import (
 	"extradeep/internal/epoch"
 	"extradeep/internal/ingest"
 	"extradeep/internal/mathutil"
+	"extradeep/internal/pipeline"
+	"extradeep/internal/profile"
 	"extradeep/internal/resilience"
 )
 
@@ -132,11 +135,14 @@ func (s *Server) app(w http.ResponseWriter, r *http.Request) (*appState, bool) {
 	return a, true
 }
 
-// upload is one validated file of an upload batch, ready to spool.
+// upload is one validated file of an upload batch, ready to spool. The
+// decoded profile rides along to the next fit campaign (the decode
+// handoff, see appState.pending).
 type upload struct {
-	name string
-	id   identity
-	data []byte
+	name    string
+	id      identity
+	data    []byte
+	profile *profile.Profile
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
@@ -153,7 +159,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	batch, err := validateBatch(name, req)
+	batch, err := validateBatch(r.Context(), name, req, s.cfg.Workers)
 	if err != nil {
 		writeAPIError(w, err)
 		return
@@ -173,14 +179,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	added := make(map[identity]string, len(batch))
-	accepted := make([]string, 0, len(batch))
-	for _, u := range batch {
-		added[u.id] = u.name
-		accepted = append(accepted, u.name)
-	}
-	a.commit(req.Format, added)
+	a.commit(req.Format, batch)
 	s.kick(a)
+	accepted := make([]string, len(batch))
+	for i, u := range batch {
+		accepted[i] = u.name
+	}
 
 	st := a.status()
 	writeJSON(w, http.StatusAccepted, uploadResponse{
@@ -218,30 +222,54 @@ func decodeUploadRequest(r *http.Request, limit int64) (*uploadRequest, error) {
 
 // validateBatch runs every uploaded document through the exact
 // read/decode/validate classification directory ingestion uses
-// (ingest.DecodeBytes) and derives canonical spool names. The batch is
-// atomic: any failing file refuses the whole upload with 422 and
-// per-file stage detail, and the store stays unchanged.
-func validateBatch(app string, req *uploadRequest) ([]upload, error) {
-	var batch []upload
+// (ingest.DecodeBytes) and derives canonical spool names. The documents
+// decode in parallel on the worker pool (pipeline.ForEach, bounded by
+// workers); the verdict is assembled in document order, so the refusal
+// is the same for every worker count. The batch is atomic: any failing
+// file refuses the whole upload with 422 and per-file stage detail, and
+// the store stays unchanged.
+//
+// Each document's content is converted to bytes once and the envelope's
+// string is dropped, so the request holds one copy of every profile.
+func validateBatch(ctx context.Context, app string, req *uploadRequest, workers int) ([]upload, error) {
+	type decoded struct {
+		data  []byte
+		p     *profile.Profile
+		stage ingest.Stage
+		err   error
+	}
+	docs := make([]decoded, len(req.Profiles))
+	err := pipeline.ForEach(ctx, workers, len(docs), func(i int) error {
+		d := &docs[i]
+		d.data = []byte(req.Profiles[i].Content)
+		req.Profiles[i].Content = ""
+		d.p, d.stage, d.err = ingest.DecodeBytes(d.data, req.Format)
+		return nil
+	})
+	if err != nil {
+		return nil, &apiError{status: http.StatusServiceUnavailable, code: "deadline",
+			message: "request abandoned: " + resilience.CauseOrErr(ctx).Error()}
+	}
+	batch := make([]upload, 0, len(docs))
 	var rejected []fileDetail
-	for i, f := range req.Profiles {
-		p, stage, err := ingest.DecodeBytes([]byte(f.Content), req.Format)
-		if err != nil {
-			rejected = append(rejected, fileDetail{Index: i, Stage: stage.String(), Reason: err.Error()})
+	for i, d := range docs {
+		if d.err != nil {
+			rejected = append(rejected, fileDetail{Index: i, Stage: d.stage.String(), Reason: d.err.Error()})
 			continue
 		}
-		if p.App != app {
+		if d.p.App != app {
 			return nil, &apiError{status: http.StatusBadRequest, code: "app_mismatch",
-				message: fmt.Sprintf("profile %d declares application %q, uploaded to %q", i, p.App, app)}
+				message: fmt.Sprintf("profile %d declares application %q, uploaded to %q", i, d.p.App, app)}
 		}
-		name := p.FileName()
+		name := d.p.FileName()
 		if req.Format == "csv" {
 			name = strings.TrimSuffix(name, ".json") + ".csv"
 		}
 		batch = append(batch, upload{
-			name: name,
-			id:   identity{point: p.Point().Key(), rank: p.Rank, rep: p.Rep},
-			data: []byte(f.Content),
+			name:    name,
+			id:      identity{point: d.p.Point().Key(), rank: d.p.Rank, rep: d.p.Rep},
+			data:    d.data,
+			profile: d.p,
 		})
 	}
 	if len(rejected) > 0 {

@@ -27,8 +27,9 @@
 //     and publishes the new snapshot; if more uploads arrived meanwhile
 //     the loop goes around again, so N concurrent uploads cost at most
 //     two campaigns, not N. Campaign concurrency across applications is
-//     bounded by a semaphore; the per-campaign fit fan-out reuses
-//     internal/pipeline's bounded forEach pool.
+//     bounded by a semaphore; upload validation and the per-campaign
+//     decode and fit fan-outs reuse internal/pipeline's bounded ForEach
+//     pool.
 //
 //   - Parity by construction: the fit path IS the batch path. Uploads
 //     are spooled verbatim under their canonical file names and the
@@ -36,6 +37,12 @@
 //     options the extradeep CLI would use, so the fitted ModelSet is
 //     byte-identical to a batch run on the same files
 //     (TestPropServeFitParity pins it).
+//
+//   - Decode once: every profile an upload admits was already decoded to
+//     validate it. The decoded profiles wait, with their bytes, for the
+//     next campaign, whose ingest reuses one only when the spooled file
+//     still holds exactly those bytes; anything else — a file changed on
+//     disk, every file after a restart — is decoded from the spool.
 //
 //   - Incremental re-fit: with a checkpoint directory configured, every
 //     campaign runs with resilience checkpointing and resume, so adding
@@ -96,7 +103,9 @@ type Config struct {
 	// MinConfigurations is the ingest degradation gate's per-application
 	// minimum; 0 means the paper's five.
 	MinConfigurations int
-	// Workers bounds each campaign's fit worker pool (0 = all cores).
+	// Workers bounds the worker pool (pipeline.ForEach) that validates
+	// the documents of one upload and, per campaign, decodes the spooled
+	// profiles and runs the fit (0 = all cores).
 	Workers int
 	// MaxCampaigns bounds how many applications may fit concurrently
 	// (default 2). The per-campaign fan-out is bounded separately by

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"extradeep/internal/ingest"
 	"extradeep/internal/measurement"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
@@ -181,6 +182,13 @@ type appState struct {
 	fitting bool
 	// gen counts started campaigns (the next snapshot's generation).
 	gen int64
+	// pending is the decode handoff: the bytes and decoded profile of
+	// every file admitted since the last campaign turn, keyed by spool
+	// file name. takeTurn moves the whole set into the campaign it
+	// starts, which reuses a profile only for a spooled file whose bytes
+	// still equal the admitted ones; the set is freed when that campaign
+	// ends, so memory stays bounded by the uploads of one turn.
+	pending map[string]ingest.Decoded
 	// last is the most recent fit outcome (nil before the first).
 	last *fitOutcome
 	// mixed marks a spool directory holding both formats (only reachable
@@ -248,18 +256,23 @@ func (a *appState) status() appStatus {
 }
 
 // commit records an accepted batch of uploads: fixes the format on first
-// use, indexes the identities, bumps the file count and marks the state
-// dirty. The caller has already validated and written the files.
-func (a *appState) commit(format string, added map[identity]string) {
+// use, indexes the identities, bumps the file count, hands the decoded
+// profiles to the next campaign and marks the state dirty. The caller
+// has already validated and written the files.
+func (a *appState) commit(format string, batch []upload) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.format == "" {
 		a.format = format
 	}
-	for id, name := range added {
-		a.ids[id] = name
+	if a.pending == nil {
+		a.pending = make(map[string]ingest.Decoded, len(batch))
 	}
-	a.files += len(added)
+	for _, u := range batch {
+		a.ids[u.id] = u.name
+		a.pending[u.name] = ingest.Decoded{Data: u.data, Profile: u.profile}
+	}
+	a.files += len(batch)
 	a.dirty = true
 	a.signalLocked()
 }
@@ -306,19 +319,21 @@ func (a *appState) claimFit() bool {
 }
 
 // takeTurn consumes the dirty flag for one campaign turn, allocating its
-// generation. When nothing is dirty (or the loop should stop) it clears
-// the fitting claim and reports done=true.
-func (a *appState) takeTurn(stopped bool) (gen int64, done bool) {
+// generation and taking the pending decode handoff. When nothing is
+// dirty (or the loop should stop) it clears the fitting claim and
+// reports done=true.
+func (a *appState) takeTurn(stopped bool) (gen int64, decoded map[string]ingest.Decoded, done bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if stopped || !a.dirty {
 		a.fitting = false
 		a.signalLocked()
-		return 0, true
+		return 0, nil, true
 	}
 	a.dirty = false
 	a.gen++
-	return a.gen, false
+	decoded, a.pending = a.pending, nil
+	return a.gen, decoded, false
 }
 
 // spoolFormat returns the format campaigns must ingest with.

@@ -18,6 +18,8 @@ cover_current=""
 lint_bin=""
 lint_cache=""
 fit_bin=""
+serve_bin=""
+serve_out=""
 
 cleanup() {
 	code=$?
@@ -25,6 +27,8 @@ cleanup() {
 	[ -n "$lint_bin" ] && rm -f "$lint_bin"
 	[ -n "$lint_cache" ] && rm -rf "$lint_cache"
 	[ -n "$fit_bin" ] && rm -f "$fit_bin"
+	[ -n "$serve_bin" ] && rm -f "$serve_bin"
+	[ -n "$serve_out" ] && rm -f "$serve_out"
 	if [ "$code" -ne 0 ]; then
 		echo "verify.sh: FAILED stage=$stage class=$class" >&2
 	fi
@@ -58,11 +62,13 @@ go test -race ./...
 
 # The concurrency and determinism contracts (stable results across worker
 # counts, prompt cancellation, no goroutine leaks, order-independent
-# aggregation and model selection) get an extra stress pass: shuffled test
-# order, run twice, under the race detector, across the deterministic core
-# of the modeling path.
-shuffle_pkgs="./internal/pipeline/... ./internal/aggregate/... ./internal/epoch/... ./internal/modeling/... ./internal/pmnf/... ./internal/analysis/... ./internal/serve/..."
-begin shuffle test "go test -race -shuffle=on -count=2 (pipeline + modeling core)"
+# ingest, aggregation and model selection) get an extra stress pass:
+# shuffled test order, run twice, under the race detector, across the
+# deterministic core of the modeling path. The parallel-ingest report
+# parity (TestIngestReportIndependentOfWorkers) and the edserve decode
+# handoff suites run here.
+shuffle_pkgs="./internal/ingest/... ./internal/pipeline/... ./internal/aggregate/... ./internal/epoch/... ./internal/modeling/... ./internal/pmnf/... ./internal/analysis/... ./internal/serve/..."
+begin shuffle test "go test -race -shuffle=on -count=2 (ingest + pipeline + modeling core)"
 go test -race -shuffle=on -count=2 $shuffle_pkgs
 
 # The edlint parallel loader type-checks packages concurrently and its
@@ -204,17 +210,30 @@ echo "$fit_out" | awk -v ceiling="$fit_alloc_ceiling" '
 # builds the edserve binary (keeping cmd/edserve honest as a compile
 # target) and runs a 1-client BenchmarkServe smoke — one settled imdb
 # campaign, then 100 predict queries over HTTP — inside a 30-second
-# budget. The run writes its measured req/s and p99 latency to
-# BENCH_serve.json (regenerate the committed 1/4/16-client trajectory
-# with the command recorded inside that file).
+# budget. The smoke writes its req/s and p99 latency to a temporary file
+# and prints them next to the committed 1-client figures; it never
+# touches BENCH_serve.json (regenerate the committed 1/4/16-client
+# trajectory with the command recorded inside that file).
 begin serve-bench-build build "go build ./cmd/edserve"
 serve_bin=$(mktemp)
 go build -o "$serve_bin" ./cmd/edserve
-begin serve-bench test "BenchmarkServe/clients=1 -benchtime 100x (30s budget) -> BENCH_serve.json"
+begin serve-bench test "BenchmarkServe/clients=1 -benchtime 100x (30s budget)"
+serve_out=$(mktemp)
 serve_start=$(date +%s)
-EDSERVE_BENCH_OUT="$PWD/BENCH_serve.json" go test -run '^$' -bench 'BenchmarkServe/clients=1$' -benchtime 100x ./internal/serve/
+EDSERVE_BENCH_OUT="$serve_out" go test -run '^$' -bench 'BenchmarkServe/clients=1$' -benchtime 100x ./internal/serve/
 serve_elapsed=$(($(date +%s) - serve_start))
 echo "serve-bench: smoke run finished in ${serve_elapsed}s"
+# serve_figures <file>: the clients=1 req/s and p99 of a BenchmarkServe
+# results file.
+serve_figures() {
+	awk '
+		/"clients=1"/ { on = 1 }
+		on && /"req_per_s"/ { v = $2; sub(/,/, "", v); rps = v }
+		on && /"p99_ns"/ { v = $2; sub(/,/, "", v); p99 = v; on = 0 }
+		END { printf "%.0f req/s, p99 %.0f us\n", rps, p99 / 1000 }' "$1"
+}
+echo "serve-bench: this run  $(serve_figures "$serve_out")"
+echo "serve-bench: committed $(serve_figures BENCH_serve.json) (BENCH_serve.json)"
 if [ "$serve_elapsed" -gt 30 ]; then
 	class="budget-exceeded"
 	echo "serve-bench: smoke run exceeded the 30s budget (${serve_elapsed}s) — the query path is fitting instead of serving from the snapshot cache; profile with 'go test -bench BenchmarkServe -cpuprofile cpu.out ./internal/serve/'" >&2
