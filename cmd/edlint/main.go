@@ -12,22 +12,24 @@
 // type-checked — analysis is only *reported* for matching packages, so
 // cross-package facts stay sound.
 //
-// Repeated runs are incremental: type-checked standard-library export
-// data and, for unchanged trees, the findings themselves are cached on
+// The standard library is read from the toolchain's compiled export
+// data, located by one `go list -export` call, so the go command must be
+// on PATH; without it the load fails (exit status 2).
+//
+// Repeated runs over unchanged trees are served from a findings cache on
 // disk under -cachedir (default: the user cache directory, e.g.
 // ~/.cache/edlint). The cache is content-addressed — any edit, analyzer
-// change or toolchain change invalidates it — and -nocache disables it
-// entirely. Narrowed pattern runs never touch the findings cache. The
-// findings layer also keys on the edlint executable (path, size, mtime),
-// so a rebuilt binary re-analyzes instead of trusting stale findings;
-// note that `go run` builds into a fresh temp path every invocation and
-// therefore always misses that layer (the std-bundle layer still hits).
+// change or toolchain change invalidates it — and -nocache disables it.
+// Narrowed pattern runs never touch it. It also keys on the edlint
+// executable (path, size, mtime), so a rebuilt binary re-analyzes
+// instead of trusting stale findings; note that `go run` builds into a
+// fresh temp path every invocation and therefore always misses.
 //
 // With -json each finding is printed as one JSON object per line
 // ({"file","line","col","analyzer","message"}), followed by one final
 // summary object ({"summary":{...}}) with per-analyzer finding counts,
-// load/analyze wall time and the cache outcomes; the exit status is
-// unchanged by -json.
+// load/analyze wall time and the findings-cache outcome; the exit status
+// is unchanged by -json.
 //
 // Exit status: 0 when clean, 1 when findings were printed, 2 on usage or
 // load errors — identical with and without the cache. Findings are
@@ -74,7 +76,6 @@ type jsonSummaryBody struct {
 	Packages      int            `json:"packages"`
 	LoadMS        int64          `json:"load_ms"`
 	AnalyzeMS     int64          `json:"analyze_ms"`
-	StdCache      string         `json:"std_cache"`
 	FindingsCache string         `json:"findings_cache"`
 }
 
@@ -184,7 +185,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Packages:      stats.Packages,
 			LoadMS:        stats.LoadMS,
 			AnalyzeMS:     stats.AnalyzeMS,
-			StdCache:      stats.StdCache,
 			FindingsCache: stats.FindingsCache,
 		}}); err != nil {
 			sayln(stderr, err)

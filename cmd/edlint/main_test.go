@@ -62,3 +62,18 @@ func TestRunAliasConflictExitsTwo(t *testing.T) {
 		t.Errorf("stderr does not explain the alias conflict:\n%s", stderr.String())
 	}
 }
+
+// TestRunWithoutGoCommandExitsTwo: with no go command on PATH the
+// standard library's export data cannot be located, which is a load
+// error (exit status 2) naming the lookup, not a clean or dirty result.
+func TestRunWithoutGoCommandExitsTwo(t *testing.T) {
+	t.Setenv("PATH", "")
+	var stdout, stderr strings.Builder
+	code := run([]string{"-nocache", "./..."}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "export-data lookup") {
+		t.Errorf("stderr does not name the export-data lookup:\n%s", stderr.String())
+	}
+}

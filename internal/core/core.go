@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
@@ -24,73 +23,41 @@ import (
 	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
-	"extradeep/internal/resilience"
 	"extradeep/internal/simulator/engine"
 )
 
-// Resilience bundles the pipeline's fault-handling knobs for facade
-// callers: fault injection, per-stage deadline budgets, the retry
-// policy, and checkpoint/resume. The zero value disables all of it —
-// the production default. See pipeline.Config and DESIGN.md §13.
-type Resilience struct {
-	// Injector fires scheduled deterministic faults; nil disables.
-	Injector *resilience.Injector
-	// Retry is the per-stage backoff policy for retryable failures.
-	Retry resilience.RetryPolicy
-	// StageTimeout is the deadline budget per stage attempt; 0 disables.
-	StageTimeout time.Duration
-	// Checkpoint persists completed fit tasks incrementally; nil disables.
-	Checkpoint *resilience.Store
-	// Resume reuses content-keyed prior records from Checkpoint.
-	Resume bool
-}
-
-// Options bundles the pipeline configuration.
-type Options struct {
-	// Aggregation configures the Fig. 2 preprocessing.
-	Aggregation aggregate.Options
-	// Modeling configures the PMNF search.
-	Modeling modeling.Options
-	// MinConfigurations is the kernel-filtering threshold (step (4) of
-	// Fig. 2); 0 means the paper's 5.
-	MinConfigurations int
-	// Workers bounds the fit worker pool (see pipeline.Config.Workers):
-	// 1 runs sequentially, 0 uses all cores. Output is byte-identical for
-	// every value.
-	Workers int
-	// Resilience configures fault injection, retries, stage deadlines and
-	// checkpoint/resume; the zero value disables the whole layer.
-	Resilience Resilience
-}
-
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options {
-	return Options{
+// DefaultOptions returns the paper's configuration: Fig. 2 aggregation,
+// the default PMNF search and the five-configuration kernel filter, with
+// every other pipeline knob (workers, resilience) at its zero value.
+func DefaultOptions() pipeline.Config {
+	return pipeline.Config{
 		Aggregation:       aggregate.DefaultOptions(),
 		Modeling:          modeling.DefaultOptions(),
 		MinConfigurations: measurement.MinModelingPoints,
 	}
 }
 
+// campaignConfig resolves a campaign's pipeline configuration. When the
+// caller left Modeling unset, the paper's aggregation, modeling and
+// kernel-filter defaults replace the caller's, with strong-scaling
+// exponents (negative, for runtimes that shrink with scale) when strong
+// is set. The caller's Workers and resilience fields are kept either way.
+func campaignConfig(cfg pipeline.Config, strong bool) pipeline.Config {
+	if !cfg.Modeling.Unset() {
+		return cfg
+	}
+	d := DefaultOptions()
+	cfg.Aggregation, cfg.Modeling, cfg.MinConfigurations = d.Aggregation, d.Modeling, d.MinConfigurations
+	if strong {
+		cfg.Modeling = modeling.StrongScalingOptions()
+	}
+	return cfg
+}
+
 // ModelSet holds every model created for one application. It is an alias
 // for the pipeline's model set: the staged pipeline owns model creation,
 // core keeps the name for its facade API.
 type ModelSet = pipeline.ModelSet
-
-// pipelineFor assembles the staged pipeline behind this facade.
-func (o Options) pipelineFor() *pipeline.Pipeline {
-	return pipeline.New(pipeline.Config{
-		Workers:           o.Workers,
-		Aggregation:       o.Aggregation,
-		Modeling:          o.Modeling,
-		MinConfigurations: o.MinConfigurations,
-		Injector:          o.Resilience.Injector,
-		Retry:             o.Resilience.Retry,
-		StageTimeout:      o.Resilience.StageTimeout,
-		Checkpoint:        o.Resilience.Checkpoint,
-		Resume:            o.Resilience.Resume,
-	})
-}
 
 // AggregateProfiles groups raw profiles by configuration and runs the
 // Fig. 2 aggregation pipeline on each group, returning one aggregate per
@@ -105,8 +72,8 @@ func AggregateProfiles(profiles []*profile.Profile, opts aggregate.Options) ([]*
 // MinConfigurations configurations are filtered out; kernels whose series
 // cannot be modeled (degenerate data) are skipped silently, mirroring the
 // tool's behaviour.
-func BuildModels(aggs []*aggregate.ConfigAggregate, setup epoch.SetupFunc, opts Options) (*ModelSet, error) {
-	return opts.pipelineFor().BuildModels(context.Background(), aggs, setup)
+func BuildModels(aggs []*aggregate.ConfigAggregate, setup epoch.SetupFunc, opts pipeline.Config) (*ModelSet, error) {
+	return pipeline.New(opts).BuildModels(context.Background(), aggs, setup)
 }
 
 // Campaign describes one end-to-end measurement and modeling campaign on
@@ -128,8 +95,9 @@ type Campaign struct {
 	// Reps is the number of measurement repetitions per configuration
 	// (the paper uses 5).
 	Reps int
-	// Options configures aggregation and modeling.
-	Options Options
+	// Options configures the pipeline; an unset Modeling selects the
+	// paper's defaults (see DefaultOptions).
+	Options pipeline.Config
 }
 
 // Validate checks the campaign. The paper's minimum of five modeling
@@ -211,17 +179,7 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts := c.Options
-	if opts.Modeling.Unset() {
-		opts = DefaultOptions()
-		opts.Workers = c.Options.Workers
-		opts.Resilience = c.Options.Resilience
-		if !c.Config.WeakScaling {
-			// Strong-scaling runtimes shrink with scale; the search space
-			// needs negative exponents to express that.
-			opts.Modeling = modeling.StrongScalingOptions()
-		}
-	}
+	opts := campaignConfig(c.Options, !c.Config.WeakScaling)
 
 	modelingSet := make(map[int]bool, len(c.ModelingRanks))
 	allRanks := append([]int(nil), c.ModelingRanks...)

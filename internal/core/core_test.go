@@ -247,7 +247,7 @@ func TestRunCampaignDeterministic(t *testing.T) {
 // that kernel and mark the model set partial, not fail the campaign.
 func TestRunCampaignResilienceQuarantine(t *testing.T) {
 	c := testCampaign(t)
-	c.Options.Resilience.Injector = resilience.NewInjector(nil,
+	c.Options.Injector = resilience.NewInjector(nil,
 		resilience.Fault{Point: "fit:task:0", Kind: resilience.KindError, Class: resilience.ClassDegraded})
 	res, err := RunCampaign(c)
 	if err != nil {
@@ -268,12 +268,12 @@ func TestRunCampaignResilienceQuarantine(t *testing.T) {
 }
 
 // TestRunCampaignCheckpointResume pins the facade's checkpoint/resume
-// path: a campaign checkpointed through Options.Resilience and resumed
+// path: a campaign checkpointed through Options.Checkpoint and resumed
 // over identical inputs reproduces the same application model.
 func TestRunCampaignCheckpointResume(t *testing.T) {
 	store := &resilience.Store{Dir: t.TempDir()}
 	c := testCampaign(t)
-	c.Options.Resilience.Checkpoint = store
+	c.Options.Checkpoint = store
 	cold, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("checkpoint store empty after campaign (err=%v)", err)
 	}
-	c.Options.Resilience.Resume = true
+	c.Options.Resume = true
 	resumed, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
 	"extradeep/internal/measurement"
-	"extradeep/internal/modeling"
+	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
 	"extradeep/internal/simulator/engine"
 )
@@ -29,8 +29,9 @@ type GridCampaign struct {
 	Batches []int
 	// Reps is the number of repetitions per cell.
 	Reps int
-	// Options configures aggregation and modeling.
-	Options Options
+	// Options configures the pipeline; an unset Modeling selects the
+	// paper's defaults with strong-scaling exponents.
+	Options pipeline.Config
 }
 
 // Validate checks the grid campaign.
@@ -65,14 +66,10 @@ func RunGridCampaign(c GridCampaign) (*GridResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts := c.Options
-	if opts.Modeling.Unset() {
-		opts = DefaultOptions()
-		// The batch size enters the per-epoch metric inversely (fewer,
-		// bigger steps), so the grid surface needs negative exponents
-		// regardless of the scaling mode.
-		opts.Modeling = modeling.StrongScalingOptions()
-	}
+	// The batch size enters the per-epoch metric inversely (fewer, bigger
+	// steps), so the grid surface needs negative exponents regardless of
+	// the scaling mode.
+	opts := campaignConfig(c.Options, true)
 
 	ranks := append([]int(nil), c.Ranks...)
 	batches := append([]int(nil), c.Batches...)

@@ -4,71 +4,24 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
-	"extradeep/internal/pmnf"
+	"extradeep/internal/pipeline"
 )
 
 // modelFileVersion identifies the persisted model format.
 const modelFileVersion = 1
 
-// savedModel is the serialized form of one fitted model.
-type savedModel struct {
-	Function *pmnf.Function `json:"function"`
-	SMAPE    float64        `json:"smape"`
-	RSS      float64        `json:"rss"`
-	// R2 is null for models whose data had no variance (R² undefined).
-	R2             *float64            `json:"r2"`
-	RelResidualStd float64             `json:"rel_residual_std"`
-	Points         []measurement.Point `json:"points"`
-	Actual         []float64           `json:"actual"`
-}
-
-func toSaved(m *modeling.Model) savedModel {
-	s := savedModel{
-		Function:       m.Function,
-		SMAPE:          m.SMAPE,
-		RSS:            m.RSS,
-		RelResidualStd: m.RelResidualStd,
-		Points:         m.Points,
-		Actual:         m.Actual,
-	}
-	if !math.IsNaN(m.R2) {
-		r2 := m.R2
-		s.R2 = &r2
-	}
-	return s
-}
-
-func fromSaved(s savedModel) (*modeling.Model, error) {
-	if s.Function == nil {
-		return nil, errors.New("core: saved model without function")
-	}
-	r2 := math.NaN()
-	if s.R2 != nil {
-		r2 = *s.R2
-	}
-	return &modeling.Model{
-		Function:       s.Function,
-		SMAPE:          s.SMAPE,
-		RSS:            s.RSS,
-		R2:             r2,
-		RelResidualStd: s.RelResidualStd,
-		Points:         s.Points,
-		Actual:         s.Actual,
-	}, nil
-}
-
-// modelFile is the on-disk layout of a model set.
+// modelFile is the on-disk layout of a model set; each entry uses the
+// pipeline's SavedModel layout, shared with checkpoint task records.
 type modelFile struct {
 	Version int `json:"version"`
 	// App maps application callpaths to models.
-	App map[string]savedModel `json:"app"`
+	App map[string]pipeline.SavedModel `json:"app"`
 	// Kernel maps metric → callpath → model.
-	Kernel map[measurement.Metric]map[string]savedModel `json:"kernel"`
+	Kernel map[measurement.Metric]map[string]pipeline.SavedModel `json:"kernel"`
 }
 
 // EncodeModels canonically serializes a model set into the persisted
@@ -83,16 +36,16 @@ func EncodeModels(ms *ModelSet) ([]byte, error) {
 	}
 	mf := modelFile{
 		Version: modelFileVersion,
-		App:     make(map[string]savedModel, len(ms.App)),
-		Kernel:  make(map[measurement.Metric]map[string]savedModel, len(ms.Kernel)),
+		App:     make(map[string]pipeline.SavedModel, len(ms.App)),
+		Kernel:  make(map[measurement.Metric]map[string]pipeline.SavedModel, len(ms.Kernel)),
 	}
 	for path, m := range ms.App {
-		mf.App[path] = toSaved(m)
+		mf.App[path] = pipeline.SaveModel(m)
 	}
 	for metric, byPath := range ms.Kernel {
-		dst := make(map[string]savedModel, len(byPath))
+		dst := make(map[string]pipeline.SavedModel, len(byPath))
 		for path, m := range byPath {
-			dst[path] = toSaved(m)
+			dst[path] = pipeline.SaveModel(m)
 		}
 		mf.Kernel[metric] = dst
 	}
@@ -134,7 +87,7 @@ func LoadModels(path string) (*ModelSet, error) {
 		Kernel: make(map[measurement.Metric]map[string]*modeling.Model, len(mf.Kernel)),
 	}
 	for p, s := range mf.App {
-		m, err := fromSaved(s)
+		m, err := s.Model()
 		if err != nil {
 			return nil, fmt.Errorf("core: app model %q: %w", p, err)
 		}
@@ -143,7 +96,7 @@ func LoadModels(path string) (*ModelSet, error) {
 	for metric, byPath := range mf.Kernel {
 		dst := make(map[string]*modeling.Model, len(byPath))
 		for p, s := range byPath {
-			m, err := fromSaved(s)
+			m, err := s.Model()
 			if err != nil {
 				return nil, fmt.Errorf("core: kernel model %q/%q: %w", metric, p, err)
 			}

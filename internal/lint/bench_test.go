@@ -3,8 +3,9 @@ package lint
 import "testing"
 
 // BenchmarkLintRepo measures one full edlint pass over the surrounding
-// module: parse + type-check every package (tests included) and run the
-// complete default analyzer suite. This is the cost of the self-check
+// module: locate the standard library's export data, parse + type-check
+// every package (tests included) and run the complete default analyzer
+// suite. This is the cost of the self-check
 // test and of the verify.sh edlint gate; its trajectory is recorded in
 // BENCH_lint.json and budgeted by the edlint-bench stage of verify.sh.
 func BenchmarkLintRepo(b *testing.B) {
@@ -24,11 +25,10 @@ func BenchmarkLintRepo(b *testing.B) {
 	}
 }
 
-// BenchmarkLintRepoWarm measures the fully warm cache path: both the
-// standard-library bundle and the findings cache are primed, so one
-// iteration is a content re-hash plus a cache read — the cost of a
-// repeated edlint run over an unchanged tree. The ratio to
-// BenchmarkLintRepo is the incremental cache's headline speedup; both
+// BenchmarkLintRepoWarm measures the warm cache path: the findings cache
+// is primed, so one iteration is a content re-hash plus a cache read —
+// the cost of a repeated edlint run over an unchanged tree. The ratio to
+// BenchmarkLintRepo is the findings cache's headline speedup; both
 // numbers are recorded in BENCH_lint.json.
 func BenchmarkLintRepoWarm(b *testing.B) {
 	root, err := FindModuleRoot(".")
@@ -48,38 +48,6 @@ func BenchmarkLintRepoWarm(b *testing.B) {
 		}
 		if stats.FindingsCache != "hit" {
 			b.Fatalf("warm iteration was a findings-cache %s, want hit", stats.FindingsCache)
-		}
-		if len(diags) > 0 {
-			b.Fatalf("repository is not lint-clean: %d finding(s), first: %s", len(diags), diags[0])
-		}
-	}
-}
-
-// BenchmarkLintRepoWarmLoad measures the std-bundle-warm load path with
-// the findings cache disabled: every iteration re-type-checks the module
-// itself and reruns the analyzers, but resolves the standard library from
-// the cached export bundle instead of source. The gap to BenchmarkLintRepo
-// is the stdlib type-check share the bundle eliminates; the gap to
-// BenchmarkLintRepoWarm is the honest cost of an edit that misses the
-// findings cache.
-func BenchmarkLintRepoWarmLoad(b *testing.B) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		b.Fatalf("locating module root: %v", err)
-	}
-	cacheDir := b.TempDir()
-	if _, _, err := Lint(root, Options{CacheDir: cacheDir}); err != nil {
-		b.Fatalf("priming caches: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diags, stats, err := Lint(root, Options{CacheDir: cacheDir, NoFindingsCache: true})
-		if err != nil {
-			b.Fatalf("warm-load lint: %v", err)
-		}
-		if stats.StdCache != "hit" {
-			b.Fatalf("warm-load iteration was a std-bundle %s, want hit", stats.StdCache)
 		}
 		if len(diags) > 0 {
 			b.Fatalf("repository is not lint-clean: %d finding(s), first: %s", len(diags), diags[0])

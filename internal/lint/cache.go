@@ -6,8 +6,6 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"go/build"
-	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -17,36 +15,20 @@ import (
 	"time"
 )
 
-// This file is edlint's incremental load cache and the high-level Lint
-// entry point that ties it to the loader and the analyzers. Two layers,
-// invalidated independently, both content-addressed:
+// This file is edlint's findings cache and the high-level Lint entry
+// point that ties it to the loader and the analyzers. When the module's
+// content (every .go file plus go.mod, SHA-256 over bytes), the analyzer
+// set, the toolchain and the analyzing executable are all unchanged, the
+// previous run's diagnostics are returned without loading anything. Any
+// edit anywhere changes the key; reverting the edit restores the old key
+// and its hit. Package filters bypass the cache: a filtered run's
+// findings are a subset and must never be served as the whole.
 //
-// Layer 1 — the standard-library bundle. A cold edlint run spends nearly
-// all of its time type-checking the ~140-package stdlib closure from
-// source (the module itself checks in tens of milliseconds). The bundle
-// persists that closure once, via the edexport codec, keyed by toolchain
-// identity (go version + GOOS + GOARCH + format) and verified against a
-// stat manifest (file name, size, mtime per package directory), so a
-// GOROOT edit or toolchain swap degrades to a rebuild, never a stale hit.
-// A preflight checks that every direct std import of the module is
-// covered by the bundle before any of it is used: coverage is
-// all-or-nothing because go/types compares named types by object
-// identity, and a universe mixed from cached and freshly-checked
-// packages would make stdlib types unequal to themselves.
-//
-// Layer 2 — the findings cache. When the module's content (every .go
-// file plus go.mod, SHA-256 over bytes), the analyzer set, the toolchain
-// and the analyzing executable are all unchanged, the previous run's
-// diagnostics are returned without loading anything. Any edit anywhere
-// changes the key; reverting the edit restores the old key and its hit.
-// Package filters bypass this layer: a filtered run's findings are a
-// subset and must never be served as the whole.
-//
-// Every failure mode — unreadable file, corrupt gob, version skew, stale
-// manifest — degrades to a cache miss and a cold load. Writes go through
-// a temp file + rename so a crashed run can't leave a torn entry.
+// Every failure mode — unreadable file, corrupt gob, version skew —
+// degrades to a cache miss and a full load. Writes go through a temp
+// file + rename so a crashed run can't leave a torn entry.
 
-// lintCacheFormat versions both cache file layouts; bump on change.
+// lintCacheFormat versions the cache file layout; bump on change.
 const lintCacheFormat = 1
 
 // Options configures a Lint run. The zero value runs the default
@@ -59,16 +41,13 @@ type Options struct {
 	Filter func(*Package) bool
 	// CacheDir overrides the cache location; "" means DefaultCacheDir().
 	CacheDir string
-	// NoCache disables both cache layers.
+	// NoCache disables the findings cache.
 	NoCache bool
-	// NoFindingsCache keeps the std bundle but always re-analyzes; used
-	// by benchmarks that measure the warm load path itself.
-	NoFindingsCache bool
 	// Workers bounds type-checking concurrency; <=0 means GOMAXPROCS.
 	Workers int
 }
 
-// Stats reports where a Lint run's time went and how the caches resolved.
+// Stats reports where a Lint run's time went and how the cache resolved.
 type Stats struct {
 	// Packages is the number of analysis units checked (0 on a findings
 	// cache hit, which loads nothing).
@@ -79,8 +58,6 @@ type Stats struct {
 	// LoadMS covers only the module hash.
 	LoadMS    int64
 	AnalyzeMS int64
-	// StdCache is "hit", "miss", or "off".
-	StdCache string
 	// FindingsCache is "hit", "miss", "bypass" (filter set), or "off".
 	FindingsCache string
 	// Workers is the effective type-check concurrency.
@@ -98,9 +75,10 @@ func DefaultCacheDir() string {
 }
 
 // Lint loads the module rooted at root and runs the analyzers over it,
-// consulting and refreshing the on-disk caches. The returned diagnostics
-// are byte-identical to a cacheless run: both layers key on content, and
-// the parity is pinned by TestLintCacheParity and the propcheck suite.
+// consulting and refreshing the on-disk findings cache. The returned
+// diagnostics are byte-identical to a cacheless run: the cache keys on
+// content, and the parity is pinned by TestLintCacheParity and the
+// propcheck suite.
 func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -118,18 +96,15 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 		cacheDir = ""
 	}
 
-	stats := &Stats{StdCache: "off", FindingsCache: "off"}
+	stats := &Stats{FindingsCache: "off"}
 	start := time.Now()
 
-	// Layer 2 first: on a findings hit nothing needs loading at all.
+	// On a findings hit nothing needs loading at all.
 	var findKey string
 	if cacheDir != "" {
-		switch {
-		case opts.Filter != nil:
+		if opts.Filter != nil {
 			stats.FindingsCache = "bypass"
-		case opts.NoFindingsCache:
-			stats.FindingsCache = "off"
-		default:
+		} else {
 			findKey, err = findingsKey(root, analyzers)
 			if err != nil {
 				return nil, nil, err
@@ -144,20 +119,9 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 		}
 	}
 
-	// Layers miss or are off: load the module, offering the std bundle.
-	lopts := LoadOptions{Workers: opts.Workers}
-	if cacheDir != "" {
-		stats.StdCache = "miss"
-		lopts.StdProvider = func(directs []string) map[string]*types.Package {
-			return loadStdBundle(cacheDir, directs)
-		}
-	}
-	mod, lstats, err := LoadModuleWith(root, lopts)
+	mod, lstats, err := LoadModuleWith(root, LoadOptions{Workers: opts.Workers})
 	if err != nil {
 		return nil, nil, err
-	}
-	if lstats.StdCacheHit {
-		stats.StdCache = "hit"
 	}
 	stats.Workers = lstats.Workers
 	stats.Packages = len(mod.Pkgs)
@@ -168,176 +132,11 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 	stats.AnalyzeMS = time.Since(mark).Milliseconds()
 	stats.Findings = len(diags)
 
-	if cacheDir != "" {
-		if stats.StdCache == "miss" {
-			saveStdBundle(cacheDir, lstats.StdUsed)
-		}
-		if findKey != "" {
-			saveFindings(cacheDir, findKey, diags)
-		}
+	if findKey != "" {
+		saveFindings(cacheDir, findKey, diags)
 	}
 	return diags, stats, nil
 }
-
-// ---- layer 1: the standard-library bundle ----
-
-// stdCacheFile is the on-disk shape of the bundle: the stat manifest
-// travels outside the export data so staleness is detected by a cheap
-// directory scan, without decoding the multi-megabyte type graph.
-type stdCacheFile struct {
-	Format   int
-	Manifest []pkgStamp
-	Bundle   []byte
-}
-
-// pkgStamp records the identity of one stdlib package directory.
-type pkgStamp struct {
-	Path  string
-	Dir   string
-	Files []fileStamp
-}
-
-// fileStamp is one source file's stat identity.
-type fileStamp struct {
-	Name    string
-	Size    int64
-	MtimeNS int64
-}
-
-// stdBundlePath keys the bundle file by toolchain identity, so toolchain
-// upgrades coexist instead of thrashing one slot.
-func stdBundlePath(cacheDir string) string {
-	id := fmt.Sprintf("%s-%s-%s-f%d", runtime.Version(), runtime.GOOS, runtime.GOARCH, lintCacheFormat)
-	return filepath.Join(cacheDir, "std-"+sanitizeFileName(id)+".bin")
-}
-
-// sanitizeFileName keeps cache file names portable.
-func sanitizeFileName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, s)
-}
-
-// loadStdBundle returns the cached stdlib universe when it is present,
-// stat-fresh, and covers every direct import; nil (a miss) otherwise.
-func loadStdBundle(cacheDir string, directs []string) map[string]*types.Package {
-	data, err := os.ReadFile(stdBundlePath(cacheDir))
-	if err != nil {
-		return nil
-	}
-	var f stdCacheFile
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil || f.Format != lintCacheFormat {
-		return nil
-	}
-	for _, ps := range f.Manifest {
-		if !stampFresh(ps) {
-			return nil
-		}
-	}
-	universe, err := importPackages(f.Bundle)
-	if err != nil {
-		return nil
-	}
-	for _, p := range directs {
-		if _, ok := universe[p]; !ok {
-			return nil // partial coverage would mix universes; miss instead
-		}
-	}
-	return universe
-}
-
-// saveStdBundle persists the closure of the std packages a cold load
-// used. Best-effort: a failure to save only costs the next run its warm
-// start, so errors are deliberately dropped.
-func saveStdBundle(cacheDir string, used map[string]*types.Package) {
-	if len(used) == 0 {
-		return
-	}
-	paths := make([]string, 0, len(used))
-	for p := range used {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	roots := make([]*types.Package, 0, len(used))
-	for _, p := range paths {
-		roots = append(roots, used[p])
-	}
-	bundle, err := exportPackages(roots)
-	if err != nil {
-		return
-	}
-	f := stdCacheFile{Format: lintCacheFormat, Bundle: bundle}
-	for _, p := range importClosure(roots) {
-		if ps, ok := stampPackage(p.Path()); ok {
-			f.Manifest = append(f.Manifest, ps)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return
-	}
-	_ = writeFileAtomic(stdBundlePath(cacheDir), buf.Bytes())
-}
-
-// stampPackage records the current stat identity of one stdlib package
-// directory. Unstampable packages ("unsafe", synthesized paths) are
-// skipped rather than failing the save.
-func stampPackage(path string) (pkgStamp, bool) {
-	if path == "unsafe" {
-		return pkgStamp{}, false
-	}
-	bp, err := build.Default.Import(path, "", build.FindOnly)
-	if err != nil || bp.Dir == "" {
-		return pkgStamp{}, false
-	}
-	files, ok := stampDir(bp.Dir)
-	if !ok {
-		return pkgStamp{}, false
-	}
-	return pkgStamp{Path: path, Dir: bp.Dir, Files: files}, true
-}
-
-// stampDir stats every .go file of one directory, in name order.
-func stampDir(dir string) ([]fileStamp, bool) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, false
-	}
-	var out []fileStamp
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		fi, err := ent.Info()
-		if err != nil {
-			return nil, false
-		}
-		out = append(out, fileStamp{Name: name, Size: fi.Size(), MtimeNS: fi.ModTime().UnixNano()})
-	}
-	return out, true
-}
-
-// stampFresh re-stats one manifest entry and reports whether it matches.
-func stampFresh(ps pkgStamp) bool {
-	files, ok := stampDir(ps.Dir)
-	if !ok || len(files) != len(ps.Files) {
-		return false
-	}
-	for i, f := range files {
-		if f != ps.Files[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ---- layer 2: the findings cache ----
 
 // findingsFile is the on-disk shape of one cached run.
 type findingsFile struct {
@@ -454,8 +253,9 @@ func loadFindings(cacheDir, key string) ([]Diagnostic, bool) {
 	return f.Diags, true
 }
 
-// saveFindings persists one run's diagnostics. Best-effort, like the
-// bundle save.
+// saveFindings persists one run's diagnostics. Best-effort: a failure to
+// save only costs the next run its hit, so errors are deliberately
+// dropped.
 func saveFindings(cacheDir, key string, diags []Diagnostic) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(findingsFile{Format: lintCacheFormat, Key: key, Diags: diags}); err != nil {

@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,53 +22,36 @@ func copyFixtureModule(t testing.TB) string {
 
 // TestLintCacheParity is the cold/warm contract on a module with a rich,
 // non-empty finding set (the interproc fixture): a cacheless run, a
-// cache-priming run, a std-bundle-warm run and a findings-cache-hit run
-// must all produce byte-identical diagnostics, and the cache states must
-// progress miss → hit.
+// cache-priming run and a findings-cache-hit run must all produce
+// byte-identical diagnostics, and the cache state must progress
+// miss → hit.
 func TestLintCacheParity(t *testing.T) {
 	root := copyFixtureModule(t)
 	cacheDir := t.TempDir()
 
-	cold, _, err := Lint(root, Options{NoCache: true})
+	cold, cstats, err := Lint(root, Options{NoCache: true})
 	if err != nil {
 		t.Fatalf("cacheless run: %v", err)
+	}
+	if cstats.FindingsCache != "off" {
+		t.Errorf("cacheless run: FindingsCache=%s, want off", cstats.FindingsCache)
 	}
 	if len(cold) == 0 {
 		t.Fatalf("fixture module produced no findings; the parity test needs a non-empty set")
 	}
 	want := formatDiags(cold)
 
-	prime, pstats, err := Lint(root, Options{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatalf("priming run: %v", err)
-	}
-	if pstats.StdCache != "miss" || pstats.FindingsCache != "miss" {
-		t.Errorf("priming run: StdCache=%s FindingsCache=%s, want miss/miss", pstats.StdCache, pstats.FindingsCache)
-	}
-	if got := formatDiags(prime); got != want {
-		t.Errorf("priming run diverges from cacheless run\n--- cacheless ---\n%s--- priming ---\n%s", want, got)
-	}
-
-	warm, wstats, err := Lint(root, Options{CacheDir: cacheDir, NoFindingsCache: true})
-	if err != nil {
-		t.Fatalf("std-warm run: %v", err)
-	}
-	if wstats.StdCache != "hit" {
-		t.Errorf("std-warm run: StdCache=%s, want hit", wstats.StdCache)
-	}
-	if got := formatDiags(warm); got != want {
-		t.Errorf("std-warm run diverges from cacheless run\n--- cacheless ---\n%s--- warm ---\n%s", want, got)
-	}
-
-	hit, hstats, err := Lint(root, Options{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatalf("findings-hit run: %v", err)
-	}
-	if hstats.FindingsCache != "hit" {
-		t.Errorf("findings run: FindingsCache=%s, want hit", hstats.FindingsCache)
-	}
-	if got := formatDiags(hit); got != want {
-		t.Errorf("findings-cache hit diverges from cacheless run\n--- cacheless ---\n%s--- hit ---\n%s", want, got)
+	for _, step := range []struct{ name, state string }{{"priming", "miss"}, {"findings-hit", "hit"}} {
+		diags, stats, err := Lint(root, Options{CacheDir: cacheDir})
+		if err != nil {
+			t.Fatalf("%s run: %v", step.name, err)
+		}
+		if stats.FindingsCache != step.state {
+			t.Errorf("%s run: FindingsCache=%s, want %s", step.name, stats.FindingsCache, step.state)
+		}
+		if got := formatDiags(diags); got != want {
+			t.Errorf("%s run diverges from cacheless run\n--- cacheless ---\n%s--- %s ---\n%s", step.name, want, step.name, got)
+		}
 	}
 }
 
@@ -153,19 +138,22 @@ func TestImportCycleReported(t *testing.T) {
 	}
 }
 
-// TestStdBundleCorruptFallsBack: a torn or garbage bundle file must
-// degrade to a miss (and a successful cold load), never an error.
-func TestStdBundleCorruptFallsBack(t *testing.T) {
+// TestLoadFailsWithoutExportData: with no go command to locate the
+// standard library's export data, the load must fail with the typed
+// lookup error naming the missing packages — never fall back to
+// type-checking the standard library from source.
+func TestLoadFailsWithoutExportData(t *testing.T) {
 	root := copyFixtureModule(t)
-	cacheDir := t.TempDir()
-	if err := os.WriteFile(stdBundlePath(cacheDir), []byte("not a bundle"), 0o644); err != nil {
-		t.Fatal(err)
+	t.Setenv("PATH", "")
+	_, err := LoadModule(root)
+	var xerr *ExportDataError
+	if !errors.As(err, &xerr) {
+		t.Fatalf("load without a go command: got error %v, want an *ExportDataError", err)
 	}
-	_, stats, err := Lint(root, Options{CacheDir: cacheDir, NoFindingsCache: true})
-	if err != nil {
-		t.Fatalf("lint with corrupt bundle: %v", err)
+	if !slices.Contains(xerr.Packages, "fmt") {
+		t.Errorf("missing packages %v do not name the fixture's fmt import", xerr.Packages)
 	}
-	if stats.StdCache != "miss" {
-		t.Errorf("corrupt bundle: StdCache=%s, want miss", stats.StdCache)
+	if msg := err.Error(); !strings.Contains(msg, "export-data lookup") || !strings.Contains(msg, "fmt") {
+		t.Errorf("error %q does not name the export-data lookup and a missing package", msg)
 	}
 }

@@ -1,13 +1,17 @@
 package lint
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -50,30 +54,15 @@ type Module struct {
 	Pkgs []*Package
 }
 
-// LoadOptions tunes LoadModuleWith. The zero value reproduces the
-// historical sequential, cacheless load exactly (modulo wall-clock).
+// LoadOptions tunes LoadModuleWith's schedule; the loaded module never
+// depends on it.
 type LoadOptions struct {
-	// StdProvider, when non-nil, is offered the sorted list of the
-	// module's direct non-module imports and may return a pre-built
-	// standard-library universe covering all of them. The universe is
-	// all-or-nothing: it must be a closed package set (every import of
-	// every returned package resolves inside the map), because go/types
-	// compares named types by object identity and a universe mixed from
-	// cached and freshly source-checked packages would make stdlib types
-	// unequal to themselves. Returning nil falls back to type-checking
-	// the standard library from source.
-	StdProvider func(directs []string) map[string]*types.Package
 	// Workers bounds type-checking concurrency; <=0 means GOMAXPROCS.
 	Workers int
 }
 
-// LoadStats reports how a LoadModuleWith call resolved its inputs.
+// LoadStats reports how a LoadModuleWith call ran.
 type LoadStats struct {
-	// StdCacheHit reports whether a StdProvider universe was used.
-	StdCacheHit bool
-	// StdUsed maps every directly imported non-module path to its
-	// package, whatever resolved it — input for the cache layer's save.
-	StdUsed map[string]*types.Package
 	// Workers is the effective concurrency bound.
 	Workers int
 }
@@ -101,23 +90,32 @@ type loader struct {
 	std     *stdImporter
 }
 
-// stdImporter resolves non-module imports: from a pre-built universe when
-// one was provided, from the go/importer source importer otherwise. The
-// source importer is not safe for concurrent use, so every resolution
-// holds the mutex; with a warm universe the lock is held only for a map
-// read. Direct imports are recorded for the cache layer's save path.
+// stdImporter resolves non-module imports from the toolchain's compiled
+// export data, located up front by one `go list -export` call. The gc
+// importer is not safe for concurrent use, so every resolution holds the
+// mutex.
 type stdImporter struct {
-	mu     sync.Mutex
-	cached map[string]*types.Package
-	src    types.Importer
-	used   map[string]*types.Package
+	mu sync.Mutex
+	gc types.Importer
 }
 
-func newStdImporter(fset *token.FileSet) *stdImporter {
-	return &stdImporter{
-		src:  importer.ForCompiler(fset, "source", nil),
-		used: make(map[string]*types.Package),
+// newStdImporter locates the export data of the direct non-module
+// imports and returns an importer over it. The lookup runs in dir, and
+// any package without export data fails it: there is no fallback to
+// type-checking the standard library from source.
+func newStdImporter(fset *token.FileSet, dir string, imports []string) (*stdImporter, error) {
+	exports, err := exportData(dir, imports)
+	if err != nil {
+		return nil, err
 	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data located for %s", path)
+		}
+		return os.Open(file)
+	}
+	return &stdImporter{gc: importer.ForCompiler(fset, "gc", lookup)}, nil
 }
 
 func (s *stdImporter) Import(path string) (*types.Package, error) {
@@ -126,41 +124,88 @@ func (s *stdImporter) Import(path string) (*types.Package, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.cached[path]; ok {
-		s.used[path] = p
-		return p, nil
+	return s.gc.Import(path)
+}
+
+// ExportDataError reports that the toolchain's export data could not be
+// located for some non-module imports, for example because no go command
+// is on PATH.
+type ExportDataError struct {
+	// Packages are the imports left without export data, sorted.
+	Packages []string
+	// Err is the go list failure or the per-package reasons.
+	Err error
+}
+
+func (e *ExportDataError) Error() string {
+	return fmt.Sprintf("lint: export-data lookup (go list -export) failed for %s: %v",
+		strings.Join(e.Packages, ", "), e.Err)
+}
+
+func (e *ExportDataError) Unwrap() error { return e.Err }
+
+// exportData runs one `go list -export` in dir over the given import
+// paths and maps each to its compiled export-data file. "unsafe" is a
+// compiler intrinsic with no export data and is never reported missing.
+func exportData(dir string, paths []string) (map[string]string, error) {
+	files := make(map[string]string, len(paths))
+	if len(paths) == 0 {
+		return files, nil
 	}
-	if s.cached != nil {
-		// The provider's coverage preflight should make this unreachable;
-		// failing loudly beats silently mixing universes.
-		return nil, fmt.Errorf("package %s missing from the cached standard-library universe", path)
+	args := append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}\t{{with .Error}}{{.Err}}{{end}}"}, paths...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		if msg := strings.TrimSpace(stderr.String()); msg != "" {
+			err = fmt.Errorf("%w: %s", err, msg)
+		}
 	}
-	p, err := s.src.Import(path)
+	var reasons []string
+	for _, line := range strings.Split(string(out), "\n") {
+		path, rest, _ := strings.Cut(line, "\t")
+		file, reason, _ := strings.Cut(rest, "\t")
+		if file != "" {
+			files[path] = file
+		} else if reason != "" {
+			reasons = append(reasons, reason)
+		}
+	}
+	var missing []string
+	for _, p := range paths {
+		if _, ok := files[p]; !ok && p != "unsafe" {
+			missing = append(missing, p)
+		}
+	}
+	if len(missing) == 0 {
+		return files, nil
+	}
 	if err == nil {
-		s.used[path] = p
+		err = errors.New(strings.Join(reasons, "; "))
 	}
-	return p, err
+	return nil, &ExportDataError{Packages: missing, Err: err}
 }
 
 // LoadModule parses and type-checks every package of the module rooted at
 // root (the directory containing go.mod), including test files, and
 // returns the analysis units. Standard-library dependencies are resolved
-// from source via go/importer, so no toolchain invocation or third-party
-// dependency is needed. Type-check errors anywhere in the module fail the
-// load: analyzers only ever see well-typed code.
+// from the toolchain's compiled export data, so the go command must be on
+// PATH; a failed lookup is an *ExportDataError. Type-check errors anywhere
+// in the module fail the load: analyzers only ever see well-typed code.
 func LoadModule(root string) (*Module, error) {
 	mod, _, err := LoadModuleWith(root, LoadOptions{})
 	return mod, err
 }
 
-// LoadModuleWith is LoadModule with a pluggable standard-library universe
-// and bounded parallel type-checking across the module's import DAG. The
-// load runs in two phases: plain (importable) packages are checked level
-// by level along the dependency order, then every analysis unit — which
-// only ever imports already-memoized plain packages — is checked
-// concurrently. Results are deterministic regardless of worker count:
-// unit order is path order, and on failure the error of the first unit in
-// that order wins.
+// LoadModuleWith is LoadModule with bounded parallel type-checking
+// across the module's import DAG. The load runs in two phases: plain
+// (importable) packages are checked level by level along the dependency
+// order, then every analysis unit — which only ever imports
+// already-memoized plain packages — is checked concurrently. Results are
+// deterministic regardless of worker count: unit order is path order,
+// and on failure the error of the first unit in that order wins.
 func LoadModuleWith(root string, opts LoadOptions) (*Module, *LoadStats, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -176,7 +221,6 @@ func LoadModuleWith(root string, opts LoadOptions) (*Module, *LoadStats, error) 
 		dirs:    make(map[string]*dirEntry),
 		plain:   make(map[string]*types.Package),
 		loading: make(map[string]bool),
-		std:     newStdImporter(fset),
 	}
 	if err := ld.scan(root, modPath); err != nil {
 		return nil, nil, err
@@ -184,16 +228,13 @@ func LoadModuleWith(root string, opts LoadOptions) (*Module, *LoadStats, error) 
 	if len(ld.dirs) == 0 {
 		return nil, nil, fmt.Errorf("lint: module %s at %s contains no Go files", modPath, root)
 	}
+	if ld.std, err = newStdImporter(fset, root, ld.externalImports()); err != nil {
+		return nil, nil, err
+	}
 
 	stats := &LoadStats{Workers: opts.Workers}
 	if stats.Workers <= 0 {
 		stats.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.StdProvider != nil {
-		if universe := opts.StdProvider(ld.externalImports()); universe != nil {
-			ld.std.cached = universe
-			stats.StdCacheHit = true
-		}
 	}
 
 	// The scheduler needs the plain-package import DAG up front: the
@@ -268,7 +309,6 @@ func LoadModuleWith(root string, opts LoadOptions) (*Module, *LoadStats, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.StdUsed = ld.std.used
 	return &Module{Root: root, Path: modPath, Fset: fset, Pkgs: units}, stats, nil
 }
 
@@ -289,12 +329,16 @@ func LoadDir(dir, path string) (*Module, *Package, error) {
 	if len(files) == 0 {
 		return nil, nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
+	std, err := newStdImporter(fset, dir, fileImports(files))
+	if err != nil {
+		return nil, nil, err
+	}
 	ld := &loader{
 		fset:    fset,
 		dirs:    map[string]*dirEntry{},
 		plain:   map[string]*types.Package{},
 		loading: map[string]bool{},
-		std:     newStdImporter(fset),
+		std:     std,
 	}
 	info := newInfo()
 	tpkg, err := ld.check(path, files, info)
@@ -402,14 +446,13 @@ func fileImports(files ...[]*ast.File) []string {
 }
 
 // externalImports returns the sorted direct imports that resolve outside
-// the module (the standard library, since edlint loads dependency-free
-// modules). "unsafe" is excluded: it is a compiler intrinsic, not a
-// package any universe needs to provide.
+// the module: the standard library, since edlint loads dependency-free
+// modules.
 func (ld *loader) externalImports() []string {
 	var out []string
 	for _, e := range ld.dirs {
 		for _, p := range fileImports(e.plain, e.inTest, e.extTest) {
-			if _, ok := ld.dirs[p]; !ok && p != "unsafe" {
+			if _, ok := ld.dirs[p]; !ok {
 				out = append(out, p)
 			}
 		}

@@ -108,21 +108,20 @@ func withHotDirective(pristine []byte) []byte {
 // TestPropLintCacheParity: for any short history of touch/edit/revert/
 // hotpath-toggle mutations, every cached run reproduces the matching cold
 // reference findings byte-for-byte, and the findings-cache hit/miss state
-// equals "this exact content state was linted before". One std bundle is
-// primed up front and shared, so each miss re-checks only the fixture
-// module itself.
+// equals "this exact content state was linted before". The references
+// are cacheless runs, so the chain is cacheless ≡ priming (miss) ≡
+// findings hit.
 func TestPropLintCacheParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lints a module per mutation; skipped in -short")
 	}
 	cacheDir := t.TempDir()
 
-	// Two cold references, computed once: comment-only mutations never
-	// change findings, and the hotpath toggle switches between exactly
-	// these two content states of perf.go. The first run primes the
-	// bundle.
+	// Two cacheless references, computed once: comment-only mutations
+	// never change findings, and the hotpath toggle switches between
+	// exactly these two content states of perf.go.
 	refRoot := copyFixtureModule(t)
-	refDiags, _, err := Lint(refRoot, Options{CacheDir: cacheDir})
+	refDiags, _, err := Lint(refRoot, Options{NoCache: true})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -140,7 +139,7 @@ func TestPropLintCacheParity(t *testing.T) {
 	if err := os.WriteFile(hotPerf, withHotDirective(pristinePerf), 0o644); err != nil {
 		t.Fatalf("writing hot perf.go: %v", err)
 	}
-	hotDiags, _, err := Lint(hotRoot, Options{CacheDir: cacheDir})
+	hotDiags, _, err := Lint(hotRoot, Options{NoCache: true})
 	if err != nil {
 		t.Fatalf("hot reference run: %v", err)
 	}

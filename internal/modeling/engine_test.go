@@ -272,49 +272,6 @@ func TestPropEngineOracleEquivalenceGrid(t *testing.T) {
 	})
 }
 
-// TestHatMatrixCVAgreesWithReplay pins the numerical agreement of the
-// cvHat strategy (hat-matrix-diagonal LOOCV from one full solve) with the
-// default fold-replay on well-conditioned data. The agreement is
-// tolerance-based, not bitwise — cvHat exists as groundwork for large-n
-// refits where O(n·k²) matters, and this test documents exactly how far
-// it may drift.
-func TestHatMatrixCVAgreesWithReplay(t *testing.T) {
-	opts := normalizeOptions(DefaultOptions())
-	opts.NonNegativeCoefficients = false // replay rejects per-fold signs; hat cannot see them
-	points := points1D(2, 4, 8, 16, 32, 64)
-	values := make([]float64, len(points))
-	for i, p := range points {
-		x := p[0]
-		values[i] = 3 + 2*x + 0.1*x*math.Log2(x)
-	}
-
-	replay := newFitContext(points, values, opts)
-	hat := newFitContext(points, values, opts)
-	hat.mode = cvHat
-
-	both, compared := 0, 0
-	for _, h := range hypothesesCached(1, opts) {
-		sr, okR := replay.crossValidate(h)
-		sh, okH := hat.crossValidate(h)
-		if okR != okH {
-			// Fold-singularity semantics legitimately differ (leverage → 1
-			// vs a singular fold solve); just require it to be rare.
-			continue
-		}
-		if !okR {
-			continue
-		}
-		both++
-		if relDiff := math.Abs(sr-sh) / (1 + math.Abs(sr)); relDiff > 1e-6 {
-			t.Fatalf("hypothesis %d: replay SMAPE %g vs hat SMAPE %g (rel diff %g)", both, sr, sh, relDiff)
-		}
-		compared++
-	}
-	if compared < 10 {
-		t.Fatalf("only %d hypotheses comparable — data unexpectedly degenerate", compared)
-	}
-}
-
 // TestSparseRankingTieBreakDeterministic exercises the explicit
 // shape-identity tie-break of the stage-1 ranking (ratedLess): with
 // exactly tied CV-SMAPE values the ranking no longer depends on the order

@@ -21,11 +21,12 @@ import (
 // task keys, so the state file itself is per-campaign and two different
 // profile sets can share one checkpoint directory.
 
-// ckptModel is the serialized form of one fitted model inside a task
-// record, mirroring core's persisted model layout. JSON float64 encoding
-// round-trips exactly, so a model decoded from a checkpoint predicts —
-// and renders — byte-identically to the freshly fitted one.
-type ckptModel struct {
+// SavedModel is the serialized form of one fitted model: the payload of
+// a checkpoint task record and the value of each entry in core's model
+// file, so both artifacts share one layout. JSON float64 encoding
+// round-trips exactly, so a decoded model predicts — and renders —
+// byte-identically to the freshly fitted one.
+type SavedModel struct {
 	Function *pmnf.Function `json:"function"`
 	SMAPE    float64        `json:"smape"`
 	RSS      float64        `json:"rss"`
@@ -36,9 +37,9 @@ type ckptModel struct {
 	Actual         []float64           `json:"actual"`
 }
 
-// encodeModel serializes a fitted model for a checkpoint task record.
-func encodeModel(m *modeling.Model) ([]byte, error) {
-	cm := ckptModel{
+// SaveModel converts a fitted model into its serialized form.
+func SaveModel(m *modeling.Model) SavedModel {
+	s := SavedModel{
 		Function:       m.Function,
 		SMAPE:          m.SMAPE,
 		RSS:            m.RSS,
@@ -48,33 +49,39 @@ func encodeModel(m *modeling.Model) ([]byte, error) {
 	}
 	if !math.IsNaN(m.R2) {
 		r2 := m.R2
-		cm.R2 = &r2
+		s.R2 = &r2
 	}
-	return json.Marshal(cm)
+	return s
 }
 
-// decodeModel is the inverse of encodeModel.
-func decodeModel(data []byte) (*modeling.Model, error) {
-	var cm ckptModel
-	if err := json.Unmarshal(data, &cm); err != nil {
-		return nil, fmt.Errorf("pipeline: decoding checkpointed model: %w", err)
-	}
-	if cm.Function == nil {
-		return nil, errors.New("pipeline: checkpointed model without function")
+// Model is the inverse of SaveModel; it rejects a model without a
+// function.
+func (s SavedModel) Model() (*modeling.Model, error) {
+	if s.Function == nil {
+		return nil, errors.New("pipeline: saved model without function")
 	}
 	r2 := math.NaN()
-	if cm.R2 != nil {
-		r2 = *cm.R2
+	if s.R2 != nil {
+		r2 = *s.R2
 	}
 	return &modeling.Model{
-		Function:       cm.Function,
-		SMAPE:          cm.SMAPE,
-		RSS:            cm.RSS,
+		Function:       s.Function,
+		SMAPE:          s.SMAPE,
+		RSS:            s.RSS,
 		R2:             r2,
-		RelResidualStd: cm.RelResidualStd,
-		Points:         cm.Points,
-		Actual:         cm.Actual,
+		RelResidualStd: s.RelResidualStd,
+		Points:         s.Points,
+		Actual:         s.Actual,
 	}, nil
+}
+
+// decodeModel decodes a checkpoint task record's model payload.
+func decodeModel(data []byte) (*modeling.Model, error) {
+	var s SavedModel
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("pipeline: decoding checkpointed model: %w", err)
+	}
+	return s.Model()
 }
 
 // ckptSeries is the canonical serialization of a fit task's input series

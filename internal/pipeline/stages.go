@@ -325,7 +325,7 @@ func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan,
 	}
 	models[i] = m
 	if w != nil {
-		if payload, perr := encodeModel(m); perr == nil {
+		if payload, perr := json.Marshal(SaveModel(m)); perr == nil {
 			w.record(resilience.TaskRecord{Key: plan.key(i), Name: t.name(), Status: resilience.StatusFitted, Payload: payload})
 		}
 	}
