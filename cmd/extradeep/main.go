@@ -23,11 +23,13 @@
 // The run itself is resilient: stages execute under optional deadline
 // budgets (-stage-timeout) with seeded retry/backoff of transient
 // failures (-retries), per-kernel fit panics are quarantined so the run
-// completes partially instead of dying, and -checkpoint-dir persists
-// campaign state incrementally so an interrupted run rerun with -resume
-// reuses every completed fit byte-identically. The EDFAULT_SCHEDULE and
-// EDFAULT_SEED environment knobs inject deterministic faults at stage
-// and fit-task boundaries for testing (see internal/resilience).
+// completes partially instead of dying, and -checkpoint-dir stores every
+// completed fit task as its own content-keyed record, so a rerun with
+// -resume reuses every fit it shares with an earlier run — an
+// interrupted one or any other campaign — byte-identically. The
+// EDFAULT_SCHEDULE and EDFAULT_SEED environment knobs inject
+// deterministic faults at stage and fit-task boundaries for testing (see
+// internal/resilience).
 //
 // Exit codes:
 //
@@ -120,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	strict := fs.Bool("strict", false, "abort on the first unreadable profile instead of quarantining it")
 	jobs := fs.Int("j", 0, "worker parallelism for profile decode and fit: 0 = all cores, 1 = sequential (output is identical either way)")
 	timings := fs.Bool("timings", false, "print per-stage timings and counters to stderr")
-	checkpointDir := fs.String("checkpoint-dir", "", "persist campaign checkpoint state incrementally into this directory")
+	checkpointDir := fs.String("checkpoint-dir", "", "store every completed fit task as a content-keyed record in this directory")
 	resume := fs.Bool("resume", false, "reuse completed fit results from -checkpoint-dir (content-keyed, so changed inputs refit)")
 	stageTimeout := fs.Duration("stage-timeout", 0, "deadline budget per pipeline stage attempt (0 = none)")
 	retries := fs.Int("retries", 0, "attempts per stage for transient failures (0 = default of 3)")

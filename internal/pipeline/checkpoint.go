@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
@@ -17,9 +16,10 @@ import (
 // content hash of its complete inputs (metric, callpath, series samples,
 // modeling options), so a resumed run reuses a stored result if and only
 // if recomputing it would be byte-identical — any input or configuration
-// change silently invalidates the record. The campaign key hashes all
-// task keys, so the state file itself is per-campaign and two different
-// profile sets can share one checkpoint directory.
+// change silently invalidates the record. Each completed task is its own
+// record file under its key, so any campaign that contains the same task
+// reuses it, and two different profile sets can share one checkpoint
+// directory.
 
 // SavedModel is the serialized form of one fitted model: the payload of
 // a checkpoint task record and the value of each entry in core's model
@@ -130,127 +130,48 @@ func (t fitTask) name() string {
 	return fmt.Sprintf("%s %s %s", kind, t.metric, t.path)
 }
 
-// ckptPlan is the fit stage's checkpoint context: the per-task keys, the
-// campaign key, and the previously completed records keyed for reuse.
+// ckptPlan is the fit stage's checkpoint context: the store, every
+// task's content key, and whether stored records may be reused. A nil
+// plan (no store) reuses nothing and records nothing.
 type ckptPlan struct {
-	store      *resilience.Store
-	campaign   string
-	keys       []string // task index → content key
-	prior      map[string]resilience.TaskRecord
-	aggregates []byte
+	store  *resilience.Store
+	keys   []string // task index → content key
+	resume bool
 }
 
-// newCkptPlan derives keys for every task and, when resume is set, loads
-// any prior state for this campaign. A nil store yields a plan that
-// reuses nothing and records nothing.
-func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options, aggregates []byte, resume bool) (*ckptPlan, error) {
-	plan := &ckptPlan{store: store, prior: map[string]resilience.TaskRecord{}}
+// newCkptPlan derives the content key of every task; it returns a nil
+// plan for a nil store.
+func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options, resume bool) (*ckptPlan, error) {
 	if store == nil {
-		return plan, nil
+		return nil, nil
 	}
-	optsJSON, err := json.Marshal(opts)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: encoding options for campaign key: %w", err)
-	}
-	parts := [][]byte{[]byte("campaign/v1"), optsJSON}
-	plan.keys = make([]string, len(tasks))
+	plan := &ckptPlan{store: store, keys: make([]string, len(tasks)), resume: resume}
 	for i, t := range tasks {
 		key, err := fitTaskKey(t, opts)
 		if err != nil {
 			return nil, err
 		}
 		plan.keys[i] = key
-		parts = append(parts, []byte(key))
 	}
-	plan.campaign = resilience.Key(parts...)
-	if resume {
-		if st, ok := resilience.LoadState(plan.store, plan.campaign); ok {
-			for _, rec := range st.Tasks {
-				plan.prior[rec.Key] = rec
-			}
-		}
-	}
-	plan.aggregates = aggregates
 	return plan, nil
 }
 
-// key returns task i's content key ("" without a store).
-func (p *ckptPlan) key(i int) string {
-	if p.keys == nil {
-		return ""
-	}
-	return p.keys[i]
-}
-
-// reuse returns the prior record for task i, if any.
+// reuse returns the stored record for task i when resuming. Nil-safe.
 func (p *ckptPlan) reuse(i int) (resilience.TaskRecord, bool) {
-	if p.keys == nil {
+	if p == nil || !p.resume {
 		return resilience.TaskRecord{}, false
 	}
-	rec, ok := p.prior[p.keys[i]]
-	return rec, ok
+	return p.store.Task(p.keys[i])
 }
 
-// ckptWriter persists campaign state incrementally: every completed task
-// appends (or replaces) its record and atomically rewrites the state
-// file, so a kill at any instant leaves a loadable prefix of the
-// campaign. Safe for concurrent use by the fit worker pool. Write
-// failures are deliberately swallowed: checkpointing is an optimization,
-// never a reason to fail a run that is otherwise succeeding.
-type ckptWriter struct {
-	mu    sync.Mutex
-	store *resilience.Store
-	state *resilience.CampaignState
-}
-
-// writer builds the incremental writer for this plan, pre-seeded with
-// the reused prior records so a resumed run's state file stays complete.
-func (p *ckptPlan) writer() *ckptWriter {
-	if p.store == nil {
-		return nil
-	}
-	return &ckptWriter{
-		store: p.store,
-		state: &resilience.CampaignState{
-			Version:    resilience.StateVersion,
-			Campaign:   p.campaign,
-			Aggregates: p.aggregates,
-		},
-	}
-}
-
-// record persists one completed task. Nil-safe.
-func (w *ckptWriter) record(rec resilience.TaskRecord) {
-	if w == nil {
+// record persists task i's completed record under its key. Nil-safe.
+// Write failures are deliberately swallowed: checkpointing is an
+// optimization, never a reason to fail a run that is otherwise
+// succeeding.
+func (p *ckptPlan) record(i int, rec resilience.TaskRecord) {
+	if p == nil {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.addLocked(rec)
-	_ = resilience.SaveState(w.store, w.state)
-}
-
-// absorb adds a reused prior record to the in-memory state without
-// rewriting the file: reuse implies the on-disk state for this campaign
-// already contains the record, so a kill at any instant still leaves a
-// complete state, and a pure resume costs zero writes. The next record()
-// persists the absorbed records along with the fresh one.
-func (w *ckptWriter) absorb(rec resilience.TaskRecord) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.addLocked(rec)
-}
-
-// addLocked appends or replaces rec in the in-memory task list.
-func (w *ckptWriter) addLocked(rec resilience.TaskRecord) {
-	for i := range w.state.Tasks {
-		if w.state.Tasks[i].Key == rec.Key {
-			w.state.Tasks[i] = rec
-			return
-		}
-	}
-	w.state.Tasks = append(w.state.Tasks, rec)
+	rec.Key = p.keys[i]
+	_ = p.store.PutTask(rec)
 }

@@ -173,9 +173,11 @@ type Config struct {
 	// (the -j 1 mode), N > 1 uses at most N goroutines, and 0 defaults to
 	// runtime.GOMAXPROCS(0). Output is byte-identical for every value.
 	Workers int
-	// Aggregation configures the Fig. 2 preprocessing.
+	// Aggregation configures the Fig. 2 preprocessing; the zero value
+	// means aggregate.DefaultOptions().
 	Aggregation aggregate.Options
-	// Modeling configures the PMNF hypothesis search.
+	// Modeling configures the PMNF hypothesis search; unset options mean
+	// modeling.DefaultOptions().
 	Modeling modeling.Options
 	// MinConfigurations is the kernel-filtering threshold (step (4) of
 	// Fig. 2); 0 means the paper's 5.
@@ -199,14 +201,15 @@ type Config struct {
 	// wall clock. Tests substitute a resilience.FakeClock for
 	// deterministic schedules.
 	Clock resilience.Clock
-	// Checkpoint enables incremental campaign checkpointing of the fit
-	// stage into this store; nil disables it.
+	// Checkpoint persists every completed fit task as its own record in
+	// this store; nil disables it.
 	Checkpoint *resilience.Store
-	// Resume reuses prior completed task records from Checkpoint. Reuse is
-	// content-keyed — any change to the inputs or modeling options
-	// invalidates the records — so a resumed run over identical inputs is
-	// byte-identical to an uninterrupted one. Without Resume the store is
-	// still written, but prior state is ignored (a fresh campaign).
+	// Resume reuses stored task records from Checkpoint. Reuse is
+	// content-keyed per task — any change to a task's inputs or the
+	// modeling options invalidates its record — so a resumed run is
+	// byte-identical to an uninterrupted one, and a campaign reuses every
+	// task it shares with an earlier one. Without Resume the store is
+	// still written, but stored records are ignored (a fresh campaign).
 	Resume bool
 }
 
@@ -222,6 +225,9 @@ type Pipeline struct {
 func New(cfg Config) *Pipeline {
 	if cfg.Observer == nil {
 		cfg.Observer = nopObserver{}
+	}
+	if cfg.Aggregation == (aggregate.Options{}) {
+		cfg.Aggregation = aggregate.DefaultOptions()
 	}
 	if cfg.Modeling.Unset() {
 		cfg.Modeling = modeling.DefaultOptions()

@@ -279,3 +279,26 @@ func TestAnalyzeRequiresAppModel(t *testing.T) {
 		t.Errorf("observer saw err %v, want %v", last.Err, errStage)
 	}
 }
+
+// TestZeroAggregationUsesDefaults: New substitutes the paper's
+// aggregation for a zero Config.Aggregation, so a zero Config reports
+// exactly what the explicit defaults report. The traces have more than
+// one epoch, so a skipped warm-up epoch changes the medians and the
+// report would differ if the zero value reached the aggregation.
+func TestZeroAggregationUsesDefaults(t *testing.T) {
+	dir, setup := writeCampaign(t)
+	zero, err := New(Config{Workers: 2}).Run(context.Background(), testSpec(dir, setup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(zero.Ingest.Profiles[0].Trace.Epochs); n < 2 {
+		t.Fatalf("fixture traces have %d epochs, want more than one", n)
+	}
+	explicit, err := New(Config{Workers: 2, Aggregation: aggregate.DefaultOptions()}).Run(context.Background(), testSpec(dir, setup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Report != explicit.Report {
+		t.Error("zero Config.Aggregation reports differently from aggregate.DefaultOptions()")
+	}
+}

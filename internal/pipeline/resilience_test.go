@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -182,7 +185,7 @@ func TestCheckpointResumeAfterKillMidFit(t *testing.T) {
 	}
 }
 
-// TestCheckpointInvalidatedByOptionChange: the campaign key hashes the
+// TestCheckpointInvalidatedByOptionChange: every task key hashes the
 // modeling options, so a configuration change can never reuse stale
 // records.
 func TestCheckpointInvalidatedByOptionChange(t *testing.T) {
@@ -201,6 +204,139 @@ func TestCheckpointInvalidatedByOptionChange(t *testing.T) {
 		if s.Stage == StageFit && s.Counters["reused"] != 0 {
 			t.Fatalf("changed options reused %d records", s.Counters["reused"])
 		}
+	}
+}
+
+// fitCounters returns the counters of the last fit stage a collector saw.
+func fitCounters(col *Collector) Counters {
+	var c Counters
+	for _, s := range col.Stats() {
+		if s.Stage == StageFit {
+			c = s.Counters
+		}
+	}
+	return c
+}
+
+// TestCheckpointReusedAcrossCampaigns: task records are keyed per task,
+// not per campaign, so a resumed campaign reuses every task it shares
+// with a different campaign that wrote the store, fits the rest, and
+// reports byte-identically to a cold run of itself.
+func TestCheckpointReusedAcrossCampaigns(t *testing.T) {
+	dir, setup := writeCampaign(t)
+	ctx := context.Background()
+	// Campaign B keeps only the application series: the fixture has five
+	// configurations, so a six-configuration kernel filter drops every
+	// kernel. B's tasks are a strict subset of A's.
+	a := Config{Workers: 4}
+	b := Config{Workers: 4, MinConfigurations: 6}
+	coldA, err := New(a).Run(ctx, testSpec(dir, setup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldB, err := New(b).Run(ctx, testSpec(dir, setup))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// resume checkpoints first into a fresh store, then resumes second
+	// over it, returning the resumed run's report and fit counters.
+	resume := func(first, second Config) (string, Counters, Counters) {
+		t.Helper()
+		store := &resilience.Store{Dir: t.TempDir()}
+		colFirst, colSecond := &Collector{}, &Collector{}
+		first.Checkpoint, first.Observer = store, colFirst
+		if _, err := New(first).Run(ctx, testSpec(dir, setup)); err != nil {
+			t.Fatal(err)
+		}
+		second.Checkpoint, second.Resume, second.Observer = store, true, colSecond
+		res, err := New(second).Run(ctx, testSpec(dir, setup))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report, fitCounters(colFirst), fitCounters(colSecond)
+	}
+
+	report, ca, cb := resume(a, b)
+	if cb["tasks"] == 0 || cb["tasks"] >= ca["tasks"] {
+		t.Fatalf("campaign B has %d fit tasks, A has %d: want a non-empty strict subset", cb["tasks"], ca["tasks"])
+	}
+	if cb["reused"] != cb["tasks"] {
+		t.Errorf("B after A reused %d of its %d tasks, all shared with A", cb["reused"], cb["tasks"])
+	}
+	if report != coldB.Report {
+		t.Error("B resumed from A's records differs from a cold run of B")
+	}
+
+	// The other way round: A reuses B's tasks and fits the rest.
+	report, cb, ca = resume(b, a)
+	if ca["reused"] != cb["tasks"] {
+		t.Errorf("A after B reused %d tasks, want the %d it shares with B", ca["reused"], cb["tasks"])
+	}
+	if report != coldA.Report {
+		t.Error("A resumed from B's records differs from a cold run of A")
+	}
+}
+
+// TestCheckpointDamagedRecordRefitsOnlyThatTask: damaging one record
+// file turns exactly that task into a miss — the resumed run refits it,
+// reuses every other record, rewrites the damaged one, and reports
+// byte-identically to a cold run.
+func TestCheckpointDamagedRecordRefitsOnlyThatTask(t *testing.T) {
+	dir, setup := writeCampaign(t)
+	ctx := context.Background()
+	cold, err := New(Config{Workers: 4}).Run(ctx, testSpec(dir, setup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, damage := range map[string]func(store *resilience.Store, key, path string) error{
+		"truncated": func(_ *resilience.Store, _, path string) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, data[:len(data)/2], 0o644)
+		},
+		"valid envelope, bad record": func(store *resilience.Store, key, _ string) error {
+			return store.Put(key, []byte(`{"key":"`+key+`","status":"maybe"}`))
+		},
+		"valid record, bad model": func(store *resilience.Store, key, _ string) error {
+			return store.PutTask(resilience.TaskRecord{Key: key, Status: resilience.StatusFitted, Payload: []byte("not a model")})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := &resilience.Store{Dir: t.TempDir()}
+			if _, err := New(Config{Workers: 4, Checkpoint: store}).Run(ctx, testSpec(dir, setup)); err != nil {
+				t.Fatal(err)
+			}
+			paths, err := filepath.Glob(filepath.Join(store.Dir, "*.ckpt"))
+			if err != nil || len(paths) == 0 {
+				t.Fatalf("no record files in the store: %v", err)
+			}
+			sort.Strings(paths)
+			path := paths[len(paths)/2]
+			if err := damage(store, strings.TrimSuffix(filepath.Base(path), ".ckpt"), path); err != nil {
+				t.Fatal(err)
+			}
+
+			for run, wantReused := range []int{len(paths) - 1, len(paths)} {
+				col := &Collector{}
+				resumed, err := New(Config{Workers: 4, Checkpoint: store, Resume: true, Observer: col}).Run(ctx, testSpec(dir, setup))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := fitCounters(col)
+				if c["tasks"] != len(paths) {
+					t.Fatalf("run %d: %d fit tasks, but the store holds %d records", run, c["tasks"], len(paths))
+				}
+				if c["reused"] != wantReused {
+					t.Errorf("run %d reused %d records, want %d", run, c["reused"], wantReused)
+				}
+				if resumed.Report != cold.Report {
+					t.Errorf("run %d: resumed report differs from the cold run", run)
+				}
+			}
+		})
 	}
 }
 

@@ -152,10 +152,10 @@ type fitTask struct {
 // FailureUnmodelable; fits that panic or fail with the degraded class
 // are quarantined with their failure class and the run completes
 // partially (ModelSet.Degraded reports it). With Config.Checkpoint set,
-// every completed task persists incrementally under a content key of its
-// inputs, and a Config.Resume rerun over identical inputs reuses the
-// stored results — byte-identically, since the model codec round-trips
-// exactly.
+// every completed task persists as its own record under a content key of
+// its inputs, and a Config.Resume run reuses the stored result of every
+// task whose inputs are unchanged, whichever campaign stored it —
+// byte-identically, since the model codec round-trips exactly.
 func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggregate, setup epoch.SetupFunc) (*ModelSet, error) {
 	minConfigs := p.cfg.MinConfigurations
 	if minConfigs <= 0 {
@@ -199,15 +199,10 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 			tasks = append(tasks, fitTask{metric: measurement.MetricTime, path: path, series: appExp.Series(measurement.MetricTime, path), app: true})
 		}
 
-		var aggBlob []byte
-		if p.cfg.Checkpoint != nil {
-			aggBlob = encodeAggregates(tasks)
-		}
-		plan, err := newCkptPlan(p.cfg.Checkpoint, tasks, p.cfg.Modeling, aggBlob, p.cfg.Resume)
+		plan, err := newCkptPlan(p.cfg.Checkpoint, tasks, p.cfg.Modeling, p.cfg.Resume)
 		if err != nil {
 			return Counters{"tasks": len(tasks)}, err
 		}
-		w := plan.writer()
 
 		// Fan out: one slot per task, written only by its own goroutine.
 		// Quarantined failures land in their failure slot instead of
@@ -220,18 +215,16 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 				if rec.Status == resilience.StatusFitted {
 					if m, derr := decodeModel(rec.Payload); derr == nil {
 						models[i], reused[i] = m, true
-						w.absorb(rec)
 						return nil
 					}
 					// Damaged payload: recover to a miss and refit.
 				} else {
 					failures[i] = &FitFailure{Metric: string(tasks[i].metric), Callpath: tasks[i].path, App: tasks[i].app, Class: rec.Class, Reason: rec.Reason}
 					reused[i] = true
-					w.absorb(rec)
 					return nil
 				}
 			}
-			return p.fitOne(sctx, i, tasks[i], plan, w, models, failures)
+			return p.fitOne(sctx, i, tasks[i], plan, models, failures)
 		})
 		if err != nil {
 			return Counters{"tasks": len(tasks)}, err
@@ -296,10 +289,10 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 // hypothesis search. The context lives and dies inside this worker
 // goroutine, so tasks share nothing mutable; checkpoint content keys
 // (fitTaskKey) cover only the task inputs and are unaffected.
-func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan, w *ckptWriter, models []*modeling.Model, failures []*FitFailure) (err error) {
+func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan, models []*modeling.Model, failures []*FitFailure) (err error) {
 	quarantine := func(class, reason string) {
 		failures[i] = &FitFailure{Metric: string(t.metric), Callpath: t.path, App: t.app, Class: class, Reason: reason}
-		w.record(resilience.TaskRecord{Key: plan.key(i), Name: t.name(), Status: resilience.StatusSkipped, Class: class, Reason: reason})
+		plan.record(i, resilience.TaskRecord{Name: t.name(), Status: resilience.StatusSkipped, Class: class, Reason: reason})
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -324,30 +317,10 @@ func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan,
 		return nil
 	}
 	models[i] = m
-	if w != nil {
+	if plan != nil {
 		if payload, perr := json.Marshal(SaveModel(m)); perr == nil {
-			w.record(resilience.TaskRecord{Key: plan.key(i), Name: t.name(), Status: resilience.StatusFitted, Payload: payload})
+			plan.record(i, resilience.TaskRecord{Name: t.name(), Status: resilience.StatusFitted, Payload: payload})
 		}
 	}
 	return nil
-}
-
-// encodeAggregates canonically serializes the aggregated medians the fit
-// stage runs on, for the campaign-state record: one entry per task in
-// sorted task order.
-func encodeAggregates(tasks []fitTask) []byte {
-	type entry struct {
-		Name    string              `json:"name"`
-		Points  []measurement.Point `json:"points"`
-		Medians []float64           `json:"medians"`
-	}
-	out := make([]entry, len(tasks))
-	for i, t := range tasks {
-		out[i] = entry{Name: t.name(), Points: t.series.Points(), Medians: t.series.Medians()}
-	}
-	b, err := json.Marshal(out)
-	if err != nil {
-		return nil
-	}
-	return b
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Checkpoint file layout: a three-part envelope
@@ -25,18 +24,14 @@ import (
 // same directory, so a killed process leaves either the previous record
 // or the new one, never a torn file (the same discipline as edlint v3's
 // findings cache).
-const (
-	envelopeMagic = "edckpt v1"
-	// StateVersion identifies the campaign-state payload format.
-	StateVersion = 1
-)
+const envelopeMagic = "edckpt v1"
 
-// ErrCorrupt reports an envelope that failed validation; Store.Get turns
+// errCorrupt reports an envelope that failed validation; Store.Get turns
 // it into a miss.
-var ErrCorrupt = errors.New("resilience: corrupt checkpoint")
+var errCorrupt = errors.New("resilience: corrupt checkpoint")
 
-// EncodeEnvelope wraps a payload in the checksummed envelope.
-func EncodeEnvelope(payload []byte) []byte {
+// encodeEnvelope wraps a payload in the checksummed envelope.
+func encodeEnvelope(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	var b bytes.Buffer
 	b.Grow(len(envelopeMagic) + 1 + hex.EncodedLen(len(sum)) + 1 + len(payload))
@@ -48,23 +43,23 @@ func EncodeEnvelope(payload []byte) []byte {
 	return b.Bytes()
 }
 
-// DecodeEnvelope validates the envelope and returns the payload, or
-// ErrCorrupt (wrapped with the reason) for anything damaged.
-func DecodeEnvelope(data []byte) ([]byte, error) {
+// decodeEnvelope validates the envelope and returns the payload, or
+// errCorrupt (wrapped with the reason) for anything damaged.
+func decodeEnvelope(data []byte) ([]byte, error) {
 	head, rest, ok := bytes.Cut(data, []byte{'\n'})
 	if !ok || string(head) != envelopeMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", errCorrupt)
 	}
 	digest, payload, ok := bytes.Cut(rest, []byte{'\n'})
 	if !ok || len(digest) != hex.EncodedLen(sha256.Size) {
-		return nil, fmt.Errorf("%w: bad digest line", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad digest line", errCorrupt)
 	}
 	want, err := hex.DecodeString(string(digest))
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad digest line", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad digest line", errCorrupt)
 	}
 	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], want) {
-		return nil, fmt.Errorf("%w: payload digest mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: payload digest mismatch", errCorrupt)
 	}
 	return payload, nil
 }
@@ -104,7 +99,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	payload, err := DecodeEnvelope(data)
+	payload, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, false
 	}
@@ -125,7 +120,7 @@ func (s *Store) Put(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("resilience: checkpoint temp file: %w", err)
 	}
-	_, werr := tmp.Write(EncodeEnvelope(payload))
+	_, werr := tmp.Write(encodeEnvelope(payload))
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		_ = os.Remove(tmp.Name())
@@ -139,7 +134,9 @@ func (s *Store) Put(key string, payload []byte) error {
 }
 
 // TaskRecord is one completed unit of a campaign: a fitted model, or a
-// quarantined/unmodelable unit with its failure class.
+// quarantined/unmodelable unit with its failure class. Each record is
+// its own file under its key (PutTask/Task), so any campaign containing
+// the same task reuses it and concurrent writers never share a file.
 type TaskRecord struct {
 	// Key is the content hash of the task's inputs; resume matches on it,
 	// so a changed input can never reuse a stale result.
@@ -163,130 +160,57 @@ const (
 	StatusSkipped = "skipped"
 )
 
-// CampaignState is the incrementally persisted state of one modeling
-// campaign: the aggregated medians and every completed per-kernel fit.
-// It is written after each completed task, so an interrupted run resumes
-// from the last completed kernel.
-type CampaignState struct {
-	// Version is StateVersion.
-	Version int `json:"version"`
-	// Campaign is the campaign's content key: a hash over every task key
-	// and the modeling options, so any input or configuration change
-	// yields a fresh state.
-	Campaign string `json:"campaign"`
-	// Aggregates is the opaque encoded aggregated-median set (persisted
-	// for cross-run tooling; resume recomputes it from the profiles).
-	Aggregates []byte `json:"aggregates,omitempty"`
-	// Tasks holds the completed task records, sorted by Key.
-	Tasks []TaskRecord `json:"tasks"`
+// encodeTask canonically serializes a task record. Encoding is
+// deterministic, so encode→decode→encode is byte-identical.
+func encodeTask(rec TaskRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("resilience: encoding task record: %w", err)
+	}
+	return payload, nil
 }
 
-// EncodeState canonically serializes the state: tasks sorted by key,
-// stable JSON field order, wrapped in the checksummed envelope. Encoding
-// is deterministic, so encode→decode→encode is byte-identical.
-func EncodeState(st *CampaignState) ([]byte, error) {
-	if st == nil {
-		return nil, errors.New("resilience: nil campaign state")
-	}
-	norm := *st
-	norm.Version = StateVersion
-	norm.Tasks = append([]TaskRecord(nil), st.Tasks...)
-	sort.Slice(norm.Tasks, func(i, j int) bool { return norm.Tasks[i].Key < norm.Tasks[j].Key })
-	for i := 1; i < len(norm.Tasks); i++ {
-		if norm.Tasks[i].Key == norm.Tasks[i-1].Key {
-			return nil, fmt.Errorf("resilience: duplicate task key %s", norm.Tasks[i].Key)
-		}
-	}
-	payload, err := json.MarshalIndent(&norm, "", " ")
-	if err != nil {
-		return nil, fmt.Errorf("resilience: encoding campaign state: %w", err)
-	}
-	return EncodeEnvelope(payload), nil
-}
-
-// DecodeState validates and decodes a state record. Anything that is not
-// a complete, well-formed, current-version state errors (wrapping
-// ErrCorrupt for envelope damage), so resume never proceeds from partial
-// or stale state.
-func DecodeState(data []byte) (*CampaignState, error) {
-	payload, err := DecodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	var st CampaignState
+// decodeTask strictly decodes a task record payload: unknown fields, an
+// empty key and an unknown status are all errors, so resume never
+// proceeds from a record it cannot reproduce.
+func decodeTask(payload []byte) (TaskRecord, error) {
+	var rec TaskRecord
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&st); err != nil {
-		return nil, fmt.Errorf("resilience: decoding campaign state: %w", err)
+	if err := dec.Decode(&rec); err != nil {
+		return TaskRecord{}, fmt.Errorf("resilience: decoding task record: %w", err)
 	}
-	if st.Version != StateVersion {
-		return nil, fmt.Errorf("resilience: campaign-state version %d (want %d)", st.Version, StateVersion)
+	if rec.Key == "" {
+		return TaskRecord{}, errors.New("resilience: task record has no key")
 	}
-	for i, t := range st.Tasks {
-		if t.Key == "" {
-			return nil, fmt.Errorf("resilience: task %d has no key", i)
-		}
-		if i > 0 && st.Tasks[i-1].Key >= t.Key {
-			return nil, fmt.Errorf("resilience: task records not sorted/unique at %s", t.Key)
-		}
-		switch t.Status {
-		case StatusFitted, StatusSkipped:
-		default:
-			return nil, fmt.Errorf("resilience: task %s has unknown status %q", t.Key, t.Status)
-		}
+	switch rec.Status {
+	case StatusFitted, StatusSkipped:
+	default:
+		return TaskRecord{}, fmt.Errorf("resilience: task %s has unknown status %q", rec.Key, rec.Status)
 	}
-	return &st, nil
+	return rec, nil
 }
 
-// LoadState fetches and decodes the campaign state stored under key;
-// any miss or damage returns (nil, false).
-func LoadState(s *Store, key string) (*CampaignState, bool) {
-	data, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	// Get already validated the envelope; DecodeState re-validates it on
-	// the raw bytes, so re-wrap the payload it returned.
-	st, err := DecodeState(EncodeEnvelope(data))
-	if err != nil || st.Campaign != key {
-		return nil, false
-	}
-	return st, true
-}
-
-// SaveState encodes and atomically stores the state under its campaign
-// key.
-func SaveState(s *Store, st *CampaignState) error {
-	data, err := EncodeState(st)
+// PutTask atomically stores the record as its own file under its key.
+func (s *Store) PutTask(rec TaskRecord) error {
+	payload, err := encodeTask(rec)
 	if err != nil {
 		return err
 	}
-	// Store.Put wraps in an envelope itself; EncodeState already did, so
-	// write the file directly through the same atomic path.
-	return s.putRaw(st.Campaign, data)
+	return s.Put(rec.Key, payload)
 }
 
-// putRaw atomically writes pre-enveloped bytes under key.
-func (s *Store) putRaw(key string, data []byte) error {
-	if s == nil {
-		return nil
+// Task returns the record stored under key. A missing, damaged or
+// malformed record is a miss, and so is a record whose own key is not
+// the one it was looked up under.
+func (s *Store) Task(key string) (TaskRecord, bool) {
+	payload, ok := s.Get(key)
+	if !ok {
+		return TaskRecord{}, false
 	}
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return fmt.Errorf("resilience: checkpoint dir: %w", err)
+	rec, err := decodeTask(payload)
+	if err != nil || rec.Key != key {
+		return TaskRecord{}, false
 	}
-	tmp, err := os.CreateTemp(s.Dir, ".tmp-"+key[:min(8, len(key))]+"-*")
-	if err != nil {
-		return fmt.Errorf("resilience: checkpoint temp file: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("resilience: writing checkpoint %s: %w", key, errors.Join(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("resilience: committing checkpoint %s: %w", key, err)
-	}
-	return nil
+	return rec, true
 }

@@ -2,11 +2,11 @@ package resilience
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"extradeep/internal/propcheck"
@@ -14,10 +14,10 @@ import (
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), []byte("hello\nworld\n"), bytes.Repeat([]byte{0}, 4096)} {
-		enc := EncodeEnvelope(payload)
-		got, err := DecodeEnvelope(enc)
+		enc := encodeEnvelope(payload)
+		got, err := decodeEnvelope(enc)
 		if err != nil {
-			t.Fatalf("DecodeEnvelope: %v", err)
+			t.Fatalf("decodeEnvelope: %v", err)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("payload mutated: %q != %q", got, payload)
@@ -26,18 +26,18 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeDetectsDamage(t *testing.T) {
-	enc := EncodeEnvelope([]byte("the quick brown fox"))
+	enc := encodeEnvelope([]byte("the quick brown fox"))
 	// Truncation at every prefix length must fail, never mis-decode.
 	for n := 0; n < len(enc); n++ {
-		if _, err := DecodeEnvelope(enc[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation to %d bytes: err = %v, want ErrCorrupt", n, err)
+		if _, err := decodeEnvelope(enc[:n]); !errors.Is(err, errCorrupt) {
+			t.Fatalf("truncation to %d bytes: err = %v, want errCorrupt", n, err)
 		}
 	}
 	// A single bit flip anywhere must fail.
 	for i := 0; i < len(enc); i++ {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x40
-		if _, err := DecodeEnvelope(bad); err == nil {
+		if _, err := decodeEnvelope(bad); err == nil {
 			t.Fatalf("bit flip at byte %d decoded successfully", i)
 		}
 	}
@@ -109,139 +109,113 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatalf("nil Put: %v", err)
 	}
+	if err := s.PutTask(TaskRecord{Key: "k", Status: StatusFitted}); err != nil {
+		t.Fatalf("nil PutTask: %v", err)
+	}
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("nil Get hit")
 	}
-	if _, ok := LoadState(s, "k"); ok {
-		t.Fatal("nil LoadState hit")
+	if _, ok := s.Task("k"); ok {
+		t.Fatal("nil Task hit")
 	}
 }
 
-func TestEncodeStateRejectsDuplicates(t *testing.T) {
-	st := &CampaignState{
-		Campaign: "c",
-		Tasks: []TaskRecord{
-			{Key: "k1", Name: "a", Status: StatusFitted},
-			{Key: "k1", Name: "b", Status: StatusFitted},
-		},
-	}
-	if _, err := EncodeState(st); err == nil {
-		t.Fatal("duplicate task keys encoded successfully")
-	}
-}
-
+// TestDecodeStateValidates: the record decoder accepts exactly the
+// well-formed fitted/skipped records and rejects everything else.
 func TestDecodeStateValidates(t *testing.T) {
-	mk := func(mut func(*CampaignState)) []byte {
-		st := &CampaignState{
-			Version:  StateVersion,
-			Campaign: "c",
-			Tasks: []TaskRecord{
-				{Key: "a", Name: "t0", Status: StatusFitted, Payload: []byte("m")},
-				{Key: "b", Name: "t1", Status: StatusSkipped, Class: "panic", Reason: "boom"},
-			},
-		}
-		mut(st)
-		// Bypass EncodeState's normalization to exercise DecodeState.
-		payload, err := jsonMarshalState(st)
+	valid := []TaskRecord{
+		{Key: "a", Name: "t0", Status: StatusFitted, Payload: []byte("m")},
+		{Key: "b", Name: "t1", Status: StatusSkipped, Class: "panic", Reason: "boom"},
+	}
+	for _, rec := range valid {
+		payload, err := encodeTask(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return EncodeEnvelope(payload)
+		if got, err := decodeTask(payload); err != nil || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("valid record %+v: got %+v, %v", rec, got, err)
+		}
 	}
-	if _, err := DecodeState(mk(func(*CampaignState) {})); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
-	}
-	for name, mut := range map[string]func(*CampaignState){
-		"bad version":    func(st *CampaignState) { st.Version = 99 },
-		"unsorted tasks": func(st *CampaignState) { st.Tasks[0], st.Tasks[1] = st.Tasks[1], st.Tasks[0] },
-		"empty key":      func(st *CampaignState) { st.Tasks[0].Key = "" },
-		"bad status":     func(st *CampaignState) { st.Tasks[1].Status = "maybe" },
+	for name, payload := range map[string]string{
+		"not json":      `not json`,
+		"null":          `null`,
+		"empty key":     `{"key":"","name":"t0","status":"fitted"}`,
+		"missing key":   `{"name":"t0","status":"fitted"}`,
+		"bad status":    `{"key":"a","name":"t0","status":"maybe"}`,
+		"no status":     `{"key":"a","name":"t0"}`,
+		"unknown field": `{"key":"a","name":"t0","status":"fitted","version":1}`,
+		"wrong type":    `{"key":"a","name":"t0","status":"fitted","payload":7}`,
 	} {
-		if _, err := DecodeState(mk(mut)); err == nil {
-			t.Errorf("%s: decoded successfully", name)
+		if rec, err := decodeTask([]byte(payload)); err == nil {
+			t.Errorf("%s: decoded successfully as %+v", name, rec)
 		}
 	}
 }
 
-// jsonMarshalState mirrors EncodeState's serialization without its
-// normalization, so tests can build deliberately invalid records.
-func jsonMarshalState(st *CampaignState) ([]byte, error) {
-	return json.MarshalIndent(st, "", " ")
-}
-
+// TestSaveLoadState: a record stored with PutTask comes back from Task
+// under its key; a malformed record, or one whose own key is not the key
+// it is stored under, is a miss.
 func TestSaveLoadState(t *testing.T) {
 	s := &Store{Dir: t.TempDir()}
-	st := &CampaignState{
-		Campaign:   Key([]byte("campaign")),
-		Aggregates: []byte(`{"medians":true}`),
-		Tasks: []TaskRecord{
-			{Key: Key([]byte("t1")), Name: "time kern/a", Status: StatusFitted, Payload: []byte(`{"f":1}`)},
-			{Key: Key([]byte("t2")), Name: "time kern/b", Status: StatusSkipped, Class: "panic", Reason: "injected"},
-		},
+	recs := []TaskRecord{
+		{Key: Key([]byte("t1")), Name: "time kern/a", Status: StatusFitted, Payload: []byte(`{"f":1}`)},
+		{Key: Key([]byte("t2")), Name: "time kern/b", Status: StatusSkipped, Class: "panic", Reason: "injected"},
 	}
-	if err := SaveState(s, st); err != nil {
-		t.Fatalf("SaveState: %v", err)
+	for _, rec := range recs {
+		if err := s.PutTask(rec); err != nil {
+			t.Fatalf("PutTask: %v", err)
+		}
 	}
-	got, ok := LoadState(s, st.Campaign)
-	if !ok {
-		t.Fatal("LoadState missed")
+	for _, rec := range recs {
+		got, ok := s.Task(rec.Key)
+		if !ok || !reflect.DeepEqual(got, rec) {
+			t.Fatalf("Task(%s) = %+v, %v; want %+v", rec.Key, got, ok, rec)
+		}
 	}
-	if got.Campaign != st.Campaign || len(got.Tasks) != 2 {
-		t.Fatalf("LoadState = %+v", got)
+	if _, ok := s.Task(Key([]byte("absent"))); ok {
+		t.Fatal("absent record hit")
 	}
-	// A record stored under a mismatched campaign key is a miss.
+	// A record stored under another key is a miss.
 	other := Key([]byte("other"))
-	if err := s.putRaw(other, mustEncodeState(t, st)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := LoadState(s, other); ok {
-		t.Fatal("state with mismatched campaign key loaded")
-	}
-}
-
-func mustEncodeState(t *testing.T, st *CampaignState) []byte {
-	t.Helper()
-	data, err := EncodeState(st)
+	payload, err := encodeTask(recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	if err := s.Put(other, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Task(other); ok {
+		t.Fatal("record stored under a mismatched key loaded")
+	}
+	// A valid envelope around a payload that is not a record is a miss.
+	if err := s.Put(other, []byte("not a record")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Task(other); ok {
+		t.Fatal("malformed record loaded")
+	}
 }
 
-// genState generates arbitrary well-formed campaign states, unsorted on
-// purpose: EncodeState must canonicalize them.
-func genState() propcheck.Gen[*CampaignState] {
-	return propcheck.Gen[*CampaignState]{
-		Generate: func(r *propcheck.Rand) *CampaignState {
-			n := r.IntRange(0, 8)
-			st := &CampaignState{
-				Campaign: fmt.Sprintf("%064x", r.Int64Range(0, 1<<50)),
+// genRecord generates arbitrary well-formed task records.
+func genRecord() propcheck.Gen[TaskRecord] {
+	return propcheck.Gen[TaskRecord]{
+		Generate: func(r *propcheck.Rand) TaskRecord {
+			rec := TaskRecord{
+				Key:  fmt.Sprintf("%064x", r.Int64Range(0, 1<<50)),
+				Name: fmt.Sprintf("metric kern/%d", r.Intn(100)),
 			}
 			if r.Bool() {
-				st.Aggregates = randBytes(r, 64)
+				rec.Status = StatusFitted
+				rec.Payload = randBytes(r, 128)
+			} else {
+				rec.Status = StatusSkipped
+				rec.Class = []string{"panic", "degraded", "unmodelable"}[r.Intn(3)]
+				rec.Reason = "injected failure"
 			}
-			seen := map[string]bool{}
-			for i := 0; i < n; i++ {
-				key := fmt.Sprintf("%064x", r.Int64Range(0, 1<<50))
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				tr := TaskRecord{Key: key, Name: fmt.Sprintf("metric kern/%d", i)}
-				if r.Bool() {
-					tr.Status = StatusFitted
-					tr.Payload = randBytes(r, 128)
-				} else {
-					tr.Status = StatusSkipped
-					tr.Class = []string{"panic", "degraded", "unmodelable"}[r.Intn(3)]
-					tr.Reason = "injected failure"
-				}
-				st.Tasks = append(st.Tasks, tr)
-			}
-			return st
+			return rec
 		},
-		Describe: func(st *CampaignState) string {
-			return fmt.Sprintf("campaign=%s tasks=%d", st.Campaign, len(st.Tasks))
+		Describe: func(rec TaskRecord) string {
+			return fmt.Sprintf("key=%s status=%s", rec.Key, rec.Status)
 		},
 	}
 }
@@ -254,40 +228,50 @@ func randBytes(r *propcheck.Rand, maxLen int) []byte {
 	return b
 }
 
-// TestPropCheckpointRoundTrip is the satellite's core property:
-// encode → decode → encode is byte-identical for arbitrary states, and a
-// truncated or bit-flipped record is always detected and recovered to a
-// miss, never a partial resume.
+// TestPropCheckpointRoundTrip: encode → decode → encode is
+// byte-identical for arbitrary task records, a stored record reads back
+// through Store.Task, and a truncated or bit-flipped record file is
+// always detected and recovered to a miss, never a partial resume.
 func TestPropCheckpointRoundTrip(t *testing.T) {
-	propcheck.Check(t, genState(), func(st *CampaignState) error {
-		enc1, err := EncodeState(st)
+	propcheck.Check(t, genRecord(), func(rec TaskRecord) error {
+		enc1, err := encodeTask(rec)
 		if err != nil {
 			return fmt.Errorf("encode: %w", err)
 		}
-		dec, err := DecodeState(enc1)
+		dec, err := decodeTask(enc1)
 		if err != nil {
 			return fmt.Errorf("decode: %w", err)
 		}
-		enc2, err := EncodeState(dec)
+		enc2, err := encodeTask(dec)
 		if err != nil {
 			return fmt.Errorf("re-encode: %w", err)
 		}
 		if !bytes.Equal(enc1, enc2) {
 			return errors.New("encode→decode→encode not byte-identical")
 		}
-		// Damage detection: truncate at a third and two-thirds, flip one
-		// payload bit; all three must recover to a miss through the store.
 		s := &Store{Dir: t.TempDir()}
-		key := dec.Campaign
+		if err := s.PutTask(rec); err != nil {
+			return err
+		}
+		if got, ok := s.Task(rec.Key); !ok || !reflect.DeepEqual(got, dec) {
+			return fmt.Errorf("stored record read back as %+v, %v", got, ok)
+		}
+		// Damage detection: truncate the record file at a third and
+		// two-thirds, flip one payload bit; all three must be a miss.
+		path := filepath.Join(s.Dir, rec.Key+".ckpt")
+		file, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
 		for i, damage := range [][]byte{
-			enc1[:len(enc1)/3],
-			enc1[:2*len(enc1)/3],
-			flipBit(enc1, len(enc1)-1),
+			file[:len(file)/3],
+			file[:2*len(file)/3],
+			flipBit(file, len(file)-1),
 		} {
-			if err := s.putRaw(key, damage); err != nil {
+			if err := os.WriteFile(path, damage, 0o644); err != nil {
 				return err
 			}
-			if _, ok := LoadState(s, key); ok {
+			if _, ok := s.Task(rec.Key); ok {
 				return fmt.Errorf("damaged record %d loaded", i)
 			}
 		}

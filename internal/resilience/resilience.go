@@ -3,7 +3,7 @@
 // exponential-backoff retrier that is deterministic under test clocks, a
 // deterministic runtime fault injector whose schedules are replayable
 // like EDCHECK_SEED recipes, and a content-hash-keyed checkpoint store
-// with atomic temp+rename writes for campaign state.
+// with atomic temp+rename writes, one record file per completed task.
 //
 // The package is stdlib-only and deliberately knows nothing about
 // profiles or models: the pipeline hands it opaque byte payloads and

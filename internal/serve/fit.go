@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/core"
 	"extradeep/internal/ingest"
 	"extradeep/internal/pipeline"
@@ -87,10 +86,13 @@ func (a *appState) abort() {
 // exactly the batch CLI's — same default aggregation and modeling
 // options, same lenient ingest with degradation gate — so the fitted
 // ModelSet is byte-identical to a batch run over the same files. With a
-// checkpoint directory, the campaign checkpoints under
-// CheckpointDir/<app> and (with Resume) reuses every fit task whose
-// content key is unchanged, which is what makes incremental uploads
-// cheap: one new configuration re-fits only affected kernels.
+// checkpoint directory, the campaign stores every fit task as its own
+// record under CheckpointDir/<app>, and with Resume it reuses every task
+// whose content key — metric, callpath, series and modeling options — an
+// earlier campaign already stored. A restart over an unchanged spool
+// therefore refits nothing. A new upload changes the series of every
+// kernel it measures, so those kernels refit; every task whose series it
+// leaves unchanged is reused.
 //
 // decoded is the turn's decode handoff: the campaign still lists and
 // reads every spooled file — the spool stays the durable truth — but a
@@ -106,13 +108,9 @@ func (s *Server) campaign(ctx context.Context, a *appState, gen int64, decoded m
 		}
 		ckpt = &resilience.Store{Dir: dir}
 	}
-	agg := cfg.Aggregation
-	if agg == (aggregate.Options{}) {
-		agg = aggregate.DefaultOptions()
-	}
 	pl := pipeline.New(pipeline.Config{
 		Workers:           cfg.Workers,
-		Aggregation:       agg,
+		Aggregation:       cfg.Aggregation,
 		Modeling:          cfg.Modeling,
 		MinConfigurations: cfg.MinConfigurations,
 		Observer:          cfg.Observer,

@@ -87,9 +87,21 @@ go test -race -shuffle=on -run 'TestLoadModuleWorkersParity|TestLintCacheParity|
 # race detector as a dedicated stage with their own wall-time budget, so
 # a hang in the chaos path (a stalled stage, a leaked goroutine blocking
 # exit) surfaces as budget-exceeded rather than wedging the whole gate.
+# The suites are selected by name, so before the run every named suite
+# must appear in `go test -list`: a renamed or deleted suite fails the
+# stage instead of silently dropping out of the gate.
 begin resilience test "go test -race (fault-schedule propcheck invariants, 120s budget)"
+res_suites="TestPropFaultScheduleTrichotomy TestPropResumeByteIdentical TestPropCheckpointRoundTrip TestPropInjectorReplayIdentical TestPropRetrySleepScheduleReplayable"
+res_run=$(echo "$res_suites" | tr ' ' '|')
+res_listed=$(go test -list "$res_run" ./internal/resilience ./internal/pipeline)
+for suite in $res_suites; do
+	if ! echo "$res_listed" | grep -qx "$suite"; then
+		echo "resilience: suite $suite is not defined in ./internal/resilience or ./internal/pipeline; update res_suites when renaming it" >&2
+		exit 1
+	fi
+done
 res_start=$(date +%s)
-go test -race -run 'TestPropFaultScheduleTrichotomy|TestPropResumeByteIdentical|TestPropCheckpointRoundTrip|TestPropInjectorReplayIdentical|TestPropRetrySleepScheduleReplayable' ./internal/resilience ./internal/pipeline
+go test -race -run "$res_run" ./internal/resilience ./internal/pipeline
 res_elapsed=$(($(date +%s) - res_start))
 echo "resilience: fault-schedule suites passed in ${res_elapsed}s"
 if [ "$res_elapsed" -gt 120 ]; then
@@ -244,8 +256,8 @@ fi
 # Fuzz smoke: the ingestion invariant ("valid profile or error — never a
 # panic, never a NaN smuggled into the pipeline") must survive a short
 # native-fuzzing burst on every loader fuzz target, plus the checkpoint
-# decoder ("state round-trips or errors — a truncated or bit-flipped
-# state file must never panic or load silently wrong").
+# record decoder ("a task record round-trips or errors — a truncated or
+# bit-flipped record file must never panic or load silently wrong").
 begin fuzz test "fuzz smoke (5s per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=5s ./internal/importer
 go test -run='^$' -fuzz='^FuzzProfileRead$' -fuzztime=5s ./internal/profile
