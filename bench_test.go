@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"extradeep/internal/aggregate"
 	"extradeep/internal/core"
 	"extradeep/internal/epoch"
 	"extradeep/internal/experiments"
@@ -473,6 +474,69 @@ func BenchmarkParallelFit(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.BuildModels(aggs, setup, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// gridCampaign simulates a ranks × per-worker-batch grid campaign of the
+// cifar10 benchmark (one repetition, one sampled rank per cell; ranks
+// {2, 4, …, 2k} and batches {32, 64, …, 32k}) and aggregates it, as the
+// batch path does before its fit stage.
+func gridCampaign(tb testing.TB, k int) ([]*aggregate.ConfigAggregate, epoch.SetupFunc) {
+	tb.Helper()
+	bench, err := engine.ByName("cifar10")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := engine.RunConfig{
+		System:      hardware.DEEP(),
+		Strategy:    parallel.DataParallel{},
+		WeakScaling: true,
+		Seed:        benchSeed,
+		SampleRanks: 1,
+	}
+	var profiles []*profile.Profile
+	for i := 1; i <= k; i++ {
+		for j := 1; j <= k; j++ {
+			cell := bench
+			cell.BatchSize = 32 * j
+			c := cfg
+			c.Ranks = 2 * i
+			c.ProfileParams = []string{"p", "b"}
+			c.ProfilePoint = []float64{float64(2 * i), float64(32 * j)}
+			ps, err := engine.Profile(cell, c, 1, true)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			profiles = append(profiles, ps...)
+		}
+	}
+	aggs, err := pipeline.New(pipeline.Config{}).Aggregate(context.Background(), profiles)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return aggs, core.GridSetup(bench, cfg)
+}
+
+// BenchmarkBuildModelsGrid measures the fit stage at campaign scale:
+// Pipeline.BuildModels (epoch extrapolation + the two-parameter PMNF
+// search over every kernel and metric, strong-scaling exponent set as in
+// perfbench's batch-grid) on a 5×5 and a 9×9 ranks × batch grid. Each
+// leave-one-out fold of the 9×9 grid leaves one of 81 configurations
+// out, so the sub-benchmarks show how the cross-validation scales with
+// the configuration count.
+func BenchmarkBuildModelsGrid(b *testing.B) {
+	for _, k := range []int{5, 9} {
+		b.Run(fmt.Sprintf("%dx%d", k, k), func(b *testing.B) {
+			aggs, setup := gridCampaign(b, k)
+			pl := pipeline.New(pipeline.Config{Modeling: modeling.StrongScalingOptions()})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.BuildModels(context.Background(), aggs, setup); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -101,6 +101,63 @@ func checkEquivalence(points []measurement.Point, values []float64, opts Options
 	return sameModelBits(fast, ref)
 }
 
+// pressAgrees checks every hypothesis of hyps that the guard decides on
+// the PRESS path against its exact replay: the same accept/reject
+// verdict and, when accepted, a replayed CV-SMAPE inside the PRESS
+// interval. It reports how many hypotheses the guard decided and how
+// many it declined (left to the replay).
+func pressAgrees(points []measurement.Point, values []float64, opts Options, hyps []hypothesis) (decided, declined int, err error) {
+	fc := newFitContext(points, values, opts)
+	fc.bind(new(fitScratch))
+	for _, h := range hyps {
+		if !fc.solveFull(h) || len(points)-1 < len(h.terms)+1 {
+			continue
+		}
+		s, ok, dec := fc.press(h)
+		if !dec {
+			declined++
+			continue
+		}
+		decided++
+		exact, eok := fc.crossValidate(h)
+		if ok != eok {
+			return decided, declined, fmt.Errorf("hypothesis %v: PRESS accepts=%v, replay accepts=%v", h.terms, ok, eok)
+		}
+		if ok && (exact < s.lo() || exact > s.hi()) {
+			return decided, declined, fmt.Errorf("hypothesis %v: replayed CV-SMAPE %v outside the PRESS interval [%v, %v]", h.terms, exact, s.lo(), s.hi())
+		}
+	}
+	return decided, declined, nil
+}
+
+// checkPress runs pressAgrees over a task's whole search: the selection
+// hypotheses and, for multi-parameter tasks, every parameter's stage-1
+// shapes on its axis line. opts must be normalized.
+func checkPress(points []measurement.Point, values []float64, opts Options) error {
+	arity := len(points[0])
+	if arity == 1 {
+		_, _, err := pressAgrees(points, values, opts, hypothesesCached(1, opts))
+		return err
+	}
+	hyps := sparseHypotheses(arity, points, values, opts, func(pts []measurement.Point, vals []float64) func(hypothesis) (float64, bool) {
+		return func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }
+	})
+	if _, _, err := pressAgrees(points, values, opts, hyps); err != nil {
+		return err
+	}
+	shapes := len(shapeSet(opts))
+	for p := 0; p < arity; p++ {
+		lp, lv := axisLine(points, values, p)
+		if len(lp) < 3 {
+			continue
+		}
+		if _, _, err := pressAgrees(lp, lv, opts, hyps[1+p*shapes:1+(p+1)*shapes]); err != nil {
+			return fmt.Errorf("axis line %d: %w", p, err)
+		}
+	}
+	return nil
+}
+
 func TestEngineMatchesOracleCanonical(t *testing.T) {
 	xs := []float64{2, 4, 6, 8, 10}
 	mk := func(f func(x float64) float64) ([]measurement.Point, []float64) {
@@ -195,7 +252,7 @@ func TestPropEngineOracleEquivalence(t *testing.T) {
 				c:      r.Float64Range(0.05, 20),
 				e:      exps[r.Intn(len(exps))],
 				noise:  r.Float64Range(0, 0.1),
-				optSel: r.Intn(3),
+				optSel: r.Intn(4),
 			}
 		},
 		Describe: func(c eqCase) string {
@@ -235,24 +292,28 @@ func TestPropEngineOracleEquivalence(t *testing.T) {
 
 // TestPropEngineOracleEquivalenceGrid does the same over randomized
 // two-parameter grids, exercising the shared sparse hypothesis search
-// (axis-line ranking, combination stage) on both paths.
+// (axis-line ranking, combination stage) on both paths. Product surfaces
+// make a single multiplicative term f₁·f₂ the winner; the combination
+// stage lists that term right after the two-term f₁+f₂, so its solve
+// runs on normal-equation scratch sized for one more coefficient.
 func TestPropEngineOracleEquivalenceGrid(t *testing.T) {
 	type gridCase struct {
 		a, cp, cb, cross float64
-		logp             bool
+		logp, product    bool
 	}
 	gen := propcheck.Gen[gridCase]{
 		Generate: func(r *propcheck.Rand) gridCase {
 			return gridCase{
-				a:     r.Float64Range(1, 20),
-				cp:    r.Float64Range(0.1, 5),
-				cb:    r.Float64Range(0.001, 0.1),
-				cross: r.Float64Range(0, 0.01),
-				logp:  r.Bool(),
+				a:       r.Float64Range(1, 20),
+				cp:      r.Float64Range(0.1, 5),
+				cb:      r.Float64Range(0.001, 0.1),
+				cross:   r.Float64Range(0, 0.01),
+				logp:    r.Bool(),
+				product: r.Bool(),
 			}
 		},
 		Describe: func(c gridCase) string {
-			return fmt.Sprintf("{a=%g cp=%g cb=%g cross=%g logp=%v}", c.a, c.cp, c.cb, c.cross, c.logp)
+			return fmt.Sprintf("{a=%g cp=%g cb=%g cross=%g logp=%v product=%v}", c.a, c.cp, c.cb, c.cross, c.logp, c.product)
 		},
 	}
 	propcheck.CheckConfig(t, propcheck.Config{Iterations: 12}, gen, func(c gridCase) error {
@@ -265,11 +326,177 @@ func TestPropEngineOracleEquivalenceGrid(t *testing.T) {
 				if c.logp {
 					v += c.cp * math.Log2(p)
 				}
+				if c.product {
+					v = c.a + c.cp*p*math.Sqrt(b)
+				}
 				values = append(values, v)
 			}
 		}
-		return checkEquivalence(points, values, DefaultOptions())
+		if err := checkEquivalence(points, values, DefaultOptions()); err != nil {
+			return err
+		}
+		if c.product {
+			m, err := engineFit(points, values, DefaultOptions())
+			if err != nil {
+				return err
+			}
+			if terms := m.Function.Terms; len(terms) != 1 || len(terms[0].Factors) != 2 {
+				return fmt.Errorf("product surface selected %s, want the single term p·b^(1/2)", m.Function)
+			}
+		}
+		return nil
 	})
+}
+
+// TestPropEngineOracleEquivalenceAdversarial drives engine ≡ oracle
+// through numerically hostile single-parameter data, where the PRESS
+// guard has to hand hypotheses to the exact replay: wide x ranges (up to
+// 2²⁰) under x³·log₂²x bases, near-collinear bases on a narrow range,
+// duplicate configurations whose folds go singular, a slope buried in
+// noise so per-fold coefficient signs flip, exactly constant data where
+// every shape ties, and tiny noise — under the option presets plus
+// exponents spaced inside the growth comparison's tolerance. Every case
+// must select bit-identical
+// models, every PRESS decision must agree with its replay, and the guard
+// must decline the kinds built to defeat it; across the run both the
+// PRESS path and the replay must fire.
+func TestPropEngineOracleEquivalenceAdversarial(t *testing.T) {
+	type advCase struct {
+		a, c, noise float64
+		optSel      int
+	}
+	gen := propcheck.Gen[advCase]{
+		Generate: func(r *propcheck.Rand) advCase {
+			return advCase{
+				a:      r.Float64Range(0.5, 50),
+				c:      r.Float64Range(0.01, 10),
+				noise:  r.Float64Range(0, 0.05),
+				optSel: r.Intn(4),
+			}
+		},
+		Describe: func(c advCase) string {
+			return fmt.Sprintf("{a=%g c=%g noise=%g opts=%d}", c.a, c.c, c.noise, c.optSel)
+		},
+	}
+	pow2 := []float64{2, 4, 8, 16, 32, 64}
+	kinds := []struct {
+		name     string
+		xs       []float64
+		y        func(c advCase, i int, x float64) float64
+		declines bool // the guard must leave some hypothesis to the replay
+	}{
+		{"wide-x3log2", []float64{1, 16, 256, 4096, 65536, 1 << 20}, func(c advCase, i int, x float64) float64 {
+			l := math.Log2(x)
+			return (c.a + c.c*x*x*x*l*l) * (1 + c.noise*math.Sin(float64(i)*c.c+c.a))
+		}, true},
+		{"near-collinear", []float64{1000, 1001, 1002, 1003, 1004, 1005}, func(c advCase, i int, x float64) float64 {
+			return (c.a + c.c*x) * (1 + c.noise*math.Sin(float64(i)*c.c+c.a))
+		}, false},
+		{"duplicates", []float64{4, 4, 4, 4, 4, 16}, func(c advCase, i int, x float64) float64 {
+			return (c.a + c.c*x) * (1 + c.noise*math.Sin(float64(i)*c.c+c.a))
+		}, true},
+		{"sign-flip", pow2, func(c advCase, i int, x float64) float64 {
+			return c.a*(1+0.05*math.Sin(float64(i)*c.c+c.a)) + 1e-4*c.c*x
+		}, false},
+		{"constant", pow2, func(c advCase, i int, x float64) float64 { return c.a }, true},
+		{"tiny-noise", pow2, func(c advCase, i int, x float64) float64 {
+			return (c.a + c.c*x*math.Sqrt(x)) * (1 + 1e-12*math.Sin(float64(i)*c.c+c.a))
+		}, false},
+	}
+	scored0, replayed0 := guardScored.Load(), guardReplayed.Load()
+	propcheck.CheckConfig(t, propcheck.Config{Iterations: 12}, gen, func(c advCase) error {
+		// The fourth preset spaces exponents closer than pmnf.Growth's
+		// 1e-9 comparison tolerance, so growth ties are intransitive.
+		nearTies := DefaultOptions()
+		nearTies.PolyExponents = []float64{0.5, 1, 1 + 8e-10, 1 + 1.6e-9, 2}
+		opts := []Options{DefaultOptions(), StrongScalingOptions(), LargeOptions(), nearTies}[c.optSel]
+		for _, k := range kinds {
+			points := make([]measurement.Point, len(k.xs))
+			values := make([]float64, len(k.xs))
+			for i, x := range k.xs {
+				points[i] = measurement.Point{x}
+				values[i] = k.y(c, i, x)
+			}
+			if err := checkEquivalence(points, values, opts); err != nil {
+				return fmt.Errorf("%s: %w", k.name, err)
+			}
+			norm := normalizeOptions(opts)
+			_, declined, err := pressAgrees(points, values, norm, hypothesesCached(1, norm))
+			if err != nil {
+				return fmt.Errorf("%s: %w", k.name, err)
+			}
+			if k.declines && declined == 0 {
+				return fmt.Errorf("%s: the guard decided every hypothesis on the PRESS path", k.name)
+			}
+		}
+		return nil
+	})
+	scored, replayed := guardScored.Load()-scored0, guardReplayed.Load()-replayed0
+	if replayed == 0 || replayed >= scored {
+		t.Fatalf("guard scored %d hypotheses and replayed %d: both branches must fire", scored, replayed)
+	}
+}
+
+// TestSettleReplaysDecidingCandidates pins, one decision at a time,
+// which candidates a settle round hands to the exact replay. Scores are
+// set by hand (the replay then computes the real ones), so each case
+// puts intervals exactly where the decision is.
+func TestSettleReplaysDecidingCandidates(t *testing.T) {
+	points := points1D(2, 4, 8, 16, 32, 64)
+	values := make([]float64, len(points))
+	for i, p := range points {
+		values[i] = 3 + 0.5*p[0]*p[0]
+	}
+	opts := normalizeOptions(DefaultOptions())
+	shape := func(e float64) hypothesis {
+		return hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{{PolyExp: e}}}}}
+	}
+	type score struct {
+		exp        float64
+		smape, err float64
+		exact      bool
+	}
+	cases := []struct {
+		name   string
+		scores []score
+		want   []bool // replayed in this round
+	}{
+		{"minimum", []score{{2, 1.0, 0.1, false}, {1, 1.05, 0.1, false}, {3, 2, 0.1, false}},
+			[]bool{true, true, false}},
+		// Threshold 0.02 + 0.05: only the second interval straddles it.
+		{"threshold", []score{{2, 0.02, 0, true}, {1, 0.07, 0.001, false}, {3, 0.5, 0.01, false}, {1, 0.03, 0.001, false}},
+			[]bool{false, true, false, false}},
+		// x¹ grows slower than the head's x², so the x¹ candidates form
+		// the tie group; only the two that could come first replay.
+		{"tie-group", []score{{2, 0.01, 0, true}, {1, 0.02, 0.005, false}, {1, 0.024, 0.005, false}, {1, 0.045, 0.001, false}, {3, 0.03, 0.001, false}},
+			[]bool{false, true, true, false, false}},
+		// Growth degrees 1 and 1+1.6e-9 are within twice the comparison
+		// tolerance but not within a quarter of it: every contender
+		// replays.
+		{"intransitive-growth", []score{{2, 0.01, 0, true}, {1, 0.02, 0.001, false}, {1 + 1.6e-9, 0.03, 0.001, false}, {3, 0.04, 0.001, false}, {3, 0.9, 0.01, false}},
+			[]bool{false, true, true, true, false}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := newFitContext(points, values, opts)
+			fc.bind(new(fitScratch))
+			hyps := make([]hypothesis, len(tc.scores))
+			cands := make([]candidate, len(tc.scores))
+			for i, sc := range tc.scores {
+				hyps[i] = shape(sc.exp)
+				if !fc.solveFull(hyps[i]) {
+					t.Fatalf("candidate %d: full-data fit failed", i)
+				}
+				cands[i] = candidate{fn: fc.function(hyps[i]), cv: cvScore{smape: sc.smape, err: sc.err, exact: sc.exact}, idx: int32(i), terms: 1}
+			}
+			fc.settleRound(hyps, cands)
+			for i, want := range tc.want {
+				if got := cands[i].cv.exact && !tc.scores[i].exact; got != want {
+					t.Errorf("candidate %d (x^%g, %g±%g): replayed %v, want %v", i, tc.scores[i].exp, tc.scores[i].smape, tc.scores[i].err, got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestSparseRankingTieBreakDeterministic exercises the explicit

@@ -5,11 +5,13 @@
 // selects the hypothesis with the smallest cross-validated symmetric mean
 // absolute percentage error (SMAPE).
 //
-// Since the design-matrix engine refactor, fitting runs on a per-task
-// fitContext (see fitcontext.go) that evaluates every basis term once per
-// configuration into cached columns and replays the per-fold solves from
-// them — bit-identical to the reference direct-solve oracle (oracle.go),
-// which survives behind the EDFIT_ORACLE flag for verification.
+// Fitting runs on a per-task fitContext (see fitcontext.go) that
+// evaluates every basis term once per configuration into cached columns,
+// ranks each hypothesis's leave-one-out folds from one full-data
+// factorization (PRESS), and replays the oracle's fold-by-fold solves
+// exactly wherever selection is decided — bit-identical to the reference
+// direct-solve oracle (oracle.go), which survives behind the EDFIT_ORACLE
+// flag for verification.
 package modeling
 
 import (
@@ -245,16 +247,47 @@ func ratedLess(a, b rated) bool {
 }
 
 // cvRanker supplies, for one (points, values) dataset, the
-// cross-validation function used to rank hypotheses on it. The fit engine
-// and the reference oracle plug in their respective implementations so
-// sparse hypothesis generation is shared between them.
+// cross-validation function used to rank hypotheses on it. The oracle
+// ranks with its direct-solve cross-validation through sparseHypotheses.
 type cvRanker func(points []measurement.Point, values []float64) func(hypothesis) (float64, bool)
 
-// sparseHypotheses implements the two-stage multi-parameter search: rank
+// topRanker ranks one parameter's single-shape hypotheses hs on the axis
+// line (points, values) and returns the sparseTopShapes best in
+// ratedLess order. The engine and the oracle plug in their own ranking
+// so sparse hypothesis generation is shared between them.
+type topRanker func(points []measurement.Point, values []float64, hs []hypothesis) []rated
+
+// sparseHypotheses is sparseSearch with stage 1 ranked by a plain
+// cross-validation function: every shape is scored, then sorted.
+func sparseHypotheses(arity int, points []measurement.Point, values []float64, opts Options, ranker cvRanker) []hypothesis {
+	return sparseSearch(arity, points, values, opts, func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
+		return rankByCV(ranker(pts, vals), hs)
+	})
+}
+
+// rankByCV scores every single-shape hypothesis with cv and keeps the
+// sparseTopShapes best in ratedLess order.
+func rankByCV(cv func(hypothesis) (float64, bool), hs []hypothesis) []rated {
+	var rs []rated
+	for _, h := range hs {
+		smape, ok := cv(h)
+		if !ok {
+			continue
+		}
+		rs = append(rs, rated{shape: h.terms[0].Factors[0], smape: smape})
+	}
+	sort.SliceStable(rs, func(i, j int) bool { return ratedLess(rs[i], rs[j]) })
+	if len(rs) > sparseTopShapes {
+		rs = rs[:sparseTopShapes]
+	}
+	return rs
+}
+
+// sparseSearch implements the two-stage multi-parameter search: rank
 // every single-parameter shape by cross-validated SMAPE, then combine the
 // top shapes of each parameter pair additively, multiplicatively, and in
 // hybrid (term + cross-term) form.
-func sparseHypotheses(arity int, points []measurement.Point, values []float64, opts Options, ranker cvRanker) []hypothesis {
+func sparseSearch(arity int, points []measurement.Point, values []float64, opts Options, top topRanker) []hypothesis {
 	shapes := shapeSet(opts)
 
 	// Stage 1: evaluate single-parameter hypotheses.
@@ -270,24 +303,13 @@ func sparseHypotheses(arity int, points []measurement.Point, values []float64, o
 		if len(linePts) < 3 {
 			linePts, lineVals = points, values
 		}
-		cv := ranker(linePts, lineVals)
-		var rs []rated
+		first := len(out)
 		for _, s := range shapes {
 			f := s
 			f.Param = param
-			h := hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{f}}}}
-			out = append(out, h)
-			smape, ok := cv(h)
-			if !ok {
-				continue
-			}
-			rs = append(rs, rated{shape: f, smape: smape})
+			out = append(out, hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{f}}}})
 		}
-		sort.SliceStable(rs, func(i, j int) bool { return ratedLess(rs[i], rs[j]) })
-		if len(rs) > sparseTopShapes {
-			rs = rs[:sparseTopShapes]
-		}
-		topPerParam[param] = rs
+		topPerParam[param] = top(linePts, lineVals, out[first:])
 	}
 
 	// Stage 2: combinations of the top shapes per parameter pair.

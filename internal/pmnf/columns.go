@@ -13,8 +13,6 @@ import "math"
 //
 //   - FactorColumn[r] == f.Eval(rows[r][f.Param])
 //   - TermColumn[r]   == t.EvalBasis(rows[r])
-//   - EvalTerm        == t.Eval(rows[r])
-//   - EvalFunction    == fn.EvalAt(rows[r])
 //
 // The products are carried out in the same operand order as the scalar
 // code, so a fit assembled from cached columns selects exactly the model
@@ -108,24 +106,4 @@ func TermProduct(n int, facs [][]float64, dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// EvalTerm evaluates the full term (coefficient included) at row r from
-// cached factor columns, bit-identical to t.Eval(rows[r]).
-func (cs *ColumnSet) EvalTerm(t Term, r int) float64 {
-	v := t.Coefficient
-	for _, f := range t.Factors {
-		v *= cs.FactorColumn(f)[r]
-	}
-	return v
-}
-
-// EvalFunction evaluates fn at row r from cached factor columns,
-// bit-identical to fn.EvalAt(rows[r]).
-func (cs *ColumnSet) EvalFunction(fn *Function, r int) float64 {
-	v := fn.Constant
-	for _, t := range fn.Terms {
-		v += cs.EvalTerm(t, r)
-	}
-	return v
 }

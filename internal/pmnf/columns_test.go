@@ -123,28 +123,6 @@ func TestTermProductReusesDst(t *testing.T) {
 	}
 }
 
-func TestEvalTermAndFunctionMatchScalar(t *testing.T) {
-	rows := testRows()
-	cs := NewColumnSet(rows)
-	fn := &Function{
-		Constant: 3.7,
-		Terms: []Term{
-			{Coefficient: 2.25, Factors: []Factor{{Param: 0, PolyExp: 1, LogExp: 1}}},
-			{Coefficient: -0.125, Factors: []Factor{{Param: 0, PolyExp: 0.5}, {Param: 1, PolyExp: 1}}},
-		},
-	}
-	for r, row := range rows {
-		for _, term := range fn.Terms {
-			if got, want := cs.EvalTerm(term, r), term.Eval(row); !bitsEqual(got, want) {
-				t.Fatalf("EvalTerm row %d: %x, scalar %x", r, math.Float64bits(got), math.Float64bits(want))
-			}
-		}
-		if got, want := cs.EvalFunction(fn, r), fn.EvalAt(row); !bitsEqual(got, want) {
-			t.Fatalf("EvalFunction row %d: %x, scalar %x", r, math.Float64bits(got), math.Float64bits(want))
-		}
-	}
-}
-
 // TestPropColumnsBitIdentical sweeps randomized functions and rows: the
 // column APIs must agree with the scalar evaluation paths bit for bit on
 // arbitrary (positive-domain) inputs, including fractional and negative
@@ -194,14 +172,6 @@ func TestPropColumnsBitIdentical(t *testing.T) {
 				if want := term.EvalBasis(row); !bitsEqual(dst[r], want) {
 					return fmt.Errorf("TermColumn row %d: %x != scalar %x", r, math.Float64bits(dst[r]), math.Float64bits(want))
 				}
-				if got, want := cs.EvalTerm(term, r), term.Eval(row); !bitsEqual(got, want) {
-					return fmt.Errorf("EvalTerm row %d: %x != scalar %x", r, math.Float64bits(got), math.Float64bits(want))
-				}
-			}
-		}
-		for r, row := range c.rows {
-			if got, want := cs.EvalFunction(c.fn, r), c.fn.EvalAt(row); !bitsEqual(got, want) {
-				return fmt.Errorf("EvalFunction row %d: %x != scalar %x", r, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 		return nil

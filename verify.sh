@@ -184,29 +184,32 @@ if [ "$lint_warm" -gt 5 ]; then
 fi
 
 # fit-bench: the design-matrix fit engine is the hot path of the whole
-# analysis; a perf regression there silently eats the 3x speedup the
-# engine exists for. A 3-iteration BenchmarkParallelFit smoke run must
-# build and finish inside a 60-second budget (the full 30x trajectory
-# lives in BENCH_pipeline.json). Since edlint v4 the run also reports
-# allocations (-test.benchmem) and gates allocs/op: the perf analyzers
-# police the hot paths statically, and this ceiling catches what escapes
-# them dynamically. The v4 cleanup measured ~11.8k allocs/op per
-# BuildModels campaign (down from ~15.2k); the ceiling leaves ~10%
-# headroom. A build failure fails the stage as class=build via the
-# compile step below.
-fit_alloc_ceiling=13000
+# analysis; a perf regression there silently eats the speedup the engine
+# exists for. A 3-iteration BenchmarkParallelFit smoke run and one
+# iteration of BenchmarkBuildModelsGrid/9x9 (the 81-configuration grid,
+# where leave-one-out cross-validation dominates) must build and finish
+# inside a 60-second budget together (the trajectories live in
+# BENCH_pipeline.json). The BenchmarkParallelFit run also reports
+# allocations (-test.benchmem) and gates its allocs/op: the perf
+# analyzers police the hot paths statically, and this ceiling catches
+# what escapes them dynamically. The PRESS cross-validation with pooled
+# per-task scratch measured ~8.3k allocs/op per BuildModels campaign
+# (down from ~11.8k); the ceiling leaves ~10% headroom. A build failure
+# fails the stage as class=build via the compile step below.
+fit_alloc_ceiling=9130
 begin fit-bench-build build "go test -c (fit-bench smoke binary)"
 fit_bin=$(mktemp)
 go test -c -o "$fit_bin" .
-begin fit-bench test "BenchmarkParallelFit -benchtime 3x -benchmem (60s budget, allocs/op <= ${fit_alloc_ceiling})"
+begin fit-bench test "BenchmarkParallelFit -benchtime 3x -benchmem (allocs/op <= ${fit_alloc_ceiling}) + BenchmarkBuildModelsGrid/9x9 -benchtime 1x (60s budget)"
 fit_start=$(date +%s)
 fit_out=$("$fit_bin" -test.run '^$' -test.bench BenchmarkParallelFit -test.benchtime 3x -test.benchmem)
-fit_elapsed=$(($(date +%s) - fit_start))
 echo "$fit_out"
-echo "fit-bench: smoke run finished in ${fit_elapsed}s"
+"$fit_bin" -test.run '^$' -test.bench 'BenchmarkBuildModelsGrid/9x9$' -test.benchtime 1x -test.benchmem
+fit_elapsed=$(($(date +%s) - fit_start))
+echo "fit-bench: smoke runs finished in ${fit_elapsed}s"
 if [ "$fit_elapsed" -gt 60 ]; then
 	class="budget-exceeded"
-	echo "fit-bench: smoke run exceeded the 60s budget (${fit_elapsed}s) — the fit engine regressed; profile with 'go test -bench BenchmarkParallelFit -cpuprofile cpu.out .'" >&2
+	echo "fit-bench: smoke runs exceeded the 60s budget (${fit_elapsed}s) — the fit engine regressed; profile with 'go test -bench BenchmarkBuildModelsGrid -cpuprofile cpu.out .'" >&2
 	exit 1
 fi
 echo "$fit_out" | awk -v ceiling="$fit_alloc_ceiling" '
