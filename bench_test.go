@@ -241,9 +241,9 @@ func BenchmarkAblationAggregator(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				camp := ablationCampaign(b)
-				camp.Options = core.DefaultOptions()
-				camp.Options.Aggregation.UseMean = useMean
-				camp.Options.Modeling.UseMean = useMean
+				agg, fit := aggregate.DefaultOptions(), modeling.DefaultOptions()
+				agg.UseMean, fit.UseMean = useMean, useMean
+				camp.Options = pipeline.Config{Aggregation: agg, Modeling: fit}
 				b.ReportMetric(runAblation(b, camp), "pct_err@64")
 			}
 		})
@@ -279,8 +279,7 @@ func BenchmarkAblationSearchSpace(b *testing.B) {
 		b.Run(space.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				camp := ablationCampaign(b)
-				camp.Options = core.DefaultOptions()
-				camp.Options.Modeling = space.opts
+				camp.Options = pipeline.Config{Modeling: space.opts}
 				b.ReportMetric(runAblation(b, camp), "pct_err@64")
 			}
 		})
@@ -303,8 +302,9 @@ func BenchmarkAblationPoints(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				camp := ablationCampaign(b)
 				camp.ModelingRanks = ranks
-				camp.Options = core.DefaultOptions()
-				camp.Options.Modeling.MinPoints = len(ranks)
+				fit := modeling.DefaultOptions()
+				fit.MinPoints = len(ranks)
+				camp.Options = pipeline.Config{Modeling: fit}
 				b.ReportMetric(runAblation(b, camp), "pct_err@64")
 			}
 		})
@@ -341,11 +341,12 @@ func BenchmarkPipelineOnly(b *testing.B) {
 	setup := engine.SetupFunc(bench, cfg.Strategy, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aggs, err := core.AggregateProfiles(allProfiles, core.DefaultOptions().Aggregation)
+		pl := pipeline.New(pipeline.Config{})
+		aggs, err := pl.Aggregate(context.Background(), allProfiles)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.BuildModels(aggs, setup, core.DefaultOptions()); err != nil {
+		if _, err := pl.BuildModels(context.Background(), aggs, setup); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -386,7 +387,7 @@ func BenchmarkPipelineResilience(b *testing.B) {
 		}
 	}
 	setup := engine.SetupFunc(bench, cfg.Strategy, true)
-	aggs, err := core.AggregateProfiles(allProfiles, core.DefaultOptions().Aggregation)
+	aggs, err := pipeline.New(pipeline.Config{}).Aggregate(context.Background(), allProfiles)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -463,17 +464,15 @@ func BenchmarkParallelFit(b *testing.B) {
 		}
 	}
 	setup := engine.SetupFunc(bench, cfg.Strategy, true)
-	aggs, err := core.AggregateProfiles(allProfiles, core.DefaultOptions().Aggregation)
+	aggs, err := pipeline.New(pipeline.Config{}).Aggregate(context.Background(), allProfiles)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j%d", jobs), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Workers = jobs
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuildModels(aggs, setup, opts); err != nil {
+				if _, err := pipeline.New(pipeline.Config{Workers: jobs}).BuildModels(context.Background(), aggs, setup); err != nil {
 					b.Fatal(err)
 				}
 			}

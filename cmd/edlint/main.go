@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	edlint [-analyzers names] [-list] [-json] [-cachedir dir] [-nocache] [patterns ...]
+//	edlint [-analyzers names] [-list] [-json] [-cachedir dir] [patterns ...]
 //
 // Patterns follow the go tool's shape relative to the current directory:
 // "./..." (the default) selects every package, "./dir/..." a subtree, and
@@ -19,8 +19,8 @@
 // Repeated runs over unchanged trees are served from a findings cache on
 // disk under -cachedir (default: the user cache directory, e.g.
 // ~/.cache/edlint). The cache is content-addressed — any edit, analyzer
-// change or toolchain change invalidates it — and -nocache disables it.
-// Narrowed pattern runs never touch it. It also keys on the edlint
+// change or toolchain change invalidates it — and -cachedir "" disables
+// it. Narrowed pattern runs never touch it. It also keys on the edlint
 // executable (path, size, mtime), so a rebuilt binary re-analyzes
 // instead of trusting stale findings; note that `go run` builds into a
 // fresh temp path every invocation and therefore always misses.
@@ -91,27 +91,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("edlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	analyzersSpec := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-	runSpec := fs.String("run", "", "alias for -analyzers (kept for compatibility)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	jsonOut := fs.Bool("json", false, "print findings as JSON Lines plus a final summary object")
 	cacheDir := fs.String("cachedir", lint.DefaultCacheDir(), "incremental cache directory (empty disables caching)")
-	noCache := fs.Bool("nocache", false, "disable the incremental cache for this run")
 	fs.Usage = func() {
-		sayln(stderr, "usage: edlint [-analyzers names] [-list] [-json] [-cachedir dir] [-nocache] [patterns ...]")
+		sayln(stderr, "usage: edlint [-analyzers names] [-list] [-json] [-cachedir dir] [patterns ...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	spec := *analyzersSpec
-	if spec == "" {
-		spec = *runSpec
-	} else if *runSpec != "" && *runSpec != spec {
-		sayln(stderr, "edlint: -run and -analyzers are aliases; set only one")
-		return 2
-	}
-	analyzers, err := lint.Select(spec)
+	analyzers, err := lint.Select(*analyzersSpec)
 	if err != nil {
 		sayln(stderr, err)
 		return 2
@@ -148,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Analyzers: analyzers,
 		Filter:    filter,
 		CacheDir:  *cacheDir,
-		NoCache:   *noCache || *cacheDir == "",
+		NoCache:   *cacheDir == "",
 	})
 	if err != nil {
 		sayln(stderr, err)

@@ -51,25 +51,13 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 	}
 }
 
-// TestRunAliasConflictExitsTwo pins the -run/-analyzers alias rule.
-func TestRunAliasConflictExitsTwo(t *testing.T) {
-	var stdout, stderr strings.Builder
-	code := run([]string{"-analyzers", "floateq", "-run", "divguard"}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "aliases") {
-		t.Errorf("stderr does not explain the alias conflict:\n%s", stderr.String())
-	}
-}
-
 // TestRunWithoutGoCommandExitsTwo: with no go command on PATH the
 // standard library's export data cannot be located, which is a load
 // error (exit status 2) naming the lookup, not a clean or dirty result.
 func TestRunWithoutGoCommandExitsTwo(t *testing.T) {
 	t.Setenv("PATH", "")
 	var stdout, stderr strings.Builder
-	code := run([]string{"-nocache", "./..."}, &stdout, &stderr)
+	code := run([]string{"-cachedir", "", "./..."}, &stdout, &stderr)
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2\nstderr: %s", code, stderr.String())
 	}

@@ -57,9 +57,8 @@ import (
 	"syscall"
 	"time"
 
-	"extradeep/internal/epoch"
-	"extradeep/internal/measurement"
 	"extradeep/internal/pipeline"
+	"extradeep/internal/resilience"
 	"extradeep/internal/serve"
 	"extradeep/internal/simulator/engine"
 	"extradeep/internal/simulator/hardware"
@@ -92,7 +91,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve HTTP on")
 	spoolDir := fs.String("spool", "spool", "directory profile uploads are spooled under (the server's durable state)")
-	checkpointDir := fs.String("checkpoint-dir", "", "persist per-application fit checkpoints under this directory")
+	checkpointDir := fs.String("checkpoint-dir", "", "store every application's fit tasks as content-keyed records in this directory")
 	resume := fs.Bool("resume", false, "reuse checkpointed fit tasks across campaigns and restarts (content-keyed)")
 	benchmark := fs.String("benchmark", "", "built-in benchmark name to derive training-setup values from")
 	strategyName := fs.String("strategy", "data", "parallel strategy the profiles were produced with")
@@ -131,7 +130,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	setup, err := buildSetup(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
+	setup, err := engine.SetupFromFlags(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
 	if err != nil {
 		return usage(err)
 	}
@@ -140,23 +139,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return usage(err)
 	}
 
-	var obs pipeline.Observer
+	pcfg := pipeline.Config{
+		Workers:      *jobs,
+		Retry:        resilience.RetryPolicy{MaxAttempts: *retries},
+		StageTimeout: *stageTimeout,
+		Resume:       *resume,
+	}
 	if *timings {
-		obs = &pipeline.LogObserver{W: stderr}
+		pcfg.Observer = &pipeline.LogObserver{W: stderr}
+	}
+	if *checkpointDir != "" {
+		pcfg.Checkpoint = &resilience.Store{Dir: *checkpointDir}
 	}
 	srv, err := serve.New(serve.Config{
+		Config:         pcfg,
 		SpoolDir:       *spoolDir,
-		CheckpointDir:  *checkpointDir,
-		Resume:         *resume,
 		Setup:          setup,
 		Analyze:        pipeline.AnalyzeOptions{CoresPerRank: float64(sys.CoresPerRank), TopKernels: *topKernels},
-		Workers:        *jobs,
 		MaxCampaigns:   *maxCampaigns,
 		CoalesceWindow: *coalesce,
 		RequestTimeout: *requestTimeout,
-		StageTimeout:   *stageTimeout,
-		Retries:        *retries,
-		Observer:       obs,
 	})
 	if err != nil {
 		return usage(err)
@@ -203,34 +205,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	sayf(stdout, "edserve: drained\n")
 	return code
-}
-
-// buildSetup derives the epoch.SetupFunc either from a built-in
-// benchmark or from explicit flag values, mirroring the batch CLI so
-// server-side fits are option-for-option identical to batch runs.
-func buildSetup(benchmark string, strat parallel.Strategy, weak bool, batch, trainSamples, valSamples, m float64) (epoch.SetupFunc, error) {
-	if benchmark != "" {
-		b, err := engine.ByName(benchmark)
-		if err != nil {
-			return nil, err
-		}
-		return engine.SetupFunc(b, strat, weak), nil
-	}
-	if batch <= 0 || trainSamples <= 0 {
-		return nil, fmt.Errorf("either -benchmark or -batch and -train-samples must be given")
-	}
-	return func(point measurement.Point) epoch.Params {
-		ranks := point[0]
-		train := trainSamples
-		if weak {
-			train *= ranks
-		}
-		return epoch.Params{
-			BatchSize:     batch,
-			TrainSamples:  train,
-			ValSamples:    valSamples,
-			DataParallel:  ranks,
-			ModelParallel: m,
-		}
-	}, nil
 }

@@ -58,7 +58,6 @@ import (
 	"extradeep/internal/diagnose"
 	"extradeep/internal/epoch"
 	"extradeep/internal/ingest"
-	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/resilience"
@@ -220,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profiles := report.Profiles
 
 	if *checkOnly {
-		rep := diagnose.Check(profiles, diagnose.Options{})
+		rep := diagnose.Check(profiles)
 		say(stdout, rep.Render())
 		if !rep.OK() {
 			return exitFailure
@@ -232,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	setup, err := buildSetup(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
+	setup, err := engine.SetupFromFlags(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
 	if err != nil {
 		return usage(err)
 	}
@@ -286,35 +285,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitPartial
 	}
 	return exitOK
-}
-
-// buildSetup derives the epoch.SetupFunc either from a built-in benchmark
-// or from explicit flag values.
-func buildSetup(benchmark string, strat parallel.Strategy, weak bool, batch, trainSamples, valSamples, m float64) (epoch.SetupFunc, error) {
-	if benchmark != "" {
-		b, err := engine.ByName(benchmark)
-		if err != nil {
-			return nil, err
-		}
-		return engine.SetupFunc(b, strat, weak), nil
-	}
-	if batch <= 0 || trainSamples <= 0 {
-		return nil, fmt.Errorf("either -benchmark or -batch and -train-samples must be given")
-	}
-	return func(point measurement.Point) epoch.Params {
-		ranks := point[0]
-		train := trainSamples
-		if weak {
-			train *= ranks
-		}
-		return epoch.Params{
-			BatchSize:     batch,
-			TrainSamples:  train,
-			ValSamples:    valSamples,
-			DataParallel:  ranks,
-			ModelParallel: m,
-		}
-	}, nil
 }
 
 // predictOnly answers questions from previously saved models without any

@@ -26,29 +26,12 @@ import (
 	"extradeep/internal/simulator/engine"
 )
 
-// DefaultOptions returns the paper's configuration: Fig. 2 aggregation,
-// the default PMNF search and the five-configuration kernel filter, with
-// every other pipeline knob (workers, resilience) at its zero value.
-func DefaultOptions() pipeline.Config {
-	return pipeline.Config{
-		Aggregation:       aggregate.DefaultOptions(),
-		Modeling:          modeling.DefaultOptions(),
-		MinConfigurations: measurement.MinModelingPoints,
-	}
-}
-
-// campaignConfig resolves a campaign's pipeline configuration. When the
-// caller left Modeling unset, the paper's aggregation, modeling and
-// kernel-filter defaults replace the caller's, with strong-scaling
-// exponents (negative, for runtimes that shrink with scale) when strong
-// is set. The caller's Workers and resilience fields are kept either way.
+// campaignConfig resolves a campaign's pipeline configuration: a strong-
+// scaling campaign that left Modeling unset fits with strong-scaling
+// exponents (negative, for runtimes that shrink with scale). Every other
+// field is the caller's, and pipeline.New fills in the defaults.
 func campaignConfig(cfg pipeline.Config, strong bool) pipeline.Config {
-	if !cfg.Modeling.Unset() {
-		return cfg
-	}
-	d := DefaultOptions()
-	cfg.Aggregation, cfg.Modeling, cfg.MinConfigurations = d.Aggregation, d.Modeling, d.MinConfigurations
-	if strong {
+	if strong && cfg.Modeling.Unset() {
 		cfg.Modeling = modeling.StrongScalingOptions()
 	}
 	return cfg
@@ -58,23 +41,6 @@ func campaignConfig(cfg pipeline.Config, strong bool) pipeline.Config {
 // for the pipeline's model set: the staged pipeline owns model creation,
 // core keeps the name for its facade API.
 type ModelSet = pipeline.ModelSet
-
-// AggregateProfiles groups raw profiles by configuration and runs the
-// Fig. 2 aggregation pipeline on each group, returning one aggregate per
-// application configuration, sorted by measurement point.
-func AggregateProfiles(profiles []*profile.Profile, opts aggregate.Options) ([]*aggregate.ConfigAggregate, error) {
-	p := pipeline.New(pipeline.Config{Aggregation: opts})
-	return p.Aggregate(context.Background(), profiles)
-}
-
-// BuildModels runs extrapolation and model fitting on aggregated
-// configurations via the staged pipeline. Kernels present in fewer than
-// MinConfigurations configurations are filtered out; kernels whose series
-// cannot be modeled (degenerate data) are skipped silently, mirroring the
-// tool's behaviour.
-func BuildModels(aggs []*aggregate.ConfigAggregate, setup epoch.SetupFunc, opts pipeline.Config) (*ModelSet, error) {
-	return pipeline.New(opts).BuildModels(context.Background(), aggs, setup)
-}
 
 // Campaign describes one end-to-end measurement and modeling campaign on
 // the simulated substrate: profile the benchmark at the modeling ranks
@@ -95,8 +61,9 @@ type Campaign struct {
 	// Reps is the number of measurement repetitions per configuration
 	// (the paper uses 5).
 	Reps int
-	// Options configures the pipeline; an unset Modeling selects the
-	// paper's defaults (see DefaultOptions).
+	// Options configures the pipeline; zero fields take pipeline.New's
+	// defaults, except that an unset Modeling in a strong-scaling campaign
+	// selects modeling.StrongScalingOptions.
 	Options pipeline.Config
 }
 
@@ -107,11 +74,7 @@ func (c Campaign) Validate() error {
 	if err := c.Benchmark.Validate(); err != nil {
 		return err
 	}
-	min := c.Options.Modeling.MinPoints
-	if min <= 0 {
-		min = measurement.MinModelingPoints
-	}
-	if len(c.ModelingRanks) < min {
+	if min := c.Options.Modeling.EffectiveMinPoints(); len(c.ModelingRanks) < min {
 		return fmt.Errorf("core: %d modeling ranks, need at least %d", len(c.ModelingRanks), min)
 	}
 	if c.Reps < 1 {
@@ -179,7 +142,8 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts := campaignConfig(c.Options, !c.Config.WeakScaling)
+	pl := pipeline.New(campaignConfig(c.Options, !c.Config.WeakScaling))
+	ctx := context.Background()
 
 	modelingSet := make(map[int]bool, len(c.ModelingRanks))
 	allRanks := append([]int(nil), c.ModelingRanks...)
@@ -191,32 +155,32 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 			allRanks = append(allRanks, r)
 		}
 	}
-	sort.Ints(allRanks)
 
-	var modelingAggs, allAggs []*aggregate.ConfigAggregate
+	var profiles []*profile.Profile
 	for _, ranks := range allRanks {
 		cfg := c.Config
 		cfg.Ranks = ranks
-		var group []*profile.Profile
 		for rep := 1; rep <= c.Reps; rep++ {
-			profiles, err := engine.Profile(c.Benchmark, cfg, rep, true)
+			ps, err := engine.Profile(c.Benchmark, cfg, rep, true)
 			if err != nil {
 				return nil, fmt.Errorf("core: profiling %d ranks rep %d: %w", ranks, rep, err)
 			}
-			group = append(group, profiles...)
+			profiles = append(profiles, ps...)
 		}
-		agg, err := aggregate.Aggregate(group, opts.Aggregation)
-		if err != nil {
-			return nil, fmt.Errorf("core: aggregating %d ranks: %w", ranks, err)
-		}
-		allAggs = append(allAggs, agg)
-		if modelingSet[ranks] {
+	}
+	allAggs, err := pl.Aggregate(ctx, profiles)
+	if err != nil {
+		return nil, err
+	}
+	var modelingAggs []*aggregate.ConfigAggregate
+	for _, agg := range allAggs {
+		if modelingSet[int(agg.Point[0])] {
 			modelingAggs = append(modelingAggs, agg)
 		}
 	}
 
 	setup := engine.SetupFunc(c.Benchmark, c.Config.Strategy, c.Config.WeakScaling)
-	models, err := BuildModels(modelingAggs, setup, opts)
+	models, err := pl.BuildModels(ctx, modelingAggs, setup)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"os"
+	"reflect"
 	"testing"
 
 	"extradeep/internal/aggregate"
@@ -173,40 +175,56 @@ func TestActualMedianEvenReps(t *testing.T) {
 	}
 }
 
+// TestAggregateProfilesEmpty: the pipeline a campaign resolves, weak or
+// strong, refuses to aggregate an empty profile set.
 func TestAggregateProfilesEmpty(t *testing.T) {
-	if _, err := AggregateProfiles(nil, aggregate.DefaultOptions()); err == nil {
-		t.Error("empty profiles accepted")
+	for _, strong := range []bool{false, true} {
+		pl := pipeline.New(campaignConfig(pipeline.Config{}, strong))
+		if _, err := pl.Aggregate(context.Background(), nil); err == nil {
+			t.Errorf("strong=%v: empty profiles accepted", strong)
+		}
 	}
 }
 
-func TestAggregateProfilesSortedByPoint(t *testing.T) {
-	b, err := engine.ByName("imdb")
+// TestRunCampaignKeepsCallerAggregation: a campaign that leaves Modeling
+// unset still aggregates with the caller's Aggregation options — here
+// means instead of the default medians.
+func TestRunCampaignKeepsCallerAggregation(t *testing.T) {
+	c := testCampaign(t)
+	c.EvalRanks = nil
+	mean := aggregate.Options{SkipWarmupEpochs: 1, UseMean: true}
+	c.Options = pipeline.Config{Aggregation: mean}
+	res, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.RunConfig{
-		System: hardware.DEEP(), Strategy: parallel.DataParallel{},
-		WeakScaling: true, Seed: 3, SampleRanks: 2,
+	if len(res.Aggregates) != len(c.ModelingRanks) {
+		t.Fatalf("aggregates = %d, want %d", len(res.Aggregates), len(c.ModelingRanks))
 	}
-	var all []*profile.Profile
-	for _, ranks := range []int{8, 2, 4} {
+	for i, ranks := range c.ModelingRanks {
+		cfg := c.Config
 		cfg.Ranks = ranks
-		ps, err := engine.Profile(b, cfg, 1, true)
+		var group []*profile.Profile
+		for rep := 1; rep <= c.Reps; rep++ {
+			ps, err := engine.Profile(c.Benchmark, cfg, rep, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			group = append(group, ps...)
+		}
+		want, err := aggregate.Aggregate(group, mean)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, ps...)
-	}
-	aggs, err := AggregateProfiles(all, aggregate.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aggs) != 3 {
-		t.Fatalf("aggregates = %d, want 3", len(aggs))
-	}
-	for i := 1; i < len(aggs); i++ {
-		if !aggs[i-1].Point.Less(aggs[i].Point) {
-			t.Error("aggregates not sorted by point")
+		median, err := aggregate.Aggregate(group, aggregate.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(want, median) {
+			t.Fatalf("fixture: mean and median aggregation agree at %d ranks", ranks)
+		}
+		if !reflect.DeepEqual(res.Aggregates[i], want) {
+			t.Errorf("aggregate at %d ranks is not the mean aggregation", ranks)
 		}
 	}
 }

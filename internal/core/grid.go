@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
@@ -69,40 +69,34 @@ func RunGridCampaign(c GridCampaign) (*GridResult, error) {
 	// The batch size enters the per-epoch metric inversely (fewer, bigger
 	// steps), so the grid surface needs negative exponents regardless of
 	// the scaling mode.
-	opts := campaignConfig(c.Options, true)
+	pl := pipeline.New(campaignConfig(c.Options, true))
+	ctx := context.Background()
 
-	ranks := append([]int(nil), c.Ranks...)
-	batches := append([]int(nil), c.Batches...)
-	sort.Ints(ranks)
-	sort.Ints(batches)
-
-	var aggs []*aggregate.ConfigAggregate
-	for _, r := range ranks {
-		for _, batch := range batches {
+	var profiles []*profile.Profile
+	for _, r := range c.Ranks {
+		for _, batch := range c.Batches {
 			bench := c.Benchmark
 			bench.BatchSize = batch
 			cfg := c.Config
 			cfg.Ranks = r
 			cfg.ProfileParams = []string{"p", "b"}
 			cfg.ProfilePoint = []float64{float64(r), float64(batch)}
-			var group []*profile.Profile
 			for rep := 1; rep <= c.Reps; rep++ {
 				ps, err := engine.Profile(bench, cfg, rep, true)
 				if err != nil {
 					return nil, fmt.Errorf("core: grid cell (%d ranks, batch %d) rep %d: %w", r, batch, rep, err)
 				}
-				group = append(group, ps...)
+				profiles = append(profiles, ps...)
 			}
-			agg, err := aggregate.Aggregate(group, opts.Aggregation)
-			if err != nil {
-				return nil, fmt.Errorf("core: aggregating grid cell (%d, %d): %w", r, batch, err)
-			}
-			aggs = append(aggs, agg)
 		}
+	}
+	aggs, err := pl.Aggregate(ctx, profiles)
+	if err != nil {
+		return nil, err
 	}
 
 	setup := GridSetup(c.Benchmark, c.Config)
-	models, err := BuildModels(aggs, setup, opts)
+	models, err := pl.BuildModels(ctx, aggs, setup)
 	if err != nil {
 		return nil, err
 	}

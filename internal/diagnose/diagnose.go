@@ -93,29 +93,10 @@ func (r *Report) add(sev Severity, subject, format string, args ...any) {
 	})
 }
 
-// Options tunes the thresholds.
-type Options struct {
-	// MinConfigurations for modeling; 0 = the paper's 5.
-	MinConfigurations int
-	// VariationWarn is the run-to-run variation above which a warning is
-	// raised (0 = 0.25; the paper calls 15%+ common and 17.4% its JURECA
-	// average, so only clearly pathological spread warns by default).
-	VariationWarn float64
-}
-
-func (o Options) minConfigs() int {
-	if o.MinConfigurations <= 0 {
-		return measurement.MinModelingPoints
-	}
-	return o.MinConfigurations
-}
-
-func (o Options) variationWarn() float64 {
-	if o.VariationWarn <= 0 {
-		return 0.25
-	}
-	return o.VariationWarn
-}
+// variationWarn is the run-to-run variation above which a kernel warns.
+// The paper calls 15%+ common and 17.4% its JURECA average, so only
+// clearly pathological spread warns.
+const variationWarn = 0.25
 
 // corruptEventMetrics scans a trace for semantically corrupt event
 // metrics — NaN/Inf start, duration or byte values, or negative durations
@@ -146,7 +127,7 @@ func corruptEventMetrics(tr *trace.Trace) (count int, first string) {
 }
 
 // Check diagnoses a profile set.
-func Check(profiles []*profile.Profile, opts Options) *Report {
+func Check(profiles []*profile.Profile) *Report {
 	rep := &Report{Profiles: len(profiles)}
 	if len(profiles) == 0 {
 		rep.add(Error, "profiles", "no profiles to analyze")
@@ -157,10 +138,10 @@ func Check(profiles []*profile.Profile, opts Options) *Report {
 	keys := profile.SortedKeys(groups)
 	rep.Configurations = len(keys)
 
-	if len(keys) < opts.minConfigs() {
+	if len(keys) < measurement.MinModelingPoints {
 		rep.add(Error, "configurations",
 			"only %d measured configuration(s); modeling needs at least %d (the paper's minimum to separate logarithmic, linear and polynomial growth)",
-			len(keys), opts.minConfigs())
+			len(keys), measurement.MinModelingPoints)
 	}
 
 	apps := map[string]bool{}
@@ -263,10 +244,10 @@ func Check(profiles []*profile.Profile, opts Options) *Report {
 			for _, sv := range perRep {
 				vals = append(vals, sv.Train+sv.Validation)
 			}
-			if cv, ok := mathutil.CoefficientOfVariation(vals); ok && cv > opts.variationWarn() {
+			if cv, ok := mathutil.CoefficientOfVariation(vals); ok && cv > variationWarn {
 				rep.add(Warning, subject,
 					"kernel %s varies %.0f%% run-to-run (threshold %.0f%%): its model will carry that uncertainty",
-					path, cv*100, opts.variationWarn()*100)
+					path, cv*100, variationWarn*100)
 			}
 		}
 		if k := len(agg.Kernels); k > 0 {
@@ -278,7 +259,7 @@ func Check(profiles []*profile.Profile, opts Options) *Report {
 	// Kernel coverage across configurations (Fig. 2 step (4)).
 	var thin []string
 	for path, n := range kernelConfigs {
-		if n < opts.minConfigs() && len(keys) >= opts.minConfigs() {
+		if n < measurement.MinModelingPoints && len(keys) >= measurement.MinModelingPoints {
 			thin = append(thin, path)
 		}
 	}

@@ -39,7 +39,7 @@ func healthyProfiles(t *testing.T) []*profile.Profile {
 }
 
 func TestCheckHealthyCampaign(t *testing.T) {
-	rep := Check(healthyProfiles(t), Options{})
+	rep := Check(healthyProfiles(t))
 	if !rep.OK() {
 		t.Fatalf("healthy campaign reported errors: %+v", rep.Errors())
 	}
@@ -52,7 +52,7 @@ func TestCheckHealthyCampaign(t *testing.T) {
 }
 
 func TestCheckEmpty(t *testing.T) {
-	rep := Check(nil, Options{})
+	rep := Check(nil)
 	if rep.OK() {
 		t.Error("empty set reported OK")
 	}
@@ -67,7 +67,7 @@ func TestCheckTooFewConfigurations(t *testing.T) {
 			subset = append(subset, p)
 		}
 	}
-	rep := Check(subset, Options{})
+	rep := Check(subset)
 	if rep.OK() {
 		t.Error("2-configuration set reported OK")
 	}
@@ -85,7 +85,7 @@ func TestCheckTooFewConfigurations(t *testing.T) {
 func TestCheckMixedApplications(t *testing.T) {
 	ps := healthyProfiles(t)
 	ps[0].App = "other"
-	rep := Check(ps, Options{})
+	rep := Check(ps)
 	if rep.OK() {
 		t.Error("mixed applications reported OK")
 	}
@@ -101,7 +101,7 @@ func TestCheckMissingRank(t *testing.T) {
 		}
 		subset = append(subset, p)
 	}
-	rep := Check(subset, Options{})
+	rep := Check(subset)
 	found := false
 	for _, f := range rep.Warnings() {
 		if strings.Contains(f.Message, "missing rank 0") {
@@ -128,15 +128,15 @@ func TestCheckDeterministic(t *testing.T) {
 		}
 		subset = append(subset, p)
 	}
-	want := Check(subset, Options{}).Render()
+	want := Check(subset).Render()
 	for i := 0; i < 5; i++ {
-		if got := Check(subset, Options{}).Render(); got != want {
+		if got := Check(subset).Render(); got != want {
 			t.Fatalf("Check rendering differs between runs:\n--- first\n%s\n--- run %d\n%s", want, i+1, got)
 		}
 	}
 	// The repetition findings must appear in ascending repetition order.
 	var reps []string
-	for _, f := range Check(subset, Options{}).Warnings() {
+	for _, f := range Check(subset).Warnings() {
 		if strings.Contains(f.Message, "is missing rank") {
 			reps = append(reps, f.Message[:strings.Index(f.Message, " is missing")])
 		}
@@ -157,7 +157,7 @@ func TestCheckSingleRepetitionWarns(t *testing.T) {
 			subset = append(subset, p)
 		}
 	}
-	rep := Check(subset, Options{})
+	rep := Check(subset)
 	found := false
 	for _, f := range rep.Warnings() {
 		if strings.Contains(f.Message, "single repetition") {
@@ -173,7 +173,7 @@ func TestCheckNoEpochMarks(t *testing.T) {
 	ps := healthyProfiles(t)
 	ps[0].Trace.Epochs = nil
 	ps[0].Trace.Steps = nil
-	rep := Check(ps, Options{})
+	rep := Check(ps)
 	if rep.OK() {
 		t.Error("missing instrumentation reported OK")
 	}
@@ -201,7 +201,7 @@ func TestCheckSingleEpochWarns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps = append(ps, single...)
-	rep := Check(ps, Options{})
+	rep := Check(ps)
 	found := false
 	for _, f := range rep.Warnings() {
 		if strings.Contains(f.Message, "single epoch") {
@@ -216,7 +216,7 @@ func TestCheckSingleEpochWarns(t *testing.T) {
 func TestCheckDuplicateProfileWarns(t *testing.T) {
 	ps := healthyProfiles(t)
 	ps = append(ps, ps[0])
-	rep := Check(ps, Options{})
+	rep := Check(ps)
 	found := false
 	for _, f := range rep.Warnings() {
 		if strings.Contains(f.Message, "duplicate profile") {
@@ -245,7 +245,7 @@ func TestCheckInconsistentStepCounts(t *testing.T) {
 	}
 	tr.Steps = append(tr.Steps, extra)
 	tr.Sort()
-	rep := Check(ps, Options{})
+	rep := Check(ps)
 	found := false
 	for _, f := range rep.Warnings() {
 		if strings.Contains(f.Message, "step counts differ") {
@@ -272,7 +272,7 @@ func TestCheckCorruptEventMetrics(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ps := healthyProfiles(t)
 			c.mutate(&ps[0].Trace.Events[0])
-			rep := Check(ps, Options{})
+			rep := Check(ps)
 			if rep.OK() {
 				t.Fatal("semantically corrupt profile reported OK")
 			}
@@ -293,7 +293,7 @@ func TestCheckCorruptMetricsCountsEvents(t *testing.T) {
 	ps := healthyProfiles(t)
 	ps[0].Trace.Events[0].Duration = math.NaN()
 	ps[0].Trace.Events[1].Bytes = math.Inf(-1)
-	rep := Check(ps, Options{})
+	rep := Check(ps)
 	found := false
 	for _, f := range rep.Errors() {
 		if strings.Contains(f.Message, "2 event(s) with corrupt metric values") {

@@ -110,17 +110,6 @@ func (q Quarantined) Unwrap() error { return q.Err }
 type Options struct {
 	// Policy is Lenient (default) or Strict.
 	Policy Policy
-	// MinConfigurations is the per-application minimum of distinct
-	// configurations the degradation gate requires; 0 means the paper's
-	// measurement.MinModelingPoints.
-	MinConfigurations int
-}
-
-func (o Options) minConfigs() int {
-	if o.MinConfigurations <= 0 {
-		return measurement.MinModelingPoints
-	}
-	return o.MinConfigurations
 }
 
 // Report is the outcome of one directory ingestion.
@@ -306,8 +295,10 @@ func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
 // records warnings on the report (configurations that lost repetitions or
 // disappeared entirely); on failure it returns a single aggregate error
 // that names every quarantined file, so the operator sees the full damage
-// in one message.
-func (r *Report) Gate(opts Options) error {
+// in one message. Every application needs the paper's
+// measurement.MinModelingPoints distinct configurations; no option moves
+// that threshold, so the Options argument is unused.
+func (r *Report) Gate(Options) error {
 	if len(r.Profiles) == 0 {
 		base := fmt.Errorf("ingest: no usable profiles in %s (%d file(s) quarantined)", r.Dir, len(r.Quarantined))
 		return r.aggregate(base)
@@ -326,10 +317,10 @@ func (r *Report) Gate(opts Options) error {
 	sort.Strings(apps)
 	var errs []error
 	for _, app := range apps {
-		if n := perApp[app]; n < opts.minConfigs() {
+		if n := perApp[app]; n < measurement.MinModelingPoints {
 			errs = append(errs, fmt.Errorf(
 				"ingest: %s has %d usable configuration(s) after quarantine; modeling needs at least %d",
-				app, n, opts.minConfigs()))
+				app, n, measurement.MinModelingPoints))
 		}
 	}
 	if len(errs) > 0 {

@@ -179,9 +179,6 @@ type Config struct {
 	// Modeling configures the PMNF hypothesis search; unset options mean
 	// modeling.DefaultOptions().
 	Modeling modeling.Options
-	// MinConfigurations is the kernel-filtering threshold (step (4) of
-	// Fig. 2); 0 means the paper's 5.
-	MinConfigurations int
 	// Observer receives stage timing/counter events; nil discards them.
 	Observer Observer
 

@@ -149,6 +149,38 @@ func TestAggregateRejectsEmptyInput(t *testing.T) {
 	}
 }
 
+func TestAggregateSortedByPoint(t *testing.T) {
+	b, err := engine.ByName("imdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.RunConfig{
+		System: hardware.DEEP(), Strategy: parallel.DataParallel{},
+		WeakScaling: true, Seed: 3, SampleRanks: 2,
+	}
+	var all []*profile.Profile
+	for _, ranks := range []int{8, 2, 4} {
+		cfg.Ranks = ranks
+		ps, err := engine.Profile(b, cfg, 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, ps...)
+	}
+	aggs, err := New(Config{}).Aggregate(context.Background(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aggs) != 3 {
+		t.Fatalf("aggregates = %d, want 3", len(aggs))
+	}
+	for i := 1; i < len(aggs); i++ {
+		if !aggs[i-1].Point.Less(aggs[i].Point) {
+			t.Error("aggregates not sorted by point")
+		}
+	}
+}
+
 func TestIngestKeepsQuarantineSemantics(t *testing.T) {
 	dir, _ := writeCampaign(t)
 	p := New(Config{})

@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"extradeep/internal/measurement"
+	"extradeep/internal/profile"
 	"extradeep/internal/propcheck"
 	"extradeep/internal/resilience"
 )
@@ -218,60 +221,104 @@ func fitCounters(col *Collector) Counters {
 	return c
 }
 
+// dropKernel copies the campaign in dir into a fresh directory without
+// any event of one kernel, returning the copy and the kernel's name.
+func dropKernel(t *testing.T, dir string) (string, string) {
+	t.Helper()
+	ps, err := (&profile.Store{Dir: dir}).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := ps[0].Trace.Events[0].Name
+	out := &profile.Store{Dir: t.TempDir()}
+	for _, p := range ps {
+		kept := p.Trace.Events[:0]
+		for _, e := range p.Trace.Events {
+			if e.Name != victim {
+				kept = append(kept, e)
+			}
+		}
+		p.Trace.Events = kept
+		if err := out.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Dir, victim
+}
+
+// sharedTasks counts b's fit tasks whose series a fits too — the same
+// metric, callpath and samples, hence the same content key.
+func sharedTasks(a, b *ModelSet) int {
+	n := 0
+	count := func(ea, eb *measurement.Experiment, metrics []measurement.Metric) {
+		for _, m := range metrics {
+			for _, path := range eb.Callpaths(m) {
+				if sa := ea.Series(m, path); sa != nil && reflect.DeepEqual(sa.Samples, eb.Series(m, path).Samples) {
+					n++
+				}
+			}
+		}
+	}
+	count(a.KernelExperiment, b.KernelExperiment, b.KernelExperiment.Metrics())
+	count(a.AppExperiment, b.AppExperiment, []measurement.Metric{measurement.MetricTime})
+	return n
+}
+
 // TestCheckpointReusedAcrossCampaigns: task records are keyed per task,
 // not per campaign, so a resumed campaign reuses every task it shares
 // with a different campaign that wrote the store, fits the rest, and
 // reports byte-identically to a cold run of itself.
 func TestCheckpointReusedAcrossCampaigns(t *testing.T) {
-	dir, setup := writeCampaign(t)
+	dirA, setup := writeCampaign(t)
+	// Campaign B measures the same runs without one kernel: B has no
+	// tasks for that kernel, its category and application series change,
+	// and every other kernel's tasks are A's.
+	dirB, victim := dropKernel(t, dirA)
 	ctx := context.Background()
-	// Campaign B keeps only the application series: the fixture has five
-	// configurations, so a six-configuration kernel filter drops every
-	// kernel. B's tasks are a strict subset of A's.
-	a := Config{Workers: 4}
-	b := Config{Workers: 4, MinConfigurations: 6}
-	coldA, err := New(a).Run(ctx, testSpec(dir, setup))
+	cfg := Config{Workers: 4}
+	coldA, err := New(cfg).Run(ctx, testSpec(dirA, setup))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldB, err := New(b).Run(ctx, testSpec(dir, setup))
+	coldB, err := New(cfg).Run(ctx, testSpec(dirB, setup))
 	if err != nil {
 		t.Fatal(err)
 	}
+	shared := sharedTasks(coldA.Models, coldB.Models)
 
-	// resume checkpoints first into a fresh store, then resumes second
-	// over it, returning the resumed run's report and fit counters.
-	resume := func(first, second Config) (string, Counters, Counters) {
+	// resume checkpoints a campaign over first into a fresh store, then
+	// resumes one over second, returning the resumed run's report and
+	// both fit counters.
+	resume := func(first, second string) (string, Counters, Counters) {
 		t.Helper()
 		store := &resilience.Store{Dir: t.TempDir()}
 		colFirst, colSecond := &Collector{}, &Collector{}
-		first.Checkpoint, first.Observer = store, colFirst
-		if _, err := New(first).Run(ctx, testSpec(dir, setup)); err != nil {
+		if _, err := New(Config{Workers: 4, Checkpoint: store, Observer: colFirst}).Run(ctx, testSpec(first, setup)); err != nil {
 			t.Fatal(err)
 		}
-		second.Checkpoint, second.Resume, second.Observer = store, true, colSecond
-		res, err := New(second).Run(ctx, testSpec(dir, setup))
+		res, err := New(Config{Workers: 4, Checkpoint: store, Resume: true, Observer: colSecond}).Run(ctx, testSpec(second, setup))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Report, fitCounters(colFirst), fitCounters(colSecond)
 	}
 
-	report, ca, cb := resume(a, b)
-	if cb["tasks"] == 0 || cb["tasks"] >= ca["tasks"] {
-		t.Fatalf("campaign B has %d fit tasks, A has %d: want a non-empty strict subset", cb["tasks"], ca["tasks"])
+	report, ca, cb := resume(dirA, dirB)
+	if cb["tasks"] >= ca["tasks"] || shared == 0 || shared >= cb["tasks"] {
+		t.Fatalf("dropping %s: B has %d fit tasks, A has %d, %d shared: want fewer tasks in B, some but not all shared",
+			victim, cb["tasks"], ca["tasks"], shared)
 	}
-	if cb["reused"] != cb["tasks"] {
-		t.Errorf("B after A reused %d of its %d tasks, all shared with A", cb["reused"], cb["tasks"])
+	if cb["reused"] != shared {
+		t.Errorf("B after A reused %d tasks, want the %d it shares with A", cb["reused"], shared)
 	}
 	if report != coldB.Report {
 		t.Error("B resumed from A's records differs from a cold run of B")
 	}
 
-	// The other way round: A reuses B's tasks and fits the rest.
-	report, cb, ca = resume(b, a)
-	if ca["reused"] != cb["tasks"] {
-		t.Errorf("A after B reused %d tasks, want the %d it shares with B", ca["reused"], cb["tasks"])
+	// The other way round: A reuses B's shared tasks and fits the rest.
+	report, _, ca = resume(dirB, dirA)
+	if ca["reused"] != shared {
+		t.Errorf("A after B reused %d tasks, want the %d it shares with B", ca["reused"], shared)
 	}
 	if report != coldA.Report {
 		t.Error("A resumed from B's records differs from a cold run of A")

@@ -143,7 +143,8 @@ type fitTask struct {
 
 // BuildModels runs the EpochExtrapolate and Fit stages: it derives the
 // per-epoch kernel and application experiments from the aggregates
-// (Eqs. 2–4), filters kernels observed in too few configurations, and
+// (Eqs. 2–4), filters kernels observed in fewer than the paper's five
+// configurations (measurement.MinModelingPoints), and
 // fans the per-kernel PMNF hypothesis search (Eq. 5) out across the
 // worker pool.
 //
@@ -157,11 +158,6 @@ type fitTask struct {
 // task whose inputs are unchanged, whichever campaign stored it —
 // byte-identically, since the model codec round-trips exactly.
 func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggregate, setup epoch.SetupFunc) (*ModelSet, error) {
-	minConfigs := p.cfg.MinConfigurations
-	if minConfigs <= 0 {
-		minConfigs = measurement.MinModelingPoints
-	}
-
 	var kernelExp, appExp *measurement.Experiment
 	err := p.runStage(ctx, StageEpoch, func(sctx context.Context) (Counters, error) {
 		var err error
@@ -169,7 +165,7 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 		if err != nil {
 			return nil, err
 		}
-		filtered := kernelExp.FilterInsufficient(minConfigs)
+		filtered := kernelExp.FilterInsufficient(measurement.MinModelingPoints)
 		appExp, err = epoch.BuildApplicationExperiment(aggs, setup)
 		if err != nil {
 			return nil, err

@@ -3,14 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"extradeep/internal/core"
 	"extradeep/internal/ingest"
 	"extradeep/internal/pipeline"
-	"extradeep/internal/resilience"
 )
 
 // kick ensures a fit loop is running for the application: it marks the
@@ -86,10 +84,10 @@ func (a *appState) abort() {
 // exactly the batch CLI's — same default aggregation and modeling
 // options, same lenient ingest with degradation gate — so the fitted
 // ModelSet is byte-identical to a batch run over the same files. With a
-// checkpoint directory, the campaign stores every fit task as its own
-// record under CheckpointDir/<app>, and with Resume it reuses every task
-// whose content key — metric, callpath, series and modeling options — an
-// earlier campaign already stored. A restart over an unchanged spool
+// checkpoint store, the campaign stores every fit task as its own record,
+// and with Resume it reuses every task whose content key — metric,
+// callpath, series and modeling options — an earlier campaign of any
+// application already stored. A restart over an unchanged spool
 // therefore refits nothing. A new upload changes the series of every
 // kernel it measures, so those kernels refit; every task whose series it
 // leaves unchanged is reused.
@@ -99,34 +97,13 @@ func (a *appState) abort() {
 // file whose bytes equal the admitted upload reuses the profile the
 // upload handler decoded instead of decoding it a second time.
 func (s *Server) campaign(ctx context.Context, a *appState, gen int64, decoded map[string]ingest.Decoded) (*Snapshot, *fitOutcome) {
-	cfg := s.cfg
-	var ckpt *resilience.Store
-	if cfg.CheckpointDir != "" {
-		dir := filepath.Join(cfg.CheckpointDir, a.name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, &fitOutcome{gen: gen, err: err}
-		}
-		ckpt = &resilience.Store{Dir: dir}
-	}
-	pl := pipeline.New(pipeline.Config{
-		Workers:           cfg.Workers,
-		Aggregation:       cfg.Aggregation,
-		Modeling:          cfg.Modeling,
-		MinConfigurations: cfg.MinConfigurations,
-		Observer:          cfg.Observer,
-		Retry:             resilience.RetryPolicy{MaxAttempts: cfg.Retries},
-		StageTimeout:      cfg.StageTimeout,
-		Clock:             cfg.Clock,
-		Checkpoint:        ckpt,
-		Resume:            cfg.Resume,
-	})
-	res, err := pl.Run(ctx, pipeline.RunSpec{
-		ProfilesDir: filepath.Join(cfg.SpoolDir, a.name),
+	res, err := pipeline.New(s.cfg.Config).Run(ctx, pipeline.RunSpec{
+		ProfilesDir: filepath.Join(s.cfg.SpoolDir, a.name),
 		Format:      a.spoolFormat(),
-		Ingest:      ingest.Options{Policy: ingest.Lenient, MinConfigurations: cfg.MinConfigurations},
+		Ingest:      ingest.Options{Policy: ingest.Lenient},
 		Decoded:     decoded,
-		Setup:       cfg.Setup,
-		Analyze:     cfg.Analyze,
+		Setup:       s.cfg.Setup,
+		Analyze:     s.cfg.Analyze,
 	})
 	if err != nil {
 		var ge *ingest.GateError

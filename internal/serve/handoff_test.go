@@ -22,18 +22,18 @@ import (
 	"extradeep/internal/serve"
 )
 
-// ingestCounters returns the counters of the last ingest stage the
+// stageCounters returns the counters of the last stage of that name the
 // collector saw.
-func ingestCounters(tb testing.TB, c *pipeline.Collector) pipeline.Counters {
+func stageCounters(tb testing.TB, c *pipeline.Collector, stage pipeline.Stage) pipeline.Counters {
 	tb.Helper()
 	var out pipeline.Counters
 	for _, st := range c.Stats() {
-		if st.Stage == pipeline.StageIngest {
+		if st.Stage == stage {
 			out = st.Counters
 		}
 	}
 	if out == nil {
-		tb.Fatal("no ingest stage observed")
+		tb.Fatalf("no %s stage observed", stage)
 	}
 	return out
 }
@@ -60,11 +60,11 @@ func (c gatedClock) Sleep(ctx context.Context, d time.Duration) error {
 func TestServeHandoffReusesUploadDecode(t *testing.T) {
 	files := makeCampaign(t, defaultRanks, 2, 41)
 	obs := &pipeline.Collector{}
-	s := startServer(t, serve.Config{Observer: obs})
+	s := startServer(t, serve.Config{Config: pipeline.Config{Observer: obs}})
 	s.mustUpload(t, testApp, contentsOf(files))
 	s.settle(t, testApp)
 
-	c := ingestCounters(t, obs)
+	c := stageCounters(t, obs, pipeline.StageIngest)
 	if c["loaded"] != len(files) || c["reused"] != c["loaded"] {
 		t.Errorf("ingest counters %v, want loaded=reused=%d", c, len(files))
 	}
@@ -92,7 +92,7 @@ func TestServeHandoffFileChangedOnDisk(t *testing.T) {
 
 	clock := gatedClock{FakeClock: resilience.NewFakeClock(), gate: make(chan struct{})}
 	obs := &pipeline.Collector{}
-	s := startServer(t, serve.Config{CoalesceWindow: time.Minute, Clock: clock, Observer: obs})
+	s := startServer(t, serve.Config{Config: pipeline.Config{Clock: clock, Observer: obs}, CoalesceWindow: time.Minute})
 	s.mustUpload(t, testApp, contentsOf(files))
 	if err := os.WriteFile(filepath.Join(s.spool, testApp, victim), []byte(other[victim]), 0o644); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestServeHandoffFileChangedOnDisk(t *testing.T) {
 	close(clock.gate)
 	s.settle(t, testApp)
 
-	c := ingestCounters(t, obs)
+	c := stageCounters(t, obs, pipeline.StageIngest)
 	if c["loaded"] != len(files) || c["reused"] != len(files)-1 {
 		t.Errorf("ingest counters %v, want loaded=%d reused=%d", c, len(files), len(files)-1)
 	}
@@ -120,7 +120,7 @@ func TestServeHandoffFileDamagedOnDisk(t *testing.T) {
 	files := makeCampaign(t, defaultRanks, 2, 47)
 	clock := gatedClock{FakeClock: resilience.NewFakeClock(), gate: make(chan struct{})}
 	obs := &pipeline.Collector{}
-	s := startServer(t, serve.Config{CoalesceWindow: time.Minute, Clock: clock, Observer: obs})
+	s := startServer(t, serve.Config{Config: pipeline.Config{Clock: clock, Observer: obs}, CoalesceWindow: time.Minute})
 	s.mustUpload(t, testApp, contentsOf(files))
 	names := make([]string, 0, len(files))
 	for n := range files {
@@ -136,7 +136,7 @@ func TestServeHandoffFileDamagedOnDisk(t *testing.T) {
 	if snap.Quarantined != 1 || snap.Profiles != len(files)-1 {
 		t.Errorf("snapshot: %d profiles, %d quarantined; want %d and 1", snap.Profiles, snap.Quarantined, len(files)-1)
 	}
-	c := ingestCounters(t, obs)
+	c := stageCounters(t, obs, pipeline.StageIngest)
 	if c["reused"] != len(files)-1 || c["quarantined"] != 1 {
 		t.Errorf("ingest counters %v, want reused=%d quarantined=1", c, len(files)-1)
 	}
@@ -163,9 +163,9 @@ func TestServeHandoffEmptyAfterRestart(t *testing.T) {
 	}
 
 	obs := &pipeline.Collector{}
-	second := startServer(t, serve.Config{SpoolDir: spool, Observer: obs})
+	second := startServer(t, serve.Config{Config: pipeline.Config{Observer: obs}, SpoolDir: spool})
 	second.settle(t, testApp)
-	c := ingestCounters(t, obs)
+	c := stageCounters(t, obs, pipeline.StageIngest)
 	if c["loaded"] != len(files) || c["reused"] != 0 {
 		t.Errorf("ingest counters %v, want loaded=%d reused=0", c, len(files))
 	}
@@ -201,7 +201,7 @@ func TestServeUploadRefusalIndependentOfWorkers(t *testing.T) {
 	} {
 		var want []byte
 		for _, workers := range []int{1, 4} {
-			s := startServer(t, serve.Config{Workers: workers})
+			s := startServer(t, serve.Config{Config: pipeline.Config{Workers: workers}})
 			status, body := s.upload(t, tc.app, "json", docs)
 			if status != tc.status {
 				t.Fatalf("%s workers=%d: status %d, want %d; body %s", tc.app, workers, status, tc.status, body)

@@ -15,7 +15,9 @@ import (
 	"sync"
 	"testing"
 
+	"extradeep/internal/pipeline"
 	"extradeep/internal/propcheck"
+	"extradeep/internal/resilience"
 	"extradeep/internal/serve"
 )
 
@@ -138,7 +140,7 @@ func TestPropServeIncremental(t *testing.T) {
 
 		// Incremental path: batches uploaded one at a time, settling in
 		// between so every intermediate campaign actually runs.
-		inc := startServer(t, serve.Config{CheckpointDir: t.TempDir(), Resume: true})
+		inc := startServer(t, serve.Config{Config: pipeline.Config{Checkpoint: &resilience.Store{Dir: t.TempDir()}, Resume: true}})
 		for _, batch := range splitContents(files, p.Order, p.Batches) {
 			status, body := inc.upload(t, testApp, "json", batch)
 			if status != http.StatusAccepted {

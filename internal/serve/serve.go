@@ -12,13 +12,12 @@
 // GET /v1/apps/{app}/{predict,speedup,efficiency,cost,models,report}
 // from an atomically swapped fitted-model snapshot. The architecture:
 //
-//   - Store: application states sharded by FNV-1a of the app name, each
-//     shard behind its own mutex, so uploads and queries for different
-//     applications never contend on one lock. Per-application state
-//     carries the upload spool bookkeeping plus an atomic.Pointer to the
-//     current Snapshot — queries load the pointer once and answer
-//     entirely from that value, so a response always reflects one fully
-//     fitted campaign, never a torn mix of two.
+//   - Store: one mutex over the application map, held only to look up
+//     or insert an application. Per-application state carries the
+//     upload spool bookkeeping plus an atomic.Pointer to the current
+//     Snapshot — queries load the pointer once and answer entirely from
+//     that value, so a response always reflects one fully fitted
+//     campaign, never a torn mix of two.
 //
 //   - Fit scheduling: an upload marks its application dirty and ensures
 //     exactly one fit loop goroutine runs for it. The loop clears the
@@ -44,10 +43,13 @@
 //     still holds exactly those bytes; anything else — a file changed on
 //     disk, every file after a restart — is decoded from the spool.
 //
-//   - Incremental re-fit: with a checkpoint directory configured, every
-//     campaign runs with resilience checkpointing and resume, so adding
-//     one configuration re-fits only the tasks whose content keys
-//     changed — unchanged kernels are reused byte-identically.
+//   - Incremental re-fit: with a checkpoint store configured, every
+//     campaign stores each fit task as its own record keyed by the
+//     task's content, in the one store every application shares; with
+//     Resume, adding one configuration re-fits only the tasks whose
+//     content keys changed — unchanged kernels, and any task another
+//     application already fitted on identical series, are reused
+//     byte-identically.
 //
 // All handlers honor context cancellation and a per-request deadline
 // budget derived through resilience.Clock; fit campaigns run under the
@@ -66,53 +68,39 @@ import (
 	"sync"
 	"time"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
-	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/resilience"
 )
 
 // Config assembles a Server. SpoolDir and Setup are required; everything
 // else has serving defaults.
+//
+// The embedded pipeline.Config is the batch pipeline's configuration,
+// run as is by every campaign: Workers also bounds the validation of one
+// upload, Clock also paces request deadlines and coalescing windows, and
+// Checkpoint is one content-keyed record store shared by every
+// application (with Resume, a campaign reuses every fit task any earlier
+// campaign stored, whichever application it belonged to).
 type Config struct {
+	pipeline.Config
+
 	// SpoolDir is the root of the per-application upload spool: accepted
 	// uploads are written verbatim to SpoolDir/<app>/<canonical name>,
 	// and fit campaigns run the ingest stage over that directory. The
 	// spool is the server's durable input state — a restarted server
 	// rescans it and re-fits every application found.
 	SpoolDir string
-	// CheckpointDir enables incremental fit checkpointing: each
-	// application's campaigns persist per-task state under
-	// CheckpointDir/<app>. Empty disables checkpointing.
-	CheckpointDir string
-	// Resume reuses checkpointed fit tasks across campaigns (and across
-	// server restarts), so an incremental upload re-fits only tasks whose
-	// content keys changed. Ignored without CheckpointDir.
-	Resume bool
 	// Setup derives the training-setup values (Section 2.3.1) per
 	// configuration, exactly as the batch CLI's -benchmark/-batch flags
 	// do. Required.
 	Setup epoch.SetupFunc
 	// Analyze configures the Section 3 questions answered per campaign.
 	Analyze pipeline.AnalyzeOptions
-	// Aggregation and Modeling configure the pipeline stages; zero values
-	// use the package defaults (matching the batch CLI).
-	Aggregation aggregate.Options
-	Modeling    modeling.Options
-	// MinConfigurations is the ingest degradation gate's per-application
-	// minimum; 0 means the paper's five.
-	MinConfigurations int
-	// Workers bounds the worker pool (pipeline.ForEach) that validates
-	// the documents of one upload and, per campaign, decodes the spooled
-	// profiles and runs the fit (0 = all cores).
-	Workers int
 	// MaxCampaigns bounds how many applications may fit concurrently
 	// (default 2). The per-campaign fan-out is bounded separately by
 	// Workers.
 	MaxCampaigns int
-	// Shards is the store's shard count (default 16).
-	Shards int
 	// RequestTimeout is the per-request deadline budget applied to every
 	// handler (default 30s; negative disables).
 	RequestTimeout time.Duration
@@ -120,17 +108,8 @@ type Config struct {
 	// mark before starting a campaign, so a burst of uploads lands in one
 	// re-fit (default 0: fit immediately).
 	CoalesceWindow time.Duration
-	// StageTimeout and Retries are the campaign's per-stage resilience
-	// budget and retry policy, as in the batch CLI.
-	StageTimeout time.Duration
-	Retries      int
 	// MaxUploadBytes bounds one upload request body (default 64 MiB).
 	MaxUploadBytes int64
-	// Clock paces request deadlines, coalescing windows and campaign
-	// retries; nil means the wall clock. Tests substitute a FakeClock.
-	Clock resilience.Clock
-	// Observer receives per-campaign stage events; nil discards them.
-	Observer pipeline.Observer
 }
 
 func (c Config) maxCampaigns() int {
@@ -157,7 +136,7 @@ func (c Config) maxUploadBytes() int64 {
 	return c.MaxUploadBytes
 }
 
-// Server is the modeling service: a sharded application store plus the
+// Server is the modeling service: an application store plus the
 // fit scheduler. Create with New, wire into an http.Server via Handler,
 // call Start to begin serving fits, and Drain on shutdown.
 type Server struct {
@@ -200,7 +179,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:    cfg,
-		store:  newStore(cfg.Shards),
+		store:  newStore(),
 		clock:  clock,
 		fitSem: make(chan struct{}, cfg.maxCampaigns()),
 	}, nil
@@ -208,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 
 // Start records the lifecycle context, rescans the spool for
 // applications left by a previous process, and schedules a fit for each
-// — with Config.Resume and an intact checkpoint directory those fits
+// — with Config.Resume and an intact checkpoint store those fits
 // reuse every unchanged task, so a restarted server converges to
 // identical predictions cheaply. Start must be called exactly once.
 func (s *Server) Start(ctx context.Context) error {

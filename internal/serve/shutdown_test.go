@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"extradeep/internal/pipeline"
+	"extradeep/internal/resilience"
 	"extradeep/internal/serve"
 )
 
@@ -22,9 +24,8 @@ import (
 func restartable(tb testing.TB, spool, ckpt string, coalesce time.Duration) (*testServer, context.CancelFunc) {
 	tb.Helper()
 	cfg := serve.Config{
+		Config:         pipeline.Config{Checkpoint: &resilience.Store{Dir: ckpt}, Resume: true},
 		SpoolDir:       spool,
-		CheckpointDir:  ckpt,
-		Resume:         true,
 		Setup:          testSetup(tb),
 		CoalesceWindow: coalesce,
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"hash/fnv"
 	"regexp"
 	"sort"
 	"strings"
@@ -14,79 +13,45 @@ import (
 	"extradeep/internal/profile"
 )
 
-// store holds every application's state, sharded by FNV-1a of the app
-// name so uploads and queries for different applications contend only
-// within their shard. Shard count is fixed at construction.
+// store holds every application's state: a mutex over the app map. The
+// map holds pointers; app state has its own finer-grained
+// synchronization, so the lock is held only for lookup/insert.
 type store struct {
-	shards []*shard
-}
-
-// shard is one bucket of the store: a mutex over its app map. The map
-// holds pointers; app state has its own finer-grained synchronization,
-// so the shard lock is held only for lookup/insert.
-type shard struct {
 	mu   sync.Mutex
 	apps map[string]*appState
 }
 
-const defaultShards = 16
-
-func newStore(shards int) *store {
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	st := &store{shards: make([]*shard, shards)}
-	for i := range st.shards {
-		st.shards[i] = &shard{apps: make(map[string]*appState)}
-	}
-	return st
-}
-
-// shardOf maps an app name to its shard.
-func (st *store) shardOf(app string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(app))
-	return st.shards[int(h.Sum32())%len(st.shards)]
+func newStore() *store {
+	return &store{apps: make(map[string]*appState)}
 }
 
 // get returns the state for app, creating it on first use.
 func (st *store) get(app string) *appState {
-	sh := st.shardOf(app)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a, ok := sh.apps[app]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	a, ok := st.apps[app]
 	if !ok {
 		a = &appState{name: app, ids: map[identity]string{}, pubCh: make(chan struct{})}
-		sh.apps[app] = a
+		st.apps[app] = a
 	}
 	return a
 }
 
 // lookup returns the state for app without creating it.
 func (st *store) lookup(app string) (*appState, bool) {
-	sh := st.shardOf(app)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	a, ok := sh.apps[app]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	a, ok := st.apps[app]
 	return a, ok
 }
 
 // names returns every known application name, sorted — the /v1/apps
 // listing must not leak map iteration order.
 func (st *store) names() []string {
-	var out []string
-	for _, sh := range st.shards {
-		out = append(out, sh.names()...)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (sh *shard) names() []string {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]string, 0, len(sh.apps))
-	for name := range sh.apps {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make([]string, 0, len(st.apps))
+	for name := range st.apps {
 		out = append(out, name)
 	}
 	sort.Strings(out)

@@ -141,3 +141,34 @@ func SetupFunc(b Benchmark, strategy parallel.Strategy, weakScaling bool) epoch.
 		return EpochParams(b, strategy, ranks, weakScaling)
 	}
 }
+
+// SetupFromFlags derives the epoch.SetupFunc the extradeep and edserve
+// commands fit with: from the built-in benchmark named by benchmark or,
+// when that is empty, from an explicit per-worker batch size, training
+// and validation set sizes and model-parallel degree m.
+func SetupFromFlags(benchmark string, strategy parallel.Strategy, weakScaling bool, batch, trainSamples, valSamples, m float64) (epoch.SetupFunc, error) {
+	if benchmark != "" {
+		b, err := ByName(benchmark)
+		if err != nil {
+			return nil, err
+		}
+		return SetupFunc(b, strategy, weakScaling), nil
+	}
+	if batch <= 0 || trainSamples <= 0 {
+		return nil, fmt.Errorf("either -benchmark or -batch and -train-samples must be given")
+	}
+	return func(point measurement.Point) epoch.Params {
+		ranks := point[0]
+		train := trainSamples
+		if weakScaling {
+			train *= ranks
+		}
+		return epoch.Params{
+			BatchSize:     batch,
+			TrainSamples:  train,
+			ValSamples:    valSamples,
+			DataParallel:  ranks,
+			ModelParallel: m,
+		}
+	}, nil
+}

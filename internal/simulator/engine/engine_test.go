@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"extradeep/internal/calltree"
+	"extradeep/internal/epoch"
 	"extradeep/internal/mathutil"
 	"extradeep/internal/measurement"
 	"extradeep/internal/simulator/hardware"
@@ -107,6 +108,40 @@ func TestSetupFunc(t *testing.T) {
 	p := f(measurement.Point{8})
 	if !mathutil.Close(p.DataParallel, 8) {
 		t.Errorf("setup G = %v, want 8", p.DataParallel)
+	}
+}
+
+func TestSetupFromFlags(t *testing.T) {
+	strat := parallel.DataParallel{}
+	named, err := SetupFromFlags("cifar10", strat, true, 0, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SetupFunc(mustBenchmark(t, "cifar10"), strat, true)(measurement.Point{8})
+	if got := named(measurement.Point{8}); got != want {
+		t.Errorf("benchmark setup = %+v, want %+v", got, want)
+	}
+
+	for _, weak := range []bool{false, true} {
+		explicit, err := SetupFromFlags("", strat, weak, 32, 1000, 100, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train := 1000.0
+		if weak {
+			train *= 4
+		}
+		want := epoch.Params{BatchSize: 32, TrainSamples: train, ValSamples: 100, DataParallel: 4, ModelParallel: 2}
+		if got := explicit(measurement.Point{4}); got != want {
+			t.Errorf("explicit setup (weak=%v) = %+v, want %+v", weak, got, want)
+		}
+	}
+
+	if _, err := SetupFromFlags("nope", strat, true, 0, 0, 0, 1); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+	if _, err := SetupFromFlags("", strat, true, 32, 0, 0, 1); err == nil {
+		t.Error("missing -train-samples accepted")
 	}
 }
 

@@ -57,6 +57,14 @@ go vet ./...
 begin build build "go build ./..."
 go build ./...
 
+# perfbench is its own module (the gated end-to-end benchmark), so the
+# vet and build stages above never compile it: a break in an API it uses
+# (serve.Config, core.GridSetup, core.EncodeModels, ...) would otherwise
+# only surface when the benchmark runs. go vet type-checks every package
+# without writing a perfbench binary into the tree, as go build would.
+begin perfbench-build build "perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
+
 begin test test "go test -race ./..."
 go test -race ./...
 
