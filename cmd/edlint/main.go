@@ -139,7 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Analyzers: analyzers,
 		Filter:    filter,
 		CacheDir:  *cacheDir,
-		NoCache:   *cacheDir == "",
 	})
 	if err != nil {
 		sayln(stderr, err)

@@ -32,19 +32,15 @@ import (
 const lintCacheFormat = 1
 
 // Options configures a Lint run. The zero value runs the default
-// analyzer suite over every package with caching under DefaultCacheDir.
+// analyzer suite over every package without the findings cache.
 type Options struct {
 	// Analyzers to run; nil means DefaultAnalyzers().
 	Analyzers []*Analyzer
 	// Filter restricts reported packages (nil selects everything). A
 	// non-nil filter bypasses the findings cache.
 	Filter func(*Package) bool
-	// CacheDir overrides the cache location; "" means DefaultCacheDir().
+	// CacheDir is the findings cache directory; "" disables the cache.
 	CacheDir string
-	// NoCache disables the findings cache.
-	NoCache bool
-	// Workers bounds type-checking concurrency; <=0 means GOMAXPROCS.
-	Workers int
 }
 
 // Stats reports where a Lint run's time went and how the cache resolved.
@@ -60,8 +56,6 @@ type Stats struct {
 	AnalyzeMS int64
 	// FindingsCache is "hit", "miss", "bypass" (filter set), or "off".
 	FindingsCache string
-	// Workers is the effective type-check concurrency.
-	Workers int
 }
 
 // DefaultCacheDir returns the per-user edlint cache directory, or "" when
@@ -88,20 +82,12 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 	if analyzers == nil {
 		analyzers = DefaultAnalyzers()
 	}
-	cacheDir := opts.CacheDir
-	if cacheDir == "" {
-		cacheDir = DefaultCacheDir()
-	}
-	if opts.NoCache {
-		cacheDir = ""
-	}
-
 	stats := &Stats{FindingsCache: "off"}
 	start := time.Now()
 
 	// On a findings hit nothing needs loading at all.
 	var findKey string
-	if cacheDir != "" {
+	if opts.CacheDir != "" {
 		if opts.Filter != nil {
 			stats.FindingsCache = "bypass"
 		} else {
@@ -109,7 +95,7 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			if diags, ok := loadFindings(cacheDir, findKey); ok {
+			if diags, ok := loadFindings(opts.CacheDir, findKey); ok {
 				stats.FindingsCache = "hit"
 				stats.Findings = len(diags)
 				stats.LoadMS = time.Since(start).Milliseconds()
@@ -119,11 +105,10 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 		}
 	}
 
-	mod, lstats, err := LoadModuleWith(root, LoadOptions{Workers: opts.Workers})
+	mod, err := LoadModule(root)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Workers = lstats.Workers
 	stats.Packages = len(mod.Pkgs)
 	stats.LoadMS = time.Since(start).Milliseconds()
 
@@ -133,7 +118,7 @@ func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
 	stats.Findings = len(diags)
 
 	if findKey != "" {
-		saveFindings(cacheDir, findKey, diags)
+		saveFindings(opts.CacheDir, findKey, diags)
 	}
 	return diags, stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestLintCacheParity(t *testing.T) {
 	root := copyFixtureModule(t)
 	cacheDir := t.TempDir()
 
-	cold, cstats, err := Lint(root, Options{NoCache: true})
+	cold, cstats, err := Lint(root, Options{})
 	if err != nil {
 		t.Fatalf("cacheless run: %v", err)
 	}
@@ -87,16 +88,17 @@ func TestLintFilterBypassesFindingsCache(t *testing.T) {
 	}
 }
 
-// TestLoadModuleWorkersParity: the parallel loader must produce the same
-// analysis — same unit order, same findings — for any worker count. Run
+// TestLoadModuleWorkersParity: the concurrent loader must produce the
+// same analysis — same unit order, same findings — whether its goroutines
+// run one at a time (GOMAXPROCS 1) or in parallel (GOMAXPROCS 4). Run
 // under -race this doubles as the loader's data-race test.
 func TestLoadModuleWorkersParity(t *testing.T) {
 	root := copyFixtureModule(t)
-	seq, err := LoadModule(root)
+	seq, err := loadAtProcs(t, root, 1)
 	if err != nil {
 		t.Fatalf("sequential load: %v", err)
 	}
-	par, _, err := LoadModuleWith(root, LoadOptions{Workers: 4})
+	par, err := loadAtProcs(t, root, 4)
 	if err != nil {
 		t.Fatalf("parallel load: %v", err)
 	}
@@ -113,6 +115,14 @@ func TestLoadModuleWorkersParity(t *testing.T) {
 	if a != b {
 		t.Errorf("findings differ between sequential and parallel load\n--- sequential ---\n%s--- parallel ---\n%s", a, b)
 	}
+}
+
+// loadAtProcs loads the module at root with GOMAXPROCS set to procs; the
+// test's original setting is restored in t.Cleanup.
+func loadAtProcs(t testing.TB, root string, procs int) (*Module, error) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	return LoadModule(root)
 }
 
 // TestImportCycleReported: the upfront cycle check must name the cycle
@@ -132,7 +142,7 @@ func TestImportCycleReported(t *testing.T) {
 	write("go.mod", "module cyc\n\ngo 1.24\n")
 	write("a/a.go", "package a\n\nimport \"cyc/b\"\n\nvar A = b.B\n")
 	write("b/b.go", "package b\n\nimport \"cyc/a\"\n\nvar B = a.A\n")
-	_, _, err := LoadModuleWith(root, LoadOptions{Workers: 4})
+	_, err := LoadModule(root)
 	if err == nil || !strings.Contains(err.Error(), "import cycle") {
 		t.Fatalf("cyclic module: got error %v, want an import cycle report", err)
 	}

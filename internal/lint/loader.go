@@ -13,7 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,40 +54,28 @@ type Module struct {
 	Pkgs []*Package
 }
 
-// LoadOptions tunes LoadModuleWith's schedule; the loaded module never
-// depends on it.
-type LoadOptions struct {
-	// Workers bounds type-checking concurrency; <=0 means GOMAXPROCS.
-	Workers int
-}
-
-// LoadStats reports how a LoadModuleWith call ran.
-type LoadStats struct {
-	// Workers is the effective concurrency bound.
-	Workers int
-}
-
 // dirEntry is one source directory of the module, split into the file
-// groups Go's build model distinguishes.
+// groups Go's build model distinguishes, plus the memo of its plain
+// (importable) type-check: the first importer runs it under once and any
+// concurrent importer waits for the result.
 type dirEntry struct {
 	dir     string // absolute
-	path    string // import path
 	plain   []*ast.File
 	inTest  []*ast.File // _test.go, same package name
 	extTest []*ast.File // _test.go, package name + "_test"
-	pkgName string
+
+	once sync.Once
+	pkg  *types.Package
+	err  error
 }
 
-// loader resolves and type-checks packages on demand, memoizing results.
-// After scan() the dirs map is read-only; plain/loading are guarded by mu
-// so phase-2 units can import concurrently.
+// loader resolves and type-checks packages on demand. After scan() the
+// dirs map is read-only, so units can import concurrently; each entry's
+// once serializes its own build.
 type loader struct {
-	fset    *token.FileSet
-	dirs    map[string]*dirEntry // import path → entry
-	mu      sync.Mutex
-	plain   map[string]*types.Package
-	loading map[string]bool
-	std     *stdImporter
+	fset *token.FileSet
+	dirs map[string]*dirEntry // import path → entry
+	std  *stdImporter
 }
 
 // stdImporter resolves non-module imports from the toolchain's compiled
@@ -194,122 +182,71 @@ func exportData(dir string, paths []string) (map[string]string, error) {
 // from the toolchain's compiled export data, so the go command must be on
 // PATH; a failed lookup is an *ExportDataError. Type-check errors anywhere
 // in the module fail the load: analyzers only ever see well-typed code.
+//
+// Every analysis unit is checked on its own goroutine; a module package
+// it imports is type-checked once, by its first importer. Results do not
+// depend on the interleaving: unit order is path order, and on failure
+// the error of the first unit in that order wins.
 func LoadModule(root string) (*Module, error) {
-	mod, _, err := LoadModuleWith(root, LoadOptions{})
-	return mod, err
-}
-
-// LoadModuleWith is LoadModule with bounded parallel type-checking
-// across the module's import DAG. The load runs in two phases: plain
-// (importable) packages are checked level by level along the dependency
-// order, then every analysis unit — which only ever imports
-// already-memoized plain packages — is checked concurrently. Results are
-// deterministic regardless of worker count: unit order is path order,
-// and on failure the error of the first unit in that order wins.
-func LoadModuleWith(root string, opts LoadOptions) (*Module, *LoadStats, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fset := token.NewFileSet()
-	ld := &loader{
-		fset:    fset,
-		dirs:    make(map[string]*dirEntry),
-		plain:   make(map[string]*types.Package),
-		loading: make(map[string]bool),
-	}
+	ld := &loader{fset: fset, dirs: make(map[string]*dirEntry)}
 	if err := ld.scan(root, modPath); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(ld.dirs) == 0 {
-		return nil, nil, fmt.Errorf("lint: module %s at %s contains no Go files", modPath, root)
+		return nil, fmt.Errorf("lint: module %s at %s contains no Go files", modPath, root)
 	}
 	if ld.std, err = newStdImporter(fset, root, ld.externalImports()); err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	// A cycle would make a package's memo wait on itself, so it is
+	// rejected up front with the chain named.
+	if cyc := importCycle(ld.plainDeps()); cyc != nil {
+		return nil, fmt.Errorf("lint: import cycle: %s", strings.Join(cyc, " → "))
 	}
 
-	stats := &LoadStats{Workers: opts.Workers}
-	if stats.Workers <= 0 {
-		stats.Workers = runtime.GOMAXPROCS(0)
-	}
-
-	// The scheduler needs the plain-package import DAG up front: the
-	// level plan comes from it, and a cycle would otherwise deadlock-shape
-	// into a false "still loading" answer under concurrency instead of
-	// the clear report the sequential walk used to give.
-	deps := ld.plainDeps()
-	if cyc := importCycle(deps); cyc != nil {
-		return nil, nil, fmt.Errorf("lint: import cycle: %s", strings.Join(cyc, " → "))
-	}
-
-	// Phase 1: memoize every plain package any unit will import, level by
-	// level so that a package's dependencies are always already built when
-	// its own check starts. Within a level, packages are independent.
-	for _, level := range topoLevels(ld.neededPlain(deps), deps) {
-		level := level
-		err := runPool(stats.Workers, len(level), func(i int) error {
-			if _, err := ld.Import(level[i]); err != nil {
-				return fmt.Errorf("lint: %s: %w", level[i], err)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Phase 2: check every analysis unit. Units never depend on each
-	// other — they import only plain packages — so they all run at once.
 	paths := make([]string, 0, len(ld.dirs))
 	for p := range ld.dirs {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-
-	type unitSpec struct {
-		path   string
-		dir    string
-		files  []*ast.File
-		isTest bool
-	}
-	var specs []unitSpec
+	var units []*Package
 	for _, path := range paths {
 		e := ld.dirs[path]
 		// Unit 1: the package itself, with in-package tests when present.
 		if files := append(append([]*ast.File(nil), e.plain...), e.inTest...); len(files) > 0 {
-			specs = append(specs, unitSpec{path, e.dir, files, len(e.inTest) > 0})
+			units = append(units, &Package{Path: path, Dir: e.dir, Files: files, IsTest: len(e.inTest) > 0})
 		}
 		// Unit 2: the external test package, if any.
 		if len(e.extTest) > 0 {
-			specs = append(specs, unitSpec{path + "_test", e.dir, e.extTest, true})
+			units = append(units, &Package{Path: path + "_test", Dir: e.dir, Files: e.extTest, IsTest: true})
 		}
 	}
-	units := make([]*Package, len(specs))
-	err = runPool(stats.Workers, len(specs), func(i int) error {
-		s := specs[i]
-		info := newInfo()
-		tpkg, err := ld.check(s.path, s.files, info)
+	errs := make([]error, len(units))
+	var wg sync.WaitGroup
+	for i, u := range units {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			u.Info = newInfo()
+			u.Types, errs[i] = ld.check(u.Path, u.Files, u.Info)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("lint: %s: %w", s.path, err)
+			return nil, fmt.Errorf("lint: %s: %w", units[i].Path, err)
 		}
-		units[i] = &Package{
-			Path:   s.path,
-			Dir:    s.dir,
-			Files:  s.files,
-			Types:  tpkg,
-			Info:   info,
-			IsTest: s.isTest,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	return &Module{Root: root, Path: modPath, Fset: fset, Pkgs: units}, stats, nil
+	return &Module{Root: root, Path: modPath, Fset: fset, Pkgs: units}, nil
 }
 
 // LoadDir parses and type-checks the single directory dir as a package
@@ -322,7 +259,7 @@ func LoadDir(dir, path string) (*Module, *Package, error) {
 		return nil, nil, err
 	}
 	fset := token.NewFileSet()
-	files, _, err := parseDir(fset, dir)
+	files, err := parseDir(fset, dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,13 +270,7 @@ func LoadDir(dir, path string) (*Module, *Package, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ld := &loader{
-		fset:    fset,
-		dirs:    map[string]*dirEntry{},
-		plain:   map[string]*types.Package{},
-		loading: map[string]bool{},
-		std:     std,
-	}
+	ld := &loader{fset: fset, std: std}
 	info := newInfo()
 	tpkg, err := ld.check(path, files, info)
 	if err != nil {
@@ -366,7 +297,7 @@ func (ld *loader) scan(root, modPath string) error {
 			name == "vendor" || name == "testdata") {
 			return filepath.SkipDir
 		}
-		files, pkgName, perr := parseDir(ld.fset, p)
+		files, perr := parseDir(ld.fset, p)
 		if perr != nil {
 			return perr
 		}
@@ -381,7 +312,7 @@ func (ld *loader) scan(root, modPath string) error {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		e := &dirEntry{dir: p, path: path, pkgName: pkgName}
+		e := &dirEntry{dir: p}
 		for _, f := range files {
 			fname := ld.fset.Position(f.Package).Filename
 			switch {
@@ -399,14 +330,13 @@ func (ld *loader) scan(root, modPath string) error {
 }
 
 // parseDir parses every .go file of one directory (without recursing) and
-// returns the files in name order plus the non-test package name.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
+// returns the files in name order.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var files []*ast.File
-	pkgName := ""
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasSuffix(name, ".go") ||
@@ -415,14 +345,11 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		files = append(files, f)
-		if !strings.HasSuffix(name, "_test.go") {
-			pkgName = f.Name.Name
-		}
 	}
-	return files, pkgName, nil
+	return files, nil
 }
 
 // fileImports returns the distinct unquoted import paths of files.
@@ -458,7 +385,7 @@ func (ld *loader) externalImports() []string {
 		}
 	}
 	sort.Strings(out)
-	return dedupSorted(out)
+	return slices.Compact(out)
 }
 
 // plainDeps maps each module package to its module-internal imports from
@@ -475,43 +402,6 @@ func (ld *loader) plainDeps() map[string][]string {
 		deps[path] = ds
 	}
 	return deps
-}
-
-// neededPlain returns, transitively closed and sorted, every module
-// package some analysis unit imports — the set phase 1 must memoize.
-// Test files participate as importers here: an external test package's
-// self-import makes its package under test needed.
-func (ld *loader) neededPlain(deps map[string][]string) []string {
-	need := make(map[string]bool)
-	var add func(p string)
-	add = func(p string) {
-		if need[p] {
-			return
-		}
-		need[p] = true
-		for _, d := range deps[p] {
-			add(d)
-		}
-	}
-	dirPaths := make([]string, 0, len(ld.dirs))
-	for p := range ld.dirs {
-		dirPaths = append(dirPaths, p)
-	}
-	sort.Strings(dirPaths)
-	for _, dp := range dirPaths {
-		e := ld.dirs[dp]
-		for _, p := range fileImports(e.plain, e.inTest, e.extTest) {
-			if _, ok := ld.dirs[p]; ok {
-				add(p)
-			}
-		}
-	}
-	out := make([]string, 0, len(need))
-	for p := range need {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // importCycle returns one module-internal import cycle as a path of
@@ -561,132 +451,17 @@ func importCycle(deps map[string][]string) []string {
 	return nil
 }
 
-// topoLevels layers the needed packages by dependency depth: level 0 has
-// no module-internal imports, level k imports only levels < k. Levels are
-// sorted, so the schedule is deterministic for any worker count.
-func topoLevels(needed []string, deps map[string][]string) [][]string {
-	inNeed := make(map[string]bool, len(needed))
-	for _, p := range needed {
-		inNeed[p] = true
-	}
-	depth := make(map[string]int, len(needed))
-	var rank func(p string) int
-	rank = func(p string) int {
-		if d, ok := depth[p]; ok {
-			return d
-		}
-		depth[p] = 0 // settled below; cycles were rejected before this runs
-		max := 0
-		for _, d := range deps[p] {
-			if inNeed[d] {
-				if r := rank(d) + 1; r > max {
-					max = r
-				}
-			}
-		}
-		depth[p] = max
-		return max
-	}
-	var levels [][]string
-	for _, p := range needed {
-		r := rank(p)
-		for len(levels) <= r {
-			levels = append(levels, nil)
-		}
-		levels[r] = append(levels[r], p)
-	}
-	for _, lvl := range levels {
-		sort.Strings(lvl)
-	}
-	return levels
-}
-
-// dedupSorted removes adjacent duplicates from a sorted slice in place.
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// runPool runs fn(0..n-1) on at most workers goroutines and returns the
-// error of the smallest failing index, mirroring internal/pipeline's
-// ForEach contract: results are deterministic for any worker count, and
-// every started task runs to completion before the pool returns.
-func runPool(workers, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	tasks := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		tasks <- i
-	}
-	close(tasks)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Import resolves an import path: module-internal packages are
-// type-checked from the scanned sources (memoized, cycle-checked), and
-// everything else is delegated to the standard-library importer. Safe for
-// concurrent use; LoadModuleWith's level schedule guarantees no two
-// goroutines ever build the same plain package.
+// type-checked from the scanned sources, once per package, and everything
+// else is delegated to the standard-library importer. Safe for concurrent
+// use.
 func (ld *loader) Import(path string) (*types.Package, error) {
 	e, ok := ld.dirs[path]
 	if !ok {
 		return ld.std.Import(path)
 	}
-	ld.mu.Lock()
-	if pkg, ok := ld.plain[path]; ok {
-		ld.mu.Unlock()
-		return pkg, nil
-	}
-	if ld.loading[path] {
-		ld.mu.Unlock()
-		return nil, fmt.Errorf("import cycle through %s", path)
-	}
-	ld.loading[path] = true
-	ld.mu.Unlock()
-
-	pkg, err := ld.check(path, e.plain, newInfo())
-
-	ld.mu.Lock()
-	delete(ld.loading, path)
-	if err == nil {
-		ld.plain[path] = pkg
-	}
-	ld.mu.Unlock()
-	return pkg, err
+	e.once.Do(func() { e.pkg, e.err = ld.check(path, e.plain, newInfo()) })
+	return e.pkg, e.err
 }
 
 // check type-checks one file set as the package at path. On failure it

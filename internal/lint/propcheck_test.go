@@ -121,7 +121,7 @@ func TestPropLintCacheParity(t *testing.T) {
 	// never change findings, and the hotpath toggle switches between
 	// exactly these two content states of perf.go.
 	refRoot := copyFixtureModule(t)
-	refDiags, _, err := Lint(refRoot, Options{NoCache: true})
+	refDiags, _, err := Lint(refRoot, Options{})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestPropLintCacheParity(t *testing.T) {
 	if err := os.WriteFile(hotPerf, withHotDirective(pristinePerf), 0o644); err != nil {
 		t.Fatalf("writing hot perf.go: %v", err)
 	}
-	hotDiags, _, err := Lint(hotRoot, Options{NoCache: true})
+	hotDiags, _, err := Lint(hotRoot, Options{})
 	if err != nil {
 		t.Fatalf("hot reference run: %v", err)
 	}
@@ -289,8 +289,8 @@ func moduleStateFingerprint(root string) (string, error) {
 
 // TestPropPerfAnalyzersParity pins the determinism contract of the perf
 // analyzer family over the allocloop fixture module: findings — traces
-// included — are byte-identical between a sequential load (Workers: 1)
-// and a parallel load at any worker count, and between a cold
+// included — are byte-identical between a sequential load (GOMAXPROCS 1)
+// and a parallel load at any GOMAXPROCS, and between a cold
 // findings-cache run and the warm hit that follows it. The summaries
 // behind the traces are computed bottom-up over SCCs, so this is the
 // property that the fixpoint order never leaks into output.
@@ -301,7 +301,7 @@ func TestPropPerfAnalyzersParity(t *testing.T) {
 	perf := []*Analyzer{AllocLoop, BoxIface, DeferHot, PreAlloc}
 	root := filepath.Join("testdata", "src", "allocloop")
 
-	seqMod, _, err := LoadModuleWith(root, LoadOptions{Workers: 1})
+	seqMod, err := loadAtProcs(t, root, 1)
 	if err != nil {
 		t.Fatalf("sequential load: %v", err)
 	}
@@ -310,14 +310,14 @@ func TestPropPerfAnalyzersParity(t *testing.T) {
 		t.Fatalf("the sequential reference lacks an interprocedural trace; the parity check would be vacuous:\n%s", seq)
 	}
 
-	propcheck.CheckConfig(t, propcheck.Config{Iterations: 6}, propcheck.IntRange(2, 8), func(workers int) error {
-		mod, _, err := LoadModuleWith(root, LoadOptions{Workers: workers})
+	propcheck.CheckConfig(t, propcheck.Config{Iterations: 6}, propcheck.IntRange(2, 8), func(procs int) error {
+		mod, err := loadAtProcs(t, root, procs)
 		if err != nil {
-			return fmt.Errorf("load with %d workers: %w", workers, err)
+			return fmt.Errorf("load at GOMAXPROCS %d: %w", procs, err)
 		}
 		if got := formatDiags(Run(mod, perf, nil)); got != seq {
-			return fmt.Errorf("findings at %d workers diverge from the sequential load\n--- got ---\n%s--- want ---\n%s",
-				workers, got, seq)
+			return fmt.Errorf("findings at GOMAXPROCS %d diverge from the sequential load\n--- got ---\n%s--- want ---\n%s",
+				procs, got, seq)
 		}
 		return nil
 	})

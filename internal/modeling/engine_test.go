@@ -136,7 +136,7 @@ func pressAgrees(points []measurement.Point, values []float64, opts Options, hyp
 func checkPress(points []measurement.Point, values []float64, opts Options) error {
 	arity := len(points[0])
 	if arity == 1 {
-		_, _, err := pressAgrees(points, values, opts, hypothesesCached(1, opts))
+		_, _, err := pressAgrees(points, values, opts, hypothesesCached(opts))
 		return err
 	}
 	hyps := sparseHypotheses(arity, points, values, opts, func(pts []measurement.Point, vals []float64) func(hypothesis) (float64, bool) {
@@ -421,7 +421,7 @@ func TestPropEngineOracleEquivalenceAdversarial(t *testing.T) {
 				return fmt.Errorf("%s: %w", k.name, err)
 			}
 			norm := normalizeOptions(opts)
-			_, declined, err := pressAgrees(points, values, norm, hypothesesCached(1, norm))
+			_, declined, err := pressAgrees(points, values, norm, hypothesesCached(norm))
 			if err != nil {
 				return fmt.Errorf("%s: %w", k.name, err)
 			}

@@ -1199,7 +1199,7 @@ func (fc *fitContext) search() (*Model, error) {
 	arity := len(fc.points[0])
 	var hyps []hypothesis
 	if arity == 1 {
-		hyps = hypothesesCached(arity, fc.opts)
+		hyps = hypothesesCached(fc.opts)
 	} else {
 		// Multi-parameter sparse modeling: a full cross product of shape
 		// combinations is quadratic in the (large) shape set and makes

@@ -98,8 +98,7 @@ func LargeOptions() Options {
 // normalizeOptions resolves every zero-valued search-space knob to its
 // default in one place: MaxTerms ≤ 0 becomes 1, empty exponent sets take
 // the Extra-P defaults, and MinPoints 0 becomes
-// measurement.MinModelingPoints. (These blocks used to be duplicated
-// across Fit and its callers.)
+// measurement.MinModelingPoints.
 func normalizeOptions(opts Options) Options {
 	if opts.MaxTerms <= 0 {
 		opts.MaxTerms = 1
@@ -377,11 +376,11 @@ func axisLine(points []measurement.Point, values []float64, param int) ([]measur
 // term budget, yet it used to be regenerated on every Fit call — once per
 // kernel × metric, thousands of times per analysis run. The caches below
 // memoize the expanded shapes and the single-parameter hypothesis list per
-// (arity, Options) signature. Cached slices are shared across goroutines
+// Options signature. Cached slices are shared across goroutines
 // and must never be mutated by callers; the fitting code only reads them.
 var (
 	shapeCache      sync.Map // exponents key → []pmnf.Factor
-	hypothesisCache sync.Map // arity/terms/exponents key → []hypothesis
+	hypothesisCache sync.Map // terms/exponents key → []hypothesis
 )
 
 // exponentsKey canonicalizes the exponent sets of the options into a cache
@@ -423,14 +422,14 @@ func shapeSet(opts Options) []pmnf.Factor {
 }
 
 // hypothesesCached returns the memoized single-parameter hypothesis space
-// for the given arity and options. The returned slice is shared — callers
-// must not modify it.
-func hypothesesCached(arity int, opts Options) []hypothesis {
-	key := strconv.Itoa(arity) + "#" + strconv.Itoa(opts.MaxTerms) + "#" + exponentsKey(opts)
+// for the given options. The returned slice is shared — callers must not
+// modify it.
+func hypothesesCached(opts Options) []hypothesis {
+	key := strconv.Itoa(opts.MaxTerms) + "#" + exponentsKey(opts)
 	if v, ok := hypothesisCache.Load(key); ok {
 		return v.([]hypothesis)
 	}
-	hyps := hypotheses(arity, opts)
+	hyps := hypotheses(opts)
 	hypothesisCache.Store(key, hyps)
 	return hyps
 }
@@ -445,12 +444,11 @@ type hypothesis struct {
 // constant, single terms x^i·log^j for (i,j) ∈ I×J\{(0,0)} and, when
 // MaxTerms ≥ 2, all unordered pairs of distinct shapes. Multi-parameter
 // search spaces are built adaptively by sparseHypotheses.
-func hypotheses(arity int, opts Options) []hypothesis {
+func hypotheses(opts Options) []hypothesis {
 	shapes := shapeSet(opts)
 	var out []hypothesis
 	// The constant-only hypothesis is always a candidate.
 	out = append(out, hypothesis{})
-	_ = arity
 	for _, s := range shapes {
 		out = append(out, hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{s}}}})
 	}

@@ -335,7 +335,7 @@ func TestMultiParameterAdditiveFit(t *testing.T) {
 
 func TestHypothesisCountSingleParam(t *testing.T) {
 	opts := DefaultOptions()
-	hyps := hypotheses(1, opts)
+	hyps := hypotheses(opts)
 	// 19 poly × 3 log − 1 (constant shape) = 56 single-term hypotheses,
 	// plus the constant hypothesis.
 	want := 56 + 1
@@ -346,7 +346,7 @@ func TestHypothesisCountSingleParam(t *testing.T) {
 
 func TestHypothesisCountTwoTerms(t *testing.T) {
 	opts := LargeOptions()
-	hyps := hypotheses(1, opts)
+	hyps := hypotheses(opts)
 	want := 1 + 56 + 56*55/2
 	if len(hyps) != want {
 		t.Errorf("hypothesis count = %d, want %d", len(hyps), want)
@@ -354,8 +354,8 @@ func TestHypothesisCountTwoTerms(t *testing.T) {
 }
 
 func TestSmallOptionsSearchSpaceIsSmaller(t *testing.T) {
-	small := len(hypotheses(1, SmallOptions()))
-	def := len(hypotheses(1, DefaultOptions()))
+	small := len(hypotheses(SmallOptions()))
+	def := len(hypotheses(DefaultOptions()))
 	if small >= def {
 		t.Errorf("small space (%d) not smaller than default (%d)", small, def)
 	}
@@ -454,8 +454,8 @@ func TestFitSeriesSurfacesNoHypothesis(t *testing.T) {
 
 func TestHypothesisMemoizationReturnsSharedSpace(t *testing.T) {
 	opts := DefaultOptions()
-	h1 := hypothesesCached(1, opts)
-	h2 := hypothesesCached(1, opts)
+	h1 := hypothesesCached(opts)
+	h2 := hypothesesCached(opts)
 	if len(h1) == 0 || len(h1) != len(h2) {
 		t.Fatalf("cached hypothesis sets differ: %d vs %d", len(h1), len(h2))
 	}

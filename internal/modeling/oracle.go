@@ -35,7 +35,7 @@ func fitOracle(points []measurement.Point, values []float64, opts Options) (*Mod
 	arity := len(points[0])
 	var hyps []hypothesis
 	if arity == 1 {
-		hyps = hypothesesCached(arity, opts)
+		hyps = hypothesesCached(opts)
 	} else {
 		hyps = sparseHypotheses(arity, points, values, opts, func(pts []measurement.Point, vals []float64) func(hypothesis) (float64, bool) {
 			return func(h hypothesis) (float64, bool) {

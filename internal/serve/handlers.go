@@ -45,42 +45,32 @@ func (s *Server) Handler() http.Handler {
 }
 
 // deadline wraps a handler with the per-request deadline budget, derived
-// through the configured clock so tests control it deterministically. A
-// request whose context ends mid-handler answers 503 from whichever
-// boundary check sees it first.
+// through the configured clock so tests control it deterministically,
+// and answers 503 instead of running the handler when the request's
+// context has already ended — the budget ran out or the client went
+// away. A request whose context ends mid-handler answers 503 from
+// whichever boundary check sees it first.
 func (s *Server) deadline(h http.HandlerFunc) http.HandlerFunc {
 	d := s.cfg.requestTimeout()
-	if d <= 0 {
-		return h
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := s.clock.WithTimeout(r.Context(), d)
-		defer cancel()
-		h(w, r.WithContext(ctx))
+		if d > 0 {
+			ctx, cancel := s.clock.WithTimeout(r.Context(), d)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
+		if err := resilience.CauseOrErr(r.Context()); err != nil {
+			writeError(w, http.StatusServiceUnavailable, "deadline", "request abandoned: "+err.Error(), nil)
+			return
+		}
+		h(w, r)
 	}
-}
-
-// expired reports (and answers) a request whose context already ended —
-// the deadline budget ran out or the client went away.
-func expired(w http.ResponseWriter, r *http.Request) bool {
-	if err := resilience.CauseOrErr(r.Context()); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline", "request abandoned: "+err.Error(), nil)
-		return true
-	}
-	return false
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	writeJSON(w, http.StatusOK, healthResponse{Status: "ok", Apps: len(s.store.names())})
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	resp := appsResponse{Apps: []appInfo{}}
 	for _, name := range s.store.names() {
 		if a, ok := s.store.lookup(name); ok {
@@ -109,9 +99,6 @@ func infoOf(a *appState) appInfo {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	a, ok := s.app(w, r)
 	if !ok {
 		return
@@ -146,9 +133,6 @@ type upload struct {
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	name := r.PathValue("app")
 	if !validAppName(name) {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid application name "+strconv.Quote(name), nil)
@@ -341,9 +325,6 @@ func (s *Server) snapshotFor(w http.ResponseWriter, r *http.Request) (*appState,
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	_, snap, ok := s.snapshotFor(w, r)
 	if !ok {
 		return
@@ -355,9 +336,6 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	_, snap, ok := s.snapshotFor(w, r)
 	if !ok {
 		return
@@ -390,9 +368,6 @@ func (snap *Snapshot) extrapolated(x float64) bool {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	name := r.PathValue("app")
 	_, snap, ok := s.snapshotFor(w, r)
 	if !ok {
@@ -433,9 +408,6 @@ func (snap *Snapshot) speedupAt(x float64) (x1, achieved float64, err error) {
 }
 
 func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	name := r.PathValue("app")
 	_, snap, ok := s.snapshotFor(w, r)
 	if !ok {
@@ -463,9 +435,6 @@ func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEfficiency(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	name := r.PathValue("app")
 	_, snap, ok := s.snapshotFor(w, r)
 	if !ok {
@@ -498,9 +467,6 @@ func (s *Server) handleEfficiency(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
-	if expired(w, r) {
-		return
-	}
 	name := r.PathValue("app")
 	_, snap, ok := s.snapshotFor(w, r)
 	if !ok {

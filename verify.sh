@@ -43,6 +43,22 @@ begin() {
 	echo "==> $3"
 }
 
+# require_suites <packages> <suite>...: stages that select tests by name
+# first check that every named suite appears in `go test -list`, so a
+# renamed or deleted suite fails the stage instead of silently dropping
+# out of the gate.
+require_suites() {
+	req_pkgs=$1
+	shift
+	req_listed=$(go test -list "$(echo "$*" | tr ' ' '|')" $req_pkgs)
+	for suite in "$@"; do
+		if ! echo "$req_listed" | grep -qx "$suite"; then
+			echo "$stage: suite $suite is not defined in $req_pkgs; update the stage's suite list when renaming it" >&2
+			exit 1
+		fi
+	done
+}
+
 begin gofmt lint "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -83,10 +99,12 @@ go test -race -shuffle=on -count=2 $shuffle_pkgs
 # incremental cache must stay byte-identical to a cold run; both contracts
 # get a dedicated shuffled race pass (the full ./... race run above covers
 # the rest of the lint suite once). The perf analyzer family's parity
-# property rides along: interprocedural traces must not depend on worker
-# count or cache temperature.
+# property rides along: interprocedural traces must not depend on
+# GOMAXPROCS or cache temperature.
 begin lint-parity test "go test -race -shuffle=on (edlint parallel loader + cache parity)"
-go test -race -shuffle=on -run 'TestLoadModuleWorkersParity|TestLintCacheParity|TestPropLintCacheParity|TestPropPerfAnalyzersParity' ./internal/lint
+lint_suites="TestLoadModuleWorkersParity TestLintCacheParity TestPropLintCacheParity TestPropPerfAnalyzersParity"
+require_suites ./internal/lint $lint_suites
+go test -race -shuffle=on -run "$(echo "$lint_suites" | tr ' ' '|')" ./internal/lint
 
 # resilience: the randomized fault-schedule invariants — every run either
 # completes, completes partially with all failures classified, or fails
@@ -95,19 +113,11 @@ go test -race -shuffle=on -run 'TestLoadModuleWorkersParity|TestLintCacheParity|
 # race detector as a dedicated stage with their own wall-time budget, so
 # a hang in the chaos path (a stalled stage, a leaked goroutine blocking
 # exit) surfaces as budget-exceeded rather than wedging the whole gate.
-# The suites are selected by name, so before the run every named suite
-# must appear in `go test -list`: a renamed or deleted suite fails the
-# stage instead of silently dropping out of the gate.
+# The suites are selected by name, so require_suites checks them first.
 begin resilience test "go test -race (fault-schedule propcheck invariants, 120s budget)"
 res_suites="TestPropFaultScheduleTrichotomy TestPropResumeByteIdentical TestPropCheckpointRoundTrip TestPropInjectorReplayIdentical TestPropRetrySleepScheduleReplayable"
 res_run=$(echo "$res_suites" | tr ' ' '|')
-res_listed=$(go test -list "$res_run" ./internal/resilience ./internal/pipeline)
-for suite in $res_suites; do
-	if ! echo "$res_listed" | grep -qx "$suite"; then
-		echo "resilience: suite $suite is not defined in ./internal/resilience or ./internal/pipeline; update res_suites when renaming it" >&2
-		exit 1
-	fi
-done
+require_suites "./internal/resilience ./internal/pipeline" $res_suites
 res_start=$(date +%s)
 go test -race -run "$res_run" ./internal/resilience ./internal/pipeline
 res_elapsed=$(($(date +%s) - res_start))
