@@ -6,6 +6,10 @@
 //
 //	edlint [-analyzers names] [-list] [-json] [-cachedir dir] [patterns ...]
 //
+// The suite is ten analyzers — allocloop, divguard, errcheck, libpanic,
+// logdomain, maporder, naninout, prealloc, sendguard and wallclock; -list
+// describes each, and -analyzers runs a comma-separated subset.
+//
 // Patterns follow the go tool's shape relative to the current directory:
 // "./..." (the default) selects every package, "./dir/..." a subtree, and
 // "./dir" a single package. The whole module is always loaded and

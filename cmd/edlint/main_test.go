@@ -8,9 +8,8 @@ import (
 // allAnalyzerNames is the full default-suite name list the CLI must
 // surface, in lexical order, whenever a spec names an unknown analyzer.
 var allAnalyzerNames = []string{
-	"allocloop", "boxiface", "ctxflow", "deferhot", "divguard", "errcheck",
-	"floateq", "libpanic", "logdomain", "maporder", "naninout", "prealloc",
-	"sendguard", "wallclock",
+	"allocloop", "divguard", "errcheck", "libpanic", "logdomain", "maporder",
+	"naninout", "prealloc", "sendguard", "wallclock",
 }
 
 // TestUnknownAnalyzerExitsTwo pins the CLI contract for a bad -analyzers

@@ -50,7 +50,6 @@ func RecommendPoints(target float64, count int, minStart float64) ([]float64, er
 	out := pts[:0]
 	var last float64
 	for _, p := range pts {
-		//edlint:ignore floateq deduplication of grid points produced by the same rounding, so duplicates are bit-identical
 		if p != last {
 			out = append(out, p)
 			last = p

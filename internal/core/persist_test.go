@@ -35,7 +35,6 @@ func TestSaveLoadModelsRoundTrip(t *testing.T) {
 				t.Fatalf("%q at %v: %v vs %v", p, x, a, b)
 			}
 		}
-		//edlint:ignore floateq persistence round-trip must be lossless, so exact equality is the property under test
 		if got.SMAPE != orig.SMAPE || got.R2 != orig.R2 {
 			t.Errorf("%q: quality stats lost", p)
 		}

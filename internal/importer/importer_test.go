@@ -219,7 +219,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	for i := range got.Trace.Events {
 		a, b := got.Trace.Events[i], orig.Trace.Events[i]
-		//edlint:ignore floateq round-trip comparison: re-imported events must preserve every field bit-for-bit
 		if a.Name != b.Name || a.Kind != b.Kind || a.Start != b.Start || a.Duration != b.Duration || a.Bytes != b.Bytes {
 			t.Errorf("event %d differs: %+v vs %+v", i, a, b)
 		}

@@ -7,14 +7,13 @@ import (
 )
 
 // This file is the allocation-effect core shared by the perf analyzer
-// family (allocloop, prealloc, boxiface, deferhot) and the summary pass.
-// allocScan walks one function declaration with full lexical context —
-// enclosing loops, amortized-growth regions, cold exit paths — and
-// classifies every potential allocation or boxing site. The summarizer
-// derives the interprocedural effects (AllocatesPerCall, GrowsSlice,
-// BoxesToInterface, CapturesByClosure) from the same scan, so a helper
-// that allocates three frames down taints its hot callers with a trace
-// to the root site.
+// family (allocloop, prealloc) and the summary pass. allocScan walks one
+// function declaration with full lexical context — enclosing loops,
+// amortized-growth regions, cold exit paths — and classifies every
+// potential allocation site. The summarizer derives the interprocedural
+// effects (AllocatesPerCall, GrowsSlice, CapturesByClosure) from the
+// same scan, so a helper that allocates three frames down taints its hot
+// callers with a trace to the root site.
 //
 // Three amortized idioms are exempt by construction, because reporting
 // them would punish exactly the code the analyzers exist to encourage:
@@ -53,16 +52,9 @@ const (
 	allocAppend
 	// allocClosure: a function literal capturing enclosing variables.
 	allocClosure
-	// allocBox: a scalar (basic-typed) value converted or passed into an
-	// interface, including fmt sink arguments.
-	allocBox
 	// allocCall: a call to a module function whose summary carries an
 	// allocation-family effect (site.eff names which).
 	allocCall
-	// allocBoxCall: a call to a module function whose summary boxes.
-	allocBoxCall
-	// allocDefer: a defer statement inside a loop body (deferhot).
-	allocDefer
 )
 
 // allocEffect names which summary field an allocCall site feeds.
@@ -74,7 +66,7 @@ const (
 	effClosure
 )
 
-// allocSite is one classified allocation/boxing site.
+// allocSite is one classified allocation site.
 type allocSite struct {
 	kind allocKind
 	pos  token.Pos
@@ -92,7 +84,7 @@ type allocSite struct {
 	// target is the append target's source text (allocAppend only).
 	target string
 	// sum/eff/effKind carry the callee summary for interprocedural
-	// sites (allocCall, allocBoxCall).
+	// sites (allocCall).
 	sum     *FuncSummary
 	eff     *EffectTrace
 	effKind allocEffect
@@ -111,7 +103,7 @@ type allocFrame struct {
 	topBlock bool
 }
 
-// allocScan classifies every allocation/boxing site of fd, in source
+// allocScan classifies every allocation site of fd, in source
 // order. Function-literal bodies are not descended into: their
 // allocations happen on the literal's own schedule, not per call of fd —
 // the literal itself is the site (allocClosure) when it captures.
@@ -201,10 +193,6 @@ func (sc *allocScanner) visit(f allocFrame, n ast.Node) {
 		return
 	}
 	switch n := n.(type) {
-	case *ast.DeferStmt:
-		if f.inLoop {
-			sc.add(f, allocSite{kind: allocDefer, pos: n.Pos(), desc: "defer " + shortExpr(types.ExprString(n.Call))})
-		}
 	case *ast.AssignStmt:
 		sc.visitAssign(f, n)
 	case *ast.UnaryExpr:
@@ -264,8 +252,8 @@ func (sc *allocScanner) visitAssign(f allocFrame, n *ast.AssignStmt) {
 }
 
 // visitCall classifies a call site: builtin allocators, allocating
-// stdlib intrinsics, interface boxing of the arguments, and calls into
-// the module whose summaries carry allocation-family effects.
+// stdlib intrinsics, and calls into the module whose summaries carry
+// allocation-family effects.
 func (sc *allocScanner) visitCall(f allocFrame, call *ast.CallExpr) {
 	switch builtinName(sc.pass, call) {
 	case "make":
@@ -283,20 +271,10 @@ func (sc *allocScanner) visitCall(f allocFrame, call *ast.CallExpr) {
 	default:
 		return // append is handled at its assignment; others don't allocate
 	}
-	// Explicit conversion to an interface type: any(x), interface{}(x).
-	if tv, ok := sc.pass.Info.Types[call.Fun]; ok && tv.IsType() {
-		if !f.exempt && len(call.Args) == 1 && types.IsInterface(tv.Type) {
-			if bt := basicArgType(sc.pass, call.Args[0]); bt != "" {
-				sc.add(f, allocSite{kind: allocBox, pos: call.Pos(), desc: bt + " value boxed by conversion to " + shortExpr(tv.Type.String())})
-			}
-		}
-		return
-	}
 	if !f.exempt {
 		if desc, ok := intrinsicAllocCall(sc.pass, call); ok {
 			sc.add(f, allocSite{kind: allocIntrinsic, pos: call.Pos(), desc: desc})
 		}
-		sc.visitBoxedArgs(f, call)
 	}
 	if cs := sc.pass.Sums.LookupCall(sc.pass.Info, call); cs != nil {
 		switch {
@@ -307,39 +285,6 @@ func (sc *allocScanner) visitCall(f allocFrame, call *ast.CallExpr) {
 		case cs.CapturesByClosure != nil:
 			sc.add(f, allocSite{kind: allocCall, pos: call.Pos(), sum: cs, eff: cs.CapturesByClosure, effKind: effClosure})
 		}
-		if cs.BoxesToInterface != nil {
-			sc.add(f, allocSite{kind: allocBoxCall, pos: call.Pos(), sum: cs, eff: cs.BoxesToInterface})
-		}
-	}
-}
-
-// visitBoxedArgs reports basic-typed arguments passed into interface
-// parameters — the fmt.Sprintf("%d", i) pattern that boxes a scalar per
-// call. Variadic spreads (xs...) pass an existing slice and box nothing.
-func (sc *allocScanner) visitBoxedArgs(f allocFrame, call *ast.CallExpr) {
-	sig, ok := sc.pass.TypeOf(call.Fun).(*types.Signature)
-	if !ok || call.Ellipsis.IsValid() {
-		return
-	}
-	np := sig.Params().Len()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= np-1:
-			if sl, ok := sig.Params().At(np - 1).Type().(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < np:
-			pt = sig.Params().At(i).Type()
-		}
-		if pt == nil || !types.IsInterface(pt) {
-			continue
-		}
-		bt := basicArgType(sc.pass, arg)
-		if bt == "" {
-			continue
-		}
-		sc.add(f, allocSite{kind: allocBox, pos: arg.Pos(), desc: bt + " argument " + shortExpr(types.ExprString(arg)) + " boxed into interface parameter of " + shortExpr(types.ExprString(call.Fun))})
 	}
 }
 
@@ -572,21 +517,6 @@ func intrinsicAllocCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	return pn.Imported().Name() + "." + sel.Sel.Name, true
 }
 
-// basicArgType returns the rendered basic type of e when boxing e into
-// an interface allocates: named or unnamed scalar/string types, not
-// untyped nil and not values that are already interfaces.
-func basicArgType(pass *Pass, e ast.Expr) string {
-	t := pass.TypeOf(e)
-	if t == nil || types.IsInterface(t) {
-		return ""
-	}
-	bt, ok := t.Underlying().(*types.Basic)
-	if !ok || bt.Kind() == types.UntypedNil || bt.Kind() == types.Invalid {
-		return ""
-	}
-	return bt.Name()
-}
-
 // shortExpr caps rendered expressions for message brevity.
 func shortExpr(s string) string {
 	const max = 48
@@ -613,7 +543,7 @@ func litTypeString(pass *Pass, lit *ast.CompositeLit) string {
 // effect, with interprocedural sites extending the callee's trace.
 // Exempt (amortized/cold-path) sites never reach the scan output, so a
 // grow-to-cap helper stays effect-free.
-func (s *summarizer) allocEffects(pass *Pass, n *funcNode) (alloc, grow, box, closure *EffectTrace) {
+func (s *summarizer) allocEffects(pass *Pass, n *funcNode) (alloc, grow, closure *EffectTrace) {
 	setIf := func(dst **EffectTrace, analyzer string, pos token.Pos, tr *EffectTrace) {
 		if *dst == nil && !s.sanctionedPos(analyzer, pos) {
 			*dst = tr
@@ -627,8 +557,6 @@ func (s *summarizer) allocEffects(pass *Pass, n *funcNode) (alloc, grow, box, cl
 			setIf(&grow, "allocloop", site.pos, &EffectTrace{Chain: []string{site.desc}})
 		case allocClosure:
 			setIf(&closure, "allocloop", site.pos, &EffectTrace{Chain: []string{site.desc}})
-		case allocBox:
-			setIf(&box, "boxiface", site.pos, &EffectTrace{Chain: []string{site.desc}})
 		case allocCall:
 			switch site.effKind {
 			case effAlloc:
@@ -638,11 +566,9 @@ func (s *summarizer) allocEffects(pass *Pass, n *funcNode) (alloc, grow, box, cl
 			case effClosure:
 				setIf(&closure, "allocloop", site.pos, site.eff.extend(site.sum.Display))
 			}
-		case allocBoxCall:
-			setIf(&box, "boxiface", site.pos, site.eff.extend(site.sum.Display))
 		}
 	}
-	return alloc, grow, box, closure
+	return alloc, grow, closure
 }
 
 // hotDisplayPath renders the interprocedural chain of a perf finding:

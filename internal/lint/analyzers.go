@@ -11,12 +11,8 @@ import (
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		AllocLoop,
-		BoxIface,
-		CtxFlow,
-		DeferHot,
 		DivGuard,
 		ErrCheck,
-		FloatEq,
 		LibPanic,
 		LogDomain,
 		MapOrder,

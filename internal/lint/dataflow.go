@@ -372,8 +372,3 @@ func isNamedInPackage(t types.Type, pkg, name string) bool {
 	}
 	return named.Obj().Pkg().Path() == pkg && named.Obj().Name() == name
 }
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	return t != nil && isNamedInPackage(t, "context", "Context")
-}

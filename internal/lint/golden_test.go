@@ -11,76 +11,134 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files from current analyzer output")
 
-// TestGolden runs each analyzer over its fixture package under
-// testdata/src/ and compares the formatted diagnostics against the
-// checked-in golden file. Regenerate with:
+// goldenCase is one TestGolden row: the fixture under testdata/src/<name>,
+// its golden file testdata/<name>.golden and the analyzers run over it.
+type goldenCase struct {
+	name string // fixture directory and golden file stem
+	// path is the import path a single-directory fixture is loaded under;
+	// empty for a fixture module (its own go.mod), which loads whole with
+	// LoadModule because cross-package summaries need every package.
+	path      string
+	analyzers []*Analyzer
+}
+
+var goldenCases = []goldenCase{
+	{"divguard", "fixture/divguard", []*Analyzer{DivGuard}},
+	{"logdomain", "fixture/logdomain", []*Analyzer{LogDomain}},
+	// naninout only polices the numerical-core import paths, so the
+	// fixture is loaded under one of them.
+	{"naninout", "fixture/internal/mathutil", []*Analyzer{NaNInOut}},
+	{"errcheck", "fixture/errcheck", []*Analyzer{ErrCheck}},
+	{"libpanic", "fixture/libpanic", []*Analyzer{LibPanic}},
+	{"maporder", "fixture/maporder", []*Analyzer{MapOrder}},
+	// wallclock and sendguard police specific import paths, so their
+	// fixtures are loaded under one of them.
+	{"wallclock", "fixture/internal/modeling", []*Analyzer{WallClock}},
+	{"sendguard", "fixture/internal/pipeline", []*Analyzer{SendGuard}},
+	// resilience joined the wallclock-policed core with the fault
+	// injection layer: the retrier's sanctioned diagnostic timing is
+	// suppressed, everything else reports.
+	{"resilience", "fixture/internal/resilience", []*Analyzer{WallClock}},
+	// propcheck exercises file-scoped suppression boundaries: the
+	// engine file's //edlint:ignore-file wallclock directive silences
+	// its own draws but nothing in the sibling file.
+	{"propcheck", "fixture/internal/propcheck", []*Analyzer{WallClock}},
+	// The ignore fixtures exercise the suppression machinery against
+	// the full default suite, so every analyzer name is "known".
+	{"ignore", "fixture/ignore", DefaultAnalyzers()},
+	{"ignorescope", "fixture/ignorescope", DefaultAnalyzers()},
+	// The perf-family fixtures designate hot functions with
+	// //edlint:hotpath directives or the policed default set.
+	{"prealloc", "fixture/prealloc", []*Analyzer{PreAlloc}},
+	{"allocloop", "", []*Analyzer{AllocLoop}},
+	// The interprocedural fixture module launders every flow analyzer's
+	// effect through helpers one or more calls deep.
+	{"interproc", "", []*Analyzer{MapOrder, WallClock, SendGuard}},
+}
+
+// TestGolden runs each row's analyzers over its fixture and compares the
+// formatted diagnostics against the checked-in golden file. Regenerate
+// with:
 //
 //	go test ./internal/lint -run TestGolden -update
 func TestGolden(t *testing.T) {
-	cases := []struct {
-		name      string // fixture directory and golden file stem
-		path      string // import path the fixture is loaded under
-		analyzers []*Analyzer
-	}{
-		{"floateq", "fixture/floateq", []*Analyzer{FloatEq}},
-		{"divguard", "fixture/divguard", []*Analyzer{DivGuard}},
-		{"logdomain", "fixture/logdomain", []*Analyzer{LogDomain}},
-		// naninout only polices the numerical-core import paths, so the
-		// fixture is loaded under one of them.
-		{"naninout", "fixture/internal/mathutil", []*Analyzer{NaNInOut}},
-		{"errcheck", "fixture/errcheck", []*Analyzer{ErrCheck}},
-		{"libpanic", "fixture/libpanic", []*Analyzer{LibPanic}},
-		{"maporder", "fixture/maporder", []*Analyzer{MapOrder}},
-		// ctxflow, wallclock and sendguard police specific import paths,
-		// so their fixtures are loaded under one of them.
-		{"ctxflow", "fixture/internal/pipeline", []*Analyzer{CtxFlow}},
-		{"wallclock", "fixture/internal/modeling", []*Analyzer{WallClock}},
-		{"sendguard", "fixture/internal/pipeline", []*Analyzer{SendGuard}},
-		// resilience joined the wallclock-policed core with the fault
-		// injection layer: the retrier's sanctioned diagnostic timing is
-		// suppressed, everything else reports.
-		{"resilience", "fixture/internal/resilience", []*Analyzer{WallClock}},
-		// propcheck exercises file-scoped suppression boundaries: the
-		// engine file's //edlint:ignore-file wallclock directive silences
-		// its own draws but nothing in the sibling file.
-		{"propcheck", "fixture/internal/propcheck", []*Analyzer{WallClock}},
-		// The ignore fixtures exercise the suppression machinery against
-		// the full default suite, so every analyzer name is "known".
-		{"ignore", "fixture/ignore", DefaultAnalyzers()},
-		{"ignorescope", "fixture/ignorescope", DefaultAnalyzers()},
-		// The perf-family single-package fixtures designate hot functions
-		// with //edlint:hotpath directives; allocloop's cross-package
-		// fixture module has its own test below.
-		{"prealloc", "fixture/prealloc", []*Analyzer{PreAlloc}},
-		{"boxiface", "fixture/boxiface", []*Analyzer{BoxIface}},
-		{"deferhot", "fixture/deferhot", []*Analyzer{DeferHot}},
-	}
-	for _, tc := range cases {
-		tc := tc
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			testGoldenCase(t, tc.name, tc.path, tc.analyzers)
+			got := goldenOutput(t, tc)
+			compareGolden(t, tc.name, got)
+			// Single-analyzer fixtures must keep at least one true positive
+			// for that analyzer; multi-analyzer fixtures have no single
+			// expected name to assert on.
+			if len(tc.analyzers) == 1 {
+				if want := tc.analyzers[0].Name; !strings.Contains(got, want+":") {
+					t.Errorf("fixture %s produced no %s finding; every fixture must keep at least one true positive",
+						tc.name, want)
+				}
+			}
 		})
 	}
 }
 
-func testGoldenCase(t *testing.T, name, path string, analyzers []*Analyzer) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	mod, _, err := LoadDir(dir, path)
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
-	}
-	got := formatDiags(Run(mod, analyzers, nil))
-	compareGolden(t, name, got)
-	// Single-analyzer fixtures must keep at least one true positive
-	// for that analyzer; full-suite fixtures (the suppression ones)
-	// have no single expected name to assert on.
-	if len(analyzers) == 1 {
-		if want := analyzers[0].Name; !strings.Contains(got, want+":") {
-			t.Errorf("fixture %s produced no %s finding; every fixture must keep at least one true positive",
-				name, want)
+// TestGoldenCoversEveryAnalyzer keeps the fixtures and the suite in step:
+// every default analyzer has a TestGolden row of its own, and every
+// golden file and fixture directory under testdata belongs to a row, so
+// deleting an analyzer cannot leave an orphaned fixture behind.
+func TestGoldenCoversEveryAnalyzer(t *testing.T) {
+	rows := make(map[string]bool)
+	covered := make(map[string]bool)
+	for _, tc := range goldenCases {
+		rows[tc.name] = true
+		if len(tc.analyzers) == 1 {
+			covered[tc.analyzers[0].Name] = true
 		}
 	}
+	for _, a := range DefaultAnalyzers() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no single-analyzer TestGolden row", a.Name)
+		}
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "src", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(goldens, fixtures...) {
+		if stem := strings.TrimSuffix(filepath.Base(f), ".golden"); !rows[stem] {
+			t.Errorf("%s belongs to no TestGolden row; delete it or add the row", f)
+		}
+	}
+}
+
+// goldenOutput loads tc's fixture and renders its diagnostics.
+func goldenOutput(t *testing.T, tc goldenCase) string {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", tc.name)
+	var mod *Module
+	var err error
+	if tc.path == "" {
+		mod, err = LoadModule(dir)
+	} else {
+		mod, _, err = LoadDir(dir, tc.path)
+	}
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	return formatDiags(Run(mod, tc.analyzers, nil))
+}
+
+// goldenRow returns the TestGolden row of the named fixture.
+func goldenRow(t *testing.T, name string) goldenCase {
+	t.Helper()
+	for _, tc := range goldenCases {
+		if tc.name == name {
+			return tc
+		}
+	}
+	t.Fatalf("no TestGolden row %s", name)
+	return goldenCase{}
 }
 
 // formatDiags renders diagnostics machine-independently: golden files
@@ -116,25 +174,18 @@ func compareGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenInterproc loads the multi-package fixture module under
-// testdata/src/interproc with LoadModule — cross-package summaries need
-// the whole module, not a single directory — and runs the four dataflow
-// analyzers over it. Beyond the byte-exact golden it asserts the v3
-// contract directly: each analyzer reports at least one laundered true
-// positive whose message carries a cross-function "←" trace, and none of
-// the sanitized helpers (callee sorts before returning, seeded draw
-// suppressed at the source, goroutine capturing the caller's ctx, send
-// racing ctx.Done in a select) leaks a false positive.
+// TestGoldenInterproc asserts the v3 contract on the multi-package
+// interproc fixture module beyond its byte-exact golden: each flow
+// analyzer reports at least one laundered true positive whose message
+// carries a cross-function "←" trace, and none of the sanitized helpers
+// (callee sorts before returning, seeded draw suppressed at the source,
+// send racing ctx.Done in a select) leaks a false positive. The
+// fixture's context helpers are negative controls: no analyzer of the
+// suite reads context flow, so they must stay silent too.
 func TestGoldenInterproc(t *testing.T) {
-	mod, err := LoadModule(filepath.Join("testdata", "src", "interproc"))
-	if err != nil {
-		t.Fatalf("LoadModule(interproc): %v", err)
-	}
-	analyzers := []*Analyzer{MapOrder, WallClock, CtxFlow, SendGuard}
-	got := formatDiags(Run(mod, analyzers, nil))
-	compareGolden(t, "interproc", got)
-
-	for _, a := range analyzers {
+	tc := goldenRow(t, "interproc")
+	got := goldenOutput(t, tc)
+	for _, a := range tc.analyzers {
 		found := false
 		for _, line := range strings.Split(got, "\n") {
 			if strings.Contains(line, " "+a.Name+": ") && strings.Contains(line, "←") {
@@ -149,8 +200,8 @@ func TestGoldenInterproc(t *testing.T) {
 	for _, fp := range []string{
 		"SortedRows", "WriteSorted", "WriteResorted", // callee/caller sorts
 		"SeededLabel", "SeededTag", // draw sanctioned at the source
-		"SanitizedSpawn", "SpawnCtx", // goroutine captures the ctx
 		"SanitizedSend", "PushSafe", // send races ctx.Done in a select
+		"Detach", "Spawn", "Spin", // context helpers: nothing polices them
 	} {
 		if strings.Contains(got, fp) {
 			t.Errorf("sanitized helper %s appears in a finding; the summary pass must not flag it:\n%s", fp, got)
@@ -158,24 +209,16 @@ func TestGoldenInterproc(t *testing.T) {
 	}
 }
 
-// TestGoldenAllocLoop loads the perf-family module fixture under
-// testdata/src/allocloop with LoadModule — the laundered make lives two
-// packages away from the hot loop, so cross-package summaries need the
-// whole module — and runs allocloop over it. Beyond the byte-exact golden
-// it asserts the v4 contract directly: the fitContext methods are hot by
+// TestGoldenAllocLoop asserts the v4 contract on the perf-family fixture
+// module beyond its byte-exact golden (the laundered make lives two
+// packages away from the hot loop): the fitContext methods are hot by
 // the policed default set with no directive in the fixture's hot package,
 // at least one finding renders the full interprocedural "←" trace to the
 // root allocation site, the stray-directive police fires, and none of the
 // sanctioned shapes (source-suppressed helper, amortized reuse, site
 // suppression, undesignated cold function) leak a false positive.
 func TestGoldenAllocLoop(t *testing.T) {
-	mod, err := LoadModule(filepath.Join("testdata", "src", "allocloop"))
-	if err != nil {
-		t.Fatalf("LoadModule(allocloop): %v", err)
-	}
-	got := formatDiags(Run(mod, []*Analyzer{AllocLoop}, nil))
-	compareGolden(t, "allocloop", got)
-
+	got := goldenOutput(t, goldenRow(t, "allocloop"))
 	if !strings.Contains(got, "fitContext.fitOne ← helpers.EvalTerm ← helpers.newBuf ← make([]float64, n)") {
 		t.Errorf("no interprocedural allocloop trace to the root make in the allocloop fixture:\n%s", got)
 	}

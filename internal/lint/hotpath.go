@@ -9,12 +9,11 @@ import (
 	"strings"
 )
 
-// Hot-path designation: the perf analyzer family (allocloop, prealloc,
-// boxiface, deferhot) reports only inside functions designated *hot* —
-// the fit engine's inner loops, where a single stray allocation
-// multiplies by hypotheses × folds × tasks. Two designation channels
-// exist, mirroring wallclock's policed-package list but at function
-// granularity:
+// Hot-path designation: the perf analyzer family (allocloop, prealloc)
+// reports only inside functions designated *hot* — the fit engine's
+// inner loops, where a single stray allocation multiplies by hypotheses
+// × folds × tasks. Two designation channels exist, mirroring wallclock's
+// policed-package list but at function granularity:
 //
 //   - //edlint:hotpath as (part of) a function's doc comment marks that
 //     one declaration hot, wherever it lives. Optional trailing text is
@@ -52,7 +51,7 @@ type hotPathDefault struct {
 var hotPathDefaults = []hotPathDefault{
 	// The fit engine context: column prep, per-fold solves, selection.
 	{"internal/modeling", "fitContext.*"},
-	{"internal/modeling", "Fitter.Fit"},
+	{"internal/modeling", "modeling.fitValidated"},
 	{"internal/modeling", "modeling.newFitContext"},
 	{"internal/modeling", "modeling.sharedBasis"},
 	{"internal/modeling", "modeling.basisSignature"},

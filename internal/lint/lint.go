@@ -2,14 +2,14 @@
 // ("edlint"). It parses and type-checks the whole module with nothing but
 // the standard library (go/parser, go/ast, go/types) and runs a suite of
 // analyzers tuned to the failure modes that silently corrupt empirical
-// performance models: float equality, unguarded divisions, logarithm
-// domain errors, NaN/Inf escaping exported numeric APIs, discarded errors,
-// panics in library code — and, via a small intra-procedural dataflow
-// core (dataflow.go) that tracks which values descend from a
-// nondeterminism source, map-iteration order reaching output (maporder),
-// goroutines outside context cancellation (ctxflow), wall-clock and rand
-// reads in the deterministic core (wallclock), and unguarded concurrency
-// acquire/release shapes (sendguard).
+// performance models: unguarded divisions, logarithm domain errors,
+// NaN/Inf escaping exported numeric APIs, discarded errors, panics in
+// library code — and, via a small intra-procedural dataflow core
+// (dataflow.go) that tracks which values descend from a nondeterminism
+// source, map-iteration order reaching output (maporder), wall-clock and
+// rand reads in the deterministic core (wallclock), and unguarded
+// concurrency acquire/release shapes (sendguard). The perf family
+// (allocloop, prealloc) polices allocations in designated hot loops.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of its surface: an Analyzer is a named Run function over a Pass,
@@ -108,7 +108,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 func Run(mod *Module, analyzers []*Analyzer, filter func(*Package) bool) []Diagnostic {
 	// Directives are validated against the whole default suite, not just the
 	// analyzers selected for this run: an //edlint:ignore logdomain directive
-	// is well-formed even when only floateq is running.
+	// is well-formed even when only divguard is running.
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range DefaultAnalyzers() {
 		known[a.Name] = true

@@ -19,7 +19,7 @@ func TestFindModuleRoot(t *testing.T) {
 		t.Errorf("returned root %s has no go.mod: %v", root, err)
 	}
 	// Walking up from a nested directory must land on the same root.
-	nested, err := FindModuleRoot(filepath.Join("testdata", "src", "floateq"))
+	nested, err := FindModuleRoot(filepath.Join("testdata", "src", "divguard"))
 	if err != nil {
 		t.Fatalf("FindModuleRoot(nested): %v", err)
 	}
@@ -128,9 +128,9 @@ func TestCollectDirectives(t *testing.T) {
 	src := `package p
 
 func f() {
-	//edlint:ignore floateq a documented reason
+	//edlint:ignore divguard a documented reason
 	_ = 1
-	//edlint:ignore floateq
+	//edlint:ignore divguard
 	_ = 2
 	//edlint:ignore
 	_ = 3
@@ -140,13 +140,13 @@ func f() {
 `
 	fset := token.NewFileSet()
 	f := parseOne(t, fset, src)
-	known := map[string]bool{"floateq": true}
+	known := map[string]bool{"divguard": true}
 	dirs, malformed := collectDirectives(fset, []*ast.File{f}, known)
 	if len(dirs) != 1 {
 		t.Fatalf("got %d well-formed directives, want 1: %+v", len(dirs), dirs)
 	}
-	if dirs[0].analyzer != "floateq" || dirs[0].from != 4 || dirs[0].to != 5 {
-		t.Errorf("directive = %+v, want floateq covering lines 4-5", dirs[0])
+	if dirs[0].analyzer != "divguard" || dirs[0].from != 4 || dirs[0].to != 5 {
+		t.Errorf("directive = %+v, want divguard covering lines 4-5", dirs[0])
 	}
 	if len(malformed) != 3 {
 		t.Fatalf("got %d malformed diagnostics, want 3: %v", len(malformed), malformed)
@@ -167,18 +167,18 @@ func TestSuppressCoversLineAndLineBelow(t *testing.T) {
 			Message:  "m",
 		}
 	}
-	dirs := []directive{{analyzer: "floateq", file: "f.go", from: 10, to: 11}}
+	dirs := []directive{{analyzer: "divguard", file: "f.go", from: 10, to: 11}}
 	diags := []Diagnostic{
-		mk(10, "floateq"),  // same line: suppressed
-		mk(11, "floateq"),  // line below: suppressed
-		mk(12, "floateq"),  // two lines below: kept
-		mk(11, "divguard"), // other analyzer: kept
+		mk(10, "divguard"),  // same line: suppressed
+		mk(11, "divguard"),  // line below: suppressed
+		mk(12, "divguard"),  // two lines below: kept
+		mk(11, "logdomain"), // other analyzer: kept
 	}
 	kept := suppress(diags, dirs)
 	if len(kept) != 2 {
 		t.Fatalf("kept %d diagnostics, want 2: %v", len(kept), kept)
 	}
-	if kept[0].Pos.Line != 12 || kept[1].Analyzer != "divguard" {
+	if kept[0].Pos.Line != 12 || kept[1].Analyzer != "logdomain" {
 		t.Errorf("unexpected survivors: %v", kept)
 	}
 }
@@ -186,32 +186,32 @@ func TestSuppressCoversLineAndLineBelow(t *testing.T) {
 func TestCollectDirectivesScopes(t *testing.T) {
 	src := `package p
 
-//edlint:ignore-file divguard generated lookup tables divide by constants
+//edlint:ignore-file logdomain generated lookup tables take logs of positive constants
 
-//edlint:ignore-block floateq the loop compares table entries bit-exactly
+//edlint:ignore-block divguard the loop divides by table entries checked nonzero
 func f() {
 	for i := 0; i < 3; i++ {
 		_ = i
 	}
 }
 
-//edlint:ignore-everything floateq no such scope
+//edlint:ignore-everything divguard no such scope
 func g() {}
 `
 	fset := token.NewFileSet()
 	f := parseOne(t, fset, src)
-	known := map[string]bool{"floateq": true, "divguard": true}
+	known := map[string]bool{"divguard": true, "logdomain": true}
 	dirs, malformed := collectDirectives(fset, []*ast.File{f}, known)
 	if len(dirs) != 2 {
 		t.Fatalf("got %d directives, want 2: %+v", len(dirs), dirs)
 	}
-	if d := dirs[0]; d.analyzer != "divguard" || d.from != 1 || d.to != wholeFile {
-		t.Errorf("file directive = %+v, want divguard covering the whole file", d)
+	if d := dirs[0]; d.analyzer != "logdomain" || d.from != 1 || d.to != wholeFile {
+		t.Errorf("file directive = %+v, want logdomain covering the whole file", d)
 	}
 	// The block directive sits above func f (lines 6-10): it must cover
 	// exactly that span, not just two lines and not the whole file.
-	if d := dirs[1]; d.analyzer != "floateq" || d.from != 6 || d.to != 10 {
-		t.Errorf("block directive = %+v, want floateq covering lines 6-10", d)
+	if d := dirs[1]; d.analyzer != "divguard" || d.from != 6 || d.to != 10 {
+		t.Errorf("block directive = %+v, want divguard covering lines 6-10", d)
 	}
 	if len(malformed) != 1 || !strings.Contains(malformed[0].Message, "unknown ignore scope") {
 		t.Errorf("malformed = %v, want one unknown-scope diagnostic", malformed)
@@ -227,21 +227,21 @@ func TestSuppressScopes(t *testing.T) {
 		}
 	}
 	dirs := []directive{
-		{analyzer: "floateq", file: "f.go", from: 6, to: 10},         // block
-		{analyzer: "divguard", file: "f.go", from: 1, to: wholeFile}, // file
+		{analyzer: "divguard", file: "f.go", from: 6, to: 10},         // block
+		{analyzer: "logdomain", file: "f.go", from: 1, to: wholeFile}, // file
 	}
 	diags := []Diagnostic{
-		mk(6, "floateq"),    // block start: suppressed
-		mk(10, "floateq"),   // block end: suppressed
-		mk(11, "floateq"),   // past the block: kept
-		mk(999, "divguard"), // anywhere in the file: suppressed
-		mk(7, "logdomain"),  // other analyzer inside the block: kept
+		mk(6, "divguard"),    // block start: suppressed
+		mk(10, "divguard"),   // block end: suppressed
+		mk(11, "divguard"),   // past the block: kept
+		mk(999, "logdomain"), // anywhere in the file: suppressed
+		mk(7, "maporder"),    // other analyzer inside the block: kept
 	}
 	kept := suppress(diags, dirs)
 	if len(kept) != 2 {
 		t.Fatalf("kept %d diagnostics, want 2: %v", len(kept), kept)
 	}
-	if kept[0].Pos.Line != 11 || kept[1].Analyzer != "logdomain" {
+	if kept[0].Pos.Line != 11 || kept[1].Analyzer != "maporder" {
 		t.Errorf("unexpected survivors: %v", kept)
 	}
 }
@@ -249,7 +249,7 @@ func TestSuppressScopes(t *testing.T) {
 func TestBlockSpanFallsBackWithoutNode(t *testing.T) {
 	src := `package p
 
-//edlint:ignore-block floateq floats below are table constants
+//edlint:ignore-block divguard divisors below are table constants
 
 // (nothing starts on the next line either)
 
@@ -257,7 +257,7 @@ var x = 1.0
 `
 	fset := token.NewFileSet()
 	f := parseOne(t, fset, src)
-	dirs, malformed := collectDirectives(fset, []*ast.File{f}, map[string]bool{"floateq": true})
+	dirs, malformed := collectDirectives(fset, []*ast.File{f}, map[string]bool{"divguard": true})
 	if len(malformed) != 0 {
 		t.Fatalf("unexpected malformed diagnostics: %v", malformed)
 	}
@@ -269,10 +269,10 @@ var x = 1.0
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
 		Pos:      token.Position{Filename: "x.go", Line: 3, Column: 7},
-		Analyzer: "floateq",
-		Message:  "exact comparison",
+		Analyzer: "divguard",
+		Message:  "unguarded division",
 	}
-	want := "x.go:3:7: floateq: exact comparison"
+	want := "x.go:3:7: divguard: unguarded division"
 	if got := d.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
@@ -286,12 +286,12 @@ func TestSelect(t *testing.T) {
 	if len(all) != len(DefaultAnalyzers()) {
 		t.Errorf("empty spec selected %d analyzers, want the full suite of %d", len(all), len(DefaultAnalyzers()))
 	}
-	two, err := Select("floateq,libpanic")
+	two, err := Select("divguard,libpanic")
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	if len(two) != 2 || two[0].Name != "floateq" || two[1].Name != "libpanic" {
-		t.Errorf("Select(floateq,libpanic) = %v", names(two))
+	if len(two) != 2 || two[0].Name != "divguard" || two[1].Name != "libpanic" {
+		t.Errorf("Select(divguard,libpanic) = %v", names(two))
 	}
 	if _, err := Select("nosuch"); err == nil {
 		t.Error("expected an error for an unknown analyzer name")

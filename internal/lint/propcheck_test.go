@@ -298,7 +298,7 @@ func TestPropPerfAnalyzersParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the fixture module per iteration; skipped in -short")
 	}
-	perf := []*Analyzer{AllocLoop, BoxIface, DeferHot, PreAlloc}
+	perf := []*Analyzer{AllocLoop, PreAlloc}
 	root := filepath.Join("testdata", "src", "allocloop")
 
 	seqMod, err := loadAtProcs(t, root, 1)

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// sendGuardPolicedPackages mirrors ctxflow's scope: the packages that own
+// sendGuardPolicedPackages is the concurrency core: the packages that own
 // goroutines, channels and WaitGroups. PR 3's cancellation tests catch a
 // leaked count or a stuck send dynamically, after the fact; sendguard
 // rejects the shapes that make those leaks possible.

@@ -12,11 +12,12 @@ import (
 // set of effect bits, each carrying a cross-function trace to its root
 // cause — bottom-up over the call graph's strongly connected components,
 // with a fixpoint inside each component so recursion converges. The
-// dataflow core (dataflow.go) and the four flow analyzers consume the
-// table: a call to a function whose summary says "reads the wall clock
-// three frames down" or "returns a slice in map-iteration order" becomes
-// a taint source at the call site, and the finding's message renders the
-// whole chain (report.Write ← formatRows ← bucketByNode ← range over m).
+// dataflow core (dataflow.go), the flow analyzers (maporder, wallclock,
+// sendguard) and the perf family consume the table: a call to a function
+// whose summary says "reads the wall clock three frames down" or
+// "returns a slice in map-iteration order" becomes a taint source at the
+// call site, and the finding's message renders the whole chain
+// (report.Write ← formatRows ← bucketByNode ← range over m).
 //
 // Sanctioned sources stay sanctioned interprocedurally: a nondeterminism
 // source covered by an //edlint:ignore directive for the relevant
@@ -66,9 +67,6 @@ type FuncSummary struct {
 	Display string
 	// Pkg is the import path of the analysis unit declaring the function.
 	Pkg string
-	// HasCtxParam reports whether the function receives a context.Context
-	// (parameter or receiver).
-	HasCtxParam bool
 	// Hot marks a designated hot path (//edlint:hotpath directive or the
 	// policed default set). Hot callees report their own bodies, so the
 	// perf analyzers skip call-site findings into them — the same
@@ -82,17 +80,6 @@ type FuncSummary struct {
 	// OrderedReturn: returns a slice or array whose element order descends
 	// from map iteration and is never sorted before the return.
 	OrderedReturn *EffectTrace
-	// DropsContext: calls context.Background()/TODO(), directly or through
-	// callees that take no context parameter of their own.
-	DropsContext *EffectTrace
-	// SpawnsDetached: starts a goroutine that mentions no context.Context
-	// value, directly or transitively.
-	SpawnsDetached *EffectTrace
-	// DiscardsError: drops an error result on the floor (errcheck's rules),
-	// directly or transitively. Informational: exposed for tooling and
-	// tests; errcheck itself stays intra-procedural because the callee's
-	// own finding already marks the site.
-	DiscardsError *EffectTrace
 	// BareSendParams maps a parameter index to a trace when the function
 	// performs a channel send outside any select on that parameter
 	// (directly or by passing it along to a callee that does).
@@ -107,9 +94,6 @@ type FuncSummary struct {
 	// GrowsSlice: performs a non-amortized append that may reallocate,
 	// directly or transitively.
 	GrowsSlice *EffectTrace
-	// BoxesToInterface: converts or passes a scalar into an interface
-	// (fmt sinks included), directly or transitively.
-	BoxesToInterface *EffectTrace
 	// CapturesByClosure: builds a variable-capturing function literal
 	// (a heap-allocated closure), directly or transitively.
 	CapturesByClosure *EffectTrace
@@ -185,11 +169,10 @@ func Summarize(mod *Module) *SummaryTable {
 		for _, key := range comp {
 			n := s.graph.nodes[key]
 			s.table.funcs[key] = &FuncSummary{
-				Key:         key,
-				Display:     n.display,
-				Pkg:         n.pkg.Path,
-				HasCtxParam: declHasContextParam(n.pkg, n.decl),
-				Hot:         hotByDirective(n.decl) || hotByDefault(n.pkg.Path, n.display),
+				Key:     key,
+				Display: n.display,
+				Pkg:     n.pkg.Path,
+				Hot:     hotByDirective(n.decl) || hotByDefault(n.pkg.Path, n.display),
 			}
 		}
 		for {
@@ -261,13 +244,9 @@ func (s *summarizer) recompute(n *funcNode) bool {
 	set(&sum.ReadsClock, s.clockTrace(pass, n, srcTime, "wallclock"))
 	set(&sum.ReadsRand, s.clockTrace(pass, n, srcRand, "wallclock"))
 	set(&sum.OrderedReturn, s.orderedReturnTrace(pass, n))
-	set(&sum.DropsContext, s.dropsContextTrace(pass, n))
-	set(&sum.SpawnsDetached, s.spawnsDetachedTrace(pass, n))
-	set(&sum.DiscardsError, s.discardsErrorTrace(pass, n))
-	alloc, grow, box, closure := s.allocEffects(pass, n)
+	alloc, grow, closure := s.allocEffects(pass, n)
 	set(&sum.AllocatesPerCall, alloc)
 	set(&sum.GrowsSlice, grow)
-	set(&sum.BoxesToInterface, box)
 	set(&sum.CapturesByClosure, closure)
 	if s.mergeBareSends(pass, n, sum) {
 		changed = true
@@ -349,111 +328,6 @@ func (s *summarizer) orderedReturnTrace(pass *Pass, n *funcNode) *EffectTrace {
 		return found == nil
 	})
 	return found
-}
-
-// dropsContextTrace reports a context.Background()/TODO() call in
-// non-test code, directly or through callees that take no context of
-// their own (if the callee accepts a ctx parameter, the caller's context
-// flowed in and the drop is the callee's own intra-procedural finding).
-func (s *summarizer) dropsContextTrace(pass *Pass, n *funcNode) *EffectTrace {
-	var best *EffectTrace
-	var bestPos token.Pos = -1
-	consider := func(p token.Pos, tr *EffectTrace) {
-		if tr != nil && (bestPos < 0 || p < bestPos) {
-			best, bestPos = tr, p
-		}
-	}
-	ast.Inspect(n.decl, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if inTestFile(pass.Fset, call.Pos()) {
-			return true
-		}
-		if name, ok := rootContextCall(pass, call); ok {
-			if !s.sanctionedPos("ctxflow", call.Pos()) {
-				consider(call.Pos(), &EffectTrace{Chain: []string{"context." + name}})
-			}
-			return true
-		}
-		if cs := s.table.LookupCall(pass.Info, call); cs != nil && cs.DropsContext != nil && !cs.HasCtxParam {
-			if !s.sanctionedPos("ctxflow", call.Pos()) {
-				consider(call.Pos(), cs.DropsContext.extend(cs.Display))
-			}
-		}
-		return true
-	})
-	return best
-}
-
-// spawnsDetachedTrace reports a goroutine started without any
-// context.Context value in reach, directly or transitively.
-func (s *summarizer) spawnsDetachedTrace(pass *Pass, n *funcNode) *EffectTrace {
-	var best *EffectTrace
-	var bestPos token.Pos = -1
-	consider := func(p token.Pos, tr *EffectTrace) {
-		if tr != nil && (bestPos < 0 || p < bestPos) {
-			best, bestPos = tr, p
-		}
-	}
-	ast.Inspect(n.decl, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.GoStmt:
-			if !mentionsContextValue(pass, node.Call) && !s.sanctionedPos("ctxflow", node.Pos()) {
-				consider(node.Pos(), &EffectTrace{Chain: []string{"go " + types.ExprString(node.Call.Fun)}})
-			}
-		case *ast.CallExpr:
-			if cs := s.table.LookupCall(pass.Info, node); cs != nil && cs.SpawnsDetached != nil {
-				if !s.sanctionedPos("ctxflow", node.Pos()) {
-					consider(node.Pos(), cs.SpawnsDetached.extend(cs.Display))
-				}
-			}
-		}
-		return true
-	})
-	return best
-}
-
-// discardsErrorTrace reports a discarded error result (errcheck's rules:
-// statement-position call of an error-returning function outside the
-// exempt idioms), directly or transitively.
-func (s *summarizer) discardsErrorTrace(pass *Pass, n *funcNode) *EffectTrace {
-	var best *EffectTrace
-	var bestPos token.Pos = -1
-	consider := func(p token.Pos, tr *EffectTrace) {
-		if tr != nil && (bestPos < 0 || p < bestPos) {
-			best, bestPos = tr, p
-		}
-	}
-	direct := func(call *ast.CallExpr, deferred bool) {
-		if call == nil || !returnsError(pass, call) || exemptCall(pass, call, deferred) {
-			return
-		}
-		if !s.sanctionedPos("errcheck", call.Pos()) {
-			consider(call.Pos(), &EffectTrace{Chain: []string{calleeLabel(call)}})
-		}
-	}
-	ast.Inspect(n.decl, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.ExprStmt:
-			if call, ok := node.X.(*ast.CallExpr); ok {
-				direct(call, false)
-			}
-		case *ast.GoStmt:
-			direct(node.Call, false)
-		case *ast.DeferStmt:
-			direct(node.Call, true)
-		case *ast.CallExpr:
-			if cs := s.table.LookupCall(pass.Info, node); cs != nil && cs.DiscardsError != nil {
-				if !s.sanctionedPos("errcheck", node.Pos()) {
-					consider(node.Pos(), cs.DiscardsError.extend(cs.Display))
-				}
-			}
-		}
-		return true
-	})
-	return best
 }
 
 // mergeBareSends records, per channel-typed parameter, whether fd sends
@@ -544,23 +418,6 @@ func paramIndexMap(pass *Pass, fd *ast.FuncDecl) map[types.Object]int {
 		}
 	}
 	return params
-}
-
-// declHasContextParam reports whether the declaration receives a
-// context.Context (parameter or receiver), using the unit's type info.
-func declHasContextParam(pkg *Package, fd *ast.FuncDecl) bool {
-	check := func(fl *ast.FieldList) bool {
-		if fl == nil {
-			return false
-		}
-		for _, f := range fl.List {
-			if t := pkg.Info.TypeOf(f.Type); isContextType(t) {
-				return true
-			}
-		}
-		return false
-	}
-	return check(fd.Type.Params) || check(fd.Recv)
 }
 
 // fileOf reports whether pos lies within file.

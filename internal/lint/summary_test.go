@@ -75,41 +75,3 @@ func Pong(n int) string { return Ping(n - 1) }
 		}
 	}
 }
-
-// TestSummarizeDiscardsError: the informational DiscardsError bit must
-// propagate through a wrapper, and a sanctioned `_ =` discard must not
-// set it at all.
-func TestSummarizeDiscardsError(t *testing.T) {
-	mod := writeTestModule(t, map[string]string{
-		"go.mod": "module fix\n\ngo 1.24\n",
-		"a/a.go": `package a
-
-import "os"
-
-func drop(p string) {
-	os.Chdir(p)
-}
-
-func viaDrop(p string) { drop(p) }
-
-func sanctioned(p string) {
-	_ = os.Chdir(p)
-}
-`,
-	})
-	sums := Summarize(mod)
-	for _, name := range []string{"drop", "viaDrop"} {
-		s := sums.funcs["fix/a."+name]
-		if s == nil {
-			t.Fatalf("no summary for fix/a.%s", name)
-		}
-		if s.DiscardsError == nil {
-			t.Errorf("fix/a.%s: DiscardsError is nil, want the dropped os.Chdir error", name)
-		}
-	}
-	if s := sums.funcs["fix/a.sanctioned"]; s == nil {
-		t.Fatal("no summary for fix/a.sanctioned")
-	} else if s.DiscardsError != nil {
-		t.Errorf("fix/a.sanctioned: DiscardsError = %v, want nil — an explicit `_ =` discard is sanctioned", s.DiscardsError.Chain)
-	}
-}

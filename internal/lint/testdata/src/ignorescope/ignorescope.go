@@ -1,40 +1,40 @@
 // Package ignorescope is a fixture for the widened suppression scopes:
 // //edlint:ignore-block covers the syntax node below the directive,
 // //edlint:ignore-file covers its whole file, and an unknown scope suffix
-// is itself a finding. The file form is exercised for divguard, so the
-// divisions sprinkled through the file stay silent while floateq findings
-// outside the suppressed block survive.
+// is itself a finding. The file form is exercised for libpanic, so the
+// panics in the file stay silent while divguard findings outside the
+// suppressed block survive.
 package ignorescope
 
 import "fmt"
 
-//edlint:ignore-file divguard fixture: every division in this file guards its denominator upstream
+//edlint:ignore-file libpanic fixture: every panic in this file marks a state callers rule out
 
-// BlockSuppressed compares floats bit-exactly throughout; the block
-// directive covers the whole function, including the loop.
+// BlockSuppressed divides by the probe throughout; the block directive
+// covers the whole function, including the loop.
 //
-//edlint:ignore-block floateq fixture: the table is built from exact binary fractions
+//edlint:ignore-block divguard fixture: callers draw the probe from a table of nonzero entries
 func BlockSuppressed(table map[string]float64, probe float64) int {
 	hits := 0
 	for _, v := range table {
-		if v == probe { // ok: inside the suppressed block
+		if v/probe > 1 { // ok: inside the suppressed block
 			hits++
 		}
 	}
-	if probe == 0.5 { // ok: still inside the suppressed block
+	if 1/probe > 0.5 { // ok: still inside the suppressed block
 		hits++
 	}
 	return hits
 }
 
 // Survivor sits after the suppressed block, so its finding stays.
-func Survivor(a, b float64) bool {
-	return a == b // want: floateq outside any suppression
+func Survivor(a, b float64) float64 {
+	return a / b // want: divguard outside any suppression
 }
 
-// FileScoped relies on the file-wide divguard directive.
-func FileScoped(sum, n float64) float64 {
-	return sum / n // ok: file-scoped divguard suppression
+// FileScoped relies on the file-wide libpanic directive.
+func FileScoped(state string) {
+	panic("unreachable state " + state) // ok: file-scoped libpanic suppression
 }
 
 // EscapeHatch documents a maporder false positive: the print below emits
@@ -47,7 +47,7 @@ func EscapeHatch(m map[string]int) {
 	}
 }
 
-//edlint:ignore-everywhere floateq no such scope exists
-func UnknownScope(a, b float64) bool {
-	return a == b // want: the directive above is malformed, nothing is suppressed
+//edlint:ignore-everywhere divguard no such scope exists
+func UnknownScope(a, b float64) float64 {
+	return a / b // want: the directive above is malformed, nothing is suppressed
 }

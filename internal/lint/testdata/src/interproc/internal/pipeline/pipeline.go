@@ -1,6 +1,6 @@
-// Package pipeline is the fixture's policed concurrency caller: ctxflow
-// and sendguard findings here must cite helpers' laundered effects with
-// the cross-function trace, and the sanitized helpers must stay silent.
+// Package pipeline is the fixture's policed concurrency caller: sendguard
+// findings here must cite helpers' laundered effects with the
+// cross-function trace, and the sanitized helpers must stay silent.
 package pipeline
 
 import (

@@ -7,14 +7,12 @@ import "math"
 // always almost-equal; NaN is almost-equal to nothing, so a poisoned
 // value can never sneak through a comparison.
 //
-// This is the comparison the floateq analyzer steers all floating-point
-// equality toward: exact ==/!= silently breaks under the rounding that
-// pervades the aggregation and model-fitting arithmetic.
+// Use it for computed values: exact ==/!= silently breaks under the
+// rounding that pervades the aggregation and model-fitting arithmetic.
 func AlmostEqual(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false
 	}
-	//edlint:ignore floateq exact equality deliberately short-circuits equal infinities, which have no finite difference
 	if a == b {
 		return true
 	}

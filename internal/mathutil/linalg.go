@@ -190,10 +190,8 @@ func NormalQuantile(q float64) float64 {
 	switch {
 	case math.IsNaN(q) || q < 0 || q > 1:
 		return math.NaN()
-	//edlint:ignore floateq the distribution's support endpoints are the exact values 0 and 1; nearby q must map to finite quantiles
 	case q == 0:
 		return math.Inf(-1)
-	//edlint:ignore floateq the distribution's support endpoints are the exact values 0 and 1; nearby q must map to finite quantiles
 	case q == 1:
 		return math.Inf(1)
 	}

@@ -72,7 +72,6 @@ func TestSolveLinearSystemDoesNotMutate(t *testing.T) {
 	if _, err := SolveLinearSystem(a, b); err != nil {
 		t.Fatal(err)
 	}
-	//edlint:ignore floateq mutation check: the inputs must be bit-identical, not merely close
 	if a[0][0] != 2 || a[1][1] != 3 || b[0] != 5 {
 		t.Error("SolveLinearSystem mutated its inputs")
 	}

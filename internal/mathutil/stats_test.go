@@ -101,7 +101,6 @@ func TestMedianEmpty(t *testing.T) {
 func TestMedianDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Median(xs)
-	//edlint:ignore floateq mutation check: the input must be bit-identical, not merely close
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Median mutated its input: %v", xs)
 	}
@@ -152,7 +151,6 @@ func TestMedianPermutationInvariance(t *testing.T) {
 		shuffled := append([]float64(nil), xs...)
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		got, _ := Median(shuffled)
-		//edlint:ignore floateq permutation invariance is exact: sorting the same multiset yields the same middle element
 		if got != want {
 			t.Fatalf("median changed under permutation: %v vs %v", got, want)
 		}
@@ -249,7 +247,6 @@ func TestCoefficientOfVariationZeroMean(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	min, max, ok := MinMax([]float64{3, -2, 7, 0})
-	//edlint:ignore floateq MinMax returns elements of the input verbatim, so exact comparison is sound
 	if !ok || min != -2 || max != 7 {
 		t.Errorf("MinMax = (%v,%v), want (-2,7)", min, max)
 	}

@@ -60,7 +60,6 @@ func (p Point) Equal(q Point) bool {
 		return false
 	}
 	for i := range p {
-		//edlint:ignore floateq Point identity backs measurement grouping; coordinates of the same configuration are bit-identical
 		if p[i] != q[i] {
 			return false
 		}

@@ -233,7 +233,6 @@ func TestSeriesRepetitionOrderInvariance(t *testing.T) {
 		}
 		ma, _ := a.Samples[0].Median()
 		mb, _ := b.Samples[0].Median()
-		//edlint:ignore floateq insertion-order invariance is exact: the same multiset must yield the same median
 		if ma != mb {
 			t.Fatalf("median differs by insertion order: %v vs %v", ma, mb)
 		}

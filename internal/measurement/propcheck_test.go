@@ -38,7 +38,6 @@ func TestPropMedianPermutationInvariance(t *testing.T) {
 		}
 		m1, ok1 := orig.Median()
 		m2, ok2 := permuted.Median()
-		//edlint:ignore floateq permutation invariance: the median of the same multiset must be bit-identical
 		if ok1 != ok2 || m1 != m2 {
 			return fmt.Errorf("median changed under permutation: %g vs %g", m1, m2)
 		}

@@ -95,15 +95,15 @@ func gridCampaignTasks(t *testing.T, k int) []campaignTask {
 // and reports the first difference, errors included, then checks every
 // PRESS decision of the task against its replay.
 func seriesMatchesOracle(s *measurement.Series, opts Options) error {
-	f, err := NewSeriesFitter(s, opts)
-	if err != nil {
-		return nil // both paths share the input validation
+	points, values, err := aggregateSeries(s, opts.UseMean)
+	opts = normalizeOptions(opts)
+	if err != nil || validateFitInputs(points, values, opts) != nil {
+		return nil // both paths share the aggregation and the input validation
 	}
-	fc := f.fc
-	if err := checkEquivalence(fc.points, fc.values, fc.opts); err != nil {
+	if err := checkEquivalence(points, values, opts); err != nil {
 		return err
 	}
-	return checkPress(fc.points, fc.values, fc.opts)
+	return checkPress(points, values, opts)
 }
 
 // TestEngineMatchesOracleGridCampaign fits every task of a simulated

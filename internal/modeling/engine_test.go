@@ -12,19 +12,10 @@ import (
 )
 
 // These tests pin the central contract of the design-matrix engine: for
-// every input, the fast path (Fitter.Fit on a fitContext) and the frozen
+// every input, the fast path (Fit on a fitContext) and the frozen
 // direct-solve oracle (oracle.go) must agree bit for bit — same accepted
 // hypotheses, same winning model, same coefficient, SMAPE and RSS bits —
 // and must fail with the same error when no model exists.
-
-// engineFit runs the fast path on already-valid inputs.
-func engineFit(points []measurement.Point, values []float64, opts Options) (*Model, error) {
-	f, err := NewFitter(points, values, opts)
-	if err != nil {
-		return nil, err
-	}
-	return f.Fit()
-}
 
 // oracleFit runs the reference path on the same normalized inputs the
 // engine sees.
@@ -85,7 +76,7 @@ func sameModelBits(fast, ref *Model) error {
 // checkEquivalence runs both paths and demands identical outcomes —
 // errors included.
 func checkEquivalence(points []measurement.Point, values []float64, opts Options) error {
-	fast, fastErr := engineFit(points, values, opts)
+	fast, fastErr := Fit(points, values, opts)
 	ref, refErr := oracleFit(points, values, opts)
 	switch {
 	case fastErr == nil && refErr != nil:
@@ -217,12 +208,12 @@ func TestForceOracleRoutesFit(t *testing.T) {
 	points := points1D(2, 4, 6, 8, 10)
 	values := []float64{5, 9, 13, 17, 21}
 	forceOracle = false
-	fast, err := engineFit(points, values, DefaultOptions())
+	fast, err := Fit(points, values, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	forceOracle = true
-	viaFlag, err := engineFit(points, values, DefaultOptions())
+	viaFlag, err := Fit(points, values, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +327,7 @@ func TestPropEngineOracleEquivalenceGrid(t *testing.T) {
 			return err
 		}
 		if c.product {
-			m, err := engineFit(points, values, DefaultOptions())
+			m, err := Fit(points, values, DefaultOptions())
 			if err != nil {
 				return err
 			}
@@ -558,8 +549,8 @@ func TestSparseSelectionStableUnderExponentOrder(t *testing.T) {
 	for i, j := 0, len(rev.PolyExponents)-1; i < j; i, j = i+1, j-1 {
 		rev.PolyExponents[i], rev.PolyExponents[j] = rev.PolyExponents[j], rev.PolyExponents[i]
 	}
-	m1, err1 := engineFit(points, values, fwd)
-	m2, err2 := engineFit(points, values, rev)
+	m1, err1 := Fit(points, values, fwd)
+	m2, err2 := Fit(points, values, rev)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("outcome depends on exponent order: %v vs %v", err1, err2)
 	}
@@ -584,7 +575,7 @@ func TestAxisLineEdgeCases(t *testing.T) {
 			t.Fatalf("axis line has %d points, want 2", len(pts))
 		}
 		// The full fit must still work through the fallback.
-		if _, err := engineFit(points, values, DefaultOptions()); err != nil {
+		if _, err := Fit(points, values, DefaultOptions()); err != nil {
 			t.Fatalf("fallback fit failed: %v", err)
 		}
 	})
@@ -596,7 +587,6 @@ func TestAxisLineEdgeCases(t *testing.T) {
 			t.Fatalf("duplicates must stay on the line: got %d points, want 5", len(pts))
 		}
 		for i, v := range vals {
-			//edlint:ignore floateq values pass through axisLine unchanged; the test asserts exact identity
 			if v != values[i] {
 				t.Fatalf("value %d changed: %g != %g", i, v, values[i])
 			}

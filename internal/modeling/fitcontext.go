@@ -2,7 +2,6 @@ package modeling
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -1130,59 +1129,17 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 	return model, nil
 }
 
-// Fitter is the exported handle on the design-matrix engine: the fit
-// stage constructs one per fit task (validating the inputs up front) and
-// runs the whole hypothesis search on it. A Fitter is single-use state
-// bound to one goroutine; concurrent tasks each build their own.
-type Fitter struct {
-	fc *fitContext
-}
-
-// NewFitter validates one fit task's inputs and binds the design-matrix
-// engine to them. The validation rules and errors are exactly Fit's.
-func NewFitter(points []measurement.Point, values []float64, opts Options) (*Fitter, error) {
-	opts = normalizeOptions(opts)
-	if err := validateFitInputs(points, values, opts); err != nil {
-		return nil, err
-	}
-	return &Fitter{fc: newFitContext(points, values, opts)}, nil
-}
-
-// NewSeriesFitter aggregates the series (median by default, mean with
-// Options.UseMean) and binds the engine to the aggregated values.
-func NewSeriesFitter(s *measurement.Series, opts Options) (*Fitter, error) {
-	if s == nil {
-		return nil, errors.New("modeling: nil series")
-	}
-	sorted := *s
-	sorted.Sort()
-	points := sorted.Points()
-	values := make([]float64, len(points))
-	for i, sm := range sorted.Samples {
-		var v float64
-		var ok bool
-		if opts.UseMean {
-			v, ok = sm.Mean()
-		} else {
-			v, ok = sm.Median()
-		}
-		if !ok {
-			return nil, fmt.Errorf("modeling: sample at %s has no repetitions", sm.Point.Key())
-		}
-		values[i] = v
-	}
-	return NewFitter(points, values, opts)
-}
-
-// Fit runs the hypothesis search and model selection for the bound task.
-// With the oracle flag set (EDFIT_ORACLE) the search runs on the
-// reference direct-solve path instead; selection is bit-identical either
-// way.
-func (f *Fitter) Fit() (*Model, error) {
-	fc := f.fc
+// fitValidated runs the hypothesis search and model selection for one
+// fit task whose inputs are validated and whose options are normalized.
+// The design-matrix engine context lives only for this call; its scratch
+// comes from scratchPool, so concurrent tasks share nothing mutable. With
+// the oracle flag set (EDFIT_ORACLE) the search runs on the reference
+// direct-solve path instead; selection is bit-identical either way.
+func fitValidated(points []measurement.Point, values []float64, opts Options) (*Model, error) {
 	if forceOracle {
-		return fitOracle(fc.points, fc.values, fc.opts)
+		return fitOracle(points, values, opts)
 	}
+	fc := newFitContext(points, values, opts)
 	sc := scratchPool.Get().(*fitScratch)
 	fc.bind(sc)
 	m, err := fc.search()

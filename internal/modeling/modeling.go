@@ -200,21 +200,47 @@ var ErrMismatchedLengths = errors.New("modeling: points/values length mismatch")
 // aggregated observations. All points must have the same arity; the number
 // of distinct points must be at least Options.MinPoints (default 5).
 func Fit(points []measurement.Point, values []float64, opts Options) (*Model, error) {
-	f, err := NewFitter(points, values, opts)
-	if err != nil {
+	opts = normalizeOptions(opts)
+	if err := validateFitInputs(points, values, opts); err != nil {
 		return nil, err
 	}
-	return f.Fit()
+	return fitValidated(points, values, opts)
 }
 
 // FitSeries aggregates each sample of the series (median by default, mean
 // with Options.UseMean) and fits a model on the aggregated values.
 func FitSeries(s *measurement.Series, opts Options) (*Model, error) {
-	f, err := NewSeriesFitter(s, opts)
+	points, values, err := aggregateSeries(s, opts.UseMean)
 	if err != nil {
 		return nil, err
 	}
-	return f.Fit()
+	return Fit(points, values, opts)
+}
+
+// aggregateSeries returns the series' points in sorted order with each
+// sample's median (or mean) repetition value.
+func aggregateSeries(s *measurement.Series, useMean bool) ([]measurement.Point, []float64, error) {
+	if s == nil {
+		return nil, nil, errors.New("modeling: nil series")
+	}
+	sorted := *s
+	sorted.Sort()
+	points := sorted.Points()
+	values := make([]float64, len(points))
+	for i, sm := range sorted.Samples {
+		var v float64
+		var ok bool
+		if useMean {
+			v, ok = sm.Mean()
+		} else {
+			v, ok = sm.Median()
+		}
+		if !ok {
+			return nil, nil, fmt.Errorf("modeling: sample at %s has no repetitions", sm.Point.Key())
+		}
+		values[i] = v
+	}
+	return points, values, nil
 }
 
 // sparseTopShapes is the number of best single-parameter shapes per
@@ -234,11 +260,9 @@ type rated struct {
 // the top shapes of a tied rank no longer depend on the order the
 // exponent sets happened to enumerate in.
 func ratedLess(a, b rated) bool {
-	//edlint:ignore floateq tie detection: only exactly equal CV-SMAPE values fall through to the shape-identity key
 	if a.smape != b.smape {
 		return a.smape < b.smape
 	}
-	//edlint:ignore floateq shape identity: exponents come verbatim from the finite option sets, equality is exact
 	if a.shape.PolyExp != b.shape.PolyExp {
 		return a.shape.PolyExp < b.shape.PolyExp
 	}
@@ -358,7 +382,6 @@ func axisLine(points []measurement.Point, values []float64, param int) ([]measur
 	for i, p := range points {
 		onLine := true
 		for j, v := range p {
-			//edlint:ignore floateq sweep-line membership: the coordinate either is the stored minimum value or the point is off the line
 			if j != param && v != mins[j] {
 				onLine = false
 				break

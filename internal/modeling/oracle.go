@@ -21,7 +21,7 @@ import (
 // coefficient bits) over randomized inputs; EDFIT_ORACLE=1 routes a
 // whole run through this path for end-to-end cross-checks.
 
-// forceOracle routes every Fitter.Fit through the oracle. It is an
+// forceOracle routes every fit through the oracle. It is an
 // internal verification knob: set via the EDFIT_ORACLE environment
 // variable (read once at startup) for a whole process, or flipped
 // directly by in-package tests. Not part of the public API.

@@ -158,7 +158,6 @@ func TestPropFitDeterministicUnderConcurrency(t *testing.T) {
 				return fmt.Errorf("worker %d selected %q, worker 0 selected %q",
 					w, results[w].Function.String(), results[0].Function.String())
 			}
-			//edlint:ignore floateq determinism: identical inputs must yield bit-identical SMAPE regardless of scheduling
 			if results[w].SMAPE != results[0].SMAPE {
 				return fmt.Errorf("worker %d SMAPE %v differs from worker 0 SMAPE %v",
 					w, results[w].SMAPE, results[0].SMAPE)

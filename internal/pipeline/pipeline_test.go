@@ -240,7 +240,6 @@ func assertSameModels(t *testing.T, workers int, want, got *ModelSet) {
 			if !ok {
 				t.Fatalf("workers=%d: missing model for %s/%s", workers, metric, path)
 			}
-			//edlint:ignore floateq the determinism contract is bit-exact equality across worker counts, not tolerance
 			if wm.Function.String() != gm.Function.String() || wm.SMAPE != gm.SMAPE || wm.RSS != gm.RSS {
 				t.Errorf("workers=%d: %s/%s model differs: %s vs %s", workers, metric, path, wm.Function, gm.Function)
 			}

@@ -280,8 +280,8 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 // task instead of aborting the pool; unmodelable series keep their
 // historical silent skip. Completed tasks checkpoint incrementally.
 //
-// Each task constructs its own modeling.Fitter — the design-matrix
-// engine context that caches the task's basis columns across the whole
+// Each modeling.FitSeries call builds its own design-matrix engine
+// context, which caches the task's basis columns across the whole
 // hypothesis search. The context lives and dies inside this worker
 // goroutine, so tasks share nothing mutable; checkpoint content keys
 // (fitTaskKey) cover only the task inputs and are unaffected.
@@ -303,11 +303,7 @@ func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan,
 		}
 		return ierr
 	}
-	fitter, ferr := modeling.NewSeriesFitter(t.series, p.cfg.Modeling)
-	var m *modeling.Model
-	if ferr == nil {
-		m, ferr = fitter.Fit()
-	}
+	m, ferr := modeling.FitSeries(t.series, p.cfg.Modeling)
 	if ferr != nil {
 		quarantine(FailureUnmodelable, ferr.Error())
 		return nil

@@ -360,7 +360,6 @@ func sortFloats(xs []float64) {
 }
 
 func formatTick(v float64) string {
-	//edlint:ignore floateq exact integrality test chooses the label format; a near-integer tick should still print digits
 	if v == math.Trunc(v) && math.Abs(v) < 1e6 {
 		return fmt.Sprintf("%.0f", v)
 	}

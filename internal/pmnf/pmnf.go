@@ -68,7 +68,6 @@ func (f Factor) String() string { return f.Render("x") }
 func (f Factor) Render(name string) string {
 	var parts []string
 	if f.PolyExp != 0 {
-		//edlint:ignore floateq rendering branch: an exponent that is exactly 1 prints bare, anything else prints with the caret
 		if f.PolyExp == 1 {
 			parts = append(parts, name)
 		} else {

@@ -122,7 +122,6 @@ func FuzzParseFileName(f *testing.F) {
 				canonical, app, app2, rank, rank2, rep, rep2, config, config2)
 		}
 		for i := range config {
-			//edlint:ignore floateq FormatFloat 'g' with precision -1 guarantees an exact parse round-trip
 			if config2[i] != config[i] {
 				t.Fatalf("round-trip through %q changed config[%d]: %v → %v", canonical, i, config[i], config2[i])
 			}

@@ -52,7 +52,6 @@ func TestPropFileNameRoundTrip(t *testing.T) {
 			return fmt.Errorf("%q parsed %d config values, want %d", name, len(config), len(c.config))
 		}
 		for i := range config {
-			//edlint:ignore floateq file names carry full-precision 'g' floats, so the round-trip must be exact
 			if config[i] != c.config[i] {
 				return fmt.Errorf("%q config[%d] = %v, want %v (exact round-trip)", name, i, config[i], c.config[i])
 			}

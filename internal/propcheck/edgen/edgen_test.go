@@ -59,7 +59,6 @@ func TestPropEpochParamsWithinOracleRange(t *testing.T) {
 			return fmt.Errorf("M=%g does not divide G=%g", p.ModelParallel, p.DataParallel)
 		}
 		for _, v := range []float64{p.BatchSize, p.TrainSamples, p.ValSamples, p.DataParallel, p.ModelParallel} {
-			//edlint:ignore floateq integrality check: a generated count must be exactly its own truncation
 			if v != math.Trunc(v) || v > 1e9 {
 				return fmt.Errorf("value %g outside the exact integer range", v)
 			}

@@ -82,15 +82,12 @@ func Float64Range(lo, hi float64) Gen[float64] {
 		Generate: func(r *Rand) float64 { return r.Float64Range(lo, hi) },
 		Shrink: func(v float64) []float64 {
 			var out []float64
-			//edlint:ignore floateq candidate dedup: only proposals bit-distinct from v make shrink progress
 			if t := math.Trunc(v); t != v && t >= lo {
 				out = append(out, t) // drop the fractional part first
 			}
-			//edlint:ignore floateq candidate dedup: only proposals bit-distinct from v make shrink progress
 			if mid := lo + (v-lo)/2; mid != v {
 				out = append(out, mid)
 			}
-			//edlint:ignore floateq candidate dedup: only proposals bit-distinct from v make shrink progress
 			if lo != v {
 				out = append(out, lo)
 			}

@@ -144,7 +144,6 @@ func TestSliceShrinkIsStructurallyMinimal(t *testing.T) {
 // invariant the whole suite relies on.
 func TestFloatGeneratorsAreFinite(t *testing.T) {
 	CheckConfig[float64](t, Config{Iterations: 2000}, Float64Range(-1e300, 1e300), func(v float64) error {
-		//edlint:ignore floateq v != v is the NaN test this property exists to enforce
 		if v != v || v > 1e308 || v < -1e308 {
 			return fmt.Errorf("non-finite draw %v", v)
 		}

@@ -94,7 +94,6 @@ func BenchmarkServe(b *testing.B) {
 			failures := make(chan error, clients)
 			for c := 0; c < clients; c++ {
 				work.Add(1)
-				//edlint:ignore ctxflow benchmark client drains the requests channel; close(requests)+work.Wait below bound its lifetime
 				go func(c int) {
 					defer work.Done()
 					for range requests {

@@ -183,7 +183,6 @@ func TestPropServeConcurrentClients(t *testing.T) {
 		errs := make([]error, len(batches))
 		for i, batch := range batches {
 			writers.Add(1)
-			//edlint:ignore ctxflow test client completes one bounded upload; writers.Wait below joins it
 			go func(i int, batch []string) {
 				defer writers.Done()
 				status, body := s.upload(t, testApp, "json", batch)
@@ -198,7 +197,6 @@ func TestPropServeConcurrentClients(t *testing.T) {
 		// legal off the test goroutine.
 		stop := make(chan struct{})
 		readerDone := make(chan error, 1)
-		//edlint:ignore ctxflow reader loop polls the stop channel each pass; close(stop)+<-readerDone below join it
 		go func() {
 			defer close(readerDone)
 			for {

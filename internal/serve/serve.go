@@ -54,8 +54,8 @@
 // All handlers honor context cancellation and a per-request deadline
 // budget derived through resilience.Clock; fit campaigns run under the
 // pipeline's stage timeouts and retry policy. The package is policed by
-// the ctxflow, sendguard and wallclock analyzers: every goroutine is
-// cancellable, every lock release is deferred, and no wall-clock value
+// the sendguard and wallclock analyzers: every channel send races
+// cancellation, every lock release is deferred, and no wall-clock value
 // can reach a model or a serialized response.
 package serve
 
@@ -319,7 +319,6 @@ func (s *Server) Settle(ctx context.Context, app string) (*Snapshot, error) {
 func (s *Server) Drain(ctx context.Context) error {
 	s.setClosed()
 	done := make(chan struct{})
-	//edlint:ignore ctxflow waiter exits when the fit WaitGroup drains; fit loops themselves observe the Start context, and Drain's select below bounds the wait
 	go func() {
 		defer close(done)
 		s.fits.Wait()

@@ -114,7 +114,6 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatal("labels differ across identical seeds")
 		}
 		for j := range a[i].Input {
-			//edlint:ignore floateq reproducibility: the same seed must regenerate bit-identical inputs
 			if a[i].Input[j] != b[i].Input[j] {
 				t.Fatal("inputs differ across identical seeds")
 			}

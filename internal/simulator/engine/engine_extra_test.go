@@ -206,7 +206,6 @@ func TestCommNoiseSharedAcrossRanks(t *testing.T) {
 		t.Fatalf("allreduce counts differ: %d/%d/%d", len(a), len(b2), len(c))
 	}
 	for i := range a {
-		//edlint:ignore floateq determinism: identical seeds must yield bit-identical sequences
 		if a[i] != b2[i] || a[i] != c[i] {
 			t.Fatalf("collective durations diverge across ranks at step %d", i)
 		}

@@ -186,7 +186,6 @@ func TestProfileDeterministic(t *testing.T) {
 		t.Fatal("event counts differ")
 	}
 	for i := range a1[0].Trace.Events {
-		//edlint:ignore floateq determinism: identical seeds must yield bit-identical traces
 		if a1[0].Trace.Events[i].Duration != a2[0].Trace.Events[i].Duration {
 			t.Fatal("durations differ across identical runs")
 		}
@@ -205,7 +204,6 @@ func TestProfileRepetitionsDiffer(t *testing.T) {
 	}
 	same := true
 	for i := range r1[0].Trace.Events {
-		//edlint:ignore floateq determinism: identical seeds must yield bit-identical traces
 		if r1[0].Trace.Events[i].Duration != r2[0].Trace.Events[i].Duration {
 			same = false
 			break
@@ -465,7 +463,6 @@ func TestTensorParallelStepCostsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//edlint:ignore floateq the strategies must produce observably different step times; any inequality suffices
 	if dataStats.StepTime == tensorStats.StepTime {
 		t.Error("strategies should produce different step costs")
 	}

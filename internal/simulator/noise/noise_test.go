@@ -44,16 +44,13 @@ func TestCalibrationMatchesPaperScale(t *testing.T) {
 func TestSourceDeterministic(t *testing.T) {
 	a := NewSource(DEEPParams(), 8, 42)
 	b := NewSource(DEEPParams(), 8, 42)
-	//edlint:ignore floateq determinism: identical seeds must yield bit-identical factors
 	if a.RunFactorCompute() != b.RunFactorCompute() || a.RunFactorComm() != b.RunFactorComm() {
 		t.Error("run factors differ for identical seeds")
 	}
 	for i := 0; i < 10; i++ {
-		//edlint:ignore floateq determinism: identical seeds must yield bit-identical factors
 		if a.StepFactor() != b.StepFactor() {
 			t.Fatal("step factors diverge")
 		}
-		//edlint:ignore floateq determinism: identical seeds must yield bit-identical factors
 		if a.KernelFactor() != b.KernelFactor() {
 			t.Fatal("kernel factors diverge")
 		}
@@ -63,7 +60,6 @@ func TestSourceDeterministic(t *testing.T) {
 func TestSourceSeedsDiffer(t *testing.T) {
 	a := NewSource(DEEPParams(), 8, 1)
 	b := NewSource(DEEPParams(), 8, 2)
-	//edlint:ignore floateq different seeds must yield observably different streams; any inequality suffices
 	if a.RunFactorCompute() == b.RunFactorCompute() {
 		t.Error("different seeds produced identical run factors")
 	}
@@ -180,7 +176,6 @@ func TestCountJitterIndependentOfTimingStream(t *testing.T) {
 		a.CountJitter(2) // extra draws on the count stream only
 	}
 	for i := 0; i < 20; i++ {
-		//edlint:ignore floateq stream isolation: the timing stream must be bit-identical with and without count draws
 		if a.StepFactor() != b.StepFactor() {
 			t.Fatal("count jitter perturbed the timing stream")
 		}

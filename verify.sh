@@ -168,7 +168,7 @@ awk '
 		exit bad
 	}' COVERAGE_baseline.txt "$cover_current"
 
-# edlint-bench: the full-module lint (parse + type-check + 14-analyzer
+# edlint-bench: the full-module lint (parse + type-check + 10-analyzer
 # suite) is itself part of the gate, so it must stay cheap. The stage
 # builds the binary once, runs it cold into a fresh cache directory
 # (populating the findings cache), then runs it again warm. The cold run
