@@ -8,17 +8,13 @@
 //	edbench -exp all
 //	edbench -exp casestudy,figure8 -seed 42
 //	edbench -exp all -plots out/
-//	edbench -exp all -checkpoint-dir .edbench -resume
 //
 // Available experiments: casestudy, figure3, figure4b, figure5, figure6,
 // figure7, figure8, table2, summary, all.
 //
 // A failing experiment no longer aborts the campaign: its error is
 // reported, the remaining experiments still run, and the process exits
-// with the partial-success code. With -checkpoint-dir every completed
-// experiment's rendered artifacts (text and SVGs) persist under a
-// content key of (experiment, seed), and -resume reuses them instead of
-// recomputing — an interrupted campaign continues where it stopped.
+// with the partial-success code.
 //
 // Exit codes:
 //
@@ -29,21 +25,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"extradeep/internal/experiments"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/report"
-	"extradeep/internal/resilience"
 )
 
 // Process exit codes; see the command doc comment.
@@ -72,14 +65,6 @@ func (t teeObserver) StageDone(st pipeline.StageStats) { t.a.StageDone(st); t.b.
 type outcome struct {
 	text   string
 	charts map[string]chart // file stem → chart
-}
-
-// renderedOutcome is one experiment's fully rendered artifacts — the
-// checkpoint unit: the text report plus every chart already rendered to
-// SVG, so a resumed campaign never recomputes anything for a cache hit.
-type renderedOutcome struct {
-	Text string            `json:"text"`
-	SVGs map[string]string `json:"svgs,omitempty"`
 }
 
 // renderer pairs an experiment name with its runner.
@@ -183,28 +168,17 @@ func runners() []renderer {
 	}
 }
 
-// experimentKey is the content key one experiment's artifacts are cached
-// under: the renderer name and the seed, so a different seed can never
-// reuse stale artifacts.
-func experimentKey(name string, seed int64) string {
-	return resilience.Key([]byte("edbench/v1"), []byte(name), []byte(strconv.FormatInt(seed, 10)))
-}
-
-// render turns a runner's outcome into the cacheable rendered form,
-// rendering every chart to SVG up front.
-func render(out outcome) (renderedOutcome, error) {
-	ro := renderedOutcome{Text: out.text}
-	for stem, c := range out.charts {
+// renderSVGs renders every chart of an outcome, keyed by file stem.
+func renderSVGs(charts map[string]chart) (map[string]string, error) {
+	svgs := make(map[string]string, len(charts))
+	for stem, c := range charts {
 		svg, err := c.SVG()
 		if err != nil {
-			return renderedOutcome{}, fmt.Errorf("rendering %s: %w", stem, err)
+			return nil, fmt.Errorf("rendering %s: %w", stem, err)
 		}
-		if ro.SVGs == nil {
-			ro.SVGs = make(map[string]string)
-		}
-		ro.SVGs[stem] = svg
+		svgs[stem] = svg
 	}
-	return ro, nil
+	return svgs, nil
 }
 
 func main() {
@@ -232,13 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plotsDir := fs.String("plots", "", "write the figures as SVG files into this directory")
 	htmlPath := fs.String("html", "", "write a self-contained HTML report to this file")
 	timings := fs.Bool("timings", false, "print per-stage observer lines to stderr")
-	checkpointDir := fs.String("checkpoint-dir", "", "cache each experiment's rendered artifacts in this directory")
-	resume := fs.Bool("resume", false, "reuse cached artifacts from -checkpoint-dir for unchanged (experiment, seed) pairs")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	if *resume && *checkpointDir == "" {
-		sayln(stderr, "edbench: -resume requires -checkpoint-dir")
 		return exitUsage
 	}
 
@@ -274,11 +242,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return exitFailure
 		}
 	}
-	var store *resilience.Store
-	if *checkpointDir != "" {
-		store = &resilience.Store{Dir: *checkpointDir}
-	}
-
 	htmlReport := &report.Report{
 		Title:    "Extra-Deep reproduction report",
 		Subtitle: fmt.Sprintf("simulated substrate, seed %d — see EXPERIMENTS.md for paper-vs-measured notes", *seed),
@@ -294,36 +257,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		ran++
-		var ro renderedOutcome
+		var text string
+		var svgs map[string]string
 		obs := pipeline.Observer(collector)
 		if *timings {
 			obs = teeObserver{collector, &pipeline.LogObserver{W: stderr}}
 		}
 		err := pipeline.Observe(obs, pipeline.Stage(r.name), func() (pipeline.Counters, error) {
-			key := experimentKey(r.name, *seed)
-			if *resume {
-				if payload, ok := store.Get(key); ok {
-					var cached renderedOutcome
-					if json.Unmarshal(payload, &cached) == nil && cached.Text != "" {
-						ro = cached
-						return pipeline.Counters{"cached": 1}, nil
-					}
-					// Damaged or stale cache entry: recover to a miss.
-				}
-			}
 			out, err := r.run(*seed)
 			if err != nil {
 				return nil, err
 			}
-			if ro, err = render(out); err != nil {
-				return nil, err
-			}
-			if store != nil {
-				if payload, merr := json.Marshal(ro); merr == nil {
-					_ = store.Put(key, payload)
-				}
-			}
-			return nil, nil
+			text = out.text
+			svgs, err = renderSVGs(out.charts)
+			return nil, err
 		})
 		if err != nil {
 			// Graceful degradation: name the failure, keep the campaign
@@ -332,16 +279,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			failed = append(failed, r.name)
 			continue
 		}
-		sayln(stdout, ro.Text)
+		sayln(stdout, text)
 		elapsed := collector.Last().Duration
-		section := report.Section{Title: r.name, Text: ro.Text, Elapsed: elapsed}
-		stems := make([]string, 0, len(ro.SVGs))
-		for stem := range ro.SVGs {
+		section := report.Section{Title: r.name, Text: text, Elapsed: elapsed}
+		stems := make([]string, 0, len(svgs))
+		for stem := range svgs {
 			stems = append(stems, stem)
 		}
 		sort.Strings(stems)
 		for _, stem := range stems {
-			svg := ro.SVGs[stem]
+			svg := svgs[stem]
 			section.SVGs = append(section.SVGs, svg)
 			if *plotsDir != "" {
 				path := filepath.Join(*plotsDir, stem+".svg")

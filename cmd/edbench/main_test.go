@@ -15,46 +15,3 @@ func TestUnknownExperimentIsUsageError(t *testing.T) {
 		t.Errorf("stderr lacks diagnosis:\n%s", stderr.String())
 	}
 }
-
-func TestResumeRequiresCheckpointDir(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "figure8", "-resume"}, &stdout, &stderr); code != exitUsage {
-		t.Fatalf("exit %d, want %d", code, exitUsage)
-	}
-}
-
-// reportText strips the wall-clock completion marker lines, leaving only
-// the deterministic experiment output.
-func reportText(s string) string {
-	var keep []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "[") && strings.Contains(line, "completed in") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	return strings.Join(keep, "\n")
-}
-
-// TestResumeReusesCachedArtifacts: a second run with -resume serves the
-// experiment from the checkpoint cache (visible as the cached counter in
-// -timings) and prints the identical report text.
-func TestResumeReusesCachedArtifacts(t *testing.T) {
-	ckpt := t.TempDir()
-	var cold, resumed, stderr bytes.Buffer
-	if code := run([]string{"-exp", "figure8", "-checkpoint-dir", ckpt}, &cold, &stderr); code != exitOK {
-		t.Fatalf("cold run exit %d; stderr:\n%s", code, stderr.String())
-	}
-	stderr.Reset()
-	code := run([]string{"-exp", "figure8", "-checkpoint-dir", ckpt, "-resume", "-timings"}, &resumed, &stderr)
-	if code != exitOK {
-		t.Fatalf("resume exit %d; stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "cached=1") {
-		t.Errorf("resume did not hit the cache; -timings stderr:\n%s", stderr.String())
-	}
-	if reportText(resumed.String()) != reportText(cold.String()) {
-		t.Errorf("resumed report text differs from cold run:\n--- cold ---\n%s\n--- resumed ---\n%s",
-			cold.String(), resumed.String())
-	}
-}

@@ -6,14 +6,12 @@ import (
 	"go/types"
 )
 
-// This file is the allocation-effect core shared by the perf analyzer
-// family (allocloop, prealloc) and the summary pass. allocScan walks one
-// function declaration with full lexical context — enclosing loops,
-// amortized-growth regions, cold exit paths — and classifies every
-// potential allocation site. The summarizer derives the interprocedural
-// effects (AllocatesPerCall, GrowsSlice, CapturesByClosure) from the
-// same scan, so a helper that allocates three frames down taints its hot
-// callers with a trace to the root site.
+// This file is the allocation-site scanner of the perf analyzer family
+// (allocloop, prealloc). allocScan walks one hot function declaration
+// with full lexical context — enclosing loops, amortized-growth regions,
+// cold exit paths — and classifies every direct allocation site. Calls
+// are sites only when they are allocating stdlib intrinsics: a hot loop
+// calling a module helper that allocates is not reported.
 //
 // Three amortized idioms are exempt by construction, because reporting
 // them would punish exactly the code the analyzers exist to encourage:
@@ -31,8 +29,7 @@ import (
 // statement leaves the loop), so an error-path fmt.Errorf does not count
 // as a per-iteration allocation. A return in the function body's
 // top-level statement list is the function's normal result path and is
-// NOT exempt — `return make([]T, n)` is the canonical allocating helper
-// the summaries exist to expose.
+// NOT exempt — `return make([]T, n)` is the function's own allocation.
 
 // allocKind classifies one scanned site.
 type allocKind int
@@ -48,22 +45,8 @@ const (
 	// formatters, strings.Join, …) — functions without bodies in the
 	// module whose allocation behaviour the scanner knows intrinsically.
 	allocIntrinsic
-	// allocAppend: a non-amortized append (GrowsSlice / prealloc).
+	// allocAppend: a non-amortized append (prealloc).
 	allocAppend
-	// allocClosure: a function literal capturing enclosing variables.
-	allocClosure
-	// allocCall: a call to a module function whose summary carries an
-	// allocation-family effect (site.eff names which).
-	allocCall
-)
-
-// allocEffect names which summary field an allocCall site feeds.
-type allocEffect int
-
-const (
-	effAlloc allocEffect = iota
-	effGrow
-	effClosure
 )
 
 // allocSite is one classified allocation site.
@@ -83,11 +66,6 @@ type allocSite struct {
 	rangeOperand string
 	// target is the append target's source text (allocAppend only).
 	target string
-	// sum/eff/effKind carry the callee summary for interprocedural
-	// sites (allocCall).
-	sum     *FuncSummary
-	eff     *EffectTrace
-	effKind allocEffect
 }
 
 // allocFrame is the lexical context of one AST node during the scan.
@@ -105,8 +83,7 @@ type allocFrame struct {
 
 // allocScan classifies every allocation site of fd, in source
 // order. Function-literal bodies are not descended into: their
-// allocations happen on the literal's own schedule, not per call of fd —
-// the literal itself is the site (allocClosure) when it captures.
+// allocations happen on the literal's own schedule, not per call of fd.
 func allocScan(pass *Pass, fd *ast.FuncDecl) []allocSite {
 	sc := &allocScanner{pass: pass, fd: fd, reuse: collectReuseTargets(pass, fd), claimed: make(map[ast.Node]bool)}
 	stack := []allocFrame{{node: fd}}
@@ -118,11 +95,10 @@ func allocScan(pass *Pass, fd *ast.FuncDecl) []allocSite {
 		if n == fd {
 			return true // the root frame is already seeded
 		}
-		f := sc.childFrame(stack[len(stack)-1], n)
-		if lit, ok := n.(*ast.FuncLit); ok {
-			sc.visitFuncLit(f, fd, lit)
+		if _, ok := n.(*ast.FuncLit); ok {
 			return false // closure bodies run on their own schedule
 		}
+		f := sc.childFrame(stack[len(stack)-1], n)
 		sc.visit(f, n)
 		stack = append(stack, f)
 		return true
@@ -251,9 +227,8 @@ func (sc *allocScanner) visitAssign(f allocFrame, n *ast.AssignStmt) {
 	}
 }
 
-// visitCall classifies a call site: builtin allocators, allocating
-// stdlib intrinsics, and calls into the module whose summaries carry
-// allocation-family effects.
+// visitCall classifies a call site: builtin allocators and allocating
+// stdlib intrinsics.
 func (sc *allocScanner) visitCall(f allocFrame, call *ast.CallExpr) {
 	switch builtinName(sc.pass, call) {
 	case "make":
@@ -271,34 +246,12 @@ func (sc *allocScanner) visitCall(f allocFrame, call *ast.CallExpr) {
 	default:
 		return // append is handled at its assignment; others don't allocate
 	}
-	if !f.exempt {
-		if desc, ok := intrinsicAllocCall(sc.pass, call); ok {
-			sc.add(f, allocSite{kind: allocIntrinsic, pos: call.Pos(), desc: desc})
-		}
-	}
-	if cs := sc.pass.Sums.LookupCall(sc.pass.Info, call); cs != nil {
-		switch {
-		case cs.AllocatesPerCall != nil:
-			sc.add(f, allocSite{kind: allocCall, pos: call.Pos(), sum: cs, eff: cs.AllocatesPerCall, effKind: effAlloc})
-		case cs.GrowsSlice != nil:
-			sc.add(f, allocSite{kind: allocCall, pos: call.Pos(), sum: cs, eff: cs.GrowsSlice, effKind: effGrow})
-		case cs.CapturesByClosure != nil:
-			sc.add(f, allocSite{kind: allocCall, pos: call.Pos(), sum: cs, eff: cs.CapturesByClosure, effKind: effClosure})
-		}
-	}
-}
-
-// visitFuncLit records a capturing closure (non-capturing literals are
-// static in the gc compiler and allocate nothing).
-func (sc *allocScanner) visitFuncLit(f allocFrame, fd *ast.FuncDecl, lit *ast.FuncLit) {
 	if f.exempt {
 		return
 	}
-	name, captures := closureCapture(sc.pass, fd, lit)
-	if !captures {
-		return
+	if desc, ok := intrinsicAllocCall(sc.pass, call); ok {
+		sc.add(f, allocSite{kind: allocIntrinsic, pos: call.Pos(), desc: desc})
 	}
-	sc.add(f, allocSite{kind: allocClosure, pos: lit.Pos(), desc: "func literal capturing " + name})
 }
 
 // add stamps the frame context onto the site and records it.
@@ -431,35 +384,6 @@ func rangeCapacity(pass *Pass, r *ast.RangeStmt) (capExpr, operand string) {
 	return "", ""
 }
 
-// closureCapture reports whether lit references a variable of the
-// enclosing declaration (which forces a heap-allocated closure) and
-// names the first captured variable.
-func closureCapture(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) (string, bool) {
-	var name string
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if name != "" {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := pass.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
-			return true // the literal's own parameter or local
-		}
-		if v.Pos() < fd.Pos() || v.Pos() >= fd.End() {
-			return true // package-level state, not a capture
-		}
-		name = id.Name
-		return false
-	})
-	return name, name != ""
-}
-
 // builtinName returns the builtin a call invokes ("make", "append",
 // "len", …) or "" for non-builtin calls.
 func builtinName(pass *Pass, call *ast.CallExpr) string {
@@ -474,9 +398,8 @@ func builtinName(pass *Pass, call *ast.CallExpr) string {
 }
 
 // allocIntrinsics names stdlib functions known to allocate their result
-// on every call — bodies the summarizer cannot see. strings.Builder and
-// the strconv.Append* family are deliberately absent: they are the fix,
-// not the finding.
+// on every call. strings.Builder and the strconv.Append* family are
+// deliberately absent: they are the fix, not the finding.
 var allocIntrinsics = map[string]map[string]bool{
 	"fmt": {
 		"Sprintf": true, "Sprint": true, "Sprintln": true, "Errorf": true,
@@ -536,45 +459,6 @@ func litTypeString(pass *Pass, lit *ast.CompositeLit) string {
 		return shortExpr(t.String())
 	}
 	return "composite"
-}
-
-// allocEffects derives the allocation-family summary effects of one
-// declaration from its scan: the earliest non-sanctioned site per
-// effect, with interprocedural sites extending the callee's trace.
-// Exempt (amortized/cold-path) sites never reach the scan output, so a
-// grow-to-cap helper stays effect-free.
-func (s *summarizer) allocEffects(pass *Pass, n *funcNode) (alloc, grow, closure *EffectTrace) {
-	setIf := func(dst **EffectTrace, analyzer string, pos token.Pos, tr *EffectTrace) {
-		if *dst == nil && !s.sanctionedPos(analyzer, pos) {
-			*dst = tr
-		}
-	}
-	for _, site := range allocScan(pass, n.decl) {
-		switch site.kind {
-		case allocMake, allocNew, allocLit, allocIntrinsic:
-			setIf(&alloc, "allocloop", site.pos, &EffectTrace{Chain: []string{site.desc}})
-		case allocAppend:
-			setIf(&grow, "allocloop", site.pos, &EffectTrace{Chain: []string{site.desc}})
-		case allocClosure:
-			setIf(&closure, "allocloop", site.pos, &EffectTrace{Chain: []string{site.desc}})
-		case allocCall:
-			switch site.effKind {
-			case effAlloc:
-				setIf(&alloc, "allocloop", site.pos, site.eff.extend(site.sum.Display))
-			case effGrow:
-				setIf(&grow, "allocloop", site.pos, site.eff.extend(site.sum.Display))
-			case effClosure:
-				setIf(&closure, "allocloop", site.pos, site.eff.extend(site.sum.Display))
-			}
-		}
-	}
-	return alloc, grow, closure
-}
-
-// hotDisplayPath renders the interprocedural chain of a perf finding:
-// the hot reporting function, the callee, then the callee's own trace.
-func hotDisplayPath(pass *Pass, fd *ast.FuncDecl, site allocSite) string {
-	return site.eff.render(funcDisplay(pass, fd), site.sum.Display)
 }
 
 // hotLoopSuffix annotates messages with the designation channel, so a

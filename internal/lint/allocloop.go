@@ -4,11 +4,9 @@ import "go/ast"
 
 // AllocLoop is the flagship of the perf analyzer family: it reports
 // per-iteration heap allocations inside the loops of designated hot
-// functions — direct make/new/composite-literal/intrinsic sites, and
-// calls whose interprocedural summary says the callee allocates per
-// call, rendered with the full trace to the root allocation site
-// ("fitOne ← evalTerm ← make([]float64, …)"). Hot callees are skipped
-// at the call site: their own bodies yield the finding exactly once.
+// functions — direct make/new/composite-literal sites and calls of
+// allocating stdlib intrinsics. A call to a module helper is not a site:
+// designate the helper hot and its own body is policed.
 //
 // The amortized-growth idioms the fit engine is built on (grow-to-cap
 // loops, cap-guarded makes, [:0] reuse buffers) and cold exit paths
@@ -17,9 +15,8 @@ import "go/ast"
 var AllocLoop = &Analyzer{
 	Name: "allocloop",
 	Doc: "reports per-iteration heap allocations in designated hot loops " +
-		"(//edlint:hotpath directives plus the policed fit-engine default set), " +
-		"including transitively-allocating calls with an interprocedural trace " +
-		"to the root allocation site",
+		"(//edlint:hotpath directives plus the policed fit-engine default set): " +
+		"make, new, composite literals and allocating stdlib calls",
 	Run: runAllocLoop,
 }
 
@@ -34,22 +31,12 @@ func runAllocLoop(pass *Pass) {
 				return
 			}
 			for _, site := range allocScan(pass, fd) {
-				if !site.inLoop {
+				if !site.inLoop || site.kind == allocAppend {
 					continue
 				}
-				switch site.kind {
-				case allocMake, allocNew, allocLit, allocIntrinsic:
-					pass.Reportf(site.pos,
-						"%s allocates on every iteration of a hot loop in %s%s; hoist it out of the loop or reuse a scratch buffer, or suppress with //edlint:ignore allocloop <reason>",
-						site.desc, funcDisplay(pass, fd), hotLoopSuffix(pass, fd))
-				case allocCall:
-					if site.sum.Hot {
-						continue // the callee polices its own body
-					}
-					pass.Reportf(site.pos,
-						"call to %s allocates on every iteration of a hot loop (%s); hoist the call, pass a reusable buffer, or sanction the source with //edlint:ignore allocloop <reason> — which clears every caller",
-						site.sum.Display, hotDisplayPath(pass, fd, site))
-				}
+				pass.Reportf(site.pos,
+					"%s allocates on every iteration of a hot loop in %s%s; hoist it out of the loop or reuse a scratch buffer, or suppress with //edlint:ignore allocloop <reason>",
+					site.desc, funcDisplay(pass, fd), hotLoopSuffix(pass, fd))
 			}
 		})
 	}

@@ -18,8 +18,8 @@ import (
 // Resolution is deliberately static-only: a call through an interface
 // method, a function value, or a method value resolves to no node and
 // contributes no edge. That keeps the graph sound for the analyzers'
-// purpose — an unresolved call is treated as effect-free, so the
-// interprocedural analyzers under-report rather than guess — and cheap
+// purpose — an unresolved call is treated as effect-free, so laundered
+// wallclock findings under-report rather than guess — and cheap
 // enough to rebuild on every run.
 
 // funcNode is one function declaration in the call graph.

@@ -60,7 +60,7 @@ type taintSource struct {
 	pos token.Pos
 	// desc renders the source for messages, e.g. "time.Now()" or
 	// "range over m". For interprocedural sources it is the callee's
-	// display name ("formatRows").
+	// display name ("helpers.StampLabel").
 	desc string
 	// interproc marks a source introduced by a call to a function whose
 	// summary carries the effect (edlint v3); trace is the callee's chain
@@ -72,21 +72,12 @@ type taintSource struct {
 	calleePkg string
 }
 
-// mapOrdered reports whether the source is a map-iteration-order class.
-func (s *taintSource) mapOrdered() bool {
-	return s.kind == srcMapRange || s.kind == srcSyncMapRange
-}
-
-// asTrace renders the source as an effect trace: the source description,
-// prefixed by the callee chain for interprocedural sources.
-func (s *taintSource) asTrace() *EffectTrace {
-	return &EffectTrace{Chain: append([]string{s.desc}, s.trace...)}
-}
-
-// via renders the cross-function chain for a finding at a call site, with
-// the given head elements (typically the enclosing function) first.
+// via renders the cross-function chain for a finding at a call site: the
+// given head elements (typically the enclosing function), the source
+// description, then the callee's chain.
 func (s *taintSource) via(head ...string) string {
-	return s.asTrace().render(head...)
+	tr := &EffectTrace{Chain: append([]string{s.desc}, s.trace...)}
+	return tr.render(head...)
 }
 
 // flowSet is the result of the reaching analysis for one function
@@ -265,9 +256,8 @@ func (f *flowSet) exprSource(e ast.Expr) *taintSource {
 
 // summaryCallSource classifies a call as an interprocedural
 // nondeterminism source: the statically resolved callee's summary says it
-// reads the clock, draws randomness, or returns a map-ordered sequence.
-// The returned source carries the callee's trace so findings can render
-// the whole cross-function chain.
+// reads the clock or draws randomness. The returned source carries the
+// callee's trace so findings can render the whole cross-function chain.
 func summaryCallSource(pass *Pass, call *ast.CallExpr) *taintSource {
 	cs := pass.Sums.LookupCall(pass.Info, call)
 	if cs == nil {
@@ -283,11 +273,7 @@ func summaryCallSource(pass *Pass, call *ast.CallExpr) *taintSource {
 			calleePkg: cs.Pkg,
 		}
 	}
-	// Order matters only for values carrying several effects at once; map
-	// order wins because it is the effect the value's consumers observe.
 	switch {
-	case cs.OrderedReturn != nil:
-		return mk(srcMapRange, cs.OrderedReturn)
 	case cs.ReadsClock != nil:
 		return mk(srcTime, cs.ReadsClock)
 	case cs.ReadsRand != nil:

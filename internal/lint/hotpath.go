@@ -26,11 +26,10 @@ import (
 //     plus the function's display name ("fitContext.prepare"), with a
 //     "Recv.*" wildcard covering every method of a receiver type.
 //
-// Hotness deliberately does NOT propagate to transitive callees: a hot
-// caller invoking a cold helper in a loop is the *caller's* finding
-// (rendered with the interprocedural trace into the helper), while a
-// hot callee reports its own body exactly once. This is the same
-// single-report contract wallclock keeps across policed packages.
+// Hotness deliberately does NOT propagate to transitive callees, and a
+// call is never a site: a hot loop calling a cold allocating helper is
+// not reported. To police a helper, designate it hot; its body then
+// reports its own allocations exactly once.
 
 // hotPathDirective is the function-level hot marker, written as
 // //edlint:hotpath [reason] in a declaration's doc comment.

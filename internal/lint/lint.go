@@ -7,9 +7,11 @@
 // library code — and, via a small intra-procedural dataflow core
 // (dataflow.go) that tracks which values descend from a nondeterminism
 // source, map-iteration order reaching output (maporder), wall-clock and
-// rand reads in the deterministic core (wallclock), and unguarded
-// concurrency acquire/release shapes (sendguard). The perf family
-// (allocloop, prealloc) polices allocations in designated hot loops.
+// rand reads in the deterministic core (wallclock, also through helpers
+// via the interprocedural clock/rand summaries of summary.go), and
+// unguarded concurrency acquire/release shapes (sendguard). The perf
+// family (allocloop, prealloc) polices direct allocation sites in
+// designated hot loops.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at a
 // fraction of its surface: an Analyzer is a named Run function over a Pass,
@@ -80,8 +82,8 @@ type Pass struct {
 	// IsTestUnit reports whether the unit contains _test.go files.
 	IsTestUnit bool
 	// Sums is the module-wide interprocedural summary table (edlint v3).
-	// It is shared by every pass of one run; analyzers use it to resolve
-	// effects laundered through helpers. May be nil in reduced harnesses;
+	// It is shared by every pass of one run; wallclock uses it to resolve
+	// clock and rand reads laundered through helpers. May be nil in reduced harnesses;
 	// lookups on a nil table resolve to nothing.
 	Sums *SummaryTable
 

@@ -22,12 +22,6 @@ import (
 //     on the iteration variables — state mutated through a method (e.g. a
 //     report's add) accumulates in map order.
 //
-// A fourth, interprocedural rule (edlint v3) fires outside any map range:
-// an output sink whose argument came from a helper that — per its module
-// summary — returns a slice accumulated in map iteration order without
-// sorting it. The finding carries the cross-function trace; sorting in
-// either the caller or the callee clears it.
-//
 // The fix is almost always the same: collect the keys, sort them, and
 // iterate the sorted slice (cf. profile.SortedKeys). Where iteration order
 // provably cannot reach the output, suppress with
@@ -59,7 +53,6 @@ func runMapOrder(pass *Pass) {
 			for _, region := range mapRegions(pass, fd) {
 				checkMapRegion(pass, fd, flows, region, reported)
 			}
-			checkInterprocMapOrder(pass, fd, flows, reported)
 		})
 	}
 }
@@ -165,44 +158,6 @@ func checkMapRegion(pass *Pass, fd *ast.FuncDecl, flows *flowSet, region mapRegi
 					types.ExprString(call.Fun), region.desc, types.ExprString(arg))
 				break
 			}
-		}
-		return true
-	})
-}
-
-// checkInterprocMapOrder reports output-sink calls whose argument carries
-// map-iteration order laundered through a helper: the statically resolved
-// callee's summary says it returns a slice accumulated inside a map range
-// and never sorted. The caller-side append-then-sort idiom still
-// sanitizes — any later sort/slices call over the value clears it — and a
-// callee that sorts before returning never produces the summary in the
-// first place.
-func checkInterprocMapOrder(pass *Pass, fd *ast.FuncDecl, flows *flowSet, reported map[token.Pos]bool) {
-	ast.Inspect(fd, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, sink := outputSinkCall(pass, call)
-		if !sink {
-			return true
-		}
-		for _, arg := range call.Args {
-			src := flows.exprSource(arg)
-			if src == nil || !src.interproc || !src.mapOrdered() {
-				continue
-			}
-			if sortedAfter(pass, fd, src.pos, arg) {
-				continue // caller re-sorts before (or after) emitting
-			}
-			if reported[call.Pos()] {
-				break
-			}
-			reported[call.Pos()] = true
-			pass.Reportf(call.Pos(),
-				"%s emits %s, whose element order follows map iteration inside a helper (%s); sort the slice before emitting, or sort it inside the helper",
-				name, types.ExprString(arg), src.via(funcDisplay(pass, fd)))
-			break
 		}
 		return true
 	})

@@ -70,40 +70,10 @@ func runSendGuard(pass *Pass) {
 		spawned := collectSpawnedLits(file)
 		eachTopFunc(file, func(fd *ast.FuncDecl) {
 			checkSends(pass, fd, selectComms)
-			checkInterprocSends(pass, fd)
 			checkWaitGroups(pass, fd, deferredCalls, spawned)
 			checkLocks(pass, fd)
 		})
 	}
-}
-
-// checkInterprocSends reports calls that hand a channel to a helper
-// outside the policed packages which — per its module summary — performs
-// a bare send on the corresponding parameter: the blocking risk crosses
-// the call boundary, so the caller inherits the finding with the
-// cross-function trace. Helpers inside the policed packages are skipped;
-// their own bodies already yield the send finding.
-func checkInterprocSends(pass *Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		cs := pass.Sums.LookupCall(pass.Info, call)
-		if cs == nil || len(cs.BareSendParams) == 0 || sendGuardPoliced(cs.Pkg) {
-			return true
-		}
-		for i, arg := range call.Args {
-			eff, ok := cs.BareSendParams[i]
-			if !ok {
-				continue
-			}
-			pass.Reportf(call.Pos(),
-				"call to %s sends on %s outside any select case (%s): if the receiver is gone the send blocks forever; select against ctx.Done() inside the helper, or suppress at the send with //edlint:ignore sendguard <reason>",
-				cs.Display, types.ExprString(arg), eff.render(funcDisplay(pass, fd), cs.Display))
-		}
-		return true
-	})
 }
 
 // collectSelectComms records every statement that is the communication of

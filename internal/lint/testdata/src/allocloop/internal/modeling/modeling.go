@@ -12,8 +12,8 @@ type fitContext struct {
 	sums []float64
 }
 
-// fitOne calls the cold helper per iteration: the finding lands here,
-// rendered with the interprocedural trace down to the root make.
+// fitOne calls the cold allocating helper per iteration: a negative
+// control, because the perf family reports direct sites only.
 func (fc *fitContext) fitOne() {
 	for i, row := range fc.rows {
 		term := helpers.EvalTerm(row) // laundered allocation, two frames down
@@ -43,8 +43,8 @@ func (fc *fitContext) recycle(scratch []float64) {
 	}
 }
 
-// seed calls the helper whose allocation is suppressed at the source; the
-// sanction clears this hot call site too.
+// seed calls the helper whose allocation is suppressed at the source;
+// like fitOne's call, this hot call site is not a finding.
 func (fc *fitContext) seed() {
 	for i := range fc.rows {
 		fc.rows[i] = helpers.Scratch(4)

@@ -1,7 +1,7 @@
 // Package helpers is the unpoliced helper layer of the interprocedural
-// fixture: every function here launders an effect that a policed caller
-// package consumes — or sanitizes it, proving the summary pass knows the
-// difference.
+// fixture: the clock and rand helpers launder an effect that a policed
+// caller consumes — or sanitize it, proving the summary pass knows the
+// difference — and the rest back the callers' negative controls.
 package helpers
 
 import (

@@ -1,6 +1,6 @@
-// Package pipeline is the fixture's policed concurrency caller: sendguard
-// findings here must cite helpers' laundered effects with the
-// cross-function trace, and the sanitized helpers must stay silent.
+// Package pipeline is the fixture's policed concurrency caller. sendguard
+// reports only the sends in a policed package's own bodies, so the calls
+// into the unpoliced helpers below are negative controls.
 package pipeline
 
 import (
@@ -28,7 +28,7 @@ func SanitizedSpawn(ctx context.Context, fn func()) {
 }
 
 // LaunderedSend hands its channel to helpers that perform a bare send,
-// one and two frames down.
+// one and two frames down; neither call is a finding.
 func LaunderedSend(ch chan<- int) {
 	helpers.Push(ch, 1)
 	helpers.Relay(ch)

@@ -1,7 +1,7 @@
-// Package report is the maporder fixture caller: rows accumulated in map
-// iteration order inside helpers must be reported when they reach an
-// output sink here, and sorting — in either the caller or the callee —
-// clears the finding.
+// Package report is the maporder fixture caller. It emits rows that the
+// helpers accumulate in map iteration order; maporder reports the
+// accumulating append inside the helper, so every call site here is a
+// negative control.
 package report
 
 import (
@@ -13,7 +13,7 @@ import (
 )
 
 // Write emits rows whose order follows map iteration inside the helper
-// chain FormatRows ← bucketByNode.
+// chain FormatRows ← bucketByNode; the finding is bucketByNode's append.
 func Write(w io.Writer, m map[string]int) {
 	rows := helpers.FormatRows(m)
 	fmt.Fprintln(w, rows)

@@ -12,20 +12,12 @@ import (
 )
 
 // These tests pin the central contract of the design-matrix engine: for
-// every input, the fast path (Fit on a fitContext) and the frozen
-// direct-solve oracle (oracle.go) must agree bit for bit — same accepted
-// hypotheses, same winning model, same coefficient, SMAPE and RSS bits —
-// and must fail with the same error when no model exists.
-
-// oracleFit runs the reference path on the same normalized inputs the
-// engine sees.
-func oracleFit(points []measurement.Point, values []float64, opts Options) (*Model, error) {
-	opts = normalizeOptions(opts)
-	if err := validateFitInputs(points, values, opts); err != nil {
-		return nil, err
-	}
-	return fitOracle(points, values, opts)
-}
+// every input, the fast path (fitValidated on a fitContext) and the
+// frozen direct-solve oracle (oracle.go) must agree bit for bit — same
+// accepted hypotheses, same winning model, same coefficient, SMAPE and
+// RSS bits — and must fail with the same error when no model exists.
+// They call both paths directly, so they compare the engine with the
+// oracle under EDFIT_ORACLE too.
 
 // sameModelBits reports the first bit-level difference between two fitted
 // models, or nil when they are identical in every selection-relevant
@@ -73,11 +65,15 @@ func sameModelBits(fast, ref *Model) error {
 	return nil
 }
 
-// checkEquivalence runs both paths and demands identical outcomes —
-// errors included.
+// checkEquivalence runs both paths on the same normalized, validated
+// inputs and demands identical outcomes — errors included.
 func checkEquivalence(points []measurement.Point, values []float64, opts Options) error {
-	fast, fastErr := Fit(points, values, opts)
-	ref, refErr := oracleFit(points, values, opts)
+	opts = normalizeOptions(opts)
+	if err := validateFitInputs(points, values, opts); err != nil {
+		return nil // both paths share Fit's input validation
+	}
+	fast, fastErr := fitValidated(points, values, opts)
+	ref, refErr := fitOracle(points, values, opts)
 	switch {
 	case fastErr == nil && refErr != nil:
 		return fmt.Errorf("engine fitted but oracle failed: %v", refErr)

@@ -1129,16 +1129,12 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 	return model, nil
 }
 
-// fitValidated runs the hypothesis search and model selection for one
-// fit task whose inputs are validated and whose options are normalized.
-// The design-matrix engine context lives only for this call; its scratch
-// comes from scratchPool, so concurrent tasks share nothing mutable. With
-// the oracle flag set (EDFIT_ORACLE) the search runs on the reference
-// direct-solve path instead; selection is bit-identical either way.
+// fitValidated runs the design-matrix engine's hypothesis search and
+// model selection for one fit task whose inputs are validated and whose
+// options are normalized, whatever the oracle flag says. The engine
+// context lives only for this call; its scratch comes from scratchPool,
+// so concurrent tasks share nothing mutable.
 func fitValidated(points []measurement.Point, values []float64, opts Options) (*Model, error) {
-	if forceOracle {
-		return fitOracle(points, values, opts)
-	}
 	fc := newFitContext(points, values, opts)
 	sc := scratchPool.Get().(*fitScratch)
 	fc.bind(sc)

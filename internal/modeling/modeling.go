@@ -199,10 +199,16 @@ var ErrMismatchedLengths = errors.New("modeling: points/values length mismatch")
 // Fit creates a performance model from measurement points and their
 // aggregated observations. All points must have the same arity; the number
 // of distinct points must be at least Options.MinPoints (default 5).
+// With the oracle flag set (EDFIT_ORACLE) the search runs on the
+// reference direct-solve path instead; selection is bit-identical either
+// way.
 func Fit(points []measurement.Point, values []float64, opts Options) (*Model, error) {
 	opts = normalizeOptions(opts)
 	if err := validateFitInputs(points, values, opts); err != nil {
 		return nil, err
+	}
+	if forceOracle {
+		return fitOracle(points, values, opts)
 	}
 	return fitValidated(points, values, opts)
 }

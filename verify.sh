@@ -99,8 +99,8 @@ go test -race -shuffle=on -count=2 $shuffle_pkgs
 # incremental cache must stay byte-identical to a cold run; both contracts
 # get a dedicated shuffled race pass (the full ./... race run above covers
 # the rest of the lint suite once). The perf analyzer family's parity
-# property rides along: interprocedural traces must not depend on
-# GOMAXPROCS or cache temperature.
+# property rides along: its findings must not depend on GOMAXPROCS or
+# cache temperature.
 begin lint-parity test "go test -race -shuffle=on (edlint parallel loader + cache parity)"
 lint_suites="TestLoadModuleWorkersParity TestLintCacheParity TestPropLintCacheParity TestPropPerfAnalyzersParity"
 require_suites ./internal/lint $lint_suites
@@ -127,6 +127,14 @@ if [ "$res_elapsed" -gt 120 ]; then
 	echo "resilience: suites exceeded the 120s budget (${res_elapsed}s) — a chaos-path stall or runaway schedule; replay the printed EDCHECK_SEED" >&2
 	exit 1
 fi
+
+# oracle: EDFIT_ORACLE=1 routes every modeling.Fit through the frozen
+# direct-solve reference (internal/modeling/oracle.go). Rerunning the
+# fit-heavy packages on that route keeps the reference working end to
+# end, so it cannot silently rot; the engine-vs-oracle suites call both
+# paths directly and still compare the engine with the oracle here.
+begin oracle test "EDFIT_ORACLE=1 go test (modeling, pipeline, core, serve on the reference fit path)"
+EDFIT_ORACLE=1 go test ./internal/modeling ./internal/pipeline ./internal/core ./internal/serve
 
 # edcheck: the propcheck invariant suites (TestProp*) rerun in their
 # long-haul configuration — 5x the per-property iteration count under a
