@@ -357,7 +357,7 @@ func BenchmarkPipelineOnly(b *testing.B) {
 // trajectory):
 //
 //	off        zero-valued config — the hooks reduce to context checks
-//	armed      injector armed (empty schedule) + stage deadline + retrier
+//	armed      injector armed (empty schedule) + stage deadline
 //	checkpoint armed plus incremental campaign checkpointing (fresh store)
 //	resume     armed plus resume over a fully warm store (no refitting)
 //
@@ -395,7 +395,6 @@ func BenchmarkPipelineResilience(b *testing.B) {
 		return pipeline.Config{
 			Injector:     resilience.NewInjector(nil),
 			StageTimeout: time.Hour,
-			Retry:        resilience.RetryPolicy{MaxAttempts: 3, Seed: benchSeed},
 		}
 	}
 	runOnce := func(b *testing.B, cfg pipeline.Config) {

@@ -106,8 +106,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	maxCampaigns := fs.Int("max-campaigns", 0, "concurrent fit campaigns across applications (0 = default of 2)")
 	coalesce := fs.Duration("coalesce", 0, "window to coalesce an upload burst into one re-fit campaign")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request deadline budget (0 = default of 30s, negative disables)")
-	stageTimeout := fs.Duration("stage-timeout", 0, "deadline budget per campaign stage attempt (0 = none)")
-	retries := fs.Int("retries", 0, "attempts per campaign stage for transient failures (0 = default of 3)")
+	stageTimeout := fs.Duration("stage-timeout", 0, "deadline budget per campaign stage (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight fit campaigns")
 	timings := fs.Bool("timings", false, "log per-stage campaign timings and counters to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -141,7 +140,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	pcfg := pipeline.Config{
 		Workers:      *jobs,
-		Retry:        resilience.RetryPolicy{MaxAttempts: *retries},
 		StageTimeout: *stageTimeout,
 		Resume:       *resume,
 	}

@@ -20,10 +20,10 @@
 // modeling. -strict restores the historical all-or-nothing behavior and
 // aborts on the first unreadable file.
 //
-// The run itself is resilient: stages execute under optional deadline
-// budgets (-stage-timeout) with seeded retry/backoff of transient
-// failures (-retries), per-kernel fit panics are quarantined so the run
-// completes partially instead of dying, and -checkpoint-dir stores every
+// The run itself is resilient: each stage runs once under an optional
+// deadline budget (-stage-timeout) and a stage that overruns it fails the
+// run, per-kernel fit panics are quarantined so the run completes
+// partially instead of dying, and -checkpoint-dir stores every
 // completed fit task as its own content-keyed record, so a rerun with
 // -resume reuses every fit it shares with an earlier run — an
 // interrupted one or any other campaign — byte-identically. The
@@ -123,8 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timings := fs.Bool("timings", false, "print per-stage timings and counters to stderr")
 	checkpointDir := fs.String("checkpoint-dir", "", "store every completed fit task as a content-keyed record in this directory")
 	resume := fs.Bool("resume", false, "reuse completed fit results from -checkpoint-dir (content-keyed, so changed inputs refit)")
-	stageTimeout := fs.Duration("stage-timeout", 0, "deadline budget per pipeline stage attempt (0 = none)")
-	retries := fs.Int("retries", 0, "attempts per stage for transient failures (0 = default of 3)")
+	stageTimeout := fs.Duration("stage-timeout", 0, "deadline budget per pipeline stage (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -185,7 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Modeling:     modeling.DefaultOptions(),
 		Observer:     obs,
 		Injector:     injector,
-		Retry:        resilience.RetryPolicy{MaxAttempts: *retries},
 		StageTimeout: *stageTimeout,
 		Checkpoint:   store,
 		Resume:       *resume,

@@ -13,7 +13,7 @@ import (
 var sendGuardPolicedPackages = []string{
 	"internal/pipeline",
 	"internal/core",
-	// resilience holds the injector/retrier/checkpoint mutexes and the
+	// resilience holds the injector and fake-clock mutexes and the
 	// timer channels behind Clock; the same acquire/release discipline
 	// applies.
 	"internal/resilience",

@@ -47,7 +47,7 @@ var wallclockPolicedPackages = []string{
 	// suffix entry.
 	"internal/propcheck",
 	"internal/report",
-	// resilience schedules faults, retries and checkpoints that must
+	// resilience schedules faults, deadlines and checkpoints that must
 	// replay identically from a seed: its only clock access goes through
 	// the Clock interface, and the WallClock implementation is the one
 	// sanctioned timer consumer.

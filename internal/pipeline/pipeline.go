@@ -186,15 +186,11 @@ type Config struct {
 	// injection points; nil (the production default) reduces the hook to
 	// a context check.
 	Injector *resilience.Injector
-	// Retry is the per-stage retry/backoff policy for retryable-class
-	// failures; the zero value uses the resilience defaults (3 attempts).
-	// Only retryable errors — blown stage budgets and injected transient
-	// faults — are ever retried.
-	Retry resilience.RetryPolicy
-	// StageTimeout is the deadline budget applied to every stage attempt;
+	// StageTimeout is the deadline budget of every stage, which runs
+	// once: a stage that overruns it fails with a retryable-class error.
 	// 0 disables stage deadlines.
 	StageTimeout time.Duration
-	// Clock paces retries, deadlines and injected stalls; nil means the
+	// Clock paces stage deadlines and injected stalls; nil means the
 	// wall clock. Tests substitute a resilience.FakeClock for
 	// deterministic schedules.
 	Clock resilience.Clock

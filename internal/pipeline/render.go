@@ -96,12 +96,11 @@ func renderQuarantine(b *strings.Builder, ms *ModelSet) {
 }
 
 // RenderContext is the Report stage under the resilience policy
-// (injection point "report", deadline budget, retry): like Render, but a
+// (injection point "report", deadline budget): like Render, but a
 // full run — or the CLI — can inject faults at every stage boundary.
 func (p *Pipeline) RenderContext(ctx context.Context, res *AnalysisResult) (string, error) {
 	var b strings.Builder
 	err := p.runStage(ctx, StageReport, func(sctx context.Context) (Counters, error) {
-		b.Reset() // a retried attempt must not concatenate onto the last
 		renderAnalysis(&b, res)
 		return Counters{"bytes": b.Len()}, nil
 	})

@@ -21,14 +21,13 @@ import (
 )
 
 // resilientConfig returns a pipeline config with deterministic resilience
-// wiring: fake clock, tight stage budgets, seeded retry policy.
+// wiring: fake clock and tight stage budgets.
 func resilientConfig(workers int, clock resilience.Clock, inj *resilience.Injector) Config {
 	return Config{
 		Workers:      workers,
 		Injector:     inj,
 		Clock:        clock,
 		StageTimeout: time.Second,
-		Retry:        resilience.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, Seed: 1},
 	}
 }
 
@@ -82,40 +81,37 @@ func TestFitPanicQuarantinesKernel(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// TestStageStallRetriesByteIdentical: a stall blowing the stage budget is
-// classified retryable, the stage is re-run, and the final report is
-// byte-identical to an undisturbed run — retries cannot leak into output.
-func TestStageStallRetriesByteIdentical(t *testing.T) {
+// TestStageDeadlineFailsOnce: a stall blowing the stage budget fails the
+// run with a typed retryable deadline error after exactly one attempt —
+// the stage is not re-run and no backoff sleep advances the clock past
+// the stall itself.
+func TestStageDeadlineFailsOnce(t *testing.T) {
 	dir, setup := writeCampaign(t)
-	cold, err := New(Config{Workers: 4}).Run(context.Background(), testSpec(dir, setup))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	clock := resilience.NewFakeClock()
 	inj := resilience.NewInjector(clock,
-		resilience.Fault{Point: "aggregate", Hit: 0, Kind: resilience.KindStall, Stall: time.Hour})
+		resilience.Fault{Point: "aggregate", Kind: resilience.KindStall, Stall: time.Hour})
 	col := &Collector{}
 	cfg := resilientConfig(4, clock, inj)
 	cfg.Observer = col
-	res, err := New(cfg).Run(context.Background(), testSpec(dir, setup))
-	if err != nil {
-		t.Fatalf("stalled run failed after retries: %v", err)
+	_, err := New(cfg).Run(context.Background(), testSpec(dir, setup))
+	var typed *resilience.Error
+	if !errors.As(err, &typed) || typed.Class != resilience.ClassRetryable || typed.Stage != string(StageAggregate) {
+		t.Fatalf("err = %v, want retryable typed error at aggregate", err)
 	}
-	if res.Report != cold.Report {
-		t.Error("retried run's report differs from the undisturbed run")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want it to wrap context.DeadlineExceeded", err)
 	}
 	attempts := 0
 	for _, s := range col.Stats() {
 		if s.Stage == StageAggregate {
 			attempts++
-			if attempts == 1 && !resilience.IsRetryable(s.Err) {
-				t.Errorf("first aggregate attempt error = %v, want retryable deadline", s.Err)
-			}
 		}
 	}
-	if attempts != 2 {
-		t.Errorf("aggregate ran %d times, want 2 (fail + retry)", attempts)
+	if attempts != 1 {
+		t.Errorf("aggregate ran %d times, want 1", attempts)
+	}
+	if got := clock.Now(); got != time.Hour {
+		t.Errorf("virtual time = %v, want the 1h stall and nothing more", got)
 	}
 }
 

@@ -16,49 +16,41 @@ func (p *Pipeline) clock() resilience.Clock {
 	return p.cfg.Clock
 }
 
-// runStage executes one pipeline stage under the resilience policy:
-// every attempt is its own observed stage invocation wrapped in the
-// injector hook, an optional per-stage deadline budget, and panic
-// recovery; the seeded retrier re-runs attempts that fail with the
-// retryable class. With a zero-valued resilience configuration this
-// reduces to the historical fail-fast observe path (the retrier never
-// sees a retryable error and the injector hook is a context check).
+// runStage executes one pipeline stage exactly once, as an observed
+// stage invocation: it derives the stage's deadline context, fires the
+// stage-entry injection point, and recovers panics into typed fatal
+// errors. A blown stage budget fails the stage with the retryable class
+// — the caller may rerun it; nothing in-process does — unless the
+// caller's own context ended, which stays fatal (the caller asked the run
+// to stop). A context that is already done fails the stage, typed fatal,
+// without running it.
 func (p *Pipeline) runStage(ctx context.Context, s Stage, fn func(ctx context.Context) (Counters, error)) error {
-	r := &resilience.Retrier{Policy: p.cfg.Retry, Clock: p.clock()}
-	return r.Do(ctx, string(s), func(actx context.Context) error {
-		return p.observe(s, func() (Counters, error) {
-			return p.stageAttempt(actx, s, fn)
-		})
+	if err := resilience.CauseOrErr(ctx); err != nil {
+		return resilience.Wrap(resilience.ClassFatal, string(s), err)
+	}
+	return p.observe(s, func() (counters Counters, err error) {
+		sctx := ctx
+		cancel := context.CancelFunc(func() {})
+		if p.cfg.StageTimeout > 0 {
+			sctx, cancel = p.clock().WithTimeout(ctx, p.cfg.StageTimeout)
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				counters, err = nil, resilience.Errorf(resilience.ClassFatal, string(s), "stage panicked: %v", r)
+			}
+			deadline := err != nil && ctx.Err() == nil && sctx.Err() != nil &&
+				errors.Is(context.Cause(sctx), context.DeadlineExceeded)
+			cancel()
+			if deadline {
+				err = resilience.Wrap(resilience.ClassRetryable, string(s),
+					fmt.Errorf("stage deadline exceeded after %v: %w", p.cfg.StageTimeout, context.DeadlineExceeded))
+			}
+		}()
+		if ierr := p.cfg.Injector.At(sctx, string(s)); ierr != nil {
+			return nil, ierr
+		}
+		return fn(sctx)
 	})
-}
-
-// stageAttempt runs one attempt of a stage body: it derives the stage's
-// deadline context, fires the stage-entry injection point, recovers
-// panics into typed fatal errors, and classifies a blown stage budget as
-// retryable (unless the caller's own context ended, which stays fatal —
-// the caller asked the run to stop).
-func (p *Pipeline) stageAttempt(ctx context.Context, s Stage, fn func(ctx context.Context) (Counters, error)) (counters Counters, err error) {
-	sctx := ctx
-	cancel := context.CancelFunc(func() {})
-	if p.cfg.StageTimeout > 0 {
-		sctx, cancel = p.clock().WithTimeout(ctx, p.cfg.StageTimeout)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			counters, err = nil, resilience.Errorf(resilience.ClassFatal, string(s), "stage panicked: %v", r)
-		}
-		deadline := err != nil && ctx.Err() == nil && sctx.Err() != nil &&
-			errors.Is(context.Cause(sctx), context.DeadlineExceeded)
-		cancel()
-		if deadline {
-			err = resilience.Wrap(resilience.ClassRetryable, string(s),
-				fmt.Errorf("stage deadline exceeded after %v: %w", p.cfg.StageTimeout, context.DeadlineExceeded))
-		}
-	}()
-	if ierr := p.cfg.Injector.At(sctx, string(s)); ierr != nil {
-		return nil, ierr
-	}
-	return fn(sctx)
 }
 
 // Fit-failure classes recorded in ModelSet.Skipped and checkpoint task

@@ -54,7 +54,7 @@ func (m *ModelSet) KernelCount() int {
 // fans the per-file read/decode/validate out across the worker pool,
 // assembles the report in file-name order, and adds stage timing,
 // counters and the resilience hooks (injection point "ingest", deadline
-// budget, retry of retryable-class failures).
+// budget).
 func (p *Pipeline) Ingest(ctx context.Context, dir, format string, opts ingest.Options) (*ingest.Report, error) {
 	return p.ingest(ctx, dir, format, opts, nil)
 }

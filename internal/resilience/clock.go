@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Clock abstracts the passage of time for retries, stage deadlines and
-// injected stalls, so the whole resilience layer is deterministic under a
+// Clock abstracts the passage of time for stage deadlines and injected
+// stalls, so the whole resilience layer is deterministic under a
 // FakeClock in tests while production uses the wall clock.
 type Clock interface {
 	// Sleep blocks for d or until ctx is done, returning the context's
@@ -46,13 +46,12 @@ func (WallClock) WithTimeout(ctx context.Context, d time.Duration) (context.Cont
 
 // FakeClock is a manual clock for deterministic tests: Sleep advances a
 // virtual now instantly and fires every timeout context whose deadline
-// has passed, so stalls, deadlines and backoff schedules run in
-// microseconds and always the same way. It is safe for concurrent use
+// has passed, so stalls and deadlines run in microseconds and always the
+// same way. It is safe for concurrent use
 // (worker-pool tasks may sleep in parallel).
 type FakeClock struct {
 	mu      sync.Mutex
 	now     time.Duration
-	slept   []time.Duration
 	nextID  int
 	pending map[int]*fakeTimeout
 }
@@ -84,7 +83,6 @@ func (c *FakeClock) advance(d time.Duration) {
 	defer c.mu.Unlock()
 	if d > 0 {
 		c.now += d
-		c.slept = append(c.slept, d)
 	}
 	c.expireLocked()
 }
@@ -140,14 +138,6 @@ func (c *FakeClock) unregister(id int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.pending, id)
-}
-
-// Slept returns the sequence of sleep durations observed so far — the
-// backoff schedule a test asserts on.
-func (c *FakeClock) Slept() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.slept...)
 }
 
 // Now returns the current virtual time.

@@ -16,8 +16,7 @@ type FaultKind int
 
 const (
 	// KindError makes the point return a typed error of the fault's
-	// Class (fatal aborts, retryable exercises the retrier, degraded
-	// quarantines the unit).
+	// Class (fatal aborts the run, degraded quarantines the unit).
 	KindError FaultKind = iota
 	// KindPanic makes the point panic, exercising the recover paths.
 	KindPanic
@@ -52,8 +51,9 @@ type Fault struct {
 	// "fit:task:3" (the fourth fit task).
 	Point string
 	// Hit selects which invocation of the point fires the fault
-	// (0-based): retried stages hit their points again, so Hit 0 can
-	// model a transient failure that a retry survives.
+	// (0-based), counted over the injector's lifetime: a pipeline run
+	// hits each point at most once, so a Hit above 0 fires only in a
+	// later run that shares the injector.
 	Hit int
 	// Kind is what happens.
 	Kind FaultKind
@@ -192,13 +192,12 @@ func (in *Injector) Fired() []string {
 // `point@hit=kind` entries where kind is one of
 //
 //	error            fatal-class error
-//	retryable        retryable-class error
 //	degraded         degraded-class error
 //	panic            panic at the point
 //	stall:<duration> sleep, e.g. stall:2s
 //	cancel           cancel the armed run context
 //
-// Example: "fit:task:3@0=panic;ingest@1=retryable;fit@0=stall:500ms".
+// Example: "fit:task:3@0=panic;ingest@1=degraded;fit@0=stall:500ms".
 func ParseSchedule(s string) ([]Fault, error) {
 	var out []Fault
 	for _, entry := range strings.Split(s, ";") {
@@ -224,8 +223,6 @@ func ParseSchedule(s string) ([]Fault, error) {
 		switch {
 		case kind == "error":
 			f.Kind, f.Class = KindError, ClassFatal
-		case kind == "retryable":
-			f.Kind, f.Class = KindError, ClassRetryable
 		case kind == "degraded":
 			f.Kind, f.Class = KindError, ClassDegraded
 		case kind == "panic":
@@ -258,8 +255,9 @@ func FormatSchedule(schedule []Fault) string {
 
 // ScheduleFromSeed derives a deterministic pseudo-random schedule of up
 // to maxFaults faults over the given points: the EDFAULT_SEED knob. The
-// derivation uses the same SplitMix64 mixer as the retry jitter — no
-// randomness source — so a seed names one schedule forever.
+// derivation uses the SplitMix64 mixer — no randomness source — so a
+// seed names one schedule forever. Error faults draw their class from
+// {fatal, degraded}.
 func ScheduleFromSeed(seed int64, points []string, maxFaults int) []Fault {
 	if maxFaults <= 0 || len(points) == 0 {
 		return nil
@@ -280,7 +278,9 @@ func ScheduleFromSeed(seed int64, points []string, maxFaults int) []Fault {
 		switch draw(4*i+2, 4) {
 		case 0:
 			f.Kind = KindError
-			f.Class = Class(draw(4*i+3, 3))
+			if draw(4*i+3, 2) == 1 {
+				f.Class = ClassDegraded
+			}
 		case 1:
 			f.Kind = KindPanic
 		case 2:
@@ -292,4 +292,12 @@ func ScheduleFromSeed(seed int64, points []string, maxFaults int) []Fault {
 		out = append(out, f)
 	}
 	return out
+}
+
+// splitmix64 is the SplitMix64 finalizer, the same mixer propcheck uses
+// for per-case seeds.
+func splitmix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

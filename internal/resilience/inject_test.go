@@ -25,18 +25,18 @@ func TestNilInjectorObservesContext(t *testing.T) {
 
 func TestInjectorFiresOnScheduledHit(t *testing.T) {
 	in := NewInjector(NewFakeClock(),
-		Fault{Point: "fit", Hit: 1, Kind: KindError, Class: ClassRetryable})
+		Fault{Point: "fit", Hit: 1, Kind: KindError, Class: ClassDegraded})
 	if err := in.At(context.Background(), "fit"); err != nil {
 		t.Fatalf("hit 0 fired early: %v", err)
 	}
 	err := in.At(context.Background(), "fit")
-	if !IsRetryable(err) {
-		t.Fatalf("hit 1 = %v, want retryable injected error", err)
+	if !IsDegraded(err) {
+		t.Fatalf("hit 1 = %v, want degraded injected error", err)
 	}
 	if err := in.At(context.Background(), "fit"); err != nil {
 		t.Fatalf("hit 2 fired again: %v", err)
 	}
-	if got := in.Fired(); !reflect.DeepEqual(got, []string{"fit@1=retryable"}) {
+	if got := in.Fired(); !reflect.DeepEqual(got, []string{"fit@1=degraded"}) {
 		t.Fatalf("Fired = %v", got)
 	}
 }
@@ -83,7 +83,7 @@ func TestInjectorCancelKind(t *testing.T) {
 }
 
 func TestParseScheduleRoundTrip(t *testing.T) {
-	const s = "fit:task:3@0=panic;ingest@1=retryable;fit@0=stall:500ms;report@2=degraded;aggregate@0=cancel;epoch@1=error"
+	const s = "fit:task:3@0=panic;fit@0=stall:500ms;report@2=degraded;aggregate@0=cancel;epoch@1=error"
 	sched, err := ParseSchedule(s)
 	if err != nil {
 		t.Fatalf("ParseSchedule: %v", err)
@@ -95,12 +95,13 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 
 func TestParseScheduleRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		"fit",          // no @hit=kind
-		"fit@x=error",  // non-numeric hit
-		"fit@-1=error", // negative hit
-		"@0=error",     // empty point
-		"fit@0=maybe",  // unknown kind
-		"fit@0=stall:", // empty duration
+		"fit",             // no @hit=kind
+		"fit@x=error",     // non-numeric hit
+		"fit@-1=error",    // negative hit
+		"@0=error",        // empty point
+		"fit@0=maybe",     // unknown kind
+		"fit@0=retryable", // no injected kind is retryable: stages run once
+		"fit@0=stall:",    // empty duration
 		"fit@0=stall:-1s",
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
@@ -145,7 +146,7 @@ func TestPropScheduleSyntaxRoundTrip(t *testing.T) {
 				switch r.Intn(4) {
 				case 0:
 					out[i].Kind = KindError
-					out[i].Class = Class(r.Intn(3))
+					out[i].Class = []Class{ClassFatal, ClassDegraded}[r.Intn(2)]
 				case 1:
 					out[i].Kind = KindPanic
 				case 2:

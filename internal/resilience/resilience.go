@@ -1,9 +1,11 @@
 // Package resilience is the pipeline's failure-handling layer: a typed
-// error taxonomy (retryable / fatal / degraded), a seeded
-// exponential-backoff retrier that is deterministic under test clocks, a
-// deterministic runtime fault injector whose schedules are replayable
-// like EDCHECK_SEED recipes, and a content-hash-keyed checkpoint store
-// with atomic temp+rename writes, one record file per completed task.
+// error taxonomy (retryable / fatal / degraded), a Clock that makes stage
+// deadlines and stalls deterministic under test, a deterministic runtime
+// fault injector whose schedules are replayable like EDCHECK_SEED
+// recipes, and a content-hash-keyed checkpoint store with atomic
+// temp+rename writes, one record file per completed task. Nothing here
+// retries: every stage runs once, because the stages are deterministic
+// work over in-memory data and a rerun would repeat the same failure.
 //
 // The package is stdlib-only and deliberately knows nothing about
 // profiles or models: the pipeline hands it opaque byte payloads and
@@ -32,8 +34,10 @@ const (
 	// errors, cancellation by the caller. This is the default class for
 	// errors that carry no explicit classification.
 	ClassFatal Class = iota
-	// ClassRetryable failures are transient (I/O hiccups, injected
-	// stalls past a stage deadline): the retrier may re-run the stage.
+	// ClassRetryable failures may succeed if the caller reruns the
+	// operation later, such as a stage that overran its deadline budget.
+	// Nothing in-process retries them: the run fails once and the caller
+	// decides.
 	ClassRetryable
 	// ClassDegraded failures are per-unit (one kernel's fit panicked or
 	// refused to converge): the unit is quarantined and the run
@@ -55,25 +59,10 @@ func (c Class) String() string {
 	}
 }
 
-// ParseClass is the inverse of Class.String, for schedule strings and
-// checkpoint decoding.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "fatal":
-		return ClassFatal, nil
-	case "retryable":
-		return ClassRetryable, nil
-	case "degraded":
-		return ClassDegraded, nil
-	default:
-		return ClassFatal, fmt.Errorf("resilience: unknown failure class %q", s)
-	}
-}
-
 // Error is the typed pipeline failure: a class, the stage or injection
 // point it occurred at, and the cause.
 type Error struct {
-	// Class selects the reaction: abort, retry, or quarantine.
+	// Class selects the reaction: abort, rerun later, or quarantine.
 	Class Class
 	// Stage names the pipeline stage or injection point.
 	Stage string
@@ -121,9 +110,6 @@ func ClassOf(err error) Class {
 
 // IsDegraded reports whether err carries the degraded class.
 func IsDegraded(err error) bool { return err != nil && ClassOf(err) == ClassDegraded }
-
-// IsRetryable reports whether err carries the retryable class.
-func IsRetryable(err error) bool { return err != nil && ClassOf(err) == ClassRetryable }
 
 // CauseOrErr returns context.Cause(ctx) when the context is done —
 // surfacing a deadline as context.DeadlineExceeded even when the

@@ -52,8 +52,8 @@
 //     byte-identically.
 //
 // All handlers honor context cancellation and a per-request deadline
-// budget derived through resilience.Clock; fit campaigns run under the
-// pipeline's stage timeouts and retry policy. The package is policed by
+// budget derived through resilience.Clock; fit campaigns run each stage
+// once under the pipeline's stage timeouts. The package is policed by
 // the sendguard and wallclock analyzers: every channel send races
 // cancellation, every lock release is deferred, and no wall-clock value
 // can reach a model or a serialized response.

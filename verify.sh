@@ -109,13 +109,13 @@ go test -race -shuffle=on -run "$(echo "$lint_suites" | tr ' ' '|')" ./internal/
 # resilience: the randomized fault-schedule invariants — every run either
 # completes, completes partially with all failures classified, or fails
 # with a typed error; resume after any interruption is byte-identical;
-# injector and retrier replay exactly from their seeds — rerun under the
+# the injector replays exactly from its seed — rerun under the
 # race detector as a dedicated stage with their own wall-time budget, so
 # a hang in the chaos path (a stalled stage, a leaked goroutine blocking
 # exit) surfaces as budget-exceeded rather than wedging the whole gate.
 # The suites are selected by name, so require_suites checks them first.
 begin resilience test "go test -race (fault-schedule propcheck invariants, 120s budget)"
-res_suites="TestPropFaultScheduleTrichotomy TestPropResumeByteIdentical TestPropCheckpointRoundTrip TestPropInjectorReplayIdentical TestPropRetrySleepScheduleReplayable"
+res_suites="TestPropFaultScheduleTrichotomy TestPropResumeByteIdentical TestPropCheckpointRoundTrip TestPropInjectorReplayIdentical"
 res_run=$(echo "$res_suites" | tr ' ' '|')
 require_suites "./internal/resilience ./internal/pipeline" $res_suites
 res_start=$(date +%s)
