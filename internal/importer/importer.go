@@ -34,9 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -50,8 +47,8 @@ var ErrFormat = errors.New("importer: malformed CSV profile")
 
 // ReadCSV parses one CSV profile. Errors wrap ErrFormat where the input is
 // malformed and always name the 1-based line of the original input the
-// problem was found on, so a caller that knows the file name (ReadCSVFile)
-// can report an exact path:line location.
+// problem was found on, so a caller that knows the file name (ingest's
+// quarantine entries) can report an exact path:line location.
 func ReadCSV(r io.Reader) (*profile.Profile, error) {
 	p := &profile.Profile{Rep: 1}
 	br := bufio.NewReader(r)
@@ -346,41 +343,3 @@ func WriteCSV(w io.Writer, p *profile.Profile) error {
 }
 
 func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// ReadCSVFile loads one CSV profile from disk.
-func ReadCSVFile(path string) (*profile.Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("importer: %w", err)
-	}
-	defer f.Close()
-	p, err := ReadCSV(f)
-	if err != nil {
-		return nil, fmt.Errorf("importer: %s: %w", path, err)
-	}
-	return p, nil
-}
-
-// ImportDir loads every .csv profile in a directory, sorted by file name.
-func ImportDir(dir string) ([]*profile.Profile, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("importer: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".csv") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	out := make([]*profile.Profile, 0, len(names))
-	for _, name := range names {
-		p, err := ReadCSVFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}

@@ -3,8 +3,6 @@ package importer
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,23 +147,6 @@ func TestReadCSVErrorsCarryFileLine(t *testing.T) {
 	}
 }
 
-func TestReadCSVFileErrorCarriesPathAndLine(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "broken.csv")
-	bad := sampleCSV + "event,x,cuda,cp,0.0,notanumber,,\n"
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadCSVFile(path)
-	if err == nil {
-		t.Fatal("broken file accepted")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, path) || !strings.Contains(msg, "line 16") {
-		t.Errorf("error lacks path:line location: %v", msg)
-	}
-}
-
 func TestReadCSVRejectsNonFiniteMetrics(t *testing.T) {
 	cases := []string{
 		"event,x,cuda,cp,NaN,0.1,,\n",
@@ -252,52 +233,5 @@ func TestRoundTripSimulatedProfile(t *testing.T) {
 	}
 	if len(got.Trace.Steps) != len(profiles[0].Trace.Steps) {
 		t.Errorf("steps: %d vs %d", len(got.Trace.Steps), len(profiles[0].Trace.Steps))
-	}
-}
-
-func TestImportDir(t *testing.T) {
-	dir := t.TempDir()
-	orig, err := ReadCSV(strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rank := range []int{1, 0} {
-		orig.Rank = rank
-		orig.Trace.Rank = rank
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, orig); err != nil {
-			t.Fatal(err)
-		}
-		name := filepath.Join(dir, []string{"b.csv", "a.csv"}[i])
-		if err := os.WriteFile(name, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A non-CSV file must be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	profiles, err := ImportDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 2 {
-		t.Fatalf("imported %d, want 2", len(profiles))
-	}
-	// Sorted by file name: a.csv (rank 0) first.
-	if profiles[0].Rank != 0 {
-		t.Error("directory import not sorted")
-	}
-}
-
-func TestImportDirMissing(t *testing.T) {
-	if _, err := ImportDir(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("missing dir accepted")
-	}
-}
-
-func TestReadCSVFileMissing(t *testing.T) {
-	if _, err := ReadCSVFile(filepath.Join(t.TempDir(), "nope.csv")); err == nil {
-		t.Error("missing file accepted")
 	}
 }

@@ -4,8 +4,9 @@
 // exist because profiles are noisy — but a profiling campaign on a shared
 // cluster also produces files that are outright broken: killed jobs leave
 // truncated exports, full filesystems leave empty ones, converters emit
-// NaN metrics. The raw loaders (profile.Store, importer.ImportDir) are
-// all-or-nothing; this package wraps them with per-file error isolation:
+// NaN metrics. The decoders (profile.Decode for JSON, importer.ReadCSV
+// for CSV) see one document at a time; this package loads a directory
+// of them with per-file error isolation:
 //
 //   - every file that fails to read, decode or validate is quarantined
 //     into the Report with its path, failing stage and error, instead of
@@ -25,7 +26,6 @@ package ingest
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -271,14 +271,14 @@ func identityOf(p *profile.Profile) identity {
 // stage a directory ingestion would have quarantined it under.
 func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
 	if format == "json" {
-		var p profile.Profile
-		if err := json.Unmarshal(data, &p); err != nil {
+		p, err := profile.Decode(data)
+		if err != nil {
 			return nil, StageDecode, err
 		}
 		if err := p.Validate(); err != nil {
 			return nil, StageValidate, err
 		}
-		return &p, 0, nil
+		return p, 0, nil
 	}
 	p, err := importer.ReadCSV(strings.NewReader(string(data)))
 	if err != nil {

@@ -367,6 +367,86 @@ func TestCSVQuarantineCarriesPathAndLine(t *testing.T) {
 	}
 }
 
+// TestLoadFileCSVErrorCarriesPathAndLine pins that a CSV decode failure
+// names the file in its quarantine entry and the line in its cause.
+func TestLoadFileCSVErrorCarriesPathAndLine(t *testing.T) {
+	var buf bytes.Buffer
+	if err := importer.WriteCSV(&buf, fixtureProfile(2, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("line %d", bytes.Count(buf.Bytes(), []byte("\n"))+1)
+	buf.WriteString("event,x,cuda,cp,0.0,notanumber,,\n")
+	path := filepath.Join(t.TempDir(), "broken.csv")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := LoadFile(path, "csv", Decoded{})
+	if f.Err == nil {
+		t.Fatal("broken file accepted")
+	}
+	msg := Quarantined{Path: f.Path, Stage: f.Stage, Err: f.Err}.Error()
+	if !strings.Contains(msg, path) || !strings.Contains(msg, line) {
+		t.Errorf("quarantine entry lacks path and %s: %v", line, msg)
+	}
+}
+
+// TestListDirSortedAndFiltered pins the file set a directory load sees:
+// only files of the requested format, in file-name order.
+func TestListDirSortedAndFiltered(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"b.json", "a.json", "c.csv", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "d.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for format, want := range map[string][]string{"json": {"a.json", "b.json"}, "csv": {"c.csv"}} {
+		paths, err := ListDir(dir, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, p := range paths {
+			got = append(got, filepath.Base(p))
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: listed %v, want %v", format, got, want)
+		}
+	}
+}
+
+// TestLoadDirCSVSortedAndFiltered pins a CSV directory load end to end:
+// every .csv file decodes, other files are ignored, and the profiles come
+// back in file-name order rather than directory order.
+func TestLoadDirCSVSortedAndFiltered(t *testing.T) {
+	dir := t.TempDir()
+	for i, rank := range []int{1, 0} {
+		var buf bytes.Buffer
+		if err := importer.WriteCSV(&buf, fixtureProfile(2, rank, 1)); err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Join(dir, []string{"b.csv", "a.csv"}[i])
+		if err := os.WriteFile(name, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := LoadDir(dir, "csv", Options{Policy: Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Profiles) != 2 || len(rep.Quarantined) != 0 {
+		t.Fatalf("loaded %d, quarantined %d; want 2 and 0", len(rep.Profiles), len(rep.Quarantined))
+	}
+	if rep.Profiles[0].Rank != 0 || rep.Profiles[1].Rank != 1 {
+		t.Error("CSV directory load not sorted by file name")
+	}
+}
+
 // TestGateErrorStructured pins the satellite fix of the edserve PR: the
 // lenient-mode aggregate gate error must surface its per-file stage
 // classification structurally — a typed GateError with typed Quarantined

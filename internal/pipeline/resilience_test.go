@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"extradeep/internal/ingest"
 	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
 	"extradeep/internal/propcheck"
@@ -221,10 +222,11 @@ func fitCounters(col *Collector) Counters {
 // any event of one kernel, returning the copy and the kernel's name.
 func dropKernel(t *testing.T, dir string) (string, string) {
 	t.Helper()
-	ps, err := (&profile.Store{Dir: dir}).ReadAll()
+	rep, err := ingest.LoadDir(dir, "json", ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ps := rep.Profiles
 	victim := ps[0].Trace.Events[0].Name
 	out := &profile.Store{Dir: t.TempDir()}
 	for _, p := range ps {

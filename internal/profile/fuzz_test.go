@@ -1,54 +1,64 @@
-package profile
+package profile_test
 
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"extradeep/internal/faults"
+	"extradeep/internal/profile"
 )
 
-// nonFinite reports whether any numeric field of the profile is NaN/Inf.
-func nonFinite(p *Profile) bool {
-	bad := func(vs ...float64) bool {
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-		return false
-	}
-	if bad(p.WallTime) || bad(p.Config...) {
-		return true
-	}
+// floats lists every float field of p in a fixed order.
+func floats(p *profile.Profile) []float64 {
+	out := append([]float64{p.WallTime}, p.Config...)
 	for _, e := range p.Trace.Events {
-		if bad(e.Start, e.Duration, e.Bytes) {
-			return true
-		}
+		out = append(out, e.Start, e.Duration, e.Bytes)
 	}
 	for _, s := range p.Trace.Steps {
-		if bad(s.Start, s.End) {
-			return true
-		}
+		out = append(out, s.Start, s.End)
 	}
 	for _, ep := range p.Trace.Epochs {
-		if bad(ep.Start, ep.End) {
-			return true
-		}
+		out = append(out, ep.Start, ep.End)
 	}
-	return false
+	return out
 }
 
-// FuzzProfileRead asserts the loader invariant on arbitrary file bytes:
-// Read returns either a valid, all-finite profile or an error — it never
-// panics and never smuggles NaN/Inf into the pipeline.
-func FuzzProfileRead(f *testing.F) {
-	valid, err := json.Marshal(validProfile(0, 1, 4))
-	if err != nil {
-		f.Fatal(err)
+// nonFinite reports whether any numeric field of the profile is NaN/Inf.
+func nonFinite(p *profile.Profile) bool {
+	return slices.ContainsFunc(floats(p), func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) })
+}
+
+// checkParity fails t unless Decode gives what json.Unmarshal gives for
+// data: a deep-equal profile whose floats match bit for bit, or the
+// identical error text. It returns Decode's profile, nil on error.
+func checkParity(t *testing.T, data []byte) *profile.Profile {
+	t.Helper()
+	got, err := profile.Decode(data)
+	var want profile.Profile
+	wantErr := json.Unmarshal(data, &want)
+	if err != nil || wantErr != nil {
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("Decode error %v, json.Unmarshal error %v", err, wantErr)
+		}
+		return nil
 	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !reflect.DeepEqual(*got, want) || !slices.EqualFunc(floats(got), floats(&want), sameBits) {
+		t.Fatalf("Decode = %+v\njson.Unmarshal = %+v", *got, want)
+	}
+	return got
+}
+
+// FuzzProfileRead asserts the decoder contract on arbitrary file bytes:
+// Decode gives exactly json.Unmarshal's profile or error, and a decoded
+// profile that passes Validate is all-finite — it never panics and never
+// smuggles NaN/Inf into the pipeline.
+func FuzzProfileRead(f *testing.F) {
+	// A small valid profile as json.Marshal writes it.
+	valid := []byte(`{"app":"cifar10","params":["p"],"config":[4],"rank":0,"rep":1,"wall_time":12.5,"sampled":true,"trace":{"rank":0,"events":[{"name":"EigenMetaKernel","kind":1,"start":0.01,"duration":0.05}],"steps":[{"epoch":0,"index":0,"phase":0,"start":0,"end":0.1}],"epochs":[{"index":0,"start":0,"end":0.1}]}}`)
 	f.Add(valid)
 	for _, k := range faults.Kinds() {
 		mutated, err := faults.Apply(k, valid, "json")
@@ -60,23 +70,18 @@ func FuzzProfileRead(f *testing.F) {
 	f.Add([]byte("{not json"))
 	f.Add([]byte(`{"app":"x","params":["p"],"config":[1e308],"rank":0,"rep":1}`))
 	f.Add([]byte(`{"app":"x","rep":1,"trace":{"steps":[{"start":5,"end":1}]}}`))
+	// A marshalled simulator profile: every callpath escapes '>'. The
+	// documents that probe the fast path's edges are the fallback-* and
+	// fast-* seeds under testdata.
+	f.Add(simulatedDocs(f, "cifar10", []int{2}, 1, 1)[0])
 
-	// One scratch file per worker process: os.WriteFile truncates, so
-	// reusing the path is safe and keeps the fuzz loop I/O-light.
-	path := filepath.Join(f.TempDir(), "fuzz.json")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		p, err := Read(path)
-		if err != nil {
+		p := checkParity(t, data)
+		if p == nil || p.Validate() != nil {
 			return // rejected input: the other half of the invariant
 		}
-		if verr := p.Validate(); verr != nil {
-			t.Fatalf("Read accepted an invalid profile: %v", verr)
-		}
 		if nonFinite(p) {
-			t.Fatalf("Read smuggled a non-finite value: %+v", p)
+			t.Fatalf("Decode smuggled a non-finite value: %+v", p)
 		}
 	})
 }
@@ -100,7 +105,7 @@ func FuzzParseFileName(f *testing.F) {
 	f.Add(".x1.mpi0.r1")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, name string) {
-		app, config, rank, rep, ok := ParseFileName(name)
+		app, config, rank, rep, ok := profile.ParseFileName(name)
 		if !ok {
 			return // rejected input: the other half of the invariant
 		}
@@ -112,8 +117,8 @@ func FuzzParseFileName(f *testing.F) {
 				t.Fatalf("accepted %q with non-finite config %v", name, config)
 			}
 		}
-		canonical := FileName(app, config, rank, rep)
-		app2, config2, rank2, rep2, ok2 := ParseFileName(canonical)
+		canonical := profile.FileName(app, config, rank, rep)
+		app2, config2, rank2, rep2, ok2 := profile.ParseFileName(canonical)
 		if !ok2 {
 			t.Fatalf("canonical name %q rebuilt from accepted %q does not re-parse", canonical, name)
 		}

@@ -1,8 +1,8 @@
 // Package profile defines the on-disk profile format of Extra-Deep: one
 // JSON file per (application configuration, MPI rank, repetition), named
 // after the paper's Fig. 1 convention, e.g. "cifar10.x4.mpi0.r1.json".
-// A Store reads and writes directories of such profiles and groups them
-// for the aggregation pipeline.
+// A Store writes directories of such profiles, Decode reads one back, and
+// GroupByConfig groups them for the aggregation pipeline.
 package profile
 
 import (
@@ -138,7 +138,7 @@ func ParseFileName(name string) (app string, config []float64, rank, rep int, ok
 	return base[:i], config, rank, rep, true
 }
 
-// Store reads and writes profiles in a directory.
+// Store writes profiles into a directory.
 type Store struct {
 	// Dir is the directory holding the profile files.
 	Dir string
@@ -162,47 +162,6 @@ func (s *Store) Write(p *Profile) error {
 		return fmt.Errorf("profile: writing %s: %w", path, err)
 	}
 	return nil
-}
-
-// Read loads a single profile file.
-func Read(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("profile: reading %s: %w", path, err)
-	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("profile: decoding %s: %w", path, err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("profile: %s: %w", path, err)
-	}
-	return &p, nil
-}
-
-// ReadAll loads every .json profile in the store's directory, sorted by
-// file name for deterministic processing.
-func (s *Store) ReadAll() ([]*Profile, error) {
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("profile: listing %s: %w", s.Dir, err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	profiles := make([]*Profile, 0, len(names))
-	for _, name := range names {
-		p, err := Read(filepath.Join(s.Dir, name))
-		if err != nil {
-			return nil, err
-		}
-		profiles = append(profiles, p)
-	}
-	return profiles, nil
 }
 
 // ConfigKey identifies one application configuration of one app.

@@ -180,7 +180,11 @@ func TestStoreWriteReadRoundTrip(t *testing.T) {
 	if err := s.Write(orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(filepath.Join(s.Dir, orig.FileName()))
+	data, err := os.ReadFile(filepath.Join(s.Dir, orig.FileName()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,44 +213,12 @@ func TestReadRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(path); err == nil {
-		t.Error("corrupt file accepted")
-	}
-}
-
-func TestReadRejectsMissingFile(t *testing.T) {
-	if _, err := Read(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestReadAllSortedAndFiltered(t *testing.T) {
-	s := &Store{Dir: t.TempDir()}
-	for _, rank := range []int{1, 0} {
-		if err := s.Write(validProfile(rank, 1, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A stray non-JSON file must be ignored.
-	if err := os.WriteFile(filepath.Join(s.Dir, "README.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	profiles, err := s.ReadAll()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(profiles) != 2 {
-		t.Fatalf("got %d profiles, want 2", len(profiles))
-	}
-	if profiles[0].Rank != 0 || profiles[1].Rank != 1 {
-		t.Error("profiles not sorted by file name")
-	}
-}
-
-func TestReadAllMissingDir(t *testing.T) {
-	s := &Store{Dir: filepath.Join(t.TempDir(), "absent")}
-	if _, err := s.ReadAll(); err == nil {
-		t.Error("missing directory accepted")
+	if _, err := Decode(data); err == nil {
+		t.Error("corrupt file accepted")
 	}
 }
 
