@@ -7,7 +7,11 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,7 +262,11 @@ func TestServeAppMismatch(t *testing.T) {
 }
 
 // TestServeEnvelopeRefusals: malformed envelopes are 400s with the
-// bad_request code, before any profile-level validation runs.
+// bad_request code, before any profile-level validation runs. Valid
+// envelopes that json.Marshal would not write are accepted — keys in
+// another case and an unknown extra key (both decoded by the
+// json.Unmarshal fallback), and a pretty-printed body — and each spools
+// the same bytes and fits the same models as the canonical upload.
 func TestServeEnvelopeRefusals(t *testing.T) {
 	s := startServer(t, serve.Config{})
 	cases := []struct {
@@ -280,6 +288,61 @@ func TestServeEnvelopeRefusals(t *testing.T) {
 			}
 		})
 	}
+
+	canonical := envelope("json", contentsOf(makeCampaign(t, defaultRanks, 1, 23)))
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, canonical, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	upload := func(t *testing.T, body []byte) (spooled map[string][]byte, models []byte) {
+		t.Helper()
+		s := startServer(t, serve.Config{})
+		if status, resp := s.do(t, http.MethodPost, "/v1/apps/"+testApp+"/profiles", body); status != http.StatusAccepted {
+			t.Fatalf("status %d, want 202; body %s", status, resp)
+		}
+		s.settle(t, testApp)
+		return spoolFiles(t, filepath.Join(s.spool, testApp)), s.models(t, testApp)
+	}
+	wantSpool, wantModels := upload(t, canonical)
+	if len(wantSpool) != len(defaultRanks) {
+		t.Fatalf("canonical upload spooled %d files, want %d", len(wantSpool), len(defaultRanks))
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"keys in another case", bytes.ReplaceAll(bytes.Replace(canonical, []byte(`"format":`), []byte(`"FORMAT":`), 1), []byte(`"content":`), []byte(`"Content":`))},
+		{"unknown key", append([]byte(`{"comment":"rank sweep",`), canonical[1:]...)},
+		{"pretty-printed", pretty.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spooled, models := upload(t, tc.body)
+			if !reflect.DeepEqual(spooled, wantSpool) {
+				t.Errorf("spooled %d files that differ from the canonical upload's %d", len(spooled), len(wantSpool))
+			}
+			if !bytes.Equal(models, wantModels) {
+				t.Errorf("models differ from the canonical upload's:\n%s\n%s", models, wantModels)
+			}
+		})
+	}
+}
+
+// spoolFiles reads every file of a spool directory, keyed by name.
+func spoolFiles(tb testing.TB, dir string) map[string][]byte {
+	tb.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
 }
 
 // TestServeUploadTooLarge: bodies over the configured cap are 413.

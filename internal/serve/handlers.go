@@ -138,12 +138,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid application name "+strconv.Quote(name), nil)
 		return
 	}
-	req, err := decodeUploadRequest(r, s.cfg.maxUploadBytes())
+	format, docs, err := decodeUploadRequest(r, s.cfg.maxUploadBytes())
 	if err != nil {
 		writeAPIError(w, err)
 		return
 	}
-	batch, err := validateBatch(r.Context(), name, req, s.cfg.Workers)
+	batch, err := validateBatch(r.Context(), name, format, docs, s.cfg.Workers)
 	if err != nil {
 		writeAPIError(w, err)
 		return
@@ -155,7 +155,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// could both admit the same identity.
 	a.upMu.Lock()
 	defer a.upMu.Unlock()
-	if err := a.admit(req.Format, batch); err != nil {
+	if err := a.admit(format, batch); err != nil {
 		writeAPIError(w, err)
 		return
 	}
@@ -163,7 +163,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	a.commit(req.Format, batch)
+	a.commit(format, batch)
 	s.kick(a)
 	accepted := make([]string, len(batch))
 	for i, u := range batch {
@@ -179,29 +179,71 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeUploadRequest reads and shape-checks the upload envelope.
-func decodeUploadRequest(r *http.Request, limit int64) (*uploadRequest, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
+// decodeUploadRequest reads the upload body and decodes its envelope
+// into the batch's format and one byte slice per document. Bodies in the
+// canonical shape take decodeEnvelope's single pass; any other body is
+// decoded by json.Unmarshal, which also words every refusal.
+func decodeUploadRequest(r *http.Request, limit int64) (format string, docs [][]byte, err error) {
+	body, err := readBody(r, limit)
+	if err != nil {
+		return "", nil, err
+	}
+	format, docs, ok := decodeEnvelope(body)
+	if !ok {
+		var req uploadRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "malformed upload envelope: " + err.Error()}
+		}
+		format = req.Format
+		docs = make([][]byte, len(req.Profiles))
+		for i, f := range req.Profiles {
+			docs[i] = []byte(f.Content)
+		}
+	}
+	if format != "json" && format != "csv" {
+		return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request",
+			message: fmt.Sprintf("unknown profile format %q (have json, csv)", format)}
+	}
+	if len(docs) == 0 {
+		return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "upload envelope contains no profiles"}
+	}
+	return format, docs, nil
+}
+
+// readBody reads the whole request body, refusing one over limit with
+// 413. A body that declares its length is read into one buffer of
+// exactly that size, and a declared length over limit is refused before
+// anything is read or allocated; a chunked body grows its buffer as it
+// arrives. A body that ends before its declared length is a 400.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	if r.ContentLength > limit {
+		return nil, tooLarge(limit)
+	}
+	body := http.MaxBytesReader(nil, r.Body, limit)
+	var data []byte
+	var err error
+	if r.ContentLength < 0 {
+		data, err = io.ReadAll(body)
+	} else {
+		data = make([]byte, r.ContentLength)
+		if _, err = io.ReadFull(body, data); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-				message: fmt.Sprintf("request body exceeds the %d-byte upload limit", tooBig.Limit)}
+			return nil, tooLarge(tooBig.Limit)
 		}
 		return nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "reading request body: " + err.Error()}
 	}
-	var req uploadRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "malformed upload envelope: " + err.Error()}
-	}
-	if req.Format != "json" && req.Format != "csv" {
-		return nil, &apiError{status: http.StatusBadRequest, code: "bad_request",
-			message: fmt.Sprintf("unknown profile format %q (have json, csv)", req.Format)}
-	}
-	if len(req.Profiles) == 0 {
-		return nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "upload envelope contains no profiles"}
-	}
-	return &req, nil
+	return data, nil
+}
+
+// tooLarge is the 413 refusal of a body over the upload limit.
+func tooLarge(limit int64) error {
+	return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+		message: fmt.Sprintf("request body exceeds the %d-byte upload limit", limit)}
 }
 
 // validateBatch runs every uploaded document through the exact
@@ -213,21 +255,18 @@ func decodeUploadRequest(r *http.Request, limit int64) (*uploadRequest, error) {
 // file refuses the whole upload with 422 and per-file stage detail, and
 // the store stays unchanged.
 //
-// Each document's content is converted to bytes once and the envelope's
-// string is dropped, so the request holds one copy of every profile.
-func validateBatch(ctx context.Context, app string, req *uploadRequest, workers int) ([]upload, error) {
+// Each document's slice from decodeUploadRequest is the one copy of it
+// the request holds: it is decoded, spooled and handed off as is.
+func validateBatch(ctx context.Context, app, format string, docs [][]byte, workers int) ([]upload, error) {
 	type decoded struct {
-		data  []byte
 		p     *profile.Profile
 		stage ingest.Stage
 		err   error
 	}
-	docs := make([]decoded, len(req.Profiles))
+	results := make([]decoded, len(docs))
 	err := pipeline.ForEach(ctx, workers, len(docs), func(i int) error {
-		d := &docs[i]
-		d.data = []byte(req.Profiles[i].Content)
-		req.Profiles[i].Content = ""
-		d.p, d.stage, d.err = ingest.DecodeBytes(d.data, req.Format)
+		d := &results[i]
+		d.p, d.stage, d.err = ingest.DecodeBytes(docs[i], format)
 		return nil
 	})
 	if err != nil {
@@ -236,7 +275,7 @@ func validateBatch(ctx context.Context, app string, req *uploadRequest, workers 
 	}
 	batch := make([]upload, 0, len(docs))
 	var rejected []fileDetail
-	for i, d := range docs {
+	for i, d := range results {
 		if d.err != nil {
 			rejected = append(rejected, fileDetail{Index: i, Stage: d.stage.String(), Reason: d.err.Error()})
 			continue
@@ -246,19 +285,19 @@ func validateBatch(ctx context.Context, app string, req *uploadRequest, workers 
 				message: fmt.Sprintf("profile %d declares application %q, uploaded to %q", i, d.p.App, app)}
 		}
 		name := d.p.FileName()
-		if req.Format == "csv" {
+		if format == "csv" {
 			name = strings.TrimSuffix(name, ".json") + ".csv"
 		}
 		batch = append(batch, upload{
 			name:    name,
 			id:      identity{point: d.p.Point().Key(), rank: d.p.Rank, rep: d.p.Rep},
-			data:    d.data,
+			data:    docs[i],
 			profile: d.p,
 		})
 	}
 	if len(rejected) > 0 {
 		return nil, &apiError{status: http.StatusUnprocessableEntity, code: "quarantined",
-			message: fmt.Sprintf("%d of %d uploaded profile(s) failed validation; nothing was spooled", len(rejected), len(req.Profiles)),
+			message: fmt.Sprintf("%d of %d uploaded profile(s) failed validation; nothing was spooled", len(rejected), len(docs)),
 			files:   rejected}
 	}
 	return batch, nil

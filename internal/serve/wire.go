@@ -49,6 +49,9 @@ type fileDetail struct {
 // uploadRequest is the POST /v1/apps/{app}/profiles body: a batch of
 // profile files, all in one format. The batch is atomic — either every
 // file is validated and spooled, or none is and the store is unchanged.
+// A body in the shape json.Marshal writes for this type is decoded by
+// decodeEnvelope; this type is json.Unmarshal's target for every other
+// body.
 type uploadRequest struct {
 	// Format is "json" or "csv" and must match the application's
 	// established format (fixed by its first upload).

@@ -286,11 +286,14 @@ fi
 # panic, never a NaN smuggled into the pipeline") must survive a short
 # native-fuzzing burst on every loader fuzz target, plus the checkpoint
 # record decoder ("a task record round-trips or errors — a truncated or
-# bit-flipped record file must never panic or load silently wrong").
+# bit-flipped record file must never panic or load silently wrong"), and
+# the edserve upload envelope decoder ("a body the fast path accepts
+# decodes to json.Unmarshal's format and byte-equal documents").
 begin fuzz test "fuzz smoke (5s per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=5s ./internal/importer
 go test -run='^$' -fuzz='^FuzzProfileRead$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzParseFileName$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=5s ./internal/resilience
+go test -run='^$' -fuzz='^FuzzUploadEnvelope$' -fuzztime=5s ./internal/serve
 
 echo "verify.sh: all gates passed"
