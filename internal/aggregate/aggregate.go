@@ -75,12 +75,6 @@ type KernelAggregate struct {
 	// Value holds, per metric, the final aggregate Ṽ (median over
 	// repetitions of PerRep).
 	Value map[measurement.Metric]StepValue
-	// Ranks is the number of distinct ranks the kernel was observed on.
-	Ranks int
-	// StepsObserved is the number of profiled steps (across phases) the
-	// kernel was observed in, summed over ranks and repetitions; a kernel
-	// seen in only one step or rank is usually performance-irrelevant.
-	StepsObserved int
 }
 
 // Category returns the kernel's phase category.
@@ -106,13 +100,10 @@ type ConfigAggregate struct {
 	CategoriesPerRep map[calltree.Category]map[measurement.Metric][]StepValue
 	// Reps is the number of measurement repetitions aggregated.
 	Reps int
-	// TrainSteps and ValidationSteps are the profiled step counts per
-	// epoch actually observed (after warm-up removal), per repetition of
-	// rank 0 — used for sanity checks and overhead accounting.
-	TrainSteps, ValidationSteps int
-	// WallTimes are the per-profile wall-clock times, for profiling
-	// overhead accounting (Fig. 8).
-	WallTimes []float64
+	// TrainSteps is the number of profiled training steps kept after
+	// warm-up removal, in the first rank-0 profile (in repetition order)
+	// that has any; the consistency check reports it.
+	TrainSteps int
 }
 
 // kernelKey returns the aggregation key for an event: the callpath when
@@ -139,13 +130,19 @@ func metricValue(e trace.Event, m measurement.Metric) float64 {
 	}
 }
 
+// metricIDs orders every metric a kernel can record. metricsFor returns
+// a prefix of it, so a metric's position in metricsFor's result is its
+// position here too, and per-metric arrays are indexed by it.
+var metricIDs = [...]measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
+
 // metricsFor returns the metrics recorded for a kernel kind: memory
-// operations additionally carry transferred bytes.
+// operations additionally carry transferred bytes. Callers must not
+// modify the result.
 func metricsFor(kind calltree.Kind) []measurement.Metric {
 	if calltree.CategoryOf(kind) == calltree.CategoryMemory {
-		return []measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
+		return metricIDs[:3]
 	}
-	return []measurement.Metric{measurement.MetricTime, measurement.MetricVisits}
+	return metricIDs[:2]
 }
 
 // reduce aggregates a slice with median (default) or mean.
@@ -161,63 +158,56 @@ func reduce(xs []float64, useMean bool) float64 {
 	return m
 }
 
-// perStepSums computes step (1) of the pipeline for one trace: for every
-// kernel and metric, the per-step sums v_n, separated by phase. Steps of
-// skipped (warm-up) epochs are excluded. Asynchronous events between steps
-// are attributed to the following step.
-type stepSums struct {
-	// sums maps kernel key → metric → per-step values (aligned with the
-	// kept step indices of that phase).
-	train, validation map[string]map[measurement.Metric][]float64
-	kinds             map[string]calltree.Kind
-	names             map[string]string
-	observed          map[string]int // steps with ≥1 event, per kernel
+// phaseSums holds one kernel's per-step sums v_n in one phase: per
+// metric (indexed like metricIDs, nil for a metric the kernel does not
+// record), one value per kept step of that phase.
+type phaseSums [len(metricIDs)][]float64
+
+// kernelSums is one kernel's step (1) result for one trace. train and
+// validation stay nil when the kernel has no event in that phase; kind
+// and name are those of the kernel's last event.
+type kernelSums struct {
+	key               string
+	name              string
+	kind              calltree.Kind
+	train, validation *phaseSums
 }
 
-func perStepSums(tr *trace.Trace, skipEpochs []int, trainIdx, valIdx []int) stepSums {
-	s := stepSums{
-		train:      make(map[string]map[measurement.Metric][]float64),
-		validation: make(map[string]map[measurement.Metric][]float64),
-		kinds:      make(map[string]calltree.Kind),
-		names:      make(map[string]string),
-		observed:   make(map[string]int),
+// newPhaseSums allocates the per-step sums of a kernel of the given kind
+// over n kept steps.
+func newPhaseSums(kind calltree.Kind, n int) *phaseSums {
+	ps := new(phaseSums)
+	for i := range metricsFor(kind) {
+		ps[i] = make([]float64, n)
 	}
-	skip := make(map[int]bool, len(skipEpochs))
-	for _, e := range skipEpochs {
-		skip[e] = true
-	}
-	// Map global step index → (phase, position within kept steps).
+	return ps
+}
+
+// perStepSums computes step (1) of the pipeline for one trace: for every
+// kernel and metric, the per-step sums v_n, separated by phase. Only the
+// kept steps trainIdx and valIdx count, so steps of skipped (warm-up)
+// epochs are excluded. Asynchronous events between steps are attributed
+// to the following step. Each kernel's sums are added in event order.
+func perStepSums(tr *trace.Trace, trainIdx, valIdx []int) []kernelSums {
+	// slots maps a global step index to its position among the kept
+	// steps of its phase; pos < 0 marks a step that is not kept.
 	type slot struct {
-		phase trace.Phase
+		train bool
 		pos   int
 	}
-	slots := make(map[int]slot, len(trainIdx)+len(valIdx))
+	slots := make([]slot, len(tr.Steps))
+	for i := range slots {
+		slots[i].pos = -1
+	}
 	for pos, i := range trainIdx {
-		slots[i] = slot{trace.PhaseTrain, pos}
+		slots[i] = slot{true, pos}
 	}
 	for pos, i := range valIdx {
-		slots[i] = slot{trace.PhaseValidation, pos}
+		slots[i] = slot{false, pos}
 	}
 
-	ensure := func(m map[string]map[measurement.Metric][]float64, key string, kind calltree.Kind, n int) map[measurement.Metric][]float64 {
-		byMetric := m[key]
-		if byMetric == nil {
-			byMetric = make(map[measurement.Metric][]float64)
-			for _, metric := range metricsFor(kind) {
-				byMetric[metric] = make([]float64, n)
-			}
-			m[key] = byMetric
-		}
-		return byMetric
-	}
-
-	// Track which (kernel, step) pairs saw events, to count observations.
-	type obsKey struct {
-		kernel string
-		step   int
-	}
-	seen := make(map[obsKey]bool)
-
+	var kernels []kernelSums
+	index := make(map[string]int)
 	for _, e := range tr.Events {
 		stepIdx := tr.StepOf(e.Start)
 		if stepIdx == -1 {
@@ -228,33 +218,37 @@ func perStepSums(tr *trace.Trace, skipEpochs []int, trainIdx, valIdx []int) step
 				continue // after the last step: outside the profiled window
 			}
 		}
-		st := tr.Steps[stepIdx]
-		if skip[st.Epoch] {
-			continue
-		}
-		sl, ok := slots[stepIdx]
-		if !ok {
+		sl := slots[stepIdx]
+		if sl.pos < 0 {
 			continue
 		}
 		key := kernelKey(e)
-		s.kinds[key] = e.Kind
-		s.names[key] = e.Name
-		var byMetric map[measurement.Metric][]float64
-		if sl.phase == trace.PhaseTrain {
-			byMetric = ensure(s.train, key, e.Kind, len(trainIdx))
+		k, ok := index[key]
+		if !ok {
+			k = len(kernels)
+			index[key] = k
+			kernels = append(kernels, kernelSums{key: key})
+		}
+		ks := &kernels[k]
+		ks.kind = e.Kind
+		ks.name = e.Name
+		var ps *phaseSums
+		if sl.train {
+			if ks.train == nil {
+				ks.train = newPhaseSums(e.Kind, len(trainIdx))
+			}
+			ps = ks.train
 		} else {
-			byMetric = ensure(s.validation, key, e.Kind, len(valIdx))
+			if ks.validation == nil {
+				ks.validation = newPhaseSums(e.Kind, len(valIdx))
+			}
+			ps = ks.validation
 		}
-		for _, metric := range metricsFor(e.Kind) {
-			byMetric[metric][sl.pos] += metricValue(e, metric)
-		}
-		ok2 := obsKey{kernel: key, step: stepIdx}
-		if !seen[ok2] {
-			seen[ok2] = true
-			s.observed[key]++
+		for i, metric := range metricsFor(e.Kind) {
+			ps[i][sl.pos] += metricValue(e, metric)
 		}
 	}
-	return s
+	return kernels
 }
 
 // Aggregate runs the full pipeline on the profiles of one application
@@ -301,8 +295,6 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 	var repResults []repResult
 	kinds := make(map[string]calltree.Kind)
 	names := make(map[string]string)
-	rankSets := make(map[string]map[int]bool)
-	stepsObserved := make(map[string]int)
 
 	for _, rep := range reps {
 		group := byRep[rep]
@@ -318,31 +310,15 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 			valIdx := tr.StepsOfPhase(trace.PhaseValidation, skipEpochs...)
 			if agg.TrainSteps == 0 && p.Rank == 0 {
 				agg.TrainSteps = len(trainIdx)
-				agg.ValidationSteps = len(valIdx)
 			}
-			sums := perStepSums(tr, skipEpochs, trainIdx, valIdx)
-			for _, key := range sortedCallpathKeys(sums.train) {
-				byMetric := sums.train[key]
-				kinds[key] = sums.kinds[key]
-				names[key] = sums.names[key]
-				addRankValue(perRankTrain, key, byMetric, opts.UseMean)
+			// Each kernel gets one per-rank value per profile, appended
+			// in profile order, so the kernels' own order is immaterial.
+			for _, ks := range perStepSums(tr, trainIdx, valIdx) {
+				kinds[ks.key] = ks.kind
+				names[ks.key] = ks.name
+				addRankValue(perRankTrain, ks.key, ks.train, opts.UseMean)
+				addRankValue(perRankVal, ks.key, ks.validation, opts.UseMean)
 			}
-			for _, key := range sortedCallpathKeys(sums.validation) {
-				byMetric := sums.validation[key]
-				kinds[key] = sums.kinds[key]
-				names[key] = sums.names[key]
-				addRankValue(perRankVal, key, byMetric, opts.UseMean)
-			}
-			for key, n := range sums.observed {
-				stepsObserved[key] += n
-				rs := rankSets[key]
-				if rs == nil {
-					rs = make(map[int]bool)
-					rankSets[key] = rs
-				}
-				rs[p.Rank] = true
-			}
-			agg.WallTimes = append(agg.WallTimes, p.WallTime)
 		}
 
 		// Step (2): median over ranks.
@@ -380,13 +356,11 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 	}
 	for key := range allKeys {
 		k := &KernelAggregate{
-			Callpath:      key,
-			Name:          names[key],
-			Kind:          kinds[key],
-			PerRep:        make(map[measurement.Metric][]StepValue),
-			Value:         make(map[measurement.Metric]StepValue),
-			Ranks:         len(rankSets[key]),
-			StepsObserved: stepsObserved[key],
+			Callpath: key,
+			Name:     names[key],
+			Kind:     kinds[key],
+			PerRep:   make(map[measurement.Metric][]StepValue),
+			Value:    make(map[measurement.Metric]StepValue),
 		}
 		for _, metric := range metricsFor(k.Kind) {
 			perRep := make([]StepValue, 0, len(repResults))
@@ -447,28 +421,22 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 	return agg, nil
 }
 
-// sortedCallpathKeys returns m's callpath keys in sorted order, so
-// per-rank accumulation visits kernels deterministically regardless of
-// map iteration order.
-func sortedCallpathKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// addRankValue reduces one kernel's per-step sums in one phase to one
+// value per rank (step (2)'s input ṽ_kr) and appends it to the per-rank
+// collection. A nil ps (no event in the phase) adds nothing.
+func addRankValue(perRank map[string]map[measurement.Metric][]float64, key string, ps *phaseSums, useMean bool) {
+	if ps == nil {
+		return
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-// addRankValue reduces per-step sums to one value per rank (step (2)'s
-// input ṽ_kr) and appends it to the per-rank collection.
-func addRankValue(perRank map[string]map[measurement.Metric][]float64, key string, byMetric map[measurement.Metric][]float64, useMean bool) {
 	dst := perRank[key]
 	if dst == nil {
 		dst = make(map[measurement.Metric][]float64)
 		perRank[key] = dst
 	}
-	for metric, stepVals := range byMetric {
-		dst[metric] = append(dst[metric], reduce(stepVals, useMean))
+	for i, stepVals := range ps {
+		if stepVals != nil {
+			dst[metricIDs[i]] = append(dst[metricIDs[i]], reduce(stepVals, useMean))
+		}
 	}
 }
 

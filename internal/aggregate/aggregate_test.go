@@ -95,8 +95,8 @@ func TestAggregateBasicStructure(t *testing.T) {
 	if agg.Reps != 3 {
 		t.Errorf("Reps = %d, want 3", agg.Reps)
 	}
-	if agg.TrainSteps != 5 || agg.ValidationSteps != 1 {
-		t.Errorf("steps = %d/%d, want 5/1", agg.TrainSteps, agg.ValidationSteps)
+	if agg.TrainSteps != 5 {
+		t.Errorf("TrainSteps = %d, want 5", agg.TrainSteps)
 	}
 	for _, want := range []string{
 		"App->train->EigenMetaKernel",
@@ -260,20 +260,6 @@ func TestAggregatePerRepLengths(t *testing.T) {
 	}
 }
 
-func TestAggregateRanksCount(t *testing.T) {
-	agg, err := Aggregate(makeProfiles(3, 2, 0.01, 0.002), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := agg.Kernels["App->train->EigenMetaKernel"]
-	if k.Ranks != 3 {
-		t.Errorf("Ranks = %d, want 3", k.Ranks)
-	}
-	if k.StepsObserved == 0 {
-		t.Error("StepsObserved = 0")
-	}
-}
-
 func TestAggregateMedianRobustAcrossRanks(t *testing.T) {
 	// One rank is 10× slower (straggler); the median over ranks should
 	// stay near the typical value.
@@ -302,16 +288,6 @@ func TestAggregateMeanOption(t *testing.T) {
 	got := agg.Kernels["App->train->EigenMetaKernel"].Value[measurement.MetricTime].Train
 	if got < 0.02 {
 		t.Errorf("mean over ranks = %v, should be dragged by straggler", got)
-	}
-}
-
-func TestAggregateWallTimes(t *testing.T) {
-	agg, err := Aggregate(makeProfiles(2, 2, 0.01, 0.002), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.WallTimes) != 4 {
-		t.Errorf("WallTimes = %d entries, want 4", len(agg.WallTimes))
 	}
 }
 

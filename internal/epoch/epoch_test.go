@@ -113,7 +113,6 @@ func buildAggregates(points []float64) []*aggregate.ConfigAggregate {
 					measurement.MetricTime:   {Train: 0.105},
 					measurement.MetricVisits: {Train: 2},
 				},
-				Ranks: int(x),
 			},
 			"App->train->MPI_Allreduce": {
 				Callpath: "App->train->MPI_Allreduce", Name: "MPI_Allreduce", Kind: calltree.KindMPI,
@@ -123,7 +122,6 @@ func buildAggregates(points []float64) []*aggregate.ConfigAggregate {
 				Value: map[measurement.Metric]aggregate.StepValue{
 					measurement.MetricTime: {Train: 0.0105 * x},
 				},
-				Ranks: int(x),
 			},
 		}
 		agg := &aggregate.ConfigAggregate{

@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -192,8 +193,9 @@ type File struct {
 
 // Decoded is a profile a caller already decoded and validated from
 // Data — edserve's upload validation, handed to the campaign that
-// ingests the spooled copy so the file is not decoded twice. The zero
-// value means no prior decode.
+// ingests the spooled copy so the file is not decoded twice. Data may
+// alias a larger buffer (edserve's documents are spans of the request
+// body); LoadFile only reads it. The zero value means no prior decode.
 type Decoded struct {
 	Data    []byte
 	Profile *profile.Profile
@@ -202,19 +204,50 @@ type Decoded struct {
 // LoadFile reads, decodes and validates one profile file, classifying
 // any failure by stage. When prior holds a profile decoded from exactly
 // the bytes now on disk, that profile is returned instead of decoding
-// again; any other content — a file changed after the prior decode
-// included — goes through the normal decode and validation. LoadFile is
+// again: the file is compared with prior.Data through a fixed buffer, up
+// to its end, without reading it whole. Any other content — a file
+// changed after the prior decode included — and a file the comparison
+// cannot open or read go through the normal read, decode and
+// validation, so their stage and error are a plain load's. LoadFile is
 // safe to call concurrently for different files.
 func LoadFile(path, format string, prior Decoded) File {
+	if prior.Profile != nil && sameContent(path, prior.Data) {
+		return File{Path: path, Profile: prior.Profile, Reused: true}
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return File{Path: path, Stage: StageRead, Err: err}
 	}
-	if prior.Profile != nil && bytes.Equal(data, prior.Data) {
-		return File{Path: path, Profile: prior.Profile, Reused: true}
-	}
 	p, stage, err := DecodeBytes(data, format)
 	return File{Path: path, Profile: p, Stage: stage, Err: err}
+}
+
+// compareBufSize is the chunk sameContent reads a file in.
+const compareBufSize = 16 << 10
+
+// sameContent reports whether the file at path holds exactly want: every
+// byte equal, and nothing after the last one. Any open or read error
+// reports false.
+func sameContent(path string, want []byte) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var buf [compareBufSize]byte
+	for {
+		n, err := f.Read(buf[:])
+		if n > len(want) || !bytes.Equal(buf[:n], want[:n]) {
+			return false
+		}
+		want = want[n:]
+		if err == io.EOF {
+			return len(want) == 0
+		}
+		if err != nil {
+			return false
+		}
+	}
 }
 
 // Assemble builds the report of one directory ingestion from its per-file

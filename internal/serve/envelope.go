@@ -6,15 +6,16 @@ import (
 	"unicode/utf8"
 )
 
-// decodeEnvelope decodes an upload body on the fast path. It accepts the
-// shape json.Marshal writes for an uploadRequest,
+// scanEnvelope checks an upload body on the fast path without writing
+// to it. It accepts the shape json.Marshal writes for an uploadRequest,
 //
 //	{"format":"json","profiles":[{"content":"…"},…]}
 //
 // with exact keys in that order, whitespace anywhere and at least one
-// document. Each content literal is unescaped straight into its own
-// exactly-sized slice, which is the buffer the document is then decoded
-// from, spooled from and handed off in: no string holds it in between.
+// document, and returns the format literal and every content literal as
+// spans of the body, still escaped. Unescaping waits until the whole
+// body is accepted (envString.decode), so a body the fast path refuses
+// reaches json.Unmarshal exactly as it arrived.
 //
 // The simple escapes and every \uXXXX escape except a surrogate stay on
 // the fast path, as does valid non-ASCII UTF-8: JSON profiles hold \" and
@@ -24,11 +25,11 @@ import (
 // a surrogate escape, invalid UTF-8, a control byte, trailing data or an
 // empty profiles array. The caller decodes such a body with
 // json.Unmarshal, so every result and error stays encoding/json's.
-func decodeEnvelope(body []byte) (format string, docs [][]byte, ok bool) {
+func scanEnvelope(body []byte) (format envString, docs []envString, ok bool) {
 	s := &envScanner{data: body}
 	s.expect('{')
 	s.key(`"format"`)
-	format = string(s.content())
+	format = s.content()
 	s.expect(',')
 	s.key(`"profiles"`)
 	s.expect('[')
@@ -45,14 +46,56 @@ func decodeEnvelope(body []byte) (format string, docs [][]byte, ok bool) {
 	s.expect('}')
 	s.space()
 	if s.bad || s.pos != len(s.data) {
-		return "", nil, false
+		return envString{}, nil, false
 	}
 	return format, docs, true
 }
 
+// envString is one string literal of an accepted upload body: raw is its
+// contents between the quotes, a sub-slice of the body capped at its own
+// end, and n its decoded length. Every escape is longer than what it
+// stands for, so n == len(raw) exactly when raw holds no escape. The
+// json.Unmarshal fallback wraps its decoded documents the same way, with
+// n == len(raw), so decode returns them as they are.
+type envString struct {
+	raw []byte
+	n   int
+}
+
+// decode unescapes the literal over its own bytes and returns the
+// decoded bytes, a prefix of raw. Every escape shrinks, so each write
+// lands at or behind the byte being read. Literals of one body never
+// overlap, which lets the validation workers decode them concurrently.
+// decode rewrites raw, so it runs once per literal.
+func (e envString) decode() []byte {
+	b := e.raw
+	if e.n == len(b) {
+		return b
+	}
+	w := bytes.IndexByte(b, '\\')
+	for r := w; r < len(b); {
+		if c := b[r+1]; c == 'u' {
+			x, _ := hex4(b[r+2:])
+			w += utf8.EncodeRune(b[w:], x)
+			r += 6
+		} else {
+			b[w] = simpleEscapes[c]
+			w++
+			r += 2
+		}
+		i := bytes.IndexByte(b[r:], '\\')
+		if i < 0 {
+			i = len(b) - r
+		}
+		w += copy(b[w:], b[r:r+i])
+		r += i
+	}
+	return b[:w]
+}
+
 // envScanner is the fast path's cursor over one upload body. The first
 // departure from the canonical shape sets bad; from then on nothing is
-// consumed, so decodeEnvelope checks bad once, at the end.
+// consumed, so scanEnvelope checks bad once, at the end.
 type envScanner struct {
 	data []byte
 	pos  int
@@ -62,6 +105,15 @@ type envScanner struct {
 // simpleEscapes maps the byte after a backslash to the byte it stands
 // for, for the two-byte escapes; 0 marks every other byte.
 var simpleEscapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// plainBytes marks the bytes that stand for themselves inside a string
+// literal: printable ASCII other than the quote and the backslash.
+var plainBytes = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 // key consumes the quoted key literal and the colon after it.
 func (s *envScanner) key(quoted string) {
@@ -74,21 +126,20 @@ func (s *envScanner) key(quoted string) {
 	s.expect(':')
 }
 
-// content returns the string literal at the cursor unescaped into a new
-// slice of exactly its decoded length.
-func (s *envScanner) content() []byte {
+// content returns the string literal at the cursor as a span of the
+// body, with its decoded length.
+func (s *envScanner) content() envString {
 	if !s.eat('"') {
 		s.bad = true
-		return nil
+		return envString{}
 	}
 	n, end := s.measure()
 	if s.bad {
-		return nil
+		return envString{}
 	}
-	out := make([]byte, n)
-	unescape(out, s.data[s.pos:end])
+	raw := s.data[s.pos:end:end]
 	s.pos = end + 1
-	return out
+	return envString{raw: raw, n: n}
 }
 
 // measure checks the string literal that starts at the cursor, just past
@@ -98,6 +149,16 @@ func (s *envScanner) content() []byte {
 func (s *envScanner) measure() (n, end int) {
 	b := s.data
 	for i := s.pos; i < len(b); {
+		// Runs of plain ASCII, most of every profile, cost one table
+		// load per byte.
+		start := i
+		for i < len(b) && plainBytes[b[i]] {
+			i++
+		}
+		n += i - start
+		if i == len(b) {
+			break
+		}
 		switch c := b[i]; {
 		case c == '"':
 			return n, i
@@ -121,9 +182,6 @@ func (s *envScanner) measure() (n, end int) {
 		case c < 0x20:
 			s.bad = true
 			return 0, 0
-		case c < utf8.RuneSelf:
-			n++
-			i++
 		default:
 			r, size := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && size == 1 {
@@ -136,28 +194,6 @@ func (s *envScanner) measure() (n, end int) {
 	}
 	s.bad = true
 	return 0, 0
-}
-
-// unescape writes the decoded bytes of raw, a string literal's contents
-// that measure has accepted, into dst, which has exactly their length.
-func unescape(dst, raw []byte) {
-	for {
-		i := bytes.IndexByte(raw, '\\')
-		if i < 0 {
-			copy(dst, raw)
-			return
-		}
-		dst = dst[copy(dst, raw[:i]):]
-		if c := raw[i+1]; c == 'u' {
-			r, _ := hex4(raw[i+2:])
-			dst = dst[utf8.EncodeRune(dst, r):]
-			raw = raw[i+6:]
-		} else {
-			dst[0] = simpleEscapes[c]
-			dst = dst[1:]
-			raw = raw[i+2:]
-		}
-	}
 }
 
 // hex4 decodes the four hex digits of a \uXXXX escape.

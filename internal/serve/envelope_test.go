@@ -8,37 +8,64 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzUploadEnvelope asserts the envelope fast path's contract on
-// arbitrary bodies: whenever decodeEnvelope accepts a body, json.Unmarshal
-// accepts it too and gives the same format and byte-equal documents, each
-// in a slice of exactly its length. The seeds that probe the fast path's
-// edges are the fast-* and fallback-* files under testdata.
+// arbitrary bodies. scanEnvelope never writes to the body, whether it
+// accepts it or refuses it, so the json.Unmarshal fallback always sees
+// the body as it arrived. Whenever it accepts a body, json.Unmarshal
+// accepts a copy of it too and gives the same format, and every document
+// decodes in place to encoding/json's bytes as a sub-slice of the body
+// that shares no byte with any other document. The seeds that probe the
+// fast path's edges are the fast-* and fallback-* files under testdata.
 func FuzzUploadEnvelope(f *testing.F) {
 	f.Add([]byte(`{"format":"json","profiles":[{"content":"{\"app\":\"imdb\"}"}]}`))
 	f.Add([]byte(`{"format":"csv","profiles":[{"content":"a,b\n1,2\n"},{"content":""}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		format, docs, ok := decodeEnvelope(body)
+		orig := bytes.Clone(body)
+		lit, docs, ok := scanEnvelope(body)
+		if !bytes.Equal(body, orig) {
+			t.Fatalf("scanEnvelope (ok = %v) rewrote the body:\n%q\nwas\n%q", ok, body, orig)
+		}
 		if !ok {
 			return // the fallback decodes it: json.Unmarshal's by construction
 		}
 		var req uploadRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(orig, &req); err != nil {
 			t.Fatalf("fast path accepted a body json.Unmarshal refuses: %v", err)
 		}
-		if format != req.Format || len(docs) != len(req.Profiles) {
+		if format := string(lit.decode()); format != req.Format || len(docs) != len(req.Profiles) {
 			t.Fatalf("fast path: format %q, %d documents; json.Unmarshal: format %q, %d documents", format, len(docs), req.Format, len(req.Profiles))
 		}
-		for i, doc := range docs {
+		end := 0 // the first body offset no earlier document reaches
+		for i, d := range docs {
+			doc := d.decode()
 			if !bytes.Equal(doc, []byte(req.Profiles[i].Content)) {
 				t.Fatalf("document %d: fast path %q, json.Unmarshal %q", i, doc, req.Profiles[i].Content)
 			}
-			if cap(doc) != len(doc) {
-				t.Fatalf("document %d: %d bytes in a slice of capacity %d", i, len(doc), cap(doc))
+			if cap(doc) == 0 {
+				continue // an empty document holds no byte of the body
 			}
+			off, in := offsetIn(body, doc)
+			if !in || off < end {
+				t.Fatalf("document %d: capacity %d at body offset %d (inside the body: %v), but earlier documents reach offset %d", i, cap(doc), off, in, end)
+			}
+			end = off + cap(doc)
 		}
 	})
+}
+
+// offsetIn reports where sub's backing array starts within body's, and
+// whether the whole capacity of sub lies inside body.
+func offsetIn(body, sub []byte) (int, bool) {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(body)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(sub)))
+	if p < base {
+		return 0, false
+	}
+	off := int(p - base)
+	return off, off+cap(sub) <= len(body)
 }
 
 // TestEnvelopeFastPathClasses runs the fast path on the FuzzUploadEnvelope
@@ -60,7 +87,7 @@ func TestEnvelopeFastPathClasses(t *testing.T) {
 		}
 		classes[wantFast]++
 		t.Run(name, func(t *testing.T) {
-			if _, _, ok := decodeEnvelope(corpusSeed(t, path)); ok != wantFast {
+			if _, _, ok := scanEnvelope(corpusSeed(t, path)); ok != wantFast {
 				t.Errorf("fast path ok = %v, want %v", ok, wantFast)
 			}
 		})

@@ -180,24 +180,27 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeUploadRequest reads the upload body and decodes its envelope
-// into the batch's format and one byte slice per document. Bodies in the
-// canonical shape take decodeEnvelope's single pass; any other body is
-// decoded by json.Unmarshal, which also words every refusal.
-func decodeUploadRequest(r *http.Request, limit int64) (format string, docs [][]byte, err error) {
+// into the batch's format and one literal per document. Bodies in the
+// canonical shape take scanEnvelope's read-only pass and their documents
+// stay escaped in the body until validateBatch decodes them; any other
+// body is decoded by json.Unmarshal, which also words every refusal.
+func decodeUploadRequest(r *http.Request, limit int64) (format string, docs []envString, err error) {
 	body, err := readBody(r, limit)
 	if err != nil {
 		return "", nil, err
 	}
-	format, docs, ok := decodeEnvelope(body)
-	if !ok {
+	lit, docs, ok := scanEnvelope(body)
+	if ok {
+		format = string(lit.decode())
+	} else {
 		var req uploadRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "malformed upload envelope: " + err.Error()}
 		}
 		format = req.Format
-		docs = make([][]byte, len(req.Profiles))
+		docs = make([]envString, len(req.Profiles))
 		for i, f := range req.Profiles {
-			docs[i] = []byte(f.Content)
+			docs[i] = envString{raw: []byte(f.Content), n: len(f.Content)}
 		}
 	}
 	if format != "json" && format != "csv" {
@@ -255,10 +258,13 @@ func tooLarge(limit int64) error {
 // file refuses the whole upload with 422 and per-file stage detail, and
 // the store stays unchanged.
 //
-// Each document's slice from decodeUploadRequest is the one copy of it
-// the request holds: it is decoded, spooled and handed off as is.
-func validateBatch(ctx context.Context, app, format string, docs [][]byte, workers int) ([]upload, error) {
+// The request body is the one copy of the documents the request holds:
+// each worker unescapes its document in place, over the document's own
+// span of the body, just before decoding it, and that slice is what the
+// batch spools and hands off.
+func validateBatch(ctx context.Context, app, format string, docs []envString, workers int) ([]upload, error) {
 	type decoded struct {
+		data  []byte
 		p     *profile.Profile
 		stage ingest.Stage
 		err   error
@@ -266,7 +272,8 @@ func validateBatch(ctx context.Context, app, format string, docs [][]byte, worke
 	results := make([]decoded, len(docs))
 	err := pipeline.ForEach(ctx, workers, len(docs), func(i int) error {
 		d := &results[i]
-		d.p, d.stage, d.err = ingest.DecodeBytes(docs[i], format)
+		d.data = docs[i].decode()
+		d.p, d.stage, d.err = ingest.DecodeBytes(d.data, format)
 		return nil
 	})
 	if err != nil {
@@ -291,7 +298,7 @@ func validateBatch(ctx context.Context, app, format string, docs [][]byte, worke
 		batch = append(batch, upload{
 			name:    name,
 			id:      identity{point: d.p.Point().Key(), rank: d.p.Rank, rep: d.p.Rep},
-			data:    docs[i],
+			data:    d.data,
 			profile: d.p,
 		})
 	}

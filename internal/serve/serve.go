@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -173,6 +174,9 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool dir: %w", err)
 	}
+	if err := removePartFiles(cfg.SpoolDir); err != nil {
+		return nil, err
+	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = resilience.WallClock{}
@@ -215,6 +219,36 @@ func (s *Server) markStarted(ctx context.Context) error {
 	}
 	s.started = true
 	s.life = ctx
+	return nil
+}
+
+// removePartFiles deletes the ".part" temporaries that a crash between
+// an upload's spool write and its rename leaves in application
+// directories. No campaign reads them and no upload reuses one, so they
+// would otherwise stay forever. New runs it before any handler exists,
+// so it never removes a live upload's temporary.
+func removePartFiles(root string) error {
+	apps, err := os.ReadDir(root)
+	if err != nil {
+		return fmt.Errorf("serve: scanning spool: %w", err)
+	}
+	for _, app := range apps {
+		if !app.IsDir() || !validAppName(app.Name()) {
+			continue
+		}
+		dir := filepath.Join(root, app.Name())
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return fmt.Errorf("serve: scanning spool app %s: %w", app.Name(), err)
+		}
+		for _, e := range entries {
+			if e.Type().IsRegular() && strings.HasSuffix(e.Name(), ".part") {
+				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+					return fmt.Errorf("serve: removing stale spool file: %w", err)
+				}
+			}
+		}
+	}
 	return nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -146,4 +148,36 @@ func statusGeneration(tb testing.TB, s *testServer) int64 {
 	}
 	decodeJSON(tb, body, &info)
 	return info.Generation
+}
+
+// TestServeNewRemovesStaleParts: a crash between an upload's spool write
+// and its rename leaves a ".part" file, which no campaign reads. A new
+// server over that spool deletes it and keeps every spooled profile and
+// every file that is not a temporary.
+func TestServeNewRemovesStaleParts(t *testing.T) {
+	spool := t.TempDir()
+	dir := filepath.Join(spool, testApp)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := []string{"imdb.x2.mpi0.r1.json", "notes.txt"}
+	for _, name := range append([]string{"imdb.x4.mpi0.r1.json.part"}, keep...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := serve.New(serve.Config{SpoolDir: spool, Setup: testSetup(t)}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+	}
+	if len(left) != len(keep) || left[0] != keep[0] || left[1] != keep[1] {
+		t.Errorf("spool holds %q after New, want %q", left, keep)
+	}
 }

@@ -152,7 +152,9 @@ type appState struct {
 	// file name. takeTurn moves the whole set into the campaign it
 	// starts, which reuses a profile only for a spooled file whose bytes
 	// still equal the admitted ones; the set is freed when that campaign
-	// ends, so memory stays bounded by the uploads of one turn.
+	// ends, so memory stays bounded by the uploads of one turn. Each
+	// file's bytes are its span of the upload's request body, so the set
+	// keeps those bodies alive until then.
 	pending map[string]ingest.Decoded
 	// last is the most recent fit outcome (nil before the first).
 	last *fitOutcome

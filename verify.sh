@@ -282,6 +282,28 @@ if [ "$serve_elapsed" -gt 30 ]; then
 	exit 1
 fi
 
+# upload-bench: an upload holds its profiles once, in the request body —
+# each document is unescaped in place and decoded, spooled and handed off
+# from its span of the body. One BenchmarkUpload iteration (the
+# 90-document, 7.57 MB case-study envelope through the handler of an
+# un-started server) measured 13.4-13.6 MB/op that way, against
+# 20.5-20.7 MB/op when every document was copied into a slice of its own.
+# The 16 MB ceiling sits between the two, so a per-document copy coming
+# back fails the gate.
+upload_bytes_ceiling=16000000
+begin upload-bench test "BenchmarkUpload -benchtime 1x -benchmem (B/op <= ${upload_bytes_ceiling})"
+upload_out=$(go test -run '^$' -bench 'BenchmarkUpload$' -benchtime 1x -benchmem ./internal/serve)
+echo "$upload_out"
+echo "$upload_out" | awk -v ceiling="$upload_bytes_ceiling" '
+	/B\/op/ {
+		found = 1
+		for (i = 2; i <= NF; i++) if ($i == "B/op" && $(i - 1) + 0 > ceiling) {
+			printf "upload-bench: %s allocates %s B/op, above the %d ceiling — the upload path copies its documents again; profile with '\''go test -run ^$ -bench BenchmarkUpload -memprofile mem.out ./internal/serve'\''\n", $1, $(i - 1), ceiling
+			bad = 1
+		}
+	}
+	END { if (!found) print "upload-bench: no B/op figure in the benchmark output"; exit bad || !found }' || { class="budget-exceeded"; exit 1; }
+
 # Fuzz smoke: the ingestion invariant ("valid profile or error — never a
 # panic, never a NaN smuggled into the pipeline") must survive a short
 # native-fuzzing burst on every loader fuzz target, plus the checkpoint
