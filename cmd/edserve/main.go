@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("edserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve HTTP on")
-	spoolDir := fs.String("spool", "spool", "directory profile uploads are spooled under (the server's durable state)")
+	spoolDir := fs.String("spool", "spool", "directory profile uploads are spooled under, one synced tar segment per accepted upload in <spool>/<app>/ (the server's durable state)")
 	checkpointDir := fs.String("checkpoint-dir", "", "store every application's fit tasks as content-keyed records in this directory")
 	resume := fs.Bool("resume", false, "reuse checkpointed fit tasks across campaigns and restarts (content-keyed)")
 	benchmark := fs.String("benchmark", "", "built-in benchmark name to derive training-setup values from")

@@ -25,10 +25,8 @@
 package ingest
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,7 +141,7 @@ func LoadDir(dir, format string, opts Options) (*Report, error) {
 	}
 	files := make([]File, len(paths))
 	for i, path := range paths {
-		files[i] = LoadFile(path, format, Decoded{})
+		files[i] = LoadFile(path, format)
 	}
 	return Assemble(dir, format, files, opts)
 }
@@ -186,68 +184,22 @@ type File struct {
 	Profile *profile.Profile
 	Stage   Stage
 	Err     error
-	// Reused reports that the profile was taken from a prior decode
-	// instead of decoded again (see Decoded).
+	// Reused reports that the profile was not decoded by this load but
+	// taken from a decode of the same bytes the caller already had
+	// (edserve's upload handoff).
 	Reused bool
 }
 
-// Decoded is a profile a caller already decoded and validated from
-// Data — edserve's upload validation, handed to the campaign that
-// ingests the spooled copy so the file is not decoded twice. Data may
-// alias a larger buffer (edserve's documents are spans of the request
-// body); LoadFile only reads it. The zero value means no prior decode.
-type Decoded struct {
-	Data    []byte
-	Profile *profile.Profile
-}
-
 // LoadFile reads, decodes and validates one profile file, classifying
-// any failure by stage. When prior holds a profile decoded from exactly
-// the bytes now on disk, that profile is returned instead of decoding
-// again: the file is compared with prior.Data through a fixed buffer, up
-// to its end, without reading it whole. Any other content — a file
-// changed after the prior decode included — and a file the comparison
-// cannot open or read go through the normal read, decode and
-// validation, so their stage and error are a plain load's. LoadFile is
-// safe to call concurrently for different files.
-func LoadFile(path, format string, prior Decoded) File {
-	if prior.Profile != nil && sameContent(path, prior.Data) {
-		return File{Path: path, Profile: prior.Profile, Reused: true}
-	}
+// any failure by stage. It is safe to call concurrently for different
+// files.
+func LoadFile(path, format string) File {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return File{Path: path, Stage: StageRead, Err: err}
 	}
 	p, stage, err := DecodeBytes(data, format)
 	return File{Path: path, Profile: p, Stage: stage, Err: err}
-}
-
-// compareBufSize is the chunk sameContent reads a file in.
-const compareBufSize = 16 << 10
-
-// sameContent reports whether the file at path holds exactly want: every
-// byte equal, and nothing after the last one. Any open or read error
-// reports false.
-func sameContent(path string, want []byte) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var buf [compareBufSize]byte
-	for {
-		n, err := f.Read(buf[:])
-		if n > len(want) || !bytes.Equal(buf[:n], want[:n]) {
-			return false
-		}
-		want = want[n:]
-		if err == io.EOF {
-			return len(want) == 0
-		}
-		if err != nil {
-			return false
-		}
-	}
 }
 
 // Assemble builds the report of one directory ingestion from its per-file

@@ -380,7 +380,7 @@ func TestLoadFileCSVErrorCarriesPathAndLine(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f := LoadFile(path, "csv", Decoded{})
+	f := LoadFile(path, "csv")
 	if f.Err == nil {
 		t.Fatal("broken file accepted")
 	}
@@ -549,96 +549,4 @@ func TestDecodeBytesStageClassification(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestLoadFileReusesOnlyIdenticalBytes pins the decode handoff: a prior
-// decode is reused only when the file still holds exactly its bytes,
-// compared to the end of the file. A file that differs anywhere — in the
-// first byte, on either side of a compare-buffer boundary, in the last
-// byte, by a byte more or a byte less — is loaded from disk exactly as a
-// plain load loads it, valid or not. A missing file fails with the plain
-// load's read-stage error.
-func TestLoadFileReusesOnlyIdenticalBytes(t *testing.T) {
-	dir, names := writeCampaign(t, "json")
-	path := filepath.Join(dir, names[0])
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trailing whitespace keeps the document valid and makes it span
-	// three compare buffers.
-	large := append(bytes.Clone(data), bytes.Repeat([]byte{' '}, 2*compareBufSize)...)
-	flip := func(i int) []byte {
-		b := bytes.Clone(large)
-		b[i] ^= 1
-		return b
-	}
-	for _, tc := range []struct {
-		name        string
-		prior, disk []byte
-		reused      bool
-	}{
-		{"identical", data, data, true},
-		{"identical, larger than the buffer", large, large, true},
-		{"first byte flipped", large, flip(0), false},
-		{"byte before a buffer boundary flipped", large, flip(compareBufSize - 1), false},
-		{"byte after a buffer boundary flipped", large, flip(compareBufSize), false},
-		{"last byte flipped", large, flip(len(large) - 1), false},
-		{"one byte appended", large, append(bytes.Clone(large), ' '), false},
-		{"one byte removed", large, large[:len(large)-1], false},
-		{"ends at a buffer boundary", large, large[:compareBufSize], false},
-		{"one buffer more on disk", large[:compareBufSize], large, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := os.WriteFile(path, tc.disk, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			prior := Decoded{Data: tc.prior, Profile: fixtureProfile(2, 0, 1)}
-			f := LoadFile(path, "json", prior)
-			if tc.reused {
-				if !f.Reused || f.Profile != prior.Profile || f.Err != nil {
-					t.Fatalf("reused=%v err=%v, want the prior profile", f.Reused, f.Err)
-				}
-				return
-			}
-			wantPlainLoad(t, f, path, prior)
-		})
-	}
-
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	prior := Decoded{Data: data, Profile: fixtureProfile(2, 0, 1)}
-	if _, err := faults.CorruptFile(path, faults.Truncate); err != nil {
-		t.Fatal(err)
-	}
-	if f := wantPlainLoad(t, LoadFile(path, "json", prior), path, prior); f.Stage != StageDecode || f.Err == nil {
-		t.Errorf("truncated file: stage=%v err=%v, want a decode failure", f.Stage, f.Err)
-	}
-
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if f := wantPlainLoad(t, LoadFile(path, "json", prior), path, prior); f.Stage != StageRead || f.Err == nil {
-		t.Errorf("missing file: stage=%v err=%v, want a read failure", f.Stage, f.Err)
-	}
-}
-
-// wantPlainLoad checks that f, a load of path handed prior, is not a
-// reuse and matches a plain load of path: the same stage, the same error
-// text, and a profile only where the plain load decodes one.
-func wantPlainLoad(t *testing.T, f File, path string, prior Decoded) File {
-	t.Helper()
-	want := LoadFile(path, "json", Decoded{})
-	if f.Reused || (f.Profile != nil && f.Profile == prior.Profile) {
-		t.Fatalf("reused the prior profile for changed bytes")
-	}
-	if f.Stage != want.Stage || (f.Err == nil) != (want.Err == nil) || (f.Profile == nil) != (want.Profile == nil) {
-		t.Fatalf("stage=%v err=%v profile=%v, want the plain load's stage=%v err=%v profile=%v",
-			f.Stage, f.Err, f.Profile != nil, want.Stage, want.Err, want.Profile != nil)
-	}
-	if f.Err != nil && f.Err.Error() != want.Err.Error() {
-		t.Errorf("error %q, want the plain load's %q", f.Err, want.Err)
-	}
-	return f
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -159,68 +158,5 @@ func TestIngestReportIndependentOfWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunReusesDecodedProfiles: the decode handoff reuses a profile only
-// for a file whose bytes on disk equal the handed-off bytes; a file
-// changed since is decoded from disk, and the run's output is the same
-// as without any handoff.
-func TestRunReusesDecodedProfiles(t *testing.T) {
-	dir, setup := writeCampaign(t)
-	plain, err := New(Config{Workers: 2}).Run(context.Background(), testSpec(dir, setup))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	paths, err := ingest.ListDir(dir, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded := map[string]ingest.Decoded{}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _, err := ingest.DecodeBytes(data, "json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded[filepath.Base(path)] = ingest.Decoded{Data: data, Profile: p}
-	}
-	// One entry is stale: its handed-off bytes no longer match the file,
-	// so its (deliberately wrong) profile must not be used.
-	names := make([]string, 0, len(decoded))
-	for n := range decoded {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	stale := decoded[names[3]]
-	stale.Data = append([]byte(" "), stale.Data...)
-	stale.Profile = decoded[names[0]].Profile
-	decoded[names[3]] = stale
-
-	var obs Collector
-	spec := testSpec(dir, setup)
-	spec.Decoded = decoded
-	res, err := New(Config{Workers: 2, Observer: &obs}).Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var counters Counters
-	for _, st := range obs.Stats() {
-		if st.Stage == StageIngest {
-			counters = st.Counters
-		}
-	}
-	if counters["reused"] != len(paths)-1 || counters["loaded"] != len(paths) {
-		t.Errorf("ingest counters %v, want reused=%d loaded=%d", counters, len(paths)-1, len(paths))
-	}
-	if !reflect.DeepEqual(res.Ingest.Profiles, plain.Ingest.Profiles) {
-		t.Error("handoff changed the ingested profiles")
-	}
-	if res.Report != plain.Report {
-		t.Error("handoff changed the report")
 	}
 }

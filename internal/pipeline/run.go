@@ -16,11 +16,12 @@ type RunSpec struct {
 	Format      string
 	// Ingest configures quarantine policy and the degradation gate.
 	Ingest ingest.Options
-	// Decoded hands profiles the caller already decoded to the ingest
-	// stage, keyed by file name within ProfilesDir. A listed file whose
-	// bytes on disk equal the entry's Data reuses its Profile; every
-	// other file is decoded from disk as usual. nil decodes everything.
-	Decoded map[string]ingest.Decoded
+	// Load, when set, supplies the profile set in place of listing and
+	// loading ProfilesDir: the ingest stage calls it with the stage's
+	// context and assembles its report from the returned loads, which
+	// must be in file-name order. ProfilesDir still names the set in the
+	// report and its errors. nil loads ProfilesDir.
+	Load func(ctx context.Context) ([]ingest.File, error)
 	// Setup derives the training-setup values per configuration
 	// (Section 2.3.1).
 	Setup epoch.SetupFunc
@@ -60,7 +61,7 @@ func (p *Pipeline) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 
 	res := &RunResult{}
 	var err error
-	if res.Ingest, err = p.ingest(rctx, spec.ProfilesDir, spec.Format, spec.Ingest, spec.Decoded); err != nil {
+	if res.Ingest, err = p.ingest(rctx, spec.ProfilesDir, spec.Format, spec.Ingest, spec.Load); err != nil {
 		return res, err
 	}
 	if err = res.Ingest.Gate(spec.Ingest); err != nil {

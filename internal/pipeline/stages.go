@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"extradeep/internal/aggregate"
@@ -59,21 +58,15 @@ func (p *Pipeline) Ingest(ctx context.Context, dir, format string, opts ingest.O
 	return p.ingest(ctx, dir, format, opts, nil)
 }
 
-// ingest is Ingest with a decode handoff: a file whose name is in
-// decoded and whose bytes on disk equal the handed-off bytes reuses that
-// profile instead of being decoded again (see RunSpec.Decoded).
-func (p *Pipeline) ingest(ctx context.Context, dir, format string, opts ingest.Options, decoded map[string]ingest.Decoded) (*ingest.Report, error) {
+// ingest is Ingest over the loads that load supplies (see RunSpec.Load);
+// nil loads dir.
+func (p *Pipeline) ingest(ctx context.Context, dir, format string, opts ingest.Options, load func(context.Context) ([]ingest.File, error)) (*ingest.Report, error) {
+	if load == nil {
+		load = func(ctx context.Context) ([]ingest.File, error) { return p.loadDir(ctx, dir, format) }
+	}
 	var report *ingest.Report
 	err := p.runStage(ctx, StageIngest, func(sctx context.Context) (Counters, error) {
-		paths, err := ingest.ListDir(dir, format)
-		if err != nil {
-			return nil, err
-		}
-		files := make([]ingest.File, len(paths))
-		err = ForEach(sctx, p.cfg.Workers, len(paths), func(i int) error {
-			files[i] = ingest.LoadFile(paths[i], format, decoded[filepath.Base(paths[i])])
-			return nil
-		})
+		files, err := load(sctx)
 		if err != nil {
 			return nil, err
 		}
@@ -94,6 +87,21 @@ func (p *Pipeline) ingest(ctx context.Context, dir, format string, opts ingest.O
 		}, err
 	})
 	return report, err
+}
+
+// loadDir lists dir and loads every profile file of the format on the
+// worker pool, in file-name order.
+func (p *Pipeline) loadDir(ctx context.Context, dir, format string) ([]ingest.File, error) {
+	paths, err := ingest.ListDir(dir, format)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]ingest.File, len(paths))
+	err = ForEach(ctx, p.cfg.Workers, len(paths), func(i int) error {
+		files[i] = ingest.LoadFile(paths[i], format)
+		return nil
+	})
+	return files, err
 }
 
 // Aggregate groups raw profiles by configuration and runs the Fig. 2

@@ -58,7 +58,7 @@ func TestServeSharedCheckpointStore(t *testing.T) {
 	if c["tasks"] == 0 || c["reused"] != c["tasks"] {
 		t.Errorf("%s's campaign reused %d of its %d fit tasks, want all of them", twin, c["reused"], c["tasks"])
 	}
-	if !bytes.Equal(s.models(t, twin), batchModels(t, filepath.Join(s.spool, twin), 1)) {
+	if !bytes.Equal(s.models(t, twin), batchModels(t, unpackSpool(t, filepath.Join(s.spool, twin)), 1)) {
 		t.Errorf("%s's models differ from a cold batch run over its spool", twin)
 	}
 }

@@ -127,7 +127,7 @@ func TestServeCorruptUploads(t *testing.T) {
 		t.Errorf("corrupt uploads triggered refits: generation %d, want 1", snap.Generation)
 	}
 	got := s.models(t, testApp)
-	want := batchModels(t, s.spool+"/"+testApp, 1)
+	want := batchModels(t, unpackSpool(t, filepath.Join(s.spool, testApp)), 1)
 	if !bytes.Equal(got, want) {
 		t.Error("models after corrupt-upload barrage differ from batch reference")
 	}
@@ -327,9 +327,11 @@ func TestServeEnvelopeRefusals(t *testing.T) {
 	}
 }
 
-// spoolFiles reads every file of a spool directory, keyed by name.
+// spoolFiles reads every document of a spool directory, unpacked,
+// keyed by name.
 func spoolFiles(tb testing.TB, dir string) map[string][]byte {
 	tb.Helper()
+	dir = unpackSpool(tb, dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		tb.Fatal(err)

@@ -43,7 +43,7 @@ func (s *Server) fitLoop(ctx context.Context, a *appState) {
 		if w := s.cfg.CoalesceWindow; w > 0 && ctx.Err() == nil {
 			_ = s.clock.Sleep(ctx, w)
 		}
-		gen, decoded, done := a.takeTurn(ctx.Err() != nil)
+		gen, handoff, done := a.takeTurn(ctx.Err() != nil)
 		if done {
 			return
 		}
@@ -54,7 +54,7 @@ func (s *Server) fitLoop(ctx context.Context, a *appState) {
 			a.abort()
 			return
 		}
-		snap, out := s.campaign(ctx, a, gen, decoded)
+		snap, out := s.campaign(ctx, a, gen, handoff)
 		<-s.fitSem
 		if ctx.Err() != nil && snap == nil {
 			// Interrupted mid-campaign: the spool content this turn
@@ -79,29 +79,32 @@ func (a *appState) abort() {
 	a.signalLocked()
 }
 
-// campaign runs one full pipeline over the application's spool directory
-// and builds the snapshot to publish. The pipeline configuration is
-// exactly the batch CLI's — same default aggregation and modeling
-// options, same lenient ingest with degradation gate — so the fitted
-// ModelSet is byte-identical to a batch run over the same files. With a
-// checkpoint store, the campaign stores every fit task as its own record,
-// and with Resume it reuses every task whose content key — metric,
-// callpath, series and modeling options — an earlier campaign of any
-// application already stored. A restart over an unchanged spool
-// therefore refits nothing. A new upload changes the series of every
-// kernel it measures, so those kernels refit; every task whose series it
-// leaves unchanged is reused.
+// campaign runs one full pipeline over the application's spool and
+// builds the snapshot to publish. The pipeline configuration is exactly
+// the batch CLI's — same default aggregation and modeling options, same
+// lenient ingest with degradation gate — so the fitted ModelSet is
+// byte-identical to a batch run over the spool's documents unpacked into
+// one directory. With a checkpoint store, the campaign stores every fit
+// task as its own record, and with Resume it reuses every task whose
+// content key — metric, callpath, series and modeling options — an
+// earlier campaign of any application already stored. A restart over an
+// unchanged spool therefore refits nothing. A new upload changes the
+// series of every kernel it measures, so those kernels refit; every task
+// whose series it leaves unchanged is reused.
 //
-// decoded is the turn's decode handoff: the campaign still lists and
-// reads every spooled file — the spool stays the durable truth — but a
-// file whose bytes equal the admitted upload reuses the profile the
-// upload handler decoded instead of decoding it a second time.
-func (s *Server) campaign(ctx context.Context, a *appState, gen int64, decoded map[string]ingest.Decoded) (*Snapshot, *fitOutcome) {
-	res, err := pipeline.New(s.cfg.Config).Run(ctx, pipeline.RunSpec{
-		ProfilesDir: filepath.Join(s.cfg.SpoolDir, a.name),
-		Format:      a.spoolFormat(),
+// handoff is the turn's decode handoff: the campaign still reads every
+// segment — the spool stays the durable truth — but an entry whose bytes
+// equal the admitted upload reuses the profile the upload handler
+// decoded instead of decoding it a second time.
+func (s *Server) campaign(ctx context.Context, a *appState, gen int64, handoff map[string][]upload) (*Snapshot, *fitOutcome) {
+	dir := filepath.Join(s.cfg.SpoolDir, a.name)
+	format := a.spoolFormat()
+	pl := pipeline.New(s.cfg.Config)
+	res, err := pl.Run(ctx, pipeline.RunSpec{
+		ProfilesDir: dir,
+		Format:      format,
 		Ingest:      ingest.Options{Policy: ingest.Lenient},
-		Decoded:     decoded,
+		Load:        spoolLoader(dir, format, pl.Workers(), handoff),
 		Setup:       s.cfg.Setup,
 		Analyze:     s.cfg.Analyze,
 	})

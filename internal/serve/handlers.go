@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -122,9 +120,9 @@ func (s *Server) app(w http.ResponseWriter, r *http.Request) (*appState, bool) {
 	return a, true
 }
 
-// upload is one validated file of an upload batch, ready to spool. The
-// decoded profile rides along to the next fit campaign (the decode
-// handoff, see appState.pending).
+// upload is one validated document of an upload batch, ready to spool
+// under its canonical file name. The decoded profile rides along to the
+// next fit campaign (the decode handoff, see appState.pending).
 type upload struct {
 	name    string
 	id      identity
@@ -159,11 +157,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	if err := s.spool(name, batch); err != nil {
+	segment, err := s.spool(a, batch)
+	if err != nil {
 		writeAPIError(w, err)
 		return
 	}
-	a.commit(format, batch)
+	a.commit(format, segment, batch)
 	s.kick(a)
 	accepted := make([]string, len(batch))
 	for i, u := range batch {
@@ -308,39 +307,6 @@ func validateBatch(ctx context.Context, app, format string, docs []envString, wo
 			files:   rejected}
 	}
 	return batch, nil
-}
-
-// spool writes an admitted batch under the application's spool
-// directory. Each file lands via a temporary ".part" name plus rename,
-// so a fit campaign scanning the directory concurrently never reads a
-// half-written profile; on any failure the already-written files of this
-// batch are removed, keeping the upload atomic.
-func (s *Server) spool(app string, batch []upload) error {
-	dir := filepath.Join(s.cfg.SpoolDir, app)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("creating spool directory: %w", err)
-	}
-	var written []string
-	undo := func() {
-		for _, p := range written {
-			_ = os.Remove(p)
-		}
-	}
-	for _, u := range batch {
-		path := filepath.Join(dir, u.name)
-		tmp := path + ".part"
-		if err := os.WriteFile(tmp, u.data, 0o644); err != nil {
-			undo()
-			return fmt.Errorf("spooling %s: %w", u.name, err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			_ = os.Remove(tmp)
-			undo()
-			return fmt.Errorf("spooling %s: %w", u.name, err)
-		}
-		written = append(written, path)
-	}
-	return nil
 }
 
 // snapshotFor resolves the application and its published snapshot,

@@ -1,16 +1,16 @@
 package serve_test
 
 // The decode-handoff suite: an upload's decoded profiles are reused by
-// the campaign it triggers only while the spooled files still hold the
-// admitted bytes. The spool stays the durable truth — a file changed on
-// disk, and every file after a restart, is decoded from the spool — and
-// every path converges to the batch pipeline's bytes.
+// the campaign it triggers only while the spooled segment entries still
+// hold the admitted bytes. The spool stays the durable truth — an entry
+// changed on disk, and every entry after a restart, is decoded from the
+// spool — and every path converges to the batch pipeline's bytes over
+// the unpacked spool.
 
 import (
 	"bytes"
 	"context"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -68,12 +68,12 @@ func TestServeHandoffReusesUploadDecode(t *testing.T) {
 	if c["loaded"] != len(files) || c["reused"] != c["loaded"] {
 		t.Errorf("ingest counters %v, want loaded=reused=%d", c, len(files))
 	}
-	if !bytes.Equal(s.models(t, testApp), batchModels(t, filepath.Join(s.spool, testApp), 1)) {
+	if !bytes.Equal(s.models(t, testApp), batchModels(t, unpackSpool(t, filepath.Join(s.spool, testApp)), 1)) {
 		t.Error("models after a handed-off campaign differ from the batch pipeline")
 	}
 }
 
-// TestServeHandoffFileChangedOnDisk: a spooled file overwritten between
+// TestServeHandoffFileChangedOnDisk: a segment entry rewritten between
 // the upload's commit and the campaign is decoded from disk, not taken
 // from the handoff, so the models follow the spool.
 func TestServeHandoffFileChangedOnDisk(t *testing.T) {
@@ -94,9 +94,7 @@ func TestServeHandoffFileChangedOnDisk(t *testing.T) {
 	obs := &pipeline.Collector{}
 	s := startServer(t, serve.Config{Config: pipeline.Config{Clock: clock, Observer: obs}, CoalesceWindow: time.Minute})
 	s.mustUpload(t, testApp, contentsOf(files))
-	if err := os.WriteFile(filepath.Join(s.spool, testApp, victim), []byte(other[victim]), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteEntry(t, filepath.Join(s.spool, testApp), victim, func([]byte) []byte { return []byte(other[victim]) })
 	close(clock.gate)
 	s.settle(t, testApp)
 
@@ -105,7 +103,7 @@ func TestServeHandoffFileChangedOnDisk(t *testing.T) {
 		t.Errorf("ingest counters %v, want loaded=%d reused=%d", c, len(files), len(files)-1)
 	}
 	got := s.models(t, testApp)
-	if !bytes.Equal(got, batchModels(t, filepath.Join(s.spool, testApp), 1)) {
+	if !bytes.Equal(got, batchModels(t, unpackSpool(t, filepath.Join(s.spool, testApp)), 1)) {
 		t.Error("models differ from the batch pipeline over the on-disk spool")
 	}
 	if bytes.Equal(got, batchModels(t, writeProfilesDir(t, files), 1)) {
@@ -113,9 +111,9 @@ func TestServeHandoffFileChangedOnDisk(t *testing.T) {
 	}
 }
 
-// TestServeHandoffFileDamagedOnDisk: a spooled file damaged after
+// TestServeHandoffFileDamagedOnDisk: a segment entry damaged after
 // admission is quarantined by the campaign, exactly as a batch run over
-// the spool quarantines it.
+// the unpacked spool quarantines it.
 func TestServeHandoffFileDamagedOnDisk(t *testing.T) {
 	files := makeCampaign(t, defaultRanks, 2, 47)
 	clock := gatedClock{FakeClock: resilience.NewFakeClock(), gate: make(chan struct{})}
@@ -127,9 +125,13 @@ func TestServeHandoffFileDamagedOnDisk(t *testing.T) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	if _, err := faults.CorruptFile(filepath.Join(s.spool, testApp, names[0]), faults.Truncate); err != nil {
-		t.Fatal(err)
-	}
+	rewriteEntry(t, filepath.Join(s.spool, testApp), names[0], func(data []byte) []byte {
+		bad, err := faults.Apply(faults.Truncate, data, "json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bad
+	})
 	close(clock.gate)
 	snap := s.settle(t, testApp)
 
@@ -140,13 +142,13 @@ func TestServeHandoffFileDamagedOnDisk(t *testing.T) {
 	if c["reused"] != len(files)-1 || c["quarantined"] != 1 {
 		t.Errorf("ingest counters %v, want reused=%d quarantined=1", c, len(files)-1)
 	}
-	if !bytes.Equal(s.models(t, testApp), batchModels(t, filepath.Join(s.spool, testApp), 1)) {
+	if !bytes.Equal(s.models(t, testApp), batchModels(t, unpackSpool(t, filepath.Join(s.spool, testApp)), 1)) {
 		t.Error("models differ from the batch pipeline over the damaged spool")
 	}
 }
 
 // TestServeHandoffEmptyAfterRestart: a restarted server has no handoff —
-// its campaign decodes every file from the spool — and converges to the
+// its campaign decodes every entry from the spool — and converges to the
 // first server's bytes.
 func TestServeHandoffEmptyAfterRestart(t *testing.T) {
 	spool := t.TempDir()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -71,10 +72,10 @@ func TestPropServeFitParity(t *testing.T) {
 		}
 		apiModels := s.models(t, testApp)
 
-		// The reference side runs over the server's own spool directory:
+		// The reference side runs over the server's own spool, unpacked:
 		// the server spools uploads verbatim, so this is exactly "the
 		// same files" a batch user would analyze.
-		refModels := batchModels(t, s.spool+"/"+testApp, 1)
+		refModels := batchModels(t, unpackSpool(t, filepath.Join(s.spool, testApp)), 1)
 		if !bytes.Equal(apiModels, refModels) {
 			return fmt.Errorf("API model set (%d bytes) differs from batch pipeline (%d bytes)", len(apiModels), len(refModels))
 		}
@@ -249,7 +250,7 @@ func TestPropServeConcurrentClients(t *testing.T) {
 			return fmt.Errorf("settled snapshot covers %d profiles, want %d (lost update)", snap.Profiles, len(files))
 		}
 		got := s.models(t, testApp)
-		want := batchModels(t, s.spool+"/"+testApp, 1)
+		want := batchModels(t, unpackSpool(t, filepath.Join(s.spool, testApp)), 1)
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("concurrent-upload final models differ from batch reference")
 		}

@@ -66,13 +66,15 @@ type uploadFile struct {
 	Content string `json:"content"`
 }
 
-// uploadResponse acknowledges an accepted batch (202): the files are
-// spooled under their canonical names and a re-fit is scheduled.
+// uploadResponse acknowledges an accepted batch (202): the documents are
+// durably spooled, as one segment, under their canonical names and a
+// re-fit is scheduled.
 type uploadResponse struct {
 	App string `json:"app"`
-	// Accepted names the spooled files in upload order.
+	// Accepted names the spooled documents in upload order.
 	Accepted []string `json:"accepted"`
-	// SpooledFiles is the application's total spool size afterwards.
+	// SpooledFiles is the application's total spooled document count
+	// afterwards.
 	SpooledFiles int `json:"spooled_files"`
 	// Refit reports that a fit campaign is (or will be) running.
 	Refit bool `json:"refit"`
