@@ -158,9 +158,28 @@ func (sc *allocScanner) childFrame(parent allocFrame, n ast.Node) allocFrame {
 			f.exempt = true
 		}
 	case *ast.CompositeLit:
-		f.inLit = true // the outer literal is the reported site
+		// A slice or map literal, or one under &, is the reported site
+		// for everything inside it. A struct or array value allocates
+		// nothing itself, so the literals it holds are sites of their own.
+		if sc.claimed[p] || allocatingLit(sc.pass, p) {
+			f.inLit = true
+		}
 	}
 	return f
+}
+
+// allocatingLit reports whether the composite literal is of slice or map
+// type, whose value is backed by a heap allocation.
+func allocatingLit(pass *Pass, lit *ast.CompositeLit) bool {
+	t := pass.TypeOf(lit)
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }
 
 // visit classifies one node in context f.
@@ -182,11 +201,8 @@ func (sc *allocScanner) visit(f allocFrame, n ast.Node) {
 		if f.exempt || f.inLit {
 			return
 		}
-		if t := sc.pass.TypeOf(n); t != nil {
-			switch t.Underlying().(type) {
-			case *types.Slice, *types.Map:
-				sc.add(f, allocSite{kind: allocLit, pos: n.Pos(), desc: litTypeString(sc.pass, n) + "{…}"})
-			}
+		if allocatingLit(sc.pass, n) {
+			sc.add(f, allocSite{kind: allocLit, pos: n.Pos(), desc: litTypeString(sc.pass, n) + "{…}"})
 		}
 	case *ast.CallExpr:
 		sc.visitCall(f, n)

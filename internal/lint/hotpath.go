@@ -54,6 +54,10 @@ var hotPathDefaults = []hotPathDefault{
 	{"internal/modeling", "modeling.newFitContext"},
 	{"internal/modeling", "modeling.sharedBasis"},
 	{"internal/modeling", "modeling.basisSignature"},
+	// The sparse hypothesis search and the pooled slabs it builds each
+	// task's hypothesis space into.
+	{"internal/modeling", "modeling.sparseSearch"},
+	{"internal/modeling", "hypothesisSpace.*"},
 	// Basis-column evaluation: every factor/term touch of every fit.
 	{"internal/pmnf", "ColumnSet.*"},
 	{"internal/pmnf", "pmnf.TermProduct"},

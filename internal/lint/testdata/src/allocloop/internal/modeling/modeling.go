@@ -30,6 +30,21 @@ func (fc *fitContext) prepare() {
 	}
 }
 
+// term is a value type holding a slice, like pmnf.Term.
+type term struct {
+	factors []float64
+}
+
+// wrap builds a struct value per iteration: the struct allocates
+// nothing, but the slice literal inside it does, and is the site.
+func (fc *fitContext) wrap() []term {
+	out := make([]term, 0, len(fc.rows))
+	for _, row := range fc.rows {
+		out = append(out, term{factors: []float64{row[0]}}) // nested per-iteration allocation
+	}
+	return out
+}
+
 // recycle is built from the sanctioned amortized idioms — a cap-guarded
 // grow and a [:0] reset-reuse append — and must stay silent.
 func (fc *fitContext) recycle(scratch []float64) {
@@ -75,6 +90,7 @@ func coldSetup(n int) [][]float64 {
 func Campaign(n int) float64 {
 	fc := &fitContext{rows: coldSetup(n), sums: make([]float64, n)}
 	fc.prepare()
+	_ = fc.wrap()
 	fc.fitOne()
 	fc.recycle(nil)
 	fc.seed()

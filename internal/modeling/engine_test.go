@@ -474,7 +474,7 @@ func TestSettleReplaysDecidingCandidates(t *testing.T) {
 				if !fc.solveFull(hyps[i]) {
 					t.Fatalf("candidate %d: full-data fit failed", i)
 				}
-				cands[i] = candidate{fn: fc.function(hyps[i]), cv: cvScore{smape: sc.smape, err: sc.err, exact: sc.exact}, idx: int32(i), terms: 1}
+				cands[i] = fc.candidate(hyps[i], i, cvScore{smape: sc.smape, err: sc.err, exact: sc.exact}, 0)
 			}
 			fc.settleRound(hyps, cands)
 			for i, want := range tc.want {

@@ -3,7 +3,7 @@ package modeling
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,6 +92,14 @@ type fitScratch struct {
 	rows      []float64
 	shapes    []scoredShape
 	cands     []candidate
+
+	// Hypothesis and candidate storage: the task's sparse hypothesis
+	// list, the full-data coefficients of every selection candidate back
+	// to back (see candidate.coef), and the terms a candidate's growth is
+	// read from.
+	space       hypothesisSpace
+	candCoefs   []float64
+	growthTerms []pmnf.Term
 
 	// PRESS scratch: the Cholesky factor of the scaled normal matrix
 	// B = D⁻¹XᵀXD⁻¹, its inverse and B⁻¹ (c×c, row-major), the column
@@ -474,12 +482,43 @@ func (fc *fitContext) solveFull(h hypothesis) bool {
 	return true
 }
 
-// function wraps the full-data coefficients fc.coef of h into the fitted
-// PMNF instance.
-func (fc *fitContext) function(h hypothesis) *pmnf.Function {
-	fn := &pmnf.Function{Constant: fc.coef[0], Terms: make([]pmnf.Term, 0, len(h.terms))}
-	for i, term := range h.terms {
-		fn.Terms = append(fn.Terms, pmnf.Term{Coefficient: fc.coef[i+1], Factors: term.Factors})
+// candidate records hypothesis hyps[idx] as a selection candidate with
+// the full-data coefficients fc.coef, which it appends to candCoefs. Its
+// growth comes from pmnf.Function.Growth over a function whose terms sit
+// in scratch, so no function is allocated.
+func (fc *fitContext) candidate(h hypothesis, idx int, cv cvScore, rss float64) candidate {
+	off := len(fc.candCoefs)
+	fc.candCoefs = append(fc.candCoefs, fc.coef[:1+len(h.terms)]...)
+	terms := fc.growthTerms[:0]
+	for i, t := range h.terms {
+		terms = append(terms, pmnf.Term{Coefficient: fc.coef[i+1], Factors: t.Factors})
+	}
+	fc.growthTerms = terms
+	fn := pmnf.Function{Terms: terms}
+	return candidate{
+		growth: fn.Growth(),
+		cv:     cv,
+		rss:    rss,
+		coef:   int32(off),
+		idx:    int32(idx),
+		terms:  int32(len(h.terms)),
+	}
+}
+
+// function builds the fitted PMNF instance of h with the coefficients
+// coefs. The function owns its factor slices: h may live in pooled
+// scratch the next task overwrites.
+func function(h hypothesis, coefs []float64) *pmnf.Function {
+	n := 0
+	for _, t := range h.terms {
+		n += len(t.Factors)
+	}
+	facs := make([]pmnf.Factor, 0, n)
+	fn := &pmnf.Function{Constant: coefs[0], Terms: make([]pmnf.Term, 0, len(h.terms))}
+	for i, t := range h.terms {
+		start := len(facs)
+		facs = append(facs, t.Factors...)
+		fn.Terms = append(fn.Terms, pmnf.Term{Coefficient: coefs[i+1], Factors: facs[start:len(facs):len(facs)]})
 	}
 	return fn
 }
@@ -837,7 +876,7 @@ func (fc *fitContext) rankShapes(hs []hypothesis) []rated {
 		ss = kept
 	}
 	shape := func(e scoredShape) rated { return rated{shape: hs[e.idx].terms[0].Factors[0], smape: e.cv.smape} }
-	sort.SliceStable(ss, func(i, j int) bool { return ratedLess(shape(ss[i]), shape(ss[j])) })
+	slices.SortStableFunc(ss, func(a, b scoredShape) int { return compareBy(ratedLess, shape(a), shape(b)) })
 	rs := make([]rated, min(len(ss), sparseTopShapes))
 	for i := range rs {
 		rs[i] = shape(ss[i])
@@ -881,15 +920,33 @@ func contender(ss []scoredShape, i int, hk float64) bool {
 	return false
 }
 
-// candidate is one accepted hypothesis of the selection: its fitted
-// function (nil once a replay rejected it), CV score, full-data RSS, and
-// the index and term count of its hypothesis.
+// candidate is one accepted hypothesis of the selection: the growth of
+// its fitted function, its CV score and full-data RSS, the offset of its
+// full-data coefficients in candCoefs, the index and term count of its
+// hypothesis, and whether a replay rejected it. Only the winner's
+// function is ever built.
 type candidate struct {
-	fn    *pmnf.Function
-	cv    cvScore
-	rss   float64
-	idx   int32
-	terms int32
+	growth   pmnf.Growth
+	cv       cvScore
+	rss      float64
+	coef     int32
+	idx      int32
+	terms    int32
+	rejected bool
+}
+
+// compareBy turns the strict order less into a comparison function for
+// the slices sorts: negative exactly when less(a, b), so a stable sort
+// calls less on the same pairs and yields the same order as
+// sort.SliceStable with less.
+func compareBy[T any](less func(a, b T) bool, a, b T) int {
+	if less(a, b) {
+		return -1
+	}
+	if less(b, a) {
+		return 1
+	}
+	return 0
 }
 
 // candLess is the selection order: CV-SMAPE, then fewer terms, then
@@ -914,7 +971,7 @@ func occamThreshold(min float64) float64 { return min + math.Max(0.05, 0.5*min) 
 // occamLess orders candidates for the Occam preference: slower growth,
 // then fewer terms.
 func occamLess(a, b *candidate) bool {
-	cmp := a.fn.Growth().Compare(b.fn.Growth())
+	cmp := a.growth.Compare(b.growth)
 	return cmp < 0 || (cmp == 0 && a.terms < b.terms)
 }
 
@@ -931,7 +988,7 @@ func (fc *fitContext) settle(hyps []hypothesis, cands []candidate) []candidate {
 	for fc.settleRound(hyps, cands) {
 		kept := cands[:0]
 		for _, c := range cands {
-			if c.fn != nil {
+			if !c.rejected {
 				kept = append(kept, c)
 			}
 		}
@@ -951,7 +1008,7 @@ func (fc *fitContext) settleRound(hyps []hypothesis, cands []candidate) bool {
 		cv, ok := fc.replay(hyps[c.idx])
 		c.cv = cv
 		if !ok {
-			c.fn = nil
+			c.rejected = true
 		}
 		replayed = true
 	}
@@ -1011,13 +1068,13 @@ func (fc *fitContext) settleRound(hyps []hypothesis, cands []candidate) bool {
 		if least == nil || occamLess(a, least) {
 			least = a
 		}
-		pa := a.fn.Growth().PolyDegree
+		pa := a.growth.PolyDegree
 		for j := range cands[:i] {
 			b := &cands[j]
 			if !contends(b) {
 				continue
 			}
-			if gap := math.Abs(pa - b.fn.Growth().PolyDegree); gap > growthTol/4 && gap <= 2*growthTol {
+			if gap := math.Abs(pa - b.growth.PolyDegree); gap > growthTol/4 && gap <= 2*growthTol {
 				transitive = false
 			}
 		}
@@ -1046,6 +1103,7 @@ func (fc *fitContext) settleRound(hyps []hypothesis, cands []candidate) bool {
 func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 	n := len(fc.points)
 	cands := fc.cands[:0]
+	fc.candCoefs = fc.candCoefs[:0]
 	for i, h := range hyps {
 		if !fc.solveFull(h) || fc.negativeTerm(fc.coef) {
 			continue
@@ -1055,14 +1113,14 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 			continue
 		}
 		rss, _ := mathutil.RSS(fc.fullPreds, fc.values)
-		cands = append(cands, candidate{fn: fc.function(h), cv: cv, rss: rss, idx: int32(i), terms: int32(len(h.terms))})
+		cands = append(cands, fc.candidate(h, i, cv, rss))
 	}
 	fc.cands = cands
 	cands = fc.settle(hyps, cands)
 	if len(cands) == 0 {
 		return nil, ErrNoHypothesis
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return candLess(&cands[i], &cands[j]) })
+	slices.SortStableFunc(cands, func(a, b candidate) int { return compareBy(candLess, &a, &b) })
 	// Occam selection: hypotheses whose cross-validated SMAPE is within
 	// the noise-level tolerance of the minimum are statistically
 	// indistinguishable on the modeling points; among them the
@@ -1094,15 +1152,11 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 	}
 
 	// Full-data predictions of the winner from its cached factor columns.
+	coefs := fc.candCoefs[best.coef : best.coef+1+best.terms]
 	fc.prepare(h)
-	fc.coef = fc.coef[:1+len(best.fn.Terms)]
-	fc.coef[0] = best.fn.Constant
-	for i, t := range best.fn.Terms {
-		fc.coef[i+1] = t.Coefficient
-	}
 	preds := make([]float64, n)
 	for i := range preds {
-		preds[i] = fc.predictRow(h, fc.coef, i)
+		preds[i] = fc.predictRow(h, coefs, i)
 	}
 	r2, okR2 := mathutil.RSquared(preds, fc.values)
 	if !okR2 {
@@ -1118,7 +1172,7 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 	relStd, _ := mathutil.StdDev(rel)
 
 	model := &Model{
-		Function:       best.fn,
+		Function:       function(h, coefs),
 		SMAPE:          best.cv.smape,
 		RSS:            best.rss,
 		R2:             r2,
@@ -1160,7 +1214,7 @@ func (fc *fitContext) search() (*Model, error) {
 		// sparse-modeling approach, first evaluate single-parameter
 		// hypotheses, then build combinations only from the best few
 		// shapes per parameter.
-		hyps = sparseSearch(arity, fc.points, fc.values, fc.opts, fc.rankLine)
+		hyps = sparseSearch(arity, fc.points, fc.values, fc.opts, fc.rankLine, &fc.space)
 	}
 	if len(hyps) == 0 {
 		return nil, ErrNoHypothesis

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,13 +225,18 @@ func FitSeries(s *measurement.Series, opts Options) (*Model, error) {
 }
 
 // aggregateSeries returns the series' points in sorted order with each
-// sample's median (or mean) repetition value.
+// sample's median (or mean) repetition value. The series itself is left
+// as it is: samples already in point order (as the epoch stage builds
+// them) are read in place, others through a sorted copy.
 func aggregateSeries(s *measurement.Series, useMean bool) ([]measurement.Point, []float64, error) {
 	if s == nil {
 		return nil, nil, errors.New("modeling: nil series")
 	}
 	sorted := *s
-	sorted.Sort()
+	if !samplesSorted(sorted.Samples) {
+		sorted.Samples = slices.Clone(sorted.Samples)
+		sorted.Sort()
+	}
 	points := sorted.Points()
 	values := make([]float64, len(points))
 	for i, sm := range sorted.Samples {
@@ -247,6 +253,17 @@ func aggregateSeries(s *measurement.Series, useMean bool) ([]measurement.Point, 
 		values[i] = v
 	}
 	return points, values, nil
+}
+
+// samplesSorted reports whether the samples are in the order
+// measurement.Series.Sort puts them in.
+func samplesSorted(samples []measurement.Sample) bool {
+	for i := 1; i < len(samples); i++ {
+		if samples[i].Point.Less(samples[i-1].Point) {
+			return false
+		}
+	}
+	return true
 }
 
 // sparseTopShapes is the number of best single-parameter shapes per
@@ -287,11 +304,12 @@ type cvRanker func(points []measurement.Point, values []float64) func(hypothesis
 type topRanker func(points []measurement.Point, values []float64, hs []hypothesis) []rated
 
 // sparseHypotheses is sparseSearch with stage 1 ranked by a plain
-// cross-validation function: every shape is scored, then sorted.
+// cross-validation function: every shape is scored, then sorted. It
+// passes no hypothesisSpace, so the list it returns owns its storage.
 func sparseHypotheses(arity int, points []measurement.Point, values []float64, opts Options, ranker cvRanker) []hypothesis {
 	return sparseSearch(arity, points, values, opts, func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
 		return rankByCV(ranker(pts, vals), hs)
-	})
+	}, nil)
 }
 
 // rankByCV scores every single-shape hypothesis with cv and keeps the
@@ -312,17 +330,70 @@ func rankByCV(cv func(hypothesis) (float64, bool), hs []hypothesis) []rated {
 	return rs
 }
 
+// hypothesisSpace is the storage a generated hypothesis list is cut
+// from: the hypotheses themselves and one slab each for their terms and
+// factors. A fit task's space lives in its pooled fitScratch, so the
+// sparse search allocates nothing per hypothesis once the slabs have
+// grown; the next task overwrites it, which is why nothing a fit returns
+// may alias it.
+type hypothesisSpace struct {
+	hyps    []hypothesis
+	terms   []pmnf.Term
+	factors []pmnf.Factor
+}
+
+// reset empties the space and sizes it for up to nHyps hypotheses with
+// nTerms terms and nFactors factors in all. Reserving the whole space up
+// front keeps every hypothesis in one backing array per slab.
+func (sp *hypothesisSpace) reset(nHyps, nTerms, nFactors int) {
+	if cap(sp.hyps) < nHyps {
+		sp.hyps = make([]hypothesis, 0, nHyps)
+	}
+	if cap(sp.terms) < nTerms {
+		sp.terms = make([]pmnf.Term, 0, nTerms)
+	}
+	if cap(sp.factors) < nFactors {
+		sp.factors = make([]pmnf.Factor, 0, nFactors)
+	}
+	sp.hyps, sp.terms, sp.factors = sp.hyps[:0], sp.terms[:0], sp.factors[:0]
+}
+
+// term cuts a term with the factors fs from the factor slab.
+func (sp *hypothesisSpace) term(fs ...pmnf.Factor) pmnf.Term {
+	start := len(sp.factors)
+	sp.factors = append(sp.factors, fs...)
+	end := len(sp.factors)
+	return pmnf.Term{Factors: sp.factors[start:end:end]}
+}
+
+// add appends the hypothesis with the terms ts, cut from the term slab.
+func (sp *hypothesisSpace) add(ts ...pmnf.Term) {
+	start := len(sp.terms)
+	sp.terms = append(sp.terms, ts...)
+	end := len(sp.terms)
+	sp.hyps = append(sp.hyps, hypothesis{terms: sp.terms[start:end:end]})
+}
+
 // sparseSearch implements the two-stage multi-parameter search: rank
 // every single-parameter shape by cross-validated SMAPE, then combine the
 // top shapes of each parameter pair additively, multiplicatively, and in
-// hybrid (term + cross-term) form.
-func sparseSearch(arity int, points []measurement.Point, values []float64, opts Options, top topRanker) []hypothesis {
+// hybrid (term + cross-term) form. The hypotheses are built into sp, or
+// into fresh storage when sp is nil; the returned list aliases it.
+func sparseSearch(arity int, points []measurement.Point, values []float64, opts Options, top topRanker, sp *hypothesisSpace) []hypothesis {
 	shapes := shapeSet(opts)
+	if sp == nil {
+		sp = new(hypothesisSpace)
+	}
+	// Stage 1 adds one single-factor hypothesis per (parameter, shape);
+	// stage 2 at most sparseTopShapes² combinations per parameter pair,
+	// each four hypotheses of 7 terms and 10 factors together.
+	singles := arity * len(shapes)
+	combos := arity * (arity - 1) / 2 * sparseTopShapes * sparseTopShapes
+	sp.reset(1+singles+4*combos, singles+7*combos, singles+10*combos)
 
 	// Stage 1: evaluate single-parameter hypotheses.
 	topPerParam := make([][]rated, arity)
-	var out []hypothesis
-	out = append(out, hypothesis{}) // constant
+	sp.hyps = append(sp.hyps, hypothesis{}) // constant
 	for param := 0; param < arity; param++ {
 		// Rank shapes on the axis-aligned line through the grid where all
 		// other parameters sit at their minimum — on the full cross
@@ -332,13 +403,13 @@ func sparseSearch(arity int, points []measurement.Point, values []float64, opts 
 		if len(linePts) < 3 {
 			linePts, lineVals = points, values
 		}
-		first := len(out)
+		first := len(sp.hyps)
 		for _, s := range shapes {
 			f := s
 			f.Param = param
-			out = append(out, hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{f}}}})
+			sp.add(sp.term(f))
 		}
-		topPerParam[param] = top(linePts, lineVals, out[first:])
+		topPerParam[param] = top(linePts, lineVals, sp.hyps[first:])
 	}
 
 	// Stage 2: combinations of the top shapes per parameter pair.
@@ -347,26 +418,15 @@ func sparseSearch(arity int, points []measurement.Point, values []float64, opts 
 			for _, r1 := range topPerParam[p1] {
 				for _, r2 := range topPerParam[p2] {
 					f1, f2 := r1.shape, r2.shape
-					out = append(out, hypothesis{terms: []pmnf.Term{
-						{Factors: []pmnf.Factor{f1}},
-						{Factors: []pmnf.Factor{f2}},
-					}})
-					out = append(out, hypothesis{terms: []pmnf.Term{
-						{Factors: []pmnf.Factor{f1, f2}},
-					}})
-					out = append(out, hypothesis{terms: []pmnf.Term{
-						{Factors: []pmnf.Factor{f1}},
-						{Factors: []pmnf.Factor{f1, f2}},
-					}})
-					out = append(out, hypothesis{terms: []pmnf.Term{
-						{Factors: []pmnf.Factor{f2}},
-						{Factors: []pmnf.Factor{f1, f2}},
-					}})
+					sp.add(sp.term(f1), sp.term(f2))
+					sp.add(sp.term(f1, f2))
+					sp.add(sp.term(f1), sp.term(f1, f2))
+					sp.add(sp.term(f2), sp.term(f1, f2))
 				}
 			}
 		}
 	}
-	return out
+	return sp.hyps
 }
 
 // axisLine extracts the subset of points (and their values) where every
