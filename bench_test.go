@@ -479,11 +479,11 @@ func BenchmarkParallelFit(b *testing.B) {
 	}
 }
 
-// gridCampaign simulates a ranks × per-worker-batch grid campaign of the
+// gridProfiles simulates a ranks × per-worker-batch grid campaign of the
 // cifar10 benchmark (one repetition, one sampled rank per cell; ranks
-// {2, 4, …, 2k} and batches {32, 64, …, 32k}) and aggregates it, as the
-// batch path does before its fit stage.
-func gridCampaign(tb testing.TB, k int) ([]*aggregate.ConfigAggregate, epoch.SetupFunc) {
+// {2, 4, …, 2k} and batches {32, 64, …, 32k}), perfbench's batch-grid
+// corpus at k = 5.
+func gridProfiles(tb testing.TB, k int) ([]*profile.Profile, engine.Benchmark, engine.RunConfig) {
 	tb.Helper()
 	bench, err := engine.ByName("cifar10")
 	if err != nil {
@@ -512,11 +512,76 @@ func gridCampaign(tb testing.TB, k int) ([]*aggregate.ConfigAggregate, epoch.Set
 			profiles = append(profiles, ps...)
 		}
 	}
+	return profiles, bench, cfg
+}
+
+// gridCampaign aggregates gridProfiles(k) as the batch path does before
+// its fit stage.
+func gridCampaign(tb testing.TB, k int) ([]*aggregate.ConfigAggregate, epoch.SetupFunc) {
+	tb.Helper()
+	profiles, bench, cfg := gridProfiles(tb, k)
 	aggs, err := pipeline.New(pipeline.Config{}).Aggregate(context.Background(), profiles)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return aggs, core.GridSetup(bench, cfg)
+}
+
+// caseStudyProfiles simulates perfbench's serve-upload corpus: the
+// cifar10 weak-scaling case study at 2–10 ranks, five repetitions with up
+// to four sampled ranks each (90 profiles).
+func caseStudyProfiles(tb testing.TB) []*profile.Profile {
+	tb.Helper()
+	bench, err := engine.ByName("cifar10")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := engine.RunConfig{
+		System:      hardware.DEEP(),
+		Strategy:    parallel.DataParallel{},
+		WeakScaling: true,
+		Seed:        benchSeed,
+		SampleRanks: 4,
+	}
+	var profiles []*profile.Profile
+	for _, ranks := range []int{2, 4, 6, 8, 10} {
+		cfg.Ranks = ranks
+		for rep := 1; rep <= 5; rep++ {
+			ps, err := engine.Profile(bench, cfg, rep, true)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			profiles = append(profiles, ps...)
+		}
+	}
+	return profiles
+}
+
+// BenchmarkAggregate measures the Aggregate stage (Fig. 2 steps 1–3) on
+// one worker over the 5×5 grid corpus (25 configurations of one profile
+// each) and the 90-profile case study (5 configurations of 5
+// repetitions × up to 4 ranks).
+func BenchmarkAggregate(b *testing.B) {
+	corpora := []struct {
+		name     string
+		profiles func(testing.TB) []*profile.Profile
+	}{
+		{"grid5x5", func(tb testing.TB) []*profile.Profile { ps, _, _ := gridProfiles(tb, 5); return ps }},
+		{"casestudy", caseStudyProfiles},
+	}
+	for _, c := range corpora {
+		b.Run(c.name, func(b *testing.B) {
+			profiles := c.profiles(b)
+			pl := pipeline.New(pipeline.Config{Workers: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.Aggregate(context.Background(), profiles); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBuildModelsGrid measures the fit stage at campaign scale:

@@ -18,12 +18,22 @@
 // epoch extrapolation (Eq. 4) weighs them with different step counts.
 // The first epoch is treated as warm-up and excluded, mirroring the
 // paper's handling of framework initialization effects.
+//
+// Steps 1 and 2's median over steps depend on one profile alone, so
+// Aggregate reduces each profile to a small summary first and then merges
+// the summaries of a configuration through one dense kernel table. Both
+// run in pooled scratch; results carry metric-indexed arrays (see
+// KernelAggregate and MetricAt).
 package aggregate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 
 	"extradeep/internal/calltree"
 	"extradeep/internal/mathutil"
@@ -61,7 +71,9 @@ func (v StepValue) Add(w StepValue) StepValue {
 }
 
 // KernelAggregate is the fully aggregated measurement of one kernel at one
-// application configuration.
+// application configuration. Its per-metric fields are metric-indexed
+// arrays: index i belongs to MetricAt(i), and only the indices of
+// Metrics() carry data.
 type KernelAggregate struct {
 	// Callpath identifies the kernel, e.g. "App->train->EigenMetaKernel".
 	Callpath string
@@ -69,19 +81,34 @@ type KernelAggregate struct {
 	Name string
 	// Kind classifies the kernel.
 	Kind calltree.Kind
-	// PerRep holds, per metric, the per-repetition aggregated values Ṽ_r
-	// (median over steps, then ranks) in repetition order.
-	PerRep map[measurement.Metric][]StepValue
-	// Value holds, per metric, the final aggregate Ṽ (median over
-	// repetitions of PerRep).
-	Value map[measurement.Metric]StepValue
+	// PerRep holds, per metric index, the per-repetition aggregated
+	// values Ṽ_r (median over steps, then ranks) in repetition order; nil
+	// for a metric the kernel does not record.
+	PerRep [NumMetrics][]StepValue
+	// Value holds, per metric index, the final aggregate Ṽ (median over
+	// repetitions of PerRep); zero for a metric the kernel does not
+	// record.
+	Value [NumMetrics]StepValue
 }
 
 // Category returns the kernel's phase category.
 func (k *KernelAggregate) Category() calltree.Category { return calltree.CategoryOf(k.Kind) }
 
+// Metrics returns the metrics the kernel records, in metric-index order:
+// PerRep[i] and Value[i] belong to Metrics()[i]. Memory operations
+// additionally record transferred bytes. Callers must not modify the
+// result.
+func (k *KernelAggregate) Metrics() []measurement.Metric { return metricsFor(k.Kind) }
+
+// numCategories sizes the category-indexed arrays of ConfigAggregate:
+// one entry per calltree.Category, CategoryUnknown's always empty.
+const numCategories = calltree.CategoryMemory + 1
+
 // ConfigAggregate is the aggregation result for one application
 // configuration (one measurement point), the "Extra-Deep object" of Fig. 1.
+// Its per-repetition slices are carved from one allocation per
+// configuration, each capped at its own length, so appending to one never
+// overwrites another.
 type ConfigAggregate struct {
 	// App is the application name.
 	App string
@@ -91,13 +118,14 @@ type ConfigAggregate struct {
 	Point measurement.Point
 	// Kernels maps callpath → kernel aggregate.
 	Kernels map[string]*KernelAggregate
-	// Categories holds, per phase category and metric, the sum of the
-	// member kernels' final aggregates (the paper's Ṽ_comp, Ṽ_comm,
-	// Ṽ_mem of Eq. 6) and the corresponding per-repetition sums.
-	Categories map[calltree.Category]map[measurement.Metric]StepValue
+	// Categories holds, per phase category and metric index, the sum of
+	// the member kernels' final aggregates (the paper's Ṽ_comp, Ṽ_comm,
+	// Ṽ_mem of Eq. 6). Entries no member kernel records stay zero.
+	Categories [numCategories][NumMetrics]StepValue
 	// CategoriesPerRep mirrors Categories per repetition, for run-to-run
-	// variation analysis.
-	CategoriesPerRep map[calltree.Category]map[measurement.Metric][]StepValue
+	// variation analysis. An entry is nil exactly when no member kernel
+	// records that metric (in particular for a category without members).
+	CategoriesPerRep [numCategories][NumMetrics][]StepValue
 	// Reps is the number of measurement repetitions aggregated.
 	Reps int
 	// TrainSteps is the number of profiled training steps kept after
@@ -145,7 +173,27 @@ func metricsFor(kind calltree.Kind) []measurement.Metric {
 	return metricIDs[:2]
 }
 
-// reduce aggregates a slice with median (default) or mean.
+// NumMetrics is the number of metrics a kernel can record: the length of
+// every metric-indexed array.
+const NumMetrics = len(metricIDs)
+
+// MetricAt returns the metric at index i of the metric-indexed arrays.
+func MetricAt(i int) measurement.Metric { return metricIDs[i] }
+
+// MetricIndex returns the index of metric m in the metric-indexed arrays,
+// or -1 for a metric no kernel records.
+func MetricIndex(m measurement.Metric) int {
+	for i, id := range metricIDs {
+		if id == m {
+			return i
+		}
+	}
+	return -1
+}
+
+// reduce aggregates a slice with median (default) or mean. It is the
+// last reader of xs: the median sorts xs in place, the mean sums it in
+// order.
 func reduce(xs []float64, useMean bool) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -154,106 +202,109 @@ func reduce(xs []float64, useMean bool) float64 {
 		m, _ := mathutil.Mean(xs) // non-empty by the guard above
 		return m
 	}
-	m, _ := mathutil.Median(xs) // non-empty by the guard above
+	m, _ := mathutil.MedianInPlace(xs) // non-empty by the guard above
 	return m
 }
 
-// phaseSums holds one kernel's per-step sums v_n in one phase: per
-// metric (indexed like metricIDs, nil for a metric the kernel does not
-// record), one value per kept step of that phase.
-type phaseSums [len(metricIDs)][]float64
+// Phase indices of the per-phase arrays.
+const (
+	phaseTrain = iota
+	phaseValidation
+	numPhases
+)
 
-// kernelSums is one kernel's step (1) result for one trace. train and
-// validation stay nil when the kernel has no event in that phase; kind
-// and name are those of the kernel's last event.
-type kernelSums struct {
-	key               string
-	name              string
-	kind              calltree.Kind
-	train, validation *phaseSums
+// kernelSummary is one kernel's share of a profile summary.
+type kernelSummary struct {
+	// key, name and kind are those of the kernel's last kept event in
+	// the profile.
+	key, name string
+	kind      calltree.Kind
+	// row locates, per phase and metric index, the kernel's per-step sums
+	// v_n in the scratch arena; -1 marks a metric no kept event of the
+	// kernel recorded in that phase.
+	row [numPhases][NumMetrics]int
+	// v holds ṽ_kr, the reduction of each row over the kept steps.
+	v [numPhases][NumMetrics]float64
 }
 
-// newPhaseSums allocates the per-step sums of a kernel of the given kind
-// over n kept steps.
-func newPhaseSums(kind calltree.Kind, n int) *phaseSums {
-	ps := new(phaseSums)
-	for i := range metricsFor(kind) {
-		ps[i] = make([]float64, n)
-	}
-	return ps
+// noRows is a kernelSummary.row with every row absent.
+var noRows = [numPhases][NumMetrics]int{{-1, -1, -1}, {-1, -1, -1}}
+
+// summary is what one profile contributes to its configuration's
+// aggregate: Fig. 2's steps (1) and (2)-over-steps, which depend on that
+// profile alone.
+type summary struct {
+	// trainSteps is the number of kept training steps.
+	trainSteps int
+	// kernels lists the kernels with a kept event, in order of their
+	// first such event.
+	kernels []kernelSummary
 }
 
-// perStepSums computes step (1) of the pipeline for one trace: for every
-// kernel and metric, the per-step sums v_n, separated by phase. Only the
-// kept steps trainIdx and valIdx count, so steps of skipped (warm-up)
-// epochs are excluded. Asynchronous events between steps are attributed
-// to the following step. Each kernel's sums are added in event order.
-func perStepSums(tr *trace.Trace, trainIdx, valIdx []int) []kernelSums {
-	// slots maps a global step index to its position among the kept
-	// steps of its phase; pos < 0 marks a step that is not kept.
-	type slot struct {
-		train bool
-		pos   int
-	}
-	slots := make([]slot, len(tr.Steps))
-	for i := range slots {
-		slots[i].pos = -1
-	}
-	for pos, i := range trainIdx {
-		slots[i] = slot{true, pos}
-	}
-	for pos, i := range valIdx {
-		slots[i] = slot{false, pos}
-	}
+// stepSlot is a step's position among the kept steps of its phase; pos <
+// 0 marks a step that is not kept.
+type stepSlot struct {
+	phase, pos int
+}
 
-	var kernels []kernelSums
-	index := make(map[string]int)
-	for _, e := range tr.Events {
-		stepIdx := tr.StepOf(e.Start)
-		if stepIdx == -1 {
-			// Asynchronous kernel: attribute to the following step, per
-			// the paper's between-step handling.
-			stepIdx = tr.FollowingStep(e.Start)
-			if stepIdx == -1 {
-				continue // after the last step: outside the profiled window
-			}
-		}
-		sl := slots[stepIdx]
-		if sl.pos < 0 {
-			continue
-		}
-		key := kernelKey(e)
-		k, ok := index[key]
-		if !ok {
-			k = len(kernels)
-			index[key] = k
-			kernels = append(kernels, kernelSums{key: key})
-		}
-		ks := &kernels[k]
-		ks.kind = e.Kind
-		ks.name = e.Name
-		var ps *phaseSums
-		if sl.train {
-			if ks.train == nil {
-				ks.train = newPhaseSums(e.Kind, len(trainIdx))
-			}
-			ps = ks.train
-		} else {
-			if ks.validation == nil {
-				ks.validation = newPhaseSums(e.Kind, len(valIdx))
-			}
-			ps = ks.validation
-		}
-		for i, metric := range metricsFor(e.Kind) {
-			ps[i][sl.pos] += metricValue(e, metric)
-		}
-	}
-	return kernels
+// tableSlot is one kernel of the configuration's kernel table.
+type tableSlot struct {
+	// key, name and kind are those of the kernel's latest summary in
+	// merge order.
+	key, name string
+	kind      calltree.Kind
+	// rep is 1 + the index of the last repetition the kernel occurred
+	// in, 0 before its first.
+	rep int
+}
+
+// scratch is one worker's reusable aggregation state, taken from
+// scratchPool for one Aggregate call. It is reset per profile (summary
+// state) and per configuration (table state); no result references it.
+type scratch struct {
+	// Summary state.
+	sum    summary
+	local  map[string]int // key → index in sum.kernels
+	steps  []stepSlot     // global step index → kept position
+	epochs []trace.EpochSpan
+	skip   []int
+	arena  []float64 // the summary's per-step sums rows
+
+	// Table state.
+	order []int          // profile indices in (rep, rank) order
+	index map[string]int // key → slot in table
+	table []tableSlot
+	// rankVals holds the current repetition's per-rank ṽ_kr values:
+	// rankN[j] values at rankVals[j*width:], where j indexes (slot,
+	// phase, metric) and width is the repetition's profile count.
+	rankVals []float64
+	rankN    []int
+	present  []int       // slots occurring in the current repetition
+	repVals  []StepValue // Ṽ_r at [(slot*reps + rep)*NumMetrics + metric]
+	sorted   []int
+	buf      []float64
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{local: make(map[string]int), index: make(map[string]int)}
+}}
+
+// extend returns s grown by n zero elements.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
 }
 
 // Aggregate runs the full pipeline on the profiles of one application
 // configuration (all ranks, all repetitions of one measurement point).
 // The profiles must agree on app, params and config.
+//
+// Each profile is first reduced to a summary (steps (1) and the median
+// over steps of step (2)); the summaries are then merged in (repetition,
+// rank) order through one kernel table for the configuration (the median
+// over ranks, then step (3)). Both run in pooled scratch, so the only
+// allocations are the result's.
 func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, error) {
 	if len(profiles) == 0 {
 		return nil, errors.New("aggregate: no profiles")
@@ -265,184 +316,160 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 				first.App, first.Config, p.App, p.Config)
 		}
 	}
-
-	// Group by repetition, then by rank.
-	byRep := make(map[int][]*profile.Profile)
-	for _, p := range profiles {
-		byRep[p.Rep] = append(byRep[p.Rep], p)
-	}
-	reps := make([]int, 0, len(byRep))
-	for r := range byRep {
-		reps = append(reps, r)
-	}
-	sort.Ints(reps)
-
-	agg := &ConfigAggregate{
-		App:              first.App,
-		Params:           append([]string(nil), first.Params...),
-		Point:            measurement.Point(first.Config).Clone(),
-		Kernels:          make(map[string]*KernelAggregate),
-		Categories:       make(map[calltree.Category]map[measurement.Metric]StepValue),
-		CategoriesPerRep: make(map[calltree.Category]map[measurement.Metric][]StepValue),
-		Reps:             len(reps),
-	}
-
-	// perRankValues[key][metric] collects, for the current repetition,
-	// the per-rank reduced (median-over-steps) values.
-	type repResult struct {
-		values map[string]map[measurement.Metric]StepValue
-	}
-	var repResults []repResult
-	kinds := make(map[string]calltree.Kind)
-	names := make(map[string]string)
-
-	for _, rep := range reps {
-		group := byRep[rep]
-		sort.SliceStable(group, func(i, j int) bool { return group[i].Rank < group[j].Rank })
-		// perRank[key][metric] → per-rank slice of ṽ_kr values.
-		perRankTrain := make(map[string]map[measurement.Metric][]float64)
-		perRankVal := make(map[string]map[measurement.Metric][]float64)
-
-		for _, p := range group {
-			tr := &p.Trace
-			skipEpochs := warmupEpochs(tr, opts.SkipWarmupEpochs)
-			trainIdx := tr.StepsOfPhase(trace.PhaseTrain, skipEpochs...)
-			valIdx := tr.StepsOfPhase(trace.PhaseValidation, skipEpochs...)
-			if agg.TrainSteps == 0 && p.Rank == 0 {
-				agg.TrainSteps = len(trainIdx)
-			}
-			// Each kernel gets one per-rank value per profile, appended
-			// in profile order, so the kernels' own order is immaterial.
-			for _, ks := range perStepSums(tr, trainIdx, valIdx) {
-				kinds[ks.key] = ks.kind
-				names[ks.key] = ks.name
-				addRankValue(perRankTrain, ks.key, ks.train, opts.UseMean)
-				addRankValue(perRankVal, ks.key, ks.validation, opts.UseMean)
-			}
-		}
-
-		// Step (2): median over ranks.
-		rr := repResult{values: make(map[string]map[measurement.Metric]StepValue)}
-		allKeys := make(map[string]bool)
-		for k := range perRankTrain {
-			allKeys[k] = true
-		}
-		for k := range perRankVal {
-			allKeys[k] = true
-		}
-		for key := range allKeys {
-			byMetric := make(map[measurement.Metric]StepValue)
-			for _, metric := range metricsFor(kinds[key]) {
-				var sv StepValue
-				if vs, ok := perRankTrain[key]; ok {
-					sv.Train = reduce(vs[metric], opts.UseMean)
-				}
-				if vs, ok := perRankVal[key]; ok {
-					sv.Validation = reduce(vs[metric], opts.UseMean)
-				}
-				byMetric[metric] = sv
-			}
-			rr.values[key] = byMetric
-		}
-		repResults = append(repResults, rr)
-	}
-
-	// Step (3): median over repetitions; assemble kernel aggregates.
-	allKeys := make(map[string]bool)
-	for _, rr := range repResults {
-		for k := range rr.values {
-			allKeys[k] = true
-		}
-	}
-	for key := range allKeys {
-		k := &KernelAggregate{
-			Callpath: key,
-			Name:     names[key],
-			Kind:     kinds[key],
-			PerRep:   make(map[measurement.Metric][]StepValue),
-			Value:    make(map[measurement.Metric]StepValue),
-		}
-		for _, metric := range metricsFor(k.Kind) {
-			perRep := make([]StepValue, 0, len(repResults))
-			for _, rr := range repResults {
-				if byMetric, ok := rr.values[key]; ok {
-					perRep = append(perRep, byMetric[metric])
-				} else {
-					perRep = append(perRep, StepValue{})
-				}
-			}
-			k.PerRep[metric] = perRep
-			trainVals := make([]float64, len(perRep))
-			valVals := make([]float64, len(perRep))
-			for i, sv := range perRep {
-				trainVals[i] = sv.Train
-				valVals[i] = sv.Validation
-			}
-			k.Value[metric] = StepValue{
-				Train:      reduce(trainVals, opts.UseMean),
-				Validation: reduce(valVals, opts.UseMean),
-			}
-		}
-		agg.Kernels[key] = k
-	}
-
-	// Category sums (Eq. 6 inputs): sum the member kernels' aggregates.
-	// Iterate in sorted callpath order — floating-point addition is not
-	// associative, and map order would make the sums run-to-run unstable.
-	for _, k := range agg.SortedKernels() {
-		cat := k.Category()
-		if cat == calltree.CategoryUnknown {
-			continue
-		}
-		byMetric := agg.Categories[cat]
-		if byMetric == nil {
-			byMetric = make(map[measurement.Metric]StepValue)
-			agg.Categories[cat] = byMetric
-		}
-		perRepByMetric := agg.CategoriesPerRep[cat]
-		if perRepByMetric == nil {
-			perRepByMetric = make(map[measurement.Metric][]StepValue)
-			agg.CategoriesPerRep[cat] = perRepByMetric
-		}
-		for metric, sv := range k.Value {
-			byMetric[metric] = byMetric[metric].Add(sv)
-			perRep := perRepByMetric[metric]
-			if perRep == nil {
-				perRep = make([]StepValue, agg.Reps)
-			}
-			for i, rv := range k.PerRep[metric] {
-				if i < len(perRep) {
-					perRep[i] = perRep[i].Add(rv)
-				}
-			}
-			perRepByMetric[metric] = perRep
-		}
-	}
+	s := scratchPool.Get().(*scratch)
+	agg := s.aggregate(profiles, opts)
+	s.release()
+	scratchPool.Put(s)
 	return agg, nil
 }
 
-// addRankValue reduces one kernel's per-step sums in one phase to one
-// value per rank (step (2)'s input ṽ_kr) and appends it to the per-rank
-// collection. A nil ps (no event in the phase) adds nothing.
-func addRankValue(perRank map[string]map[measurement.Metric][]float64, key string, ps *phaseSums, useMean bool) {
-	if ps == nil {
-		return
+// release drops the scratch's references to the profiles just
+// aggregated, so a pooled scratch does not keep them alive.
+func (s *scratch) release() {
+	clear(s.local)
+	clear(s.index)
+	clear(s.sum.kernels[:cap(s.sum.kernels)])
+	clear(s.table[:cap(s.table)])
+}
+
+// aggregate merges the summaries of one configuration's profiles.
+func (s *scratch) aggregate(profiles []*profile.Profile, opts Options) *ConfigAggregate {
+	// Repetitions ascending, ranks ascending within a repetition, input
+	// order among equals.
+	s.order = s.order[:0]
+	for i := range profiles {
+		s.order = append(s.order, i)
 	}
-	dst := perRank[key]
-	if dst == nil {
-		dst = make(map[measurement.Metric][]float64)
-		perRank[key] = dst
-	}
-	for i, stepVals := range ps {
-		if stepVals != nil {
-			dst[metricIDs[i]] = append(dst[metricIDs[i]], reduce(stepVals, useMean))
+	slices.SortStableFunc(s.order, func(a, b int) int {
+		pa, pb := profiles[a], profiles[b]
+		if c := cmp.Compare(pa.Rep, pb.Rep); c != 0 {
+			return c
+		}
+		return cmp.Compare(pa.Rank, pb.Rank)
+	})
+	reps := 1
+	for i := 1; i < len(s.order); i++ {
+		if profiles[s.order[i]].Rep != profiles[s.order[i-1]].Rep {
+			reps++
 		}
 	}
+
+	first := profiles[0]
+	agg := &ConfigAggregate{
+		App:    first.App,
+		Params: append([]string(nil), first.Params...),
+		Point:  measurement.Point(first.Config).Clone(),
+		Reps:   reps,
+	}
+	s.table = s.table[:0]
+	s.rankN = s.rankN[:0]
+	s.repVals = s.repVals[:0]
+	rep := 0
+	for lo := 0; lo < len(s.order); rep++ {
+		hi := lo + 1
+		for hi < len(s.order) && profiles[s.order[hi]].Rep == profiles[s.order[lo]].Rep {
+			hi++
+		}
+		s.mergeRep(agg, profiles, s.order[lo:hi], rep, opts)
+		lo = hi
+	}
+	s.assemble(agg, opts)
+	return agg
+}
+
+// summarize computes one trace's summary into s.sum. Step (1): for every
+// kernel and metric, the per-step sums v_n over the kept steps (warm-up
+// epochs excluded), separated by phase and added in event order into
+// dense rows of s.arena; asynchronous events between steps count toward
+// the following step. Step (2), first half: each row reduced in place to
+// ṽ_kr.
+//
+// A row is allocated at the first event that records its metric in its
+// phase, zero before it. So a kernel whose kind switches from a compute
+// to a memory kind within one profile gains its bytes row at the first
+// memory event, and its earlier steps carry zero bytes.
+func (s *scratch) summarize(tr *trace.Trace, opts Options) {
+	nTrain, nVal := s.keepSteps(tr, opts.SkipWarmupEpochs)
+	s.sum.trainSteps = nTrain
+	s.sum.kernels = s.sum.kernels[:0]
+	s.arena = s.arena[:0]
+	clear(s.local)
+	for _, e := range tr.Events {
+		stepIdx := tr.StepOf(e.Start)
+		if stepIdx == -1 {
+			// Asynchronous kernel: attribute to the following step, per
+			// the paper's between-step handling.
+			stepIdx = tr.FollowingStep(e.Start)
+			if stepIdx == -1 {
+				continue // after the last step: outside the profiled window
+			}
+		}
+		sl := s.steps[stepIdx]
+		if sl.pos < 0 {
+			continue
+		}
+		key := kernelKey(e)
+		k, ok := s.local[key]
+		if !ok {
+			k = len(s.sum.kernels)
+			s.local[key] = k
+			s.sum.kernels = append(s.sum.kernels, kernelSummary{key: key, row: noRows})
+		}
+		ks := &s.sum.kernels[k]
+		ks.kind = e.Kind
+		ks.name = e.Name
+		n := nTrain
+		if sl.phase == phaseValidation {
+			n = nVal
+		}
+		for i, metric := range metricsFor(e.Kind) {
+			off := ks.row[sl.phase][i]
+			if off < 0 {
+				off = len(s.arena)
+				s.arena = extend(s.arena, n)
+				ks.row[sl.phase][i] = off
+			}
+			s.arena[off+sl.pos] += metricValue(e, metric)
+		}
+	}
+	for k := range s.sum.kernels {
+		ks := &s.sum.kernels[k]
+		for ph, n := range [numPhases]int{nTrain, nVal} {
+			for i, off := range ks.row[ph] {
+				if off >= 0 {
+					ks.v[ph][i] = reduce(s.arena[off:off+n], opts.UseMean)
+				}
+			}
+		}
+	}
+}
+
+// keepSteps fills s.steps with every step's position among the kept
+// steps of its phase and returns the kept training and validation step
+// counts. Steps of the skipped warm-up epochs are not kept.
+func (s *scratch) keepSteps(tr *trace.Trace, skipEpochs int) (nTrain, nVal int) {
+	skip := s.warmupEpochs(tr, skipEpochs)
+	s.steps = extend(s.steps[:0], len(tr.Steps))
+	for i, st := range tr.Steps {
+		sl := stepSlot{pos: -1}
+		if !slices.Contains(skip, st.Epoch) {
+			switch st.Phase {
+			case trace.PhaseTrain:
+				sl = stepSlot{phaseTrain, nTrain}
+				nTrain++
+			case trace.PhaseValidation:
+				sl = stepSlot{phaseValidation, nVal}
+				nVal++
+			}
+		}
+		s.steps[i] = sl
+	}
+	return nTrain, nVal
 }
 
 // warmupEpochs returns the epoch indices to skip: the first `skip` epochs,
 // but never all of them — at least one epoch of data must remain.
-func warmupEpochs(tr *trace.Trace, skip int) []int {
+func (s *scratch) warmupEpochs(tr *trace.Trace, skip int) []int {
 	if skip <= 0 || len(tr.Epochs) <= skip {
 		if len(tr.Epochs) > 1 && skip > 0 {
 			skip = len(tr.Epochs) - 1
@@ -450,13 +477,157 @@ func warmupEpochs(tr *trace.Trace, skip int) []int {
 			return nil
 		}
 	}
-	idx := make([]int, 0, skip)
-	sorted := append([]trace.EpochSpan(nil), tr.Epochs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	for i := 0; i < skip && i < len(sorted); i++ {
-		idx = append(idx, sorted[i].Index)
+	s.epochs = append(s.epochs[:0], tr.Epochs...)
+	slices.SortFunc(s.epochs, func(a, b trace.EpochSpan) int { return cmp.Compare(a.Index, b.Index) })
+	s.skip = s.skip[:0]
+	for _, ep := range s.epochs[:skip] {
+		s.skip = append(s.skip, ep.Index)
 	}
-	return idx
+	return s.skip
+}
+
+// slot returns the kernel table slot of key, adding one for a new key.
+func (s *scratch) slot(key string, reps int) int {
+	if slot, ok := s.index[key]; ok {
+		return slot
+	}
+	slot := len(s.table)
+	s.index[key] = slot
+	s.table = append(s.table, tableSlot{key: key})
+	s.rankN = extend(s.rankN, numPhases*NumMetrics)
+	s.repVals = extend(s.repVals, reps*NumMetrics)
+	return slot
+}
+
+// mergeRep merges the summaries of one repetition's profiles, given in
+// rank order, into the kernel table, and reduces each kernel's per-rank
+// values to Ṽ_r (step (2), second half). A kernel's metric set for the
+// repetition is that of its kind after the repetition's last profile;
+// metrics outside it keep Ṽ_r = 0, as do kernels absent from the
+// repetition.
+func (s *scratch) mergeRep(agg *ConfigAggregate, profiles []*profile.Profile, group []int, rep int, opts Options) {
+	const stride = numPhases * NumMetrics
+	width := len(group)
+	s.present = s.present[:0]
+	for _, pi := range group {
+		p := profiles[pi]
+		s.summarize(&p.Trace, opts)
+		if agg.TrainSteps == 0 && p.Rank == 0 {
+			agg.TrainSteps = s.sum.trainSteps
+		}
+		for k := range s.sum.kernels {
+			ks := &s.sum.kernels[k]
+			slot := s.slot(ks.key, agg.Reps)
+			st := &s.table[slot]
+			st.kind = ks.kind
+			st.name = ks.name
+			if st.rep != rep+1 {
+				st.rep = rep + 1
+				s.present = append(s.present, slot)
+				clear(s.rankN[slot*stride : (slot+1)*stride])
+				if need := (slot + 1) * stride * width; len(s.rankVals) < need {
+					s.rankVals = extend(s.rankVals, need-len(s.rankVals))
+				}
+			}
+			for ph := range ks.row {
+				for i, off := range ks.row[ph] {
+					if off >= 0 {
+						j := slot*stride + ph*NumMetrics + i
+						s.rankVals[j*width+s.rankN[j]] = ks.v[ph][i]
+						s.rankN[j]++
+					}
+				}
+			}
+		}
+	}
+	for _, slot := range s.present {
+		base := (slot*agg.Reps + rep) * NumMetrics
+		for i := range metricsFor(s.table[slot].kind) {
+			j := slot*stride + i
+			vj := j + phaseValidation*NumMetrics
+			s.repVals[base+i] = StepValue{
+				Train:      reduce(s.rankVals[j*width:j*width+s.rankN[j]], opts.UseMean),
+				Validation: reduce(s.rankVals[vj*width:vj*width+s.rankN[vj]], opts.UseMean),
+			}
+		}
+	}
+}
+
+// assemble builds the result from the kernel table: per kernel, its
+// per-repetition values and their reduction over repetitions (step (3)),
+// then the category sums. Every per-repetition slice is carved from one
+// slab.
+func (s *scratch) assemble(agg *ConfigAggregate, opts Options) {
+	reps := agg.Reps
+	var catMetrics [numCategories]int
+	n := 0
+	for i := range s.table {
+		m := len(metricsFor(s.table[i].kind))
+		n += m
+		if c := calltree.CategoryOf(s.table[i].kind); c != calltree.CategoryUnknown {
+			catMetrics[c] = m
+		}
+	}
+	for _, m := range catMetrics {
+		n += m
+	}
+	slab := make([]StepValue, n*reps)
+	carve := func() []StepValue {
+		out := slab[:reps:reps]
+		slab = slab[reps:]
+		return out
+	}
+
+	kernels := make([]KernelAggregate, len(s.table))
+	agg.Kernels = make(map[string]*KernelAggregate, len(s.table))
+	s.buf = extend(s.buf[:0], reps)
+	for slot := range s.table {
+		st := &s.table[slot]
+		k := &kernels[slot]
+		k.Callpath, k.Name, k.Kind = st.key, st.name, st.kind
+		for i := range k.Metrics() {
+			perRep := carve()
+			for r := range perRep {
+				perRep[r] = s.repVals[(slot*reps+r)*NumMetrics+i]
+			}
+			k.PerRep[i] = perRep
+			for r, sv := range perRep {
+				s.buf[r] = sv.Train
+			}
+			k.Value[i].Train = reduce(s.buf, opts.UseMean)
+			for r, sv := range perRep {
+				s.buf[r] = sv.Validation
+			}
+			k.Value[i].Validation = reduce(s.buf, opts.UseMean)
+		}
+		agg.Kernels[st.key] = k
+	}
+
+	// Category sums (Eq. 6 inputs): sum the member kernels' aggregates in
+	// sorted callpath order — floating-point addition is not associative.
+	s.sorted = s.sorted[:0]
+	for slot := range s.table {
+		s.sorted = append(s.sorted, slot)
+	}
+	slices.SortFunc(s.sorted, func(a, b int) int { return strings.Compare(s.table[a].key, s.table[b].key) })
+	for _, slot := range s.sorted {
+		k := &kernels[slot]
+		cat := k.Category()
+		if cat == calltree.CategoryUnknown {
+			continue
+		}
+		for i := range k.Metrics() {
+			agg.Categories[cat][i] = agg.Categories[cat][i].Add(k.Value[i])
+			perRep := agg.CategoriesPerRep[cat][i]
+			if perRep == nil {
+				perRep = carve()
+				agg.CategoriesPerRep[cat][i] = perRep
+			}
+			for r, rv := range k.PerRep[i] {
+				perRep[r] = perRep[r].Add(rv)
+			}
+		}
+	}
 }
 
 // SortedKernels returns the aggregate's kernels sorted by callpath.

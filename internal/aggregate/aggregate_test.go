@@ -10,6 +10,13 @@ import (
 	"extradeep/internal/trace"
 )
 
+// Metric indices of the metric-indexed result arrays.
+var (
+	idxTime   = MetricIndex(measurement.MetricTime)
+	idxVisits = MetricIndex(measurement.MetricVisits)
+	idxBytes  = MetricIndex(measurement.MetricBytes)
+)
+
 // makeTrace builds a trace with the given number of epochs, train steps
 // per epoch and one validation step per epoch. kernelDur is the duration
 // the compute kernel runs per step; commDur the MPI time per train step.
@@ -119,7 +126,7 @@ func TestAggregateSkipsWarmupEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := agg.Kernels["App->train->EigenMetaKernel"]
-	got := k.Value[measurement.MetricTime].Train
+	got := k.Value[idxTime].Train
 	if got < 0.009 || got > 0.011 {
 		t.Errorf("train time = %v, want ≈0.01 (epoch-1 value)", got)
 	}
@@ -132,7 +139,7 @@ func TestAggregateWithoutWarmupSkipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := agg.Kernels["App->train->EigenMetaKernel"]
-	got := k.Value[measurement.MetricTime].Train
+	got := k.Value[idxTime].Train
 	// Median over 10 steps (5 at 0.03, 5 at 0.01) = 0.02.
 	if got < 0.019 || got > 0.021 {
 		t.Errorf("train time = %v, want ≈0.02 (median across both epochs)", got)
@@ -145,11 +152,11 @@ func TestAggregateVisitsMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := agg.Kernels["App->train->EigenMetaKernel"]
-	if got := k.Value[measurement.MetricVisits].Train; !mathutil.Close(got, 1) {
+	if got := k.Value[idxVisits].Train; !mathutil.Close(got, 1) {
 		t.Errorf("visits per train step = %v, want 1", got)
 	}
 	v := agg.Kernels["App->test->EigenMetaKernel"]
-	if got := v.Value[measurement.MetricVisits].Validation; !mathutil.Close(got, 1) {
+	if got := v.Value[idxVisits].Validation; !mathutil.Close(got, 1) {
 		t.Errorf("visits per validation step = %v, want 1", got)
 	}
 }
@@ -160,11 +167,11 @@ func TestAggregateBytesOnlyForMemoryOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := agg.Kernels["App->train->Memcpy HtoD"]
-	if got := mem.Value[measurement.MetricBytes].Train; !mathutil.Close(got, 4096) {
+	if got := mem.Value[idxBytes].Train; !mathutil.Close(got, 4096) {
 		t.Errorf("memcpy bytes = %v, want 4096", got)
 	}
 	comp := agg.Kernels["App->train->EigenMetaKernel"]
-	if _, ok := comp.Value[measurement.MetricBytes]; ok {
+	if len(comp.Metrics()) > idxBytes || comp.PerRep[idxBytes] != nil {
 		t.Error("compute kernel carries a bytes metric")
 	}
 }
@@ -181,7 +188,7 @@ func TestAggregateAsyncEventsAttributedToFollowingStep(t *testing.T) {
 	// The DtoH copy fires after each train step; attributed to the
 	// following step it appears in train steps (and the validation step
 	// absorbs the copy after the last train step of the epoch).
-	if async.Value[measurement.MetricTime].Train <= 0 {
+	if async.Value[idxTime].Train <= 0 {
 		t.Error("async kernel has no train-step time")
 	}
 }
@@ -192,10 +199,10 @@ func TestAggregateValidationSeparatedFromTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := agg.Kernels["App->test->EigenMetaKernel"]
-	if v.Value[measurement.MetricTime].Train != 0 {
+	if v.Value[idxTime].Train != 0 {
 		t.Error("validation kernel leaked into train phase")
 	}
-	if got := v.Value[measurement.MetricTime].Validation; got < 0.004 || got > 0.006 {
+	if got := v.Value[idxTime].Validation; got < 0.004 || got > 0.006 {
 		t.Errorf("validation time = %v, want ≈0.005", got)
 	}
 }
@@ -205,9 +212,9 @@ func TestAggregateCategories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := agg.Categories[calltree.CategoryComputation][measurement.MetricTime]
-	comm := agg.Categories[calltree.CategoryCommunication][measurement.MetricTime]
-	mem := agg.Categories[calltree.CategoryMemory][measurement.MetricTime]
+	comp := agg.Categories[calltree.CategoryComputation][idxTime]
+	comm := agg.Categories[calltree.CategoryCommunication][idxTime]
+	mem := agg.Categories[calltree.CategoryMemory][idxTime]
 	if comp.Train < 0.009 {
 		t.Errorf("computation train = %v", comp.Train)
 	}
@@ -230,10 +237,10 @@ func TestAggregateCategoryIsSumOfKernels(t *testing.T) {
 	var sum float64
 	for _, k := range agg.Kernels {
 		if k.Category() == calltree.CategoryComputation {
-			sum += k.Value[measurement.MetricTime].Train
+			sum += k.Value[idxTime].Train
 		}
 	}
-	got := agg.Categories[calltree.CategoryComputation][measurement.MetricTime].Train
+	got := agg.Categories[calltree.CategoryComputation][idxTime].Train
 	if diff := got - sum; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("category sum = %v, kernel sum = %v", got, sum)
 	}
@@ -245,16 +252,16 @@ func TestAggregatePerRepLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range agg.Kernels {
-		for metric, perRep := range k.PerRep {
-			if len(perRep) != 4 {
+		for i, metric := range k.Metrics() {
+			if perRep := k.PerRep[i]; len(perRep) != 4 {
 				t.Errorf("kernel %s metric %s: perRep len = %d, want 4", k.Callpath, metric, len(perRep))
 			}
 		}
 	}
 	for cat, byMetric := range agg.CategoriesPerRep {
-		for metric, perRep := range byMetric {
-			if len(perRep) != 4 {
-				t.Errorf("category %v metric %s: perRep len = %d, want 4", cat, metric, len(perRep))
+		for i, perRep := range byMetric {
+			if perRep != nil && len(perRep) != 4 {
+				t.Errorf("category %v metric %s: perRep len = %d, want 4", calltree.Category(cat), MetricAt(i), len(perRep))
 			}
 		}
 	}
@@ -270,7 +277,7 @@ func TestAggregateMedianRobustAcrossRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := agg.Kernels["App->train->EigenMetaKernel"].Value[measurement.MetricTime].Train
+	got := agg.Kernels["App->train->EigenMetaKernel"].Value[idxTime].Train
 	if got > 0.02 {
 		t.Errorf("median over ranks = %v, straggler leaked in", got)
 	}
@@ -285,7 +292,7 @@ func TestAggregateMeanOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := agg.Kernels["App->train->EigenMetaKernel"].Value[measurement.MetricTime].Train
+	got := agg.Kernels["App->train->EigenMetaKernel"].Value[idxTime].Train
 	if got < 0.02 {
 		t.Errorf("mean over ranks = %v, should be dragged by straggler", got)
 	}
@@ -330,7 +337,7 @@ func TestSingleEpochTraceUsedAsIs(t *testing.T) {
 	k := agg.Kernels["App->train->EigenMetaKernel"]
 	// Epoch 0 is the warm-up epoch with 3× duration, but it is the only
 	// epoch, so its data must be used.
-	got := k.Value[measurement.MetricTime].Train
+	got := k.Value[idxTime].Train
 	if got < 0.029 || got > 0.031 {
 		t.Errorf("single-epoch value = %v, want ≈0.03", got)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"extradeep/internal/aggregate"
+	"extradeep/internal/calltree"
 	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
 	"extradeep/internal/propcheck"
@@ -90,8 +91,8 @@ func TestPropAggregateDuplicateRepIdempotence(t *testing.T) {
 			if !ok {
 				return fmt.Errorf("kernel %s vanished after duplication", path)
 			}
-			for metric, va := range ka.Value {
-				vb := kb.Value[metric]
+			for i, metric := range ka.Metrics() {
+				va, vb := ka.Value[i], kb.Value[i]
 				if !closeStepValue(va, vb) {
 					return fmt.Errorf("kernel %s %s: value %+v changed to %+v after duplicating reps",
 						path, metric, va, vb)
@@ -99,11 +100,11 @@ func TestPropAggregateDuplicateRepIdempotence(t *testing.T) {
 			}
 		}
 		for cat, byMetric := range orig.Categories {
-			for metric, va := range byMetric {
-				vb := dup.Categories[cat][metric]
+			for i, va := range byMetric {
+				vb := dup.Categories[cat][i]
 				if !closeStepValue(va, vb) {
 					return fmt.Errorf("category %v %s: value %+v changed to %+v after duplicating reps",
-						cat, metric, va, vb)
+						calltree.Category(cat), aggregate.MetricAt(i), va, vb)
 				}
 			}
 		}
@@ -135,7 +136,7 @@ func TestPropAggregateBoundedByStepDuration(t *testing.T) {
 			}
 		}
 		for path, k := range agg.Kernels {
-			sv := k.Value[measurement.MetricTime]
+			sv := k.Value[aggregate.MetricIndex(measurement.MetricTime)]
 			if sv.Train > maxStep+1e-9 || sv.Validation > maxStep+1e-9 {
 				return fmt.Errorf("kernel %s per-step time %+v exceeds longest step %g", path, sv, maxStep)
 			}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
 )
 
@@ -48,13 +47,13 @@ func TestAggregateHomogeneityProperty(t *testing.T) {
 			if kb == nil {
 				t.Fatalf("kernel %s lost", path)
 			}
-			ta := ka.Value[measurement.MetricTime]
-			tb := kb.Value[measurement.MetricTime]
+			ta := ka.Value[idxTime]
+			tb := kb.Value[idxTime]
 			if math.Abs(tb.Train-k*ta.Train) > 1e-9*(1+tb.Train) {
 				t.Fatalf("%s: train %v, want %v×%v", path, tb.Train, k, ta.Train)
 			}
-			va := ka.Value[measurement.MetricVisits]
-			vb := kb.Value[measurement.MetricVisits]
+			va := ka.Value[idxVisits]
+			vb := kb.Value[idxVisits]
 			if va != vb {
 				t.Fatalf("%s: visits changed under duration scaling", path)
 			}
@@ -83,7 +82,7 @@ func TestAggregateOrderInvariance(t *testing.T) {
 			if kb == nil {
 				t.Fatalf("kernel %s lost under permutation", path)
 			}
-			if ka.Value[measurement.MetricTime] != kb.Value[measurement.MetricTime] {
+			if ka.Value[idxTime] != kb.Value[idxTime] {
 				t.Fatalf("%s: aggregate changed under profile permutation", path)
 			}
 		}
@@ -110,7 +109,7 @@ func TestAggregateBoundedByStepProperty(t *testing.T) {
 	// Allow a small slack for between-step async attribution.
 	limit := maxStep * 1.2
 	for path, k := range agg.Kernels {
-		v := k.Value[measurement.MetricTime]
+		v := k.Value[idxTime]
 		if v.Train > limit || v.Validation > limit {
 			t.Errorf("%s: per-step value %v exceeds max step %v", path, v, maxStep)
 		}

@@ -239,7 +239,7 @@ func Check(profiles []*profile.Profile) *Report {
 		for _, path := range sortedPaths(agg.Kernels) {
 			k := agg.Kernels[path]
 			kernelConfigs[path]++
-			perRep := k.PerRep[measurement.MetricTime]
+			perRep := k.PerRep[aggregate.MetricIndex(measurement.MetricTime)]
 			vals := make([]float64, 0, len(perRep))
 			for _, sv := range perRep {
 				vals = append(vals, sv.Train+sv.Validation)

@@ -108,6 +108,24 @@ func CategoryPath(c calltree.Category) string {
 	}
 }
 
+// slab hands out capped subslices of one allocation, so the series of an
+// experiment share a few allocations without aliasing one another.
+type slab []float64
+
+// take returns the next n values.
+func (s *slab) take(n int) []float64 {
+	out := (*s)[:n:n]
+	*s = (*s)[n:]
+	return out
+}
+
+// point returns a copy of p.
+func (s *slab) point(p measurement.Point) measurement.Point {
+	out := s.take(len(p))
+	copy(out, p)
+	return out
+}
+
 // BuildKernelExperiment assembles a measurement experiment of derived
 // per-epoch values for every kernel (one series per metric and callpath,
 // one repetition value per profiled repetition). Parameter names are taken
@@ -121,19 +139,28 @@ func BuildKernelExperiment(aggs []*aggregate.ConfigAggregate, setup SetupFunc) (
 		params[i] = measurement.Parameter{Name: name}
 	}
 	exp := measurement.NewExperiment(params...)
+	n := 0
+	for _, agg := range aggs {
+		for _, k := range agg.Kernels {
+			for i := range k.Metrics() {
+				n += len(agg.Point) + len(k.PerRep[i])
+			}
+		}
+	}
+	vals := make(slab, n)
 	for _, agg := range aggs {
 		p := setup(agg.Point)
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("epoch: setup for %s: %w", agg.Point.Key(), err)
 		}
 		for _, k := range agg.SortedKernels() {
-			for _, metric := range sortedMetrics(k.PerRep) {
-				perRep := k.PerRep[metric]
-				reps := make([]float64, len(perRep))
-				for i, sv := range perRep {
-					reps[i] = KernelValue(sv, p)
+			for i, metric := range k.Metrics() {
+				perRep := k.PerRep[i]
+				reps := vals.take(len(perRep))
+				for r, sv := range perRep {
+					reps[r] = KernelValue(sv, p)
 				}
-				if err := exp.Add(metric, k.Callpath, agg.Point, reps...); err != nil {
+				if err := exp.AddOwned(metric, k.Callpath, vals.point(agg.Point), reps, len(aggs)); err != nil {
 					return nil, err
 				}
 			}
@@ -160,43 +187,45 @@ func BuildApplicationExperiment(aggs []*aggregate.ConfigAggregate, setup SetupFu
 		calltree.CategoryCommunication,
 		calltree.CategoryMemory,
 	}
+	n := 0
+	for _, agg := range aggs {
+		n += len(agg.Point) + agg.Reps // the F_epoch series
+		for _, cat := range cats {
+			for _, perRep := range agg.CategoriesPerRep[cat] {
+				if perRep != nil {
+					n += len(agg.Point) + len(perRep)
+				}
+			}
+		}
+	}
+	vals := make(slab, n)
 	for _, agg := range aggs {
 		p := setup(agg.Point)
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("epoch: setup for %s: %w", agg.Point.Key(), err)
 		}
-		totals := make([]float64, agg.Reps) // per-rep F_epoch for MetricTime
+		totals := vals.take(agg.Reps) // per-rep F_epoch for MetricTime
 		for _, cat := range cats {
-			byMetric := agg.CategoriesPerRep[cat]
-			for _, metric := range sortedMetrics(byMetric) {
-				perRep := byMetric[metric]
-				reps := make([]float64, len(perRep))
-				for i, sv := range perRep {
-					reps[i] = KernelValue(sv, p)
-					if metric == measurement.MetricTime && i < len(totals) {
-						totals[i] += reps[i]
+			for i, perRep := range agg.CategoriesPerRep[cat] {
+				if perRep == nil {
+					continue // no member kernel records the metric
+				}
+				metric := aggregate.MetricAt(i)
+				reps := vals.take(len(perRep))
+				for r, sv := range perRep {
+					reps[r] = KernelValue(sv, p)
+					if metric == measurement.MetricTime && r < len(totals) {
+						totals[r] += reps[r]
 					}
 				}
-				if err := exp.Add(metric, CategoryPath(cat), agg.Point, reps...); err != nil {
+				if err := exp.AddOwned(metric, CategoryPath(cat), vals.point(agg.Point), reps, len(aggs)); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if err := exp.Add(measurement.MetricTime, AppPath, agg.Point, totals...); err != nil {
+		if err := exp.AddOwned(measurement.MetricTime, AppPath, vals.point(agg.Point), totals, len(aggs)); err != nil {
 			return nil, err
 		}
 	}
 	return exp, nil
-}
-
-// sortedMetrics returns the metric keys of a map in stable order.
-func sortedMetrics[V any](m map[measurement.Metric]V) []measurement.Metric {
-	order := []measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
-	out := make([]measurement.Metric, 0, len(m))
-	for _, k := range order {
-		if _, ok := m[k]; ok {
-			out = append(out, k)
-		}
-	}
-	return out
 }

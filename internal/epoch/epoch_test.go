@@ -97,56 +97,39 @@ func TestCategoryPath(t *testing.T) {
 	}
 }
 
+// Metric indices of the aggregate's metric-indexed arrays.
+var (
+	idxTime   = aggregate.MetricIndex(measurement.MetricTime)
+	idxVisits = aggregate.MetricIndex(measurement.MetricVisits)
+)
+
 // buildAggregates fabricates aggregates at several configurations with a
 // known per-step cost structure.
 func buildAggregates(points []float64) []*aggregate.ConfigAggregate {
 	var out []*aggregate.ConfigAggregate
 	for _, x := range points {
-		kernels := map[string]*aggregate.KernelAggregate{
-			"App->train->k1": {
-				Callpath: "App->train->k1", Name: "k1", Kind: calltree.KindCUDA,
-				PerRep: map[measurement.Metric][]aggregate.StepValue{
-					measurement.MetricTime:   {{Train: 0.1}, {Train: 0.11}},
-					measurement.MetricVisits: {{Train: 2}, {Train: 2}},
-				},
-				Value: map[measurement.Metric]aggregate.StepValue{
-					measurement.MetricTime:   {Train: 0.105},
-					measurement.MetricVisits: {Train: 2},
-				},
-			},
-			"App->train->MPI_Allreduce": {
-				Callpath: "App->train->MPI_Allreduce", Name: "MPI_Allreduce", Kind: calltree.KindMPI,
-				PerRep: map[measurement.Metric][]aggregate.StepValue{
-					measurement.MetricTime: {{Train: 0.01 * x}, {Train: 0.011 * x}},
-				},
-				Value: map[measurement.Metric]aggregate.StepValue{
-					measurement.MetricTime: {Train: 0.0105 * x},
-				},
-			},
-		}
+		k1 := &aggregate.KernelAggregate{Callpath: "App->train->k1", Name: "k1", Kind: calltree.KindCUDA}
+		k1.PerRep[idxTime] = []aggregate.StepValue{{Train: 0.1}, {Train: 0.11}}
+		k1.PerRep[idxVisits] = []aggregate.StepValue{{Train: 2}, {Train: 2}}
+		k1.Value[idxTime] = aggregate.StepValue{Train: 0.105}
+		k1.Value[idxVisits] = aggregate.StepValue{Train: 2}
+		mpi := &aggregate.KernelAggregate{Callpath: "App->train->MPI_Allreduce", Name: "MPI_Allreduce", Kind: calltree.KindMPI}
+		mpi.PerRep[idxTime] = []aggregate.StepValue{{Train: 0.01 * x}, {Train: 0.011 * x}}
+		mpi.PerRep[idxVisits] = []aggregate.StepValue{{Train: 1}, {Train: 1}}
+		mpi.Value[idxTime] = aggregate.StepValue{Train: 0.0105 * x}
+		mpi.Value[idxVisits] = aggregate.StepValue{Train: 1}
 		agg := &aggregate.ConfigAggregate{
 			App:     "toy",
 			Params:  []string{"p"},
 			Point:   measurement.Point{x},
-			Kernels: kernels,
-			Categories: map[calltree.Category]map[measurement.Metric]aggregate.StepValue{
-				calltree.CategoryComputation: {
-					measurement.MetricTime: {Train: 0.105},
-				},
-				calltree.CategoryCommunication: {
-					measurement.MetricTime: {Train: 0.0105 * x},
-				},
-			},
-			CategoriesPerRep: map[calltree.Category]map[measurement.Metric][]aggregate.StepValue{
-				calltree.CategoryComputation: {
-					measurement.MetricTime: {{Train: 0.1}, {Train: 0.11}},
-				},
-				calltree.CategoryCommunication: {
-					measurement.MetricTime: {{Train: 0.01 * x}, {Train: 0.011 * x}},
-				},
-			},
-			Reps: 2,
+			Kernels: map[string]*aggregate.KernelAggregate{k1.Callpath: k1, mpi.Callpath: mpi},
+			Reps:    2,
 		}
+		comp, comm := calltree.CategoryComputation, calltree.CategoryCommunication
+		agg.Categories[comp][idxTime] = aggregate.StepValue{Train: 0.105}
+		agg.Categories[comm][idxTime] = aggregate.StepValue{Train: 0.0105 * x}
+		agg.CategoriesPerRep[comp][idxTime] = []aggregate.StepValue{{Train: 0.1}, {Train: 0.11}}
+		agg.CategoriesPerRep[comm][idxTime] = []aggregate.StepValue{{Train: 0.01 * x}, {Train: 0.011 * x}}
 		out = append(out, agg)
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"extradeep/internal/aggregate"
 	"extradeep/internal/calltree"
 	"extradeep/internal/epoch"
 	"extradeep/internal/mathutil"
@@ -153,10 +154,11 @@ func Table2(seed int64, benchNames ...string) (*Table2Result, error) {
 						if !ok {
 							continue
 						}
-						sv, ok := k.Value[metric]
-						if !ok {
-							continue
+						i := aggregate.MetricIndex(metric)
+						if i < 0 || i >= len(k.Metrics()) {
+							continue // the kernel does not record the metric
 						}
+						sv := k.Value[i]
 						actual := epoch.KernelValue(sv, setup(agg.Point))
 						if actual == 0 {
 							continue

@@ -27,10 +27,13 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"extradeep/internal/importer"
 	"extradeep/internal/measurement"
@@ -193,13 +196,64 @@ type File struct {
 // LoadFile reads, decodes and validates one profile file, classifying
 // any failure by stage. It is safe to call concurrently for different
 // files.
+//
+// The file is read into a pooled buffer that the next load reuses. That
+// is safe because neither decoder retains its input: profile.Decode
+// copies every string it keeps, and the CSV path reads a string copy.
 func LoadFile(path, format string) File {
-	data, err := os.ReadFile(path)
+	buf := readBufs.Get().(*[]byte)
+	data, err := readFile(path, (*buf)[:0])
+	if cap(data) <= maxPooledRead {
+		*buf = data[:0]
+		defer readBufs.Put(buf)
+	}
 	if err != nil {
 		return File{Path: path, Stage: StageRead, Err: err}
 	}
 	p, stage, err := DecodeBytes(data, format)
 	return File{Path: path, Profile: p, Stage: stage, Err: err}
+}
+
+// maxPooledRead bounds the read buffers LoadFile pools: a buffer grown
+// past it for an unusually large file is left to the garbage collector,
+// so the pool never pins more than this per worker.
+const maxPooledRead = 4 << 20
+
+// readBufs pools LoadFile's read buffers.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readFile is os.ReadFile appending into buf: the same sizing from the
+// file's stat, the same reads and the same errors.
+func readFile(name string, buf []byte) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	size := 0
+	if info, err := f.Stat(); err == nil {
+		if s := info.Size(); int64(int(s)) == s {
+			size = int(s)
+		}
+	}
+	size++ // one byte for the final read at EOF
+	if size < 512 {
+		size = 512
+	}
+	buf = slices.Grow(buf, size)
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 1)
+		}
+	}
 }
 
 // Assemble builds the report of one directory ingestion from its per-file

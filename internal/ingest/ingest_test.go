@@ -550,3 +550,70 @@ func TestDecodeBytesStageClassification(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadFileBackToBackThroughPool: two different files loaded one after
+// the other through the pooled read buffer — the larger first, so the
+// second overwrites a prefix of its bytes — each decode to the profile
+// written, and the first profile is unchanged by the second load.
+func TestLoadFileBackToBackThroughPool(t *testing.T) {
+	dir := t.TempDir()
+	big := fixtureProfile(8, 3, 2)
+	for i := 0; i < 50; i++ {
+		e := big.Trace.Events[0]
+		e.Name = fmt.Sprintf("kernel-%02d", i)
+		e.Callpath = "App->train->" + e.Name
+		big.Trace.Events = append(big.Trace.Events, e)
+	}
+	big.Trace.Sort()
+	small := fixtureProfile(2, 0, 1)
+	write := func(p *profile.Profile) string {
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, p.FileName())
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	bigPath, smallPath := write(big), write(small)
+	for round := 0; round < 3; round++ {
+		first := LoadFile(bigPath, "json")
+		if first.Err != nil {
+			t.Fatal(first.Err)
+		}
+		want, err := json.Marshal(first.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := LoadFile(smallPath, "json")
+		if second.Err != nil {
+			t.Fatal(second.Err)
+		}
+		got, err := json.Marshal(first.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: loading %s changed the profile loaded from %s", round, smallPath, bigPath)
+		}
+		if second.Profile.Rank != small.Rank || second.Profile.Config[0] != small.Config[0] ||
+			len(second.Profile.Trace.Events) != len(small.Trace.Events) {
+			t.Fatalf("round %d: second load decoded %s, want %s", round, second.Profile.FileName(), small.FileName())
+		}
+	}
+}
+
+// TestLoadFileReadErrorsMatchReadFile: the pooled read reports the same
+// read-stage errors os.ReadFile does.
+func TestLoadFileReadErrorsMatchReadFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, path := range []string{filepath.Join(dir, "missing.json"), dir} {
+		_, want := os.ReadFile(path)
+		f := LoadFile(path, "json")
+		if want == nil || f.Err == nil || f.Stage != StageRead || f.Err.Error() != want.Error() {
+			t.Errorf("%s: LoadFile = stage %v %v, want read-stage %v", path, f.Stage, f.Err, want)
+		}
+	}
+}

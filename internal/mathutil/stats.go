@@ -59,15 +59,24 @@ func Median(xs []float64) (float64, bool) {
 	if len(xs) == 0 {
 		return 0, false
 	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
+	return MedianInPlace(append([]float64(nil), xs...))
+}
+
+// MedianInPlace is Median for a caller that no longer needs xs: it
+// sorts xs in place instead of sorting a copy. Given the same xs it
+// returns the same bits as Median.
+func MedianInPlace(xs []float64) (float64, bool) {
+	n := len(xs)
+	if n == 0 {
+		return 0, false
+	}
+	sort.Float64s(xs)
 	if n%2 == 1 {
-		return tmp[n/2], true
+		return xs[n/2], true
 	}
 	// Halve before adding so that two near-max-magnitude values of the
 	// same sign do not overflow to ±Inf.
-	return tmp[n/2-1]/2 + tmp[n/2]/2, true
+	return xs[n/2-1]/2 + xs[n/2]/2, true
 }
 
 // MedianErr is Median with an error instead of a bool, for call sites that

@@ -383,3 +383,26 @@ func TestQuantileOrderStatisticsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestMedianInPlace: MedianInPlace returns Median's bits for the same
+// input, including signed zeros and ties, and leaves xs sorted.
+func TestMedianInPlace(t *testing.T) {
+	if _, ok := MedianInPlace(nil); ok {
+		t.Error("empty input accepted")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 1+rng.Intn(9))
+		for i := range xs {
+			xs[i] = []float64{0, math.Copysign(0, -1), 1, -2.5, rng.NormFloat64()}[rng.Intn(5)]
+		}
+		want, _ := Median(xs)
+		got, ok := MedianInPlace(xs)
+		if !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MedianInPlace = %v, Median = %v", got, want)
+		}
+		if !sort.Float64sAreSorted(xs) {
+			t.Fatalf("xs left unsorted: %v", xs)
+		}
+	}
+}

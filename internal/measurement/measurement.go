@@ -112,13 +112,25 @@ type Series struct {
 // Add appends the given repetition values to the sample at point p,
 // creating the sample if necessary.
 func (s *Series) Add(p Point, reps ...float64) {
+	s.addOwned(p.Clone(), append([]float64(nil), reps...))
+}
+
+// addOwned is Add keeping p and reps instead of copies. An empty point or
+// repetition list is stored as nil, as Add's copies of them are.
+func (s *Series) addOwned(p Point, reps []float64) {
 	for i := range s.Samples {
 		if s.Samples[i].Point.Equal(p) {
 			s.Samples[i].Reps = append(s.Samples[i].Reps, reps...)
 			return
 		}
 	}
-	s.Samples = append(s.Samples, Sample{Point: p.Clone(), Reps: append([]float64(nil), reps...)})
+	if len(p) == 0 {
+		p = nil
+	}
+	if len(reps) == 0 {
+		reps = nil
+	}
+	s.Samples = append(s.Samples, Sample{Point: p, Reps: reps})
 }
 
 // Sort orders samples lexicographically by point.
@@ -188,6 +200,15 @@ func NewExperiment(params ...Parameter) *Experiment {
 
 // Add appends repetition values for (metric, callpath) at point p.
 func (e *Experiment) Add(m Metric, callpath string, p Point, reps ...float64) error {
+	return e.AddOwned(m, callpath, p.Clone(), append([]float64(nil), reps...), 0)
+}
+
+// AddOwned is Add for a caller that hands p and reps over: the series
+// keeps them instead of copies, so the caller must not use them
+// afterwards. A series the call creates reserves room for capHint points.
+// Repetitions at a point the series already has are appended to it, as
+// Add does.
+func (e *Experiment) AddOwned(m Metric, callpath string, p Point, reps []float64, capHint int) error {
 	if len(p) != len(e.Parameters) {
 		return fmt.Errorf("measurement: point %s has %d values for %d parameters", p.Key(), len(p), len(e.Parameters))
 	}
@@ -198,10 +219,10 @@ func (e *Experiment) Add(m Metric, callpath string, p Point, reps ...float64) er
 	}
 	s := byPath[callpath]
 	if s == nil {
-		s = &Series{}
+		s = &Series{Samples: make([]Sample, 0, capHint)}
 		byPath[callpath] = s
 	}
-	s.Add(p, reps...)
+	s.addOwned(p, reps)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package measurement
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"extradeep/internal/mathutil"
@@ -236,5 +237,46 @@ func TestSeriesRepetitionOrderInvariance(t *testing.T) {
 		if ma != mb {
 			t.Fatalf("median differs by insertion order: %v vs %v", ma, mb)
 		}
+	}
+}
+
+// TestExperimentAddOwnedMatchesAdd: AddOwned builds the series Add builds
+// — repetitions at an equal point merged, an empty point or repetition
+// list stored as nil — while keeping the caller's slices and reserving
+// the hinted capacity.
+func TestExperimentAddOwnedMatchesAdd(t *testing.T) {
+	type call struct {
+		p    Point
+		reps []float64
+	}
+	for _, params := range [][]Parameter{{{Name: "p"}}, nil} {
+		calls := []call{{Point{2}, []float64{1, 2}}, {Point{4}, nil}, {Point{2}, []float64{3}}}
+		if params == nil {
+			calls = []call{{Point{}, []float64{}}, {nil, []float64{5}}}
+		}
+		viaAdd, owned := NewExperiment(params...), NewExperiment(params...)
+		for _, c := range calls {
+			if err := viaAdd.Add(MetricTime, "k", c.p, c.reps...); err != nil {
+				t.Fatal(err)
+			}
+			if err := owned.AddOwned(MetricTime, "k", c.p.Clone(), append([]float64{}, c.reps...), 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(owned, viaAdd) {
+			t.Errorf("params %v: AddOwned built %+v, Add %+v", params, owned.Series(MetricTime, "k"), viaAdd.Series(MetricTime, "k"))
+		}
+		if c := cap(owned.Series(MetricTime, "k").Samples); c != 8 {
+			t.Errorf("params %v: samples capacity %d, want the hinted 8", params, c)
+		}
+	}
+	exp := NewExperiment(Parameter{Name: "p"})
+	reps := []float64{1, 2}
+	if err := exp.AddOwned(MetricTime, "k", Point{2}, reps, 1); err != nil {
+		t.Fatal(err)
+	}
+	reps[0] = 9
+	if got := exp.Series(MetricTime, "k").Samples[0].Reps[0]; got != 9 {
+		t.Errorf("AddOwned copied the repetitions: sample holds %v, want the caller's slice", got)
 	}
 }

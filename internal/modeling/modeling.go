@@ -20,8 +20,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"extradeep/internal/mathutil"
@@ -465,38 +463,101 @@ func axisLine(points []measurement.Point, values []float64, param int) ([]measur
 // term budget, yet it used to be regenerated on every Fit call — once per
 // kernel × metric, thousands of times per analysis run. The caches below
 // memoize the expanded shapes and the single-parameter hypothesis list per
-// Options signature. Cached slices are shared across goroutines
-// and must never be mutated by callers; the fitting code only reads them.
+// exponent signature. Cached slices are shared across goroutines and must
+// never be mutated by callers; the fitting code only reads them.
 var (
-	shapeCache      sync.Map // exponents key → []pmnf.Factor
-	hypothesisCache sync.Map // terms/exponents key → []hypothesis
+	shapeCache      exponentCache[[]pmnf.Factor]
+	hypothesisCache exponentCache[[]hypothesis]
 )
 
-// exponentsKey canonicalizes the exponent sets of the options into a cache
-// key. Exponent order is preserved: a reordered set is a different (if
-// equivalent) search space and simply caches separately.
-func exponentsKey(opts Options) string {
-	var b strings.Builder
+// exponentCache memoizes one search-space value per exponent sets (and
+// term budget). It is keyed, like the shared-basis cache, by a content
+// hash that every hit verifies against a verbatim copy of the exponents,
+// so a lookup allocates nothing and a hash collision costs a rebuild,
+// never a wrong search space. Exponent order is part of the key: a
+// reordered set is a different (if equivalent) search space and simply
+// caches separately.
+type exponentCache[T any] struct {
+	mu      sync.RWMutex
+	entries map[uint64]*exponentEntry[T]
+}
+
+// exponentEntry is one cached value with the exponents it was built from.
+type exponentEntry[T any] struct {
+	poly     []float64
+	logE     []int
+	maxTerms int
+	value    T
+}
+
+// matches reports whether the entry was built from exactly these
+// exponent sets and term budget, comparing floats bit for bit.
+func (e *exponentEntry[T]) matches(opts Options, maxTerms int) bool {
+	return e.maxTerms == maxTerms &&
+		slices.EqualFunc(e.poly, opts.PolyExponents, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
+		slices.Equal(e.logE, opts.LogExponents)
+}
+
+// exponentsSignature hashes the exponent sets and term budget (FNV-1a).
+func exponentsSignature(opts Options, maxTerms int) uint64 {
+	h := uint64(fnvOffset64)
+	mix := func(v uint64) {
+		for s := 0; s < 64; s += 8 {
+			h = (h ^ uint64(byte(v>>s))) * fnvPrime64
+		}
+	}
 	for _, e := range opts.PolyExponents {
-		b.WriteString(strconv.FormatFloat(e, 'g', -1, 64))
-		b.WriteByte(',')
+		mix(math.Float64bits(e))
 	}
-	b.WriteByte('|')
+	mix(uint64(len(opts.PolyExponents)))
 	for _, e := range opts.LogExponents {
-		b.WriteString(strconv.Itoa(e))
-		b.WriteByte(',')
+		mix(uint64(e))
 	}
-	return b.String()
+	mix(uint64(len(opts.LogExponents)))
+	mix(uint64(maxTerms))
+	return h
+}
+
+// get returns the cached value for opts and maxTerms, building and
+// publishing it on first use. Racing first uses build bit-identical
+// values; the first published one stays.
+func (c *exponentCache[T]) get(opts Options, maxTerms int, build func(Options) T) T {
+	sig := exponentsSignature(opts, maxTerms)
+	c.mu.RLock()
+	e := c.entries[sig]
+	c.mu.RUnlock()
+	if e != nil {
+		if e.matches(opts, maxTerms) {
+			return e.value
+		}
+		return build(opts) // hash collision: rebuild rather than trust the hash
+	}
+	value := build(opts)
+	c.mu.Lock()
+	if c.entries == nil {
+		c.entries = make(map[uint64]*exponentEntry[T])
+	}
+	if c.entries[sig] == nil {
+		c.entries[sig] = &exponentEntry[T]{
+			poly:     slices.Clone(opts.PolyExponents),
+			logE:     slices.Clone(opts.LogExponents),
+			maxTerms: maxTerms,
+			value:    value,
+		}
+	}
+	c.mu.Unlock()
+	return value
 }
 
 // shapeSet expands the exponent sets into the factor shapes of the search
 // space (excluding the constant), memoized per exponent signature. The
 // returned slice is shared — callers must not modify it.
 func shapeSet(opts Options) []pmnf.Factor {
-	key := exponentsKey(opts)
-	if v, ok := shapeCache.Load(key); ok {
-		return v.([]pmnf.Factor)
-	}
+	return shapeCache.get(opts, 0, buildShapes)
+}
+
+// buildShapes is shapeSet without the cache.
+func buildShapes(opts Options) []pmnf.Factor {
 	shapes := make([]pmnf.Factor, 0, len(opts.PolyExponents)*len(opts.LogExponents))
 	for _, i := range opts.PolyExponents {
 		for _, j := range opts.LogExponents {
@@ -506,7 +567,6 @@ func shapeSet(opts Options) []pmnf.Factor {
 			shapes = append(shapes, pmnf.Factor{PolyExp: i, LogExp: j})
 		}
 	}
-	shapeCache.Store(key, shapes)
 	return shapes
 }
 
@@ -514,13 +574,7 @@ func shapeSet(opts Options) []pmnf.Factor {
 // for the given options. The returned slice is shared — callers must not
 // modify it.
 func hypothesesCached(opts Options) []hypothesis {
-	key := strconv.Itoa(opts.MaxTerms) + "#" + exponentsKey(opts)
-	if v, ok := hypothesisCache.Load(key); ok {
-		return v.([]hypothesis)
-	}
-	hyps := hypotheses(opts)
-	hypothesisCache.Store(key, hyps)
-	return hyps
+	return hypothesisCache.get(opts, opts.MaxTerms, hypotheses)
 }
 
 // hypothesis is a candidate model shape: the basis terms without

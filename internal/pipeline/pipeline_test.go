@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"extradeep/internal/aggregate"
+	"extradeep/internal/calltree"
 	"extradeep/internal/epoch"
 	"extradeep/internal/ingest"
+	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
 	"extradeep/internal/profile"
 	"extradeep/internal/simulator/engine"
 	"extradeep/internal/simulator/hardware"
 	"extradeep/internal/simulator/parallel"
+	"extradeep/internal/trace"
 )
 
 // writeCampaign simulates a 5-configuration × 2-repetition weak-scaling
@@ -331,5 +335,58 @@ func TestZeroAggregationUsesDefaults(t *testing.T) {
 	}
 	if zero.Report != explicit.Report {
 		t.Error("zero Config.Aggregation reports differently from aggregate.DefaultOptions()")
+	}
+}
+
+// kindSwitchProfiles returns two ranks at each of several configurations
+// whose kernel "App->k" runs as a CUDA kernel in the first training step
+// and as a memcpy in the later ones: a compute-to-memory kind switch
+// within one phase, which profile validation accepts.
+func kindSwitchProfiles(t *testing.T) []*profile.Profile {
+	t.Helper()
+	var out []*profile.Profile
+	for _, ranks := range []float64{2, 4, 6, 8} {
+		for rank := 0; rank < 2; rank++ {
+			tr := trace.Trace{Rank: rank}
+			for s, kind := range []calltree.Kind{calltree.KindCUDA, calltree.KindMemcpy, calltree.KindMemcpy} {
+				start := float64(s)
+				tr.Steps = append(tr.Steps, trace.StepSpan{Index: s, Phase: trace.PhaseTrain, Start: start, End: start + 0.5})
+				tr.Events = append(tr.Events, trace.Event{
+					Name: "k", Kind: kind, Callpath: "App->k", Start: start + 0.1,
+					Duration: 0.01 * ranks * float64(s+1), Bytes: 100 * float64(s),
+				})
+			}
+			tr.Epochs = []trace.EpochSpan{{Index: 0, Start: 0, End: 3}}
+			p := &profile.Profile{App: "app", Params: []string{"p"}, Config: []float64{ranks}, Rank: rank, Rep: 1, WallTime: 3, Trace: tr}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestAggregateKindSwitchAtEveryWorkerCount: a kernel switching from a
+// compute to a memory kind within one phase aggregates to the same
+// result with one and with two workers.
+func TestAggregateKindSwitchAtEveryWorkerCount(t *testing.T) {
+	ps := kindSwitchProfiles(t)
+	var want []*aggregate.ConfigAggregate
+	for _, workers := range []int{1, 2} {
+		aggs, err := New(Config{Workers: workers}).Aggregate(context.Background(), ps)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, agg := range aggs {
+			if k := agg.Kernels["App->k"]; k == nil || k.Kind != calltree.KindMemcpy || k.PerRep[aggregate.MetricIndex(measurement.MetricBytes)] == nil {
+				t.Fatalf("workers=%d %v: kernel %+v, want a memcpy with bytes", workers, agg.Point, k)
+			}
+		}
+		if want == nil {
+			want = aggs
+		} else if !reflect.DeepEqual(aggs, want) {
+			t.Errorf("workers=%d: aggregates differ from one worker's", workers)
+		}
 	}
 }

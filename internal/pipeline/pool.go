@@ -22,6 +22,14 @@ import (
 // returns, and ctx.Err() is returned. When a task returns an error, the
 // remaining tasks are cancelled and the error with the smallest task
 // index among the tasks that ran is returned.
+//
+// Panic contract: a task's panic behaves the same at every worker count.
+// With workers == 1 it unwinds through ForEach directly. With workers > 1
+// the worker recovers it into the task's slot, the pool is cancelled and
+// drained, and ForEach re-raises the panic value on the caller's
+// goroutine if the lowest-index failed task panicked; a lower-index error
+// is returned instead. Either way a caller's recover (e.g. a pipeline
+// stage's) sees it, rather than the process dying on a worker goroutine.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -48,7 +56,9 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	poolCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	tasks := make(chan int)
-	errs := make([]error, n) // one slot per task: no locking, no ordering races
+	// One slot per task: no locking, no ordering races.
+	errs := make([]error, n)
+	panics := make([]any, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -58,8 +68,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 				if poolCtx.Err() != nil {
 					return
 				}
-				if err := fn(i); err != nil {
-					errs[i] = err
+				if runTask(fn, i, &errs[i], &panics[i]) {
 					cancel()
 				}
 			}
@@ -76,9 +85,20 @@ feed:
 	close(tasks)
 	wg.Wait()
 
-	// The enclosing context's cancellation outranks task errors: a caller
-	// that cancelled mid-run must see its own ctx.Err(), not whichever
-	// task happened to fail while draining.
+	// A panic is re-raised when it is the lowest-index failure, as the
+	// sequential loop would have raised it. The enclosing context's
+	// cancellation outranks task errors: a caller that cancelled mid-run
+	// must see its own ctx.Err(), not whichever task happened to fail
+	// while draining.
+	for i, err := range errs {
+		if err != nil {
+			break
+		}
+		if panics[i] != nil {
+			//edlint:ignore libpanic re-raises a task's own panic on the caller's goroutine, where it would have unwound with one worker
+			panic(panics[i])
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -88,4 +108,16 @@ feed:
 		}
 	}
 	return nil
+}
+
+// runTask runs fn(i) on a worker goroutine, recording its error in *err
+// or its panic value in *pv, and reports whether it failed.
+func runTask(fn func(int) error, i int, err *error, pv *any) (failed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			*pv, failed = r, true
+		}
+	}()
+	*err = fn(i)
+	return *err != nil
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"extradeep/internal/resilience"
 )
 
 func TestForEachRunsEveryTaskOnce(t *testing.T) {
@@ -115,5 +117,66 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestForEachPanicSameAtEveryWorkerCount: a panicking task reaches the
+// stage's recover as the same typed fatal at every pool size, instead of
+// killing the process from a worker goroutine when workers > 1.
+func TestForEachPanicSameAtEveryWorkerCount(t *testing.T) {
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		p := New(Config{Workers: workers})
+		err := p.runStage(context.Background(), StageAggregate, func(ctx context.Context) (Counters, error) {
+			return nil, ForEach(ctx, workers, 8, func(i int) error {
+				if i == 3 {
+					panic("task 3 exploded")
+				}
+				return nil
+			})
+		})
+		if err == nil || resilience.ClassOf(err) != resilience.ClassFatal {
+			t.Fatalf("workers=%d: err = %v, want a fatal stage error", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		}
+		if err.Error() != want {
+			t.Errorf("workers=%d: %q, want %q as with one worker", workers, err, want)
+		}
+	}
+}
+
+// TestForEachLowestIndexFailureWins: after the pool drains, a lower-index
+// error outranks a higher-index panic and a lower-index panic outranks a
+// higher-index error, as in the sequential loop. The gates make both
+// tasks fail at every pool size before either result is examined.
+func TestForEachLowestIndexFailureWins(t *testing.T) {
+	for _, panicFirst := range []bool{false, true} {
+		for _, workers := range []int{2, 4} {
+			var arrived atomic.Int32
+			gate := make(chan struct{})
+			fail := func(i int) error {
+				if arrived.Add(1) == 2 {
+					close(gate)
+				}
+				<-gate // both failing tasks are running
+				if (i == 0) == panicFirst {
+					panic("boom")
+				}
+				return errors.New("task error")
+			}
+			got := func() (err error, pv any) {
+				defer func() { pv = recover() }()
+				return ForEach(context.Background(), workers, 2, fail), nil
+			}
+			err, pv := got()
+			if panicFirst && (pv != "boom" || err != nil) {
+				t.Errorf("workers=%d: err=%v panic=%v, want the task-0 panic", workers, err, pv)
+			}
+			if !panicFirst && (pv != nil || err == nil || err.Error() != "task error") {
+				t.Errorf("workers=%d: err=%v panic=%v, want the task-0 error", workers, err, pv)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -55,7 +56,8 @@ func checkParity(t *testing.T, data []byte) *profile.Profile {
 // FuzzProfileRead asserts the decoder contract on arbitrary file bytes:
 // Decode gives exactly json.Unmarshal's profile or error, and a decoded
 // profile that passes Validate is all-finite — it never panics and never
-// smuggles NaN/Inf into the pipeline.
+// smuggles NaN/Inf into the pipeline. The decoded profile shares no
+// memory with the input bytes.
 func FuzzProfileRead(f *testing.F) {
 	// A small valid profile as json.Marshal writes it.
 	valid := []byte(`{"app":"cifar10","params":["p"],"config":[4],"rank":0,"rep":1,"wall_time":12.5,"sampled":true,"trace":{"rank":0,"events":[{"name":"EigenMetaKernel","kind":1,"start":0.01,"duration":0.05}],"steps":[{"epoch":0,"index":0,"phase":0,"start":0,"end":0.1}],"epochs":[{"index":0,"start":0,"end":0.1}]}}`)
@@ -77,7 +79,23 @@ func FuzzProfileRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := checkParity(t, data)
-		if p == nil || p.Validate() != nil {
+		if p == nil {
+			return
+		}
+		// Decode retains nothing of its input: ingest decodes from pooled
+		// read buffers that the next file overwrites.
+		buf := bytes.Clone(data)
+		q, err := profile.Decode(buf)
+		if err != nil {
+			t.Fatalf("second decode: %v", err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("overwriting the input changed the decoded profile: %+v, want %+v", *q, *p)
+		}
+		if p.Validate() != nil {
 			return // rejected input: the other half of the invariant
 		}
 		if nonFinite(p) {

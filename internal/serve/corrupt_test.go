@@ -15,8 +15,10 @@ import (
 	"strings"
 	"testing"
 
+	"extradeep/internal/calltree"
 	"extradeep/internal/faults"
 	"extradeep/internal/importer"
+	"extradeep/internal/profile"
 	"extradeep/internal/serve"
 	"extradeep/internal/simulator/engine"
 	"extradeep/internal/simulator/hardware"
@@ -357,5 +359,53 @@ func TestServeUploadTooLarge(t *testing.T) {
 	}
 	if code := errorCode(t, body); code != "too_large" {
 		t.Fatalf("oversized upload: error code %q, want too_large", code)
+	}
+}
+
+// switchKind rewrites a profile document so that the last event of its
+// first CUDA kernel runs as a memcpy: a valid document whose kernel
+// switches from a compute to a memory kind within its training phase.
+func switchKind(tb testing.TB, doc string) string {
+	tb.Helper()
+	var p profile.Profile
+	if err := json.Unmarshal([]byte(doc), &p); err != nil {
+		tb.Fatal(err)
+	}
+	first, last := -1, -1
+	for i, e := range p.Trace.Events {
+		if first < 0 && e.Kind == calltree.KindCUDA {
+			first = i
+		}
+		if first >= 0 && e.Callpath == p.Trace.Events[first].Callpath && e.Name == p.Trace.Events[first].Name {
+			last = i
+		}
+	}
+	if last <= first {
+		tb.Fatal("no CUDA kernel with two events to switch")
+	}
+	p.Trace.Events[last].Kind = calltree.KindMemcpy
+	p.Trace.Events[last].Bytes = 4096
+	if err := p.Validate(); err != nil {
+		tb.Fatalf("switched document fails validation: %v", err)
+	}
+	data, err := json.Marshal(&p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestServeKernelKindSwitch: a document whose kernel switches from a
+// compute to a memory kind mid-phase passes validation; its campaign
+// completes and publishes a snapshot, and the server keeps serving.
+func TestServeKernelKindSwitch(t *testing.T) {
+	files := makeCampaign(t, defaultRanks, 1, 41)
+	contents := contentsOf(files)
+	contents[0] = switchKind(t, contents[0])
+	s := startServer(t, serve.Config{})
+	s.mustUpload(t, testApp, contents)
+	s.settle(t, testApp)
+	if status, body := s.do(t, http.MethodGet, "/v1/apps/"+testApp+"/status", nil); status != http.StatusOK {
+		t.Fatalf("status after the campaign: %d %s", status, body)
 	}
 }

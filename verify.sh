@@ -220,14 +220,17 @@ fi
 # statically, and these ceilings catch what escapes them dynamically.
 # BenchmarkParallelFit is a one-parameter campaign, so only the 9x9 grid
 # reaches the two-parameter sparse hypothesis search. With the hypothesis
-# space and the selection candidates in pooled per-task scratch,
-# BenchmarkParallelFit measured 5.86-5.88k allocs/op (8.19-8.21k when
-# every hypothesis and candidate allocated its own terms and Function)
-# and one 9x9 iteration 42.4-42.6k (96.6-96.9k); each ceiling leaves ~10%
+# space and the selection candidates in pooled per-task scratch, the
+# exponent caches keyed by a hash instead of a formatted string, and the
+# epoch series built from one slab per experiment, BenchmarkParallelFit
+# measured 1.79-1.81k allocs/op (5.86-5.88k with the string key and
+# per-sample series copies, 8.19-8.21k when every hypothesis and
+# candidate allocated its own terms and Function) and one 9x9 iteration
+# 12.6-12.8k (42.4-42.6k, 96.6-96.9k); each ceiling leaves ~10%
 # headroom. A build failure fails the stage as class=build via the
 # compile step below.
-fit_alloc_ceiling=6460
-grid_alloc_ceiling=46900
+fit_alloc_ceiling=1990
+grid_alloc_ceiling=14120
 begin fit-bench-build build "go test -c (fit-bench smoke binary)"
 fit_bin=$(mktemp)
 go test -c -o "$fit_bin" .
@@ -259,6 +262,37 @@ alloc_gate() {
 }
 echo "$fit_out" | alloc_gate "$fit_alloc_ceiling" BenchmarkParallelFit || { class="budget-exceeded"; exit 1; }
 echo "$grid_out" | alloc_gate "$grid_alloc_ceiling" BenchmarkBuildModelsGrid/9x9 || { class="budget-exceeded"; exit 1; }
+
+# aggregate-bench: the Aggregate stage reduces each profile to a summary
+# in pooled scratch and merges the summaries through one dense kernel
+# table per configuration, so its allocations are the results'. Twenty
+# iterations of BenchmarkAggregate on one worker measured 275-278 KB and
+# 371-375 allocs/op on the 5x5 grid corpus and 98 KB and 280 allocs/op
+# on the 90-profile case study; with string-keyed maps rebuilt per
+# repetition they were 2.96 MB/32.3k and 3.59 MB/38.6k. Each ceiling
+# leaves ~10% headroom.
+agg_grid_bytes_ceiling=306000
+agg_grid_alloc_ceiling=413
+agg_case_bytes_ceiling=107800
+agg_case_alloc_ceiling=308
+begin aggregate-bench test "BenchmarkAggregate -benchtime 20x -benchmem (grid5x5 <= ${agg_grid_bytes_ceiling} B/op, ${agg_grid_alloc_ceiling} allocs/op; casestudy <= ${agg_case_bytes_ceiling} B/op, ${agg_case_alloc_ceiling} allocs/op)"
+agg_out=$("$fit_bin" -test.run '^$' -test.bench 'BenchmarkAggregate' -test.benchtime 20x -test.benchmem)
+echo "$agg_out"
+echo "$agg_out" | awk \
+	-v grid_bytes="$agg_grid_bytes_ceiling" -v grid_allocs="$agg_grid_alloc_ceiling" \
+	-v case_bytes="$agg_case_bytes_ceiling" -v case_allocs="$agg_case_alloc_ceiling" '
+	/^BenchmarkAggregate\// {
+		if ($1 ~ /grid5x5/) { bytes = grid_bytes; allocs = grid_allocs; grid = 1 }
+		else if ($1 ~ /casestudy/) { bytes = case_bytes; allocs = case_allocs; cs = 1 }
+		else next
+		for (i = 2; i <= NF; i++) {
+			if (($i == "B/op" && $(i - 1) + 0 > bytes) || ($i == "allocs/op" && $(i - 1) + 0 > allocs)) {
+				printf "aggregate-bench: %s allocates %s %s, above the ceiling — an allocation crept into the per-profile summary or the kernel-table merge; profile with '\''go test -run ^$ -bench BenchmarkAggregate -benchmem -memprofile mem.out .'\''\n", $1, $(i - 1), $i
+				bad = 1
+			}
+		}
+	}
+	END { if (!grid || !cs) print "aggregate-bench: a BenchmarkAggregate sub-benchmark is missing from the output"; exit bad || !grid || !cs }' || { class="budget-exceeded"; exit 1; }
 
 # serve-bench: the modeling service must answer queries from its
 # published snapshot cache, never by re-fitting per request. The stage
