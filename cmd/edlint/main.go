@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	edlint [-analyzers names] [-list] [-json] [-cachedir dir] [patterns ...]
+//	edlint [-analyzers names] [-list] [-json] [patterns ...]
 //
 // The suite is ten analyzers — allocloop, divguard, errcheck, libpanic,
 // logdomain, maporder, naninout, prealloc, sendguard and wallclock; -list
@@ -20,24 +20,17 @@
 // data, located by one `go list -export` call, so the go command must be
 // on PATH; without it the load fails (exit status 2).
 //
-// Repeated runs over unchanged trees are served from a findings cache on
-// disk under -cachedir (default: the user cache directory, e.g.
-// ~/.cache/edlint). The cache is content-addressed — any edit, analyzer
-// change or toolchain change invalidates it — and -cachedir "" disables
-// it. Narrowed pattern runs never touch it. It also keys on the edlint
-// executable (path, size, mtime), so a rebuilt binary re-analyzes
-// instead of trusting stale findings; note that `go run` builds into a
-// fresh temp path every invocation and therefore always misses.
+// Every run loads and analyzes the module afresh; nothing is kept on disk
+// between runs.
 //
 // With -json each finding is printed as one JSON object per line
 // ({"file","line","col","analyzer","message"}), followed by one final
-// summary object ({"summary":{...}}) with per-analyzer finding counts,
-// load/analyze wall time and the findings-cache outcome; the exit status
-// is unchanged by -json.
+// summary object ({"summary":{...}}) with per-analyzer finding counts
+// and load/analyze wall time; the exit status is unchanged by -json.
 //
 // Exit status: 0 when clean, 1 when findings were printed, 2 on usage or
-// load errors — identical with and without the cache. Findings are
-// suppressed with a mandatory reason at three scopes —
+// load errors. Findings are suppressed with a mandatory reason at three
+// scopes —
 //
 //	//edlint:ignore <analyzer> <reason>        (line and line below)
 //	//edlint:ignore-block <analyzer> <reason>  (the syntax node below)
@@ -75,12 +68,11 @@ type jsonSummary struct {
 }
 
 type jsonSummaryBody struct {
-	Findings      int            `json:"findings"`
-	ByAnalyzer    map[string]int `json:"by_analyzer,omitempty"`
-	Packages      int            `json:"packages"`
-	LoadMS        int64          `json:"load_ms"`
-	AnalyzeMS     int64          `json:"analyze_ms"`
-	FindingsCache string         `json:"findings_cache"`
+	Findings   int            `json:"findings"`
+	ByAnalyzer map[string]int `json:"by_analyzer,omitempty"`
+	Packages   int            `json:"packages"`
+	LoadMS     int64          `json:"load_ms"`
+	AnalyzeMS  int64          `json:"analyze_ms"`
 }
 
 func main() {
@@ -97,9 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyzersSpec := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	jsonOut := fs.Bool("json", false, "print findings as JSON Lines plus a final summary object")
-	cacheDir := fs.String("cachedir", lint.DefaultCacheDir(), "incremental cache directory (empty disables caching)")
 	fs.Usage = func() {
-		sayln(stderr, "usage: edlint [-analyzers names] [-list] [-json] [-cachedir dir] [patterns ...]")
+		sayln(stderr, "usage: edlint [-analyzers names] [-list] [-json] [patterns ...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -142,7 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags, stats, err := lint.Lint(root, lint.Options{
 		Analyzers: analyzers,
 		Filter:    filter,
-		CacheDir:  *cacheDir,
 	})
 	if err != nil {
 		sayln(stderr, err)
@@ -174,12 +164,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *jsonOut {
 		if err := enc.Encode(jsonSummary{Summary: jsonSummaryBody{
-			Findings:      len(diags),
-			ByAnalyzer:    byAnalyzer,
-			Packages:      stats.Packages,
-			LoadMS:        stats.LoadMS,
-			AnalyzeMS:     stats.AnalyzeMS,
-			FindingsCache: stats.FindingsCache,
+			Findings:   len(diags),
+			ByAnalyzer: byAnalyzer,
+			Packages:   stats.Packages,
+			LoadMS:     stats.LoadMS,
+			AnalyzeMS:  stats.AnalyzeMS,
 		}}); err != nil {
 			sayln(stderr, err)
 			return 2
@@ -205,8 +194,7 @@ func sayln(w io.Writer, args ...any) {
 
 // packageFilter compiles go-style directory patterns into a package
 // predicate over the module rooted at root. Selecting the whole module
-// returns a nil filter, which keeps the findings cache eligible — a
-// narrowed run reports a subset and must never be cached as the whole.
+// returns a nil filter, so a ./... run reports every package.
 func packageFilter(root, cwd string, patterns []string) (func(*lint.Package) bool, error) {
 	type rule struct {
 		dir     string

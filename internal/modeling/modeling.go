@@ -237,13 +237,17 @@ func aggregateSeries(s *measurement.Series, useMean bool) ([]measurement.Point, 
 	}
 	points := sorted.Points()
 	values := make([]float64, len(points))
+	// Medians sort a copy of each sample's repetitions in one scratch
+	// slice, never the caller's Reps.
+	var scratch []float64
 	for i, sm := range sorted.Samples {
 		var v float64
 		var ok bool
 		if useMean {
 			v, ok = sm.Mean()
 		} else {
-			v, ok = sm.Median()
+			scratch = append(scratch[:0], sm.Reps...)
+			v, ok = mathutil.MedianInPlace(scratch)
 		}
 		if !ok {
 			return nil, nil, fmt.Errorf("modeling: sample at %s has no repetitions", sm.Point.Key())

@@ -22,8 +22,7 @@ import (
 // decodes to exactly the bytes that were written or it is a miss — never
 // a partial resume from corrupt state. Writes are temp+rename in the
 // same directory, so a killed process leaves either the previous record
-// or the new one, never a torn file (the same discipline as edlint v3's
-// findings cache).
+// or the new one, never a torn file.
 const envelopeMagic = "edckpt v1"
 
 // errCorrupt reports an envelope that failed validation; Store.Get turns

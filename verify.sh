@@ -16,7 +16,6 @@ stage="startup"
 class="build"
 cover_current=""
 lint_bin=""
-lint_cache=""
 fit_bin=""
 serve_bin=""
 serve_out=""
@@ -25,7 +24,6 @@ cleanup() {
 	code=$?
 	[ -n "$cover_current" ] && rm -f "$cover_current"
 	[ -n "$lint_bin" ] && rm -f "$lint_bin"
-	[ -n "$lint_cache" ] && rm -rf "$lint_cache"
 	[ -n "$fit_bin" ] && rm -f "$fit_bin"
 	[ -n "$serve_bin" ] && rm -f "$serve_bin"
 	[ -n "$serve_out" ] && rm -f "$serve_out"
@@ -96,13 +94,13 @@ begin shuffle test "go test -race -shuffle=on -count=2 (ingest + pipeline + mode
 go test -race -shuffle=on -count=2 $shuffle_pkgs
 
 # The edlint parallel loader type-checks packages concurrently and its
-# incremental cache must stay byte-identical to a cold run; both contracts
-# get a dedicated shuffled race pass (the full ./... race run above covers
-# the rest of the lint suite once). The perf analyzer family's parity
-# property rides along: its findings must not depend on GOMAXPROCS or
-# cache temperature.
-begin lint-parity test "go test -race -shuffle=on (edlint parallel loader + cache parity)"
-lint_suites="TestLoadModuleWorkersParity TestLintCacheParity TestPropLintCacheParity TestPropPerfAnalyzersParity"
+# findings must not depend on how many of them run at once; that contract
+# gets a dedicated shuffled race pass (the full ./... race run above
+# covers the rest of the lint suite once). The perf analyzer family's
+# parity property rides along: its findings must not depend on
+# GOMAXPROCS either.
+begin lint-parity test "go test -race -shuffle=on (edlint parallel loader parity)"
+lint_suites="TestLoadModuleWorkersParity TestPropPerfAnalyzersParity"
 require_suites ./internal/lint $lint_suites
 go test -race -shuffle=on -run "$(echo "$lint_suites" | tr ' ' '|')" ./internal/lint
 
@@ -178,34 +176,23 @@ awk '
 
 # edlint-bench: the full-module lint (parse + type-check + 10-analyzer
 # suite) is itself part of the gate, so it must stay cheap. The stage
-# builds the binary once, runs it cold into a fresh cache directory
-# (populating the findings cache), then runs it again warm. The cold run
-# gets a 10-second budget (down from 25s when the standard library was
-# still type-checked from source): edlint reads the standard library from
-# the toolchain's export data, which the vet and build stages above have
-# already compiled into GOCACHE, so a cold run here is a ~1s load plus
-# the analyzers. The warm run gets 5 seconds — a warm miss here means the
-# content-addressed findings cache broke. BENCH_lint.json tracks the
-# finer-grained trajectory via BenchmarkLintRepo / BenchmarkLintRepoWarm.
-begin edlint lint "edlint ./... (edlint-bench: cold-then-warm, 10s/5s budgets)"
+# builds the binary once and runs it once under a 10-second budget (down
+# from 25s when the standard library was still type-checked from
+# source): edlint reads the standard library from the toolchain's export
+# data, which the vet and build stages above have already compiled into
+# GOCACHE, so a run here is a ~1s load plus the analyzers. Every run is a
+# full load; BENCH_lint.json tracks the finer-grained trajectory via
+# BenchmarkLintRepo.
+begin edlint lint "edlint ./... (edlint-bench: 10s budget)"
 lint_bin=$(mktemp)
-lint_cache=$(mktemp -d)
 go build -o "$lint_bin" ./cmd/edlint
 lint_start=$(date +%s)
-"$lint_bin" -cachedir "$lint_cache" ./...
-lint_cold=$(($(date +%s) - lint_start))
-lint_start=$(date +%s)
-"$lint_bin" -cachedir "$lint_cache" ./...
-lint_warm=$(($(date +%s) - lint_start))
-echo "edlint-bench: cold ${lint_cold}s, warm ${lint_warm}s"
-if [ "$lint_cold" -gt 10 ]; then
+"$lint_bin" ./...
+lint_elapsed=$(($(date +%s) - lint_start))
+echo "edlint-bench: ${lint_elapsed}s"
+if [ "$lint_elapsed" -gt 10 ]; then
 	class="budget-exceeded"
-	echo "edlint-bench: cold run exceeded the 10s budget (${lint_cold}s) — profile with 'go test -bench BenchmarkLintRepo ./internal/lint'" >&2
-	exit 1
-fi
-if [ "$lint_warm" -gt 5 ]; then
-	class="budget-exceeded"
-	echo "edlint-bench: warm run exceeded the 5s budget (${lint_warm}s) — the incremental cache is not hitting; profile with 'go test -bench BenchmarkLintRepoWarm ./internal/lint'" >&2
+	echo "edlint-bench: run exceeded the 10s budget (${lint_elapsed}s) — profile with 'go test -bench BenchmarkLintRepo ./internal/lint'" >&2
 	exit 1
 fi
 
@@ -221,16 +208,17 @@ fi
 # BenchmarkParallelFit is a one-parameter campaign, so only the 9x9 grid
 # reaches the two-parameter sparse hypothesis search. With the hypothesis
 # space and the selection candidates in pooled per-task scratch, the
-# exponent caches keyed by a hash instead of a formatted string, and the
-# epoch series built from one slab per experiment, BenchmarkParallelFit
-# measured 1.79-1.81k allocs/op (5.86-5.88k with the string key and
-# per-sample series copies, 8.19-8.21k when every hypothesis and
-# candidate allocated its own terms and Function) and one 9x9 iteration
-# 12.6-12.8k (42.4-42.6k, 96.6-96.9k); each ceiling leaves ~10%
-# headroom. A build failure fails the stage as class=build via the
+# exponent caches keyed by a hash instead of a formatted string, the
+# epoch series built from one slab per experiment, and each sample's
+# median taken in one scratch slice, BenchmarkParallelFit measured
+# 1.44-1.46k allocs/op (1.79-1.81k when every median copied its
+# repetitions, 5.86-5.88k with the string key and per-sample series
+# copies, 8.19-8.21k when every hypothesis and candidate allocated its
+# own terms and Function) and one 9x9 iteration 5.6-6.1k (12.6-13.0k,
+# 42.4-42.6k, 96.6-96.9k); each ceiling leaves ~10% headroom. A build failure fails the stage as class=build via the
 # compile step below.
-fit_alloc_ceiling=1990
-grid_alloc_ceiling=14120
+fit_alloc_ceiling=1600
+grid_alloc_ceiling=6700
 begin fit-bench-build build "go test -c (fit-bench smoke binary)"
 fit_bin=$(mktemp)
 go test -c -o "$fit_bin" .
