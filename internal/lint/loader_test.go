@@ -10,28 +10,20 @@ import (
 	"testing"
 )
 
-// copyFixtureModule copies the interproc fixture module into a fresh
-// temp directory so tests can mutate it freely.
-func copyFixtureModule(t testing.TB) string {
-	t.Helper()
-	dst := t.TempDir()
-	if err := copyTree(filepath.Join("testdata", "src", "interproc"), dst); err != nil {
-		t.Fatalf("copying fixture module: %v", err)
-	}
-	return dst
-}
+// fixtureModule is the interproc fixture module, loaded in place: no
+// loader test writes to it.
+var fixtureModule = filepath.Join("testdata", "src", "interproc")
 
 // TestLoadModuleWorkersParity: the concurrent loader must produce the
 // same analysis — same unit order, same findings — whether its goroutines
 // run one at a time (GOMAXPROCS 1) or in parallel (GOMAXPROCS 4). Run
 // under -race this doubles as the loader's data-race test.
 func TestLoadModuleWorkersParity(t *testing.T) {
-	root := copyFixtureModule(t)
-	seq, err := loadAtProcs(t, root, 1)
+	seq, err := loadAtProcs(t, fixtureModule, 1)
 	if err != nil {
 		t.Fatalf("sequential load: %v", err)
 	}
-	par, err := loadAtProcs(t, root, 4)
+	par, err := loadAtProcs(t, fixtureModule, 4)
 	if err != nil {
 		t.Fatalf("parallel load: %v", err)
 	}
@@ -86,9 +78,8 @@ func TestImportCycleReported(t *testing.T) {
 // lookup error naming the missing packages — never fall back to
 // type-checking the standard library from source.
 func TestLoadFailsWithoutExportData(t *testing.T) {
-	root := copyFixtureModule(t)
 	t.Setenv("PATH", "")
-	_, err := LoadModule(root)
+	_, err := LoadModule(fixtureModule)
 	var xerr *ExportDataError
 	if !errors.As(err, &xerr) {
 		t.Fatalf("load without a go command: got error %v, want an *ExportDataError", err)
@@ -99,26 +90,4 @@ func TestLoadFailsWithoutExportData(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "export-data lookup") || !strings.Contains(msg, "fmt") {
 		t.Errorf("error %q does not name the export-data lookup and a missing package", msg)
 	}
-}
-
-// copyTree copies a directory tree (copyFixtureModule's worker).
-func copyTree(src, dst string) error {
-	return filepath.Walk(src, func(p string, fi os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, rerr := filepath.Rel(src, p)
-		if rerr != nil {
-			return rerr
-		}
-		out := filepath.Join(dst, rel)
-		if fi.IsDir() {
-			return os.MkdirAll(out, 0o755)
-		}
-		data, rerr := os.ReadFile(p)
-		if rerr != nil {
-			return rerr
-		}
-		return os.WriteFile(out, data, 0o644)
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"extradeep/internal/calltree"
+	"extradeep/internal/jsonlit"
 	"extradeep/internal/trace"
 )
 
@@ -22,6 +23,16 @@ import (
 // number outside the JSON grammar or out of range, a fraction or
 // exponent in an integer field, a control byte in a string, or trailing
 // data after the document.
+//
+// Each number is converted in the pass that checks its grammar, exactly
+// as strconv would convert it. An integer literal of at most 18 digits
+// converts directly, to an int or, in a float field, through one
+// float64 conversion. A decimal without an exponent whose significand
+// (its digits, point removed) is below 2^53 and which has at most 22
+// fractional digits is the significand divided by a power of ten: both
+// are float64s exactly and the division rounds once, which is
+// strconv's own exact path. Every other literal goes through
+// strconv.ParseFloat or strconv.ParseInt.
 func Decode(data []byte) (*Profile, error) {
 	if p, ok := decodeFast(data); ok {
 		return p, nil
@@ -243,12 +254,14 @@ func (d *decoder) array(elem func()) {
 }
 
 // str decodes the string literal at the cursor. A literal seen before
-// in the document returns the same string. A new one that holds a
-// backslash, a control byte or a non-ASCII byte is decoded by
-// json.Unmarshal itself, so escapes, lone surrogates and invalid UTF-8
-// decode exactly as in encoding/json and a control byte ends the fast
-// path. json.Marshal escapes '>' as \u003e, so every callpath it writes
-// takes that route once per document.
+// in the document returns the same string. A new literal of printable
+// ASCII whose escapes are the two-byte ones or a \uXXXX outside the
+// surrogate range (json.Marshal escapes '>' as \u003e, so every
+// simulator callpath has one) is unescaped here, through a stack
+// buffer, into one string that holds both the map key and the value.
+// Any other new literal is decoded by json.Unmarshal itself, so other
+// escapes, surrogates and non-ASCII bytes decode exactly as in
+// encoding/json and a control byte ends the fast path.
 func (d *decoder) str() string {
 	raw := d.quoted()
 	if d.bad {
@@ -257,25 +270,25 @@ func (d *decoder) str() string {
 	if s, ok := d.strs[string(raw)]; ok {
 		return s
 	}
-	key := string(raw)
-	s := key[1 : len(key)-1]
-	if !plain(s) && json.Unmarshal(raw, &s) != nil {
-		d.bad = true
-		return ""
+	lit := raw[1 : len(raw)-1]
+	var key, s string
+	switch {
+	case !jsonlit.ASCII(lit):
+		key = string(raw)
+		if json.Unmarshal(raw, &s) != nil {
+			d.bad = true
+			return ""
+		}
+	case bytes.IndexByte(lit, '\\') < 0:
+		key = string(raw)
+		s = key[1 : len(key)-1]
+	default:
+		var stack [256]byte
+		both := string(jsonlit.Append(append(stack[:0], raw...), lit))
+		key, s = both[:len(raw)], both[len(raw):]
 	}
 	d.strs[key] = s
 	return s
-}
-
-// plain reports whether every byte of s is ASCII that stands for itself
-// inside a JSON string: no backslash and no control byte.
-func plain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == '\\' || c < 0x20 || c >= 0x80 {
-			return false
-		}
-	}
-	return true
 }
 
 // quoted returns the string literal at the cursor, quotes included. It
@@ -307,40 +320,64 @@ func (d *decoder) quoted() []byte {
 	}
 }
 
-// number returns the number literal at the cursor and whether it is an
-// integer literal, with no fraction or exponent. strconv accepts more
+// num is one number literal as the fast path scans it. When exact is
+// set its value is mant / 10^frac, negated when neg, and that needs no
+// strconv call: mant holds the literal's digits with the point removed.
+type num struct {
+	lit     []byte
+	integer bool // no fraction and no exponent
+	exact   bool
+	neg     bool
+	mant    uint64
+	frac    int
+}
+
+// maxExactMant bounds the significand of a decimal that converts through
+// one division: below 2^53 it is a float64 exactly.
+const maxExactMant = 1 << 53
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// number scans the number literal at the cursor. strconv accepts more
 // than JSON's grammar ("+1", ".5", "Inf", "0x1p3"), so the grammar is
-// checked here first.
-func (d *decoder) number() (lit []byte, integer bool) {
+// checked here, and the same pass collects the literal's digits.
+func (d *decoder) number() (n num) {
 	d.space()
 	b, i := d.data, d.pos
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
+	start := i
 	switch {
 	case d.bad || i == len(b):
 		d.bad = true
-		return nil, false
+		return num{}
 	case b[i] == '0':
 		i++
 	case '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
+		i = n.digits(b, i)
 	default:
 		d.bad = true
-		return nil, false
+		return num{}
 	}
-	integer = true
+	intDigits := i - start
+	n.integer = true
 	if i < len(b) && b[i] == '.' {
-		integer = false
-		j := digits(b, i+1)
+		n.integer = false
+		j := n.digits(b, i+1)
 		if j == i+1 {
 			d.bad = true
-			return nil, false
+			return num{}
 		}
+		n.frac = j - (i + 1)
 		i = j
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
+	exponent := i < len(b) && (b[i] == 'e' || b[i] == 'E')
+	if exponent {
+		n.integer = false
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
@@ -348,12 +385,30 @@ func (d *decoder) number() (lit []byte, integer bool) {
 		j := digits(b, i)
 		if j == i {
 			d.bad = true
-			return nil, false
+			return num{}
 		}
 		i = j
 	}
-	lit, d.pos = b[d.pos:i], i
-	return lit, integer
+	// An integer of at most 18 digits is below 10^18 < 2^63, and a
+	// float64 conversion of it rounds once, as strconv does. A decimal
+	// whose significand is below 2^53 and whose power of ten is exact is
+	// one correctly rounded division: strconv's own exact path.
+	n.exact = !exponent && (n.integer && intDigits <= 18 || !n.integer && n.mant < maxExactMant && n.frac < len(pow10))
+	n.lit, d.pos = b[d.pos:i], i
+	return n
+}
+
+// digits consumes the digits at and after i, folding them into mant
+// while it is below 10^18 (so it never overflows), and returns the index
+// of the first non-digit. A significand that stops growing is at least
+// 10^18, so it never passes for an exact one.
+func (n *num) digits(b []byte, i int) int {
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		if n.mant < 1e18 {
+			n.mant = n.mant*10 + uint64(b[i]-'0')
+		}
+	}
+	return i
 }
 
 // digits returns the index of the first non-digit at or after i.
@@ -365,19 +420,43 @@ func digits(b []byte, i int) int {
 }
 
 func (d *decoder) float() float64 {
-	lit, _ := d.number()
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		d.bad = true
+	n := d.number()
+	if !n.exact {
+		v, err := strconv.ParseFloat(string(n.lit), 64)
+		if err != nil {
+			d.bad = true
+		}
+		return v
+	}
+	v := float64(int64(n.mant))
+	if n.frac > 0 {
+		v /= pow10[n.frac]
+	}
+	if n.neg {
+		v = -v
 	}
 	return v
 }
 
 func (d *decoder) int() int {
-	lit, integer := d.number()
-	v, err := strconv.ParseInt(string(lit), 10, 0)
-	if err != nil || !integer {
+	n := d.number()
+	if !n.integer {
 		d.bad = true
+		return 0
+	}
+	if !n.exact {
+		v, err := strconv.ParseInt(string(n.lit), 10, 0)
+		if err != nil {
+			d.bad = true
+		}
+		return int(v)
+	}
+	v := int64(n.mant)
+	if n.neg {
+		v = -v
+	}
+	if int64(int(v)) != v {
+		d.bad = true // out of range for a 32-bit int
 	}
 	return int(v)
 }

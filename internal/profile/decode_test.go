@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -53,4 +54,42 @@ func corpusSeed(t *testing.T, path string) []byte {
 		t.Fatalf("%s: %v", path, err)
 	}
 	return []byte(seed)
+}
+
+// TestNumberExactPath pins which number literals convert without
+// strconv and that each conversion equals strconv's, bit for bit, for
+// float and int fields alike.
+func TestNumberExactPath(t *testing.T) {
+	for _, tc := range []struct {
+		lit   string
+		exact bool
+	}{
+		{"0", true}, {"-0", true}, {"-0.0", true}, {"7", true}, {"1.5", true},
+		{"123456789012345678", true}, {"-123456789012345678", true},
+		{"1234567890123456789", false}, {"9223372036854775807", false},
+		{"9007199254740991", true}, {"9007199254740993", true},
+		{"900719925474099.1", true}, {"900719925474099.2", false},
+		{"0.1234567890123456", true}, {"0.12345678901234567", false},
+		{"0.0000000000000000000001", true}, {"0.00000000000000000000001", false},
+		{"1.2345678901234567890123", false}, {"0.000123", true},
+		{"1e3", false}, {"1.5E-7", false},
+	} {
+		d := &decoder{data: []byte(tc.lit)}
+		if n := d.number(); d.bad || n.exact != tc.exact {
+			t.Errorf("%s: exact = %v (bad %v), want %v", tc.lit, n.exact, d.bad, tc.exact)
+		}
+		want, err := strconv.ParseFloat(tc.lit, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d = &decoder{data: []byte(tc.lit)}
+		if got := d.float(); d.bad || math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: float %v (bad %v), want %v", tc.lit, got, d.bad, want)
+		}
+		wantInt, err := strconv.ParseInt(tc.lit, 10, 0)
+		d = &decoder{data: []byte(tc.lit)}
+		if got := d.int(); d.bad != (err != nil) || err == nil && got != int(wantInt) {
+			t.Errorf("%s: int %d (bad %v), want %d (error %v)", tc.lit, got, d.bad, wantInt, err)
+		}
+	}
 }

@@ -2,109 +2,110 @@ package serve
 
 import (
 	"bytes"
-	"unicode/utf16"
 	"unicode/utf8"
+
+	"extradeep/internal/jsonlit"
 )
 
-// scanEnvelope checks an upload body on the fast path without writing
-// to it. It accepts the shape json.Marshal writes for an uploadRequest,
+// envScanner checks an upload body on the fast path without writing to
+// it, handing out each content literal as soon as it has measured it.
+// It accepts the shape json.Marshal writes for an uploadRequest,
 //
 //	{"format":"json","profiles":[{"content":"…"},…]}
 //
 // with exact keys in that order, whitespace anywhere and at least one
-// document, and returns the format literal and every content literal as
-// spans of the body, still escaped. Unescaping waits until the whole
-// body is accepted (envString.decode), so a body the fast path refuses
+// document: header returns the format literal, next each content
+// literal in turn, and end reports whether the whole body was accepted.
+// Literals are spans of the body, still escaped. Nothing may write to
+// the body before end has accepted it, so a body the fast path refuses
 // reaches json.Unmarshal exactly as it arrived.
 //
 // The simple escapes and every \uXXXX escape except a surrogate stay on
 // the fast path, as does valid non-ASCII UTF-8: JSON profiles hold \" and
 // \\, CSV profiles \n, and json.Marshal writes <, > and & as \u003c,
-// \u003e and \u0026. ok is false for every other body: an inexact,
+// \u003e and \u0026. end is false for every other body: an inexact,
 // unknown, repeated or reordered key, a null or a value of another type,
 // a surrogate escape, invalid UTF-8, a control byte, trailing data or an
 // empty profiles array. The caller decodes such a body with
 // json.Unmarshal, so every result and error stays encoding/json's.
-func scanEnvelope(body []byte) (format envString, docs []envString, ok bool) {
-	s := &envScanner{data: body}
+//
+// The first departure from the canonical shape sets bad; from then on
+// nothing is consumed and next hands out nothing more.
+type envScanner struct {
+	data []byte
+	pos  int
+	bad  bool
+	// done marks the end of the profiles array; n counts the literals
+	// next has handed out.
+	done bool
+	n    int
+}
+
+// header consumes the envelope up to the first profile and returns the
+// format literal.
+func (s *envScanner) header() envString {
 	s.expect('{')
 	s.key(`"format"`)
-	format = s.content()
+	format := s.content()
 	s.expect(',')
 	s.key(`"profiles"`)
 	s.expect('[')
-	for !s.bad {
-		s.expect('{')
-		s.key(`"content"`)
-		docs = append(docs, s.content())
-		s.expect('}')
-		if !s.eat(',') {
-			break
-		}
+	return format
+}
+
+// next consumes the next element of the profiles array and returns its
+// content literal; ok is false at the end of the array and after a
+// departure from the fast path.
+func (s *envScanner) next() (doc envString, ok bool) {
+	if s.bad || s.done {
+		return envString{}, false
 	}
+	if s.n > 0 && !s.eat(',') {
+		s.done = true
+		return envString{}, false
+	}
+	s.expect('{')
+	s.key(`"content"`)
+	doc = s.content()
+	s.expect('}')
+	if s.bad {
+		return envString{}, false
+	}
+	s.n++
+	return doc, true
+}
+
+// end consumes the rest of the envelope after the last profile and
+// reports whether the fast path accepted the whole body.
+func (s *envScanner) end() bool {
 	s.expect(']')
 	s.expect('}')
 	s.space()
-	if s.bad || s.pos != len(s.data) {
-		return envString{}, nil, false
-	}
-	return format, docs, true
+	return !s.bad && s.pos == len(s.data)
 }
 
-// envString is one string literal of an accepted upload body: raw is its
-// contents between the quotes, a sub-slice of the body capped at its own
-// end, and n its decoded length. Every escape is longer than what it
-// stands for, so n == len(raw) exactly when raw holds no escape. The
-// json.Unmarshal fallback wraps its decoded documents the same way, with
-// n == len(raw), so decode returns them as they are.
+// envString is one string literal of an upload body: raw is its contents
+// between the quotes, a sub-slice of the body capped at its own end, and
+// n its decoded length. Every escape is longer than what it stands for,
+// so n == len(raw) exactly when raw holds no escape. The json.Unmarshal
+// fallback wraps its decoded documents the same way, with n == len(raw),
+// so decode returns them as they are.
 type envString struct {
 	raw []byte
 	n   int
 }
 
 // decode unescapes the literal over its own bytes and returns the
-// decoded bytes, a prefix of raw. Every escape shrinks, so each write
-// lands at or behind the byte being read. Literals of one body never
-// overlap, which lets the validation workers decode them concurrently.
-// decode rewrites raw, so it runs once per literal.
+// decoded bytes, a prefix of raw; it may run only once the scanner has
+// accepted the body. Literals of one body never overlap, so documents
+// can be decoded concurrently. decode rewrites raw, so it runs once per
+// literal.
 func (e envString) decode() []byte {
-	b := e.raw
-	if e.n == len(b) {
-		return b
+	if e.n == len(e.raw) {
+		return e.raw
 	}
-	w := bytes.IndexByte(b, '\\')
-	for r := w; r < len(b); {
-		if c := b[r+1]; c == 'u' {
-			x, _ := hex4(b[r+2:])
-			w += utf8.EncodeRune(b[w:], x)
-			r += 6
-		} else {
-			b[w] = simpleEscapes[c]
-			w++
-			r += 2
-		}
-		i := bytes.IndexByte(b[r:], '\\')
-		if i < 0 {
-			i = len(b) - r
-		}
-		w += copy(b[w:], b[r:r+i])
-		r += i
-	}
-	return b[:w]
+	return jsonlit.Append(e.raw[:0], e.raw)
 }
-
-// envScanner is the fast path's cursor over one upload body. The first
-// departure from the canonical shape sets bad; from then on nothing is
-// consumed, so scanEnvelope checks bad once, at the end.
-type envScanner struct {
-	data []byte
-	pos  int
-	bad  bool
-}
-
-// simpleEscapes maps the byte after a backslash to the byte it stands
-// for, for the two-byte escapes; 0 marks every other byte.
-var simpleEscapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
 // plainBytes marks the bytes that stand for themselves inside a string
 // literal: printable ASCII other than the quote and the backslash.
@@ -162,23 +163,17 @@ func (s *envScanner) measure() (n, end int) {
 		switch c := b[i]; {
 		case c == '"':
 			return n, i
+		case c == '\\' && i+1 < len(b) && jsonlit.Simple[b[i+1]] != 0:
+			n++
+			i += 2
 		case c == '\\':
-			switch {
-			case i+1 < len(b) && simpleEscapes[b[i+1]] != 0:
-				n++
-				i += 2
-			case i+1 < len(b) && b[i+1] == 'u':
-				r, ok := hex4(b[i+2:])
-				if !ok || utf16.IsSurrogate(r) {
-					s.bad = true
-					return 0, 0
-				}
-				n += utf8.RuneLen(r)
-				i += 6
-			default:
+			r, ok := jsonlit.Unicode(b[i:])
+			if !ok {
 				s.bad = true
 				return 0, 0
 			}
+			n += utf8.RuneLen(r)
+			i += 6
 		case c < 0x20:
 			s.bad = true
 			return 0, 0
@@ -194,28 +189,6 @@ func (s *envScanner) measure() (n, end int) {
 	}
 	s.bad = true
 	return 0, 0
-}
-
-// hex4 decodes the four hex digits of a \uXXXX escape.
-func hex4(b []byte) (rune, bool) {
-	if len(b) < 4 {
-		return 0, false
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return 0, false
-		}
-		r = r<<4 | rune(c)
-	}
-	return r, true
 }
 
 // eat consumes c, after any whitespace, if it is the next byte.

@@ -9,24 +9,49 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"extradeep/internal/jsonlit"
 )
 
+// scanEnvelope runs the envelope scanner over a whole body the way an
+// upload does and returns the format literal, every content literal and
+// whether the fast path accepted the body.
+func scanEnvelope(body []byte) (format envString, docs []envString, ok bool) {
+	sc := envScanner{data: body}
+	format = sc.header()
+	for doc, more := sc.next(); more; doc, more = sc.next() {
+		docs = append(docs, doc)
+	}
+	return format, docs, sc.end()
+}
+
 // FuzzUploadEnvelope asserts the envelope fast path's contract on
-// arbitrary bodies. scanEnvelope never writes to the body, whether it
-// accepts it or refuses it, so the json.Unmarshal fallback always sees
-// the body as it arrived. Whenever it accepts a body, json.Unmarshal
-// accepts a copy of it too and gives the same format, and every document
-// decodes in place to encoding/json's bytes as a sub-slice of the body
-// that shares no byte with any other document. The seeds that probe the
-// fast path's edges are the fast-* and fallback-* files under testdata.
+// arbitrary bodies. Until the scanner has accepted a body nothing writes
+// to it, though the validation workers unescape each document into
+// their scratch as soon as the scanner hands it out, so the
+// json.Unmarshal fallback always sees the body as it arrived. Whenever
+// the scanner accepts a body, json.Unmarshal accepts a copy of it too
+// and gives the same format, every scratch decode equals
+// encoding/json's document, and every document then decodes in place to
+// the same bytes as a sub-slice of the body that shares no byte with any
+// other document. The seeds that probe the fast path's edges are the
+// fast-* and fallback-* files under testdata.
 func FuzzUploadEnvelope(f *testing.F) {
 	f.Add([]byte(`{"format":"json","profiles":[{"content":"{\"app\":\"imdb\"}"}]}`))
 	f.Add([]byte(`{"format":"csv","profiles":[{"content":"a,b\n1,2\n"},{"content":""}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		orig := bytes.Clone(body)
-		lit, docs, ok := scanEnvelope(body)
+		sc := envScanner{data: body}
+		lit := sc.header()
+		var docs []envString
+		var scratch [][]byte
+		for doc, more := sc.next(); more; doc, more = sc.next() {
+			docs = append(docs, doc)
+			scratch = append(scratch, jsonlit.Append(nil, doc.raw))
+		}
+		ok := sc.end()
 		if !bytes.Equal(body, orig) {
-			t.Fatalf("scanEnvelope (ok = %v) rewrote the body:\n%q\nwas\n%q", ok, body, orig)
+			t.Fatalf("scanning (ok = %v) rewrote the body:\n%q\nwas\n%q", ok, body, orig)
 		}
 		if !ok {
 			return // the fallback decodes it: json.Unmarshal's by construction
@@ -40,9 +65,13 @@ func FuzzUploadEnvelope(f *testing.F) {
 		}
 		end := 0 // the first body offset no earlier document reaches
 		for i, d := range docs {
+			want := []byte(req.Profiles[i].Content)
+			if !bytes.Equal(scratch[i], want) {
+				t.Fatalf("document %d: scratch decode %q, json.Unmarshal %q", i, scratch[i], want)
+			}
 			doc := d.decode()
-			if !bytes.Equal(doc, []byte(req.Profiles[i].Content)) {
-				t.Fatalf("document %d: fast path %q, json.Unmarshal %q", i, doc, req.Profiles[i].Content)
+			if !bytes.Equal(doc, want) {
+				t.Fatalf("document %d: in-place decode %q, json.Unmarshal %q", i, doc, want)
 			}
 			if cap(doc) == 0 {
 				continue // an empty document holds no byte of the body

@@ -1,20 +1,15 @@
 package serve
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"extradeep/internal/analysis"
 	"extradeep/internal/epoch"
-	"extradeep/internal/ingest"
 	"extradeep/internal/mathutil"
-	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
 	"extradeep/internal/resilience"
 )
@@ -136,12 +131,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid application name "+strconv.Quote(name), nil)
 		return
 	}
-	format, docs, err := decodeUploadRequest(r, s.cfg.maxUploadBytes())
+	body, err := readBody(r, s.cfg.maxUploadBytes())
 	if err != nil {
 		writeAPIError(w, err)
 		return
 	}
-	batch, err := validateBatch(r.Context(), name, format, docs, s.cfg.Workers)
+	in, err := s.receive(r.Context(), name, body)
 	if err != nil {
 		writeAPIError(w, err)
 		return
@@ -149,23 +144,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 	a := s.store.get(name)
 	// Serialize uploads per application: admission (conflict checks) and
-	// the spool writes must be one atomic step or two racing uploads
-	// could both admit the same identity.
+	// the segment's publication must be one atomic step or two racing
+	// uploads could both admit the same identity.
 	a.upMu.Lock()
 	defer a.upMu.Unlock()
-	if err := a.admit(format, batch); err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	segment, err := s.spool(a, batch)
+	segment, err := s.spool(a, in)
 	if err != nil {
 		writeAPIError(w, err)
 		return
 	}
-	a.commit(format, segment, batch)
+	a.commit(in.format, segment, in.batch)
 	s.kick(a)
-	accepted := make([]string, len(batch))
-	for i, u := range batch {
+	accepted := make([]string, len(in.batch))
+	for i, u := range in.batch {
 		accepted[i] = u.name
 	}
 
@@ -176,40 +167,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		SpooledFiles: st.Files,
 		Refit:        st.Pending,
 	})
-}
-
-// decodeUploadRequest reads the upload body and decodes its envelope
-// into the batch's format and one literal per document. Bodies in the
-// canonical shape take scanEnvelope's read-only pass and their documents
-// stay escaped in the body until validateBatch decodes them; any other
-// body is decoded by json.Unmarshal, which also words every refusal.
-func decodeUploadRequest(r *http.Request, limit int64) (format string, docs []envString, err error) {
-	body, err := readBody(r, limit)
-	if err != nil {
-		return "", nil, err
-	}
-	lit, docs, ok := scanEnvelope(body)
-	if ok {
-		format = string(lit.decode())
-	} else {
-		var req uploadRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "malformed upload envelope: " + err.Error()}
-		}
-		format = req.Format
-		docs = make([]envString, len(req.Profiles))
-		for i, f := range req.Profiles {
-			docs[i] = envString{raw: []byte(f.Content), n: len(f.Content)}
-		}
-	}
-	if format != "json" && format != "csv" {
-		return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request",
-			message: fmt.Sprintf("unknown profile format %q (have json, csv)", format)}
-	}
-	if len(docs) == 0 {
-		return "", nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "upload envelope contains no profiles"}
-	}
-	return format, docs, nil
 }
 
 // readBody reads the whole request body, refusing one over limit with
@@ -246,67 +203,6 @@ func readBody(r *http.Request, limit int64) ([]byte, error) {
 func tooLarge(limit int64) error {
 	return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 		message: fmt.Sprintf("request body exceeds the %d-byte upload limit", limit)}
-}
-
-// validateBatch runs every uploaded document through the exact
-// read/decode/validate classification directory ingestion uses
-// (ingest.DecodeBytes) and derives canonical spool names. The documents
-// decode in parallel on the worker pool (pipeline.ForEach, bounded by
-// workers); the verdict is assembled in document order, so the refusal
-// is the same for every worker count. The batch is atomic: any failing
-// file refuses the whole upload with 422 and per-file stage detail, and
-// the store stays unchanged.
-//
-// The request body is the one copy of the documents the request holds:
-// each worker unescapes its document in place, over the document's own
-// span of the body, just before decoding it, and that slice is what the
-// batch spools and hands off.
-func validateBatch(ctx context.Context, app, format string, docs []envString, workers int) ([]upload, error) {
-	type decoded struct {
-		data  []byte
-		p     *profile.Profile
-		stage ingest.Stage
-		err   error
-	}
-	results := make([]decoded, len(docs))
-	err := pipeline.ForEach(ctx, workers, len(docs), func(i int) error {
-		d := &results[i]
-		d.data = docs[i].decode()
-		d.p, d.stage, d.err = ingest.DecodeBytes(d.data, format)
-		return nil
-	})
-	if err != nil {
-		return nil, &apiError{status: http.StatusServiceUnavailable, code: "deadline",
-			message: "request abandoned: " + resilience.CauseOrErr(ctx).Error()}
-	}
-	batch := make([]upload, 0, len(docs))
-	var rejected []fileDetail
-	for i, d := range results {
-		if d.err != nil {
-			rejected = append(rejected, fileDetail{Index: i, Stage: d.stage.String(), Reason: d.err.Error()})
-			continue
-		}
-		if d.p.App != app {
-			return nil, &apiError{status: http.StatusBadRequest, code: "app_mismatch",
-				message: fmt.Sprintf("profile %d declares application %q, uploaded to %q", i, d.p.App, app)}
-		}
-		name := d.p.FileName()
-		if format == "csv" {
-			name = strings.TrimSuffix(name, ".json") + ".csv"
-		}
-		batch = append(batch, upload{
-			name:    name,
-			id:      identity{point: d.p.Point().Key(), rank: d.p.Rank, rep: d.p.Rep},
-			data:    d.data,
-			profile: d.p,
-		})
-	}
-	if len(rejected) > 0 {
-		return nil, &apiError{status: http.StatusUnprocessableEntity, code: "quarantined",
-			message: fmt.Sprintf("%d of %d uploaded profile(s) failed validation; nothing was spooled", len(rejected), len(docs)),
-			files:   rejected}
-	}
-	return batch, nil
 }
 
 // snapshotFor resolves the application and its published snapshot,

@@ -81,87 +81,128 @@ func docEntry(hdr *tar.Header) bool {
 	return ok && hdr.Typeflag == tar.TypeReg && !strings.Contains(hdr.Name, "/")
 }
 
-// spool writes an admitted batch as the application's next segment and
-// returns the segment's file name. The caller holds a.upMu, which also
-// guards the segment counter; the first upload of an application in
-// this process seeds the counter from the largest segment on disk, so a
-// restarted server never reuses a name.
-func (s *Server) spool(a *appState, batch []upload) (string, error) {
-	dir := filepath.Join(s.cfg.SpoolDir, a.name)
-	if err := os.Mkdir(dir, 0o755); err == nil {
-		// A new application directory is on disk only once its parent's
-		// entry for it is.
-		if err := syncDir(s.cfg.SpoolDir); err != nil {
-			return "", fmt.Errorf("creating spool directory: %w", err)
-		}
-	} else if !errors.Is(err, fs.ErrExist) {
-		return "", fmt.Errorf("creating spool directory: %w", err)
+// spool admits a validated upload and publishes its part file as the
+// application's next segment, returning the segment's name; on any
+// failure the part file is discarded. Admission comes first, so a
+// conflict (409) outranks a failed part-file write. The caller holds
+// a.upMu, which also guards the segment counter; the first upload of an
+// application in this process seeds it from the largest segment on
+// disk, so a restarted server never reuses a name.
+func (s *Server) spool(a *appState, in *intake) (string, error) {
+	err := a.admit(in.format, in.batch)
+	if err == nil {
+		err = in.werr
 	}
-	if !a.seqKnown {
-		last, err := lastSegment(dir)
-		if err != nil {
-			return "", fmt.Errorf("scanning spool directory: %w", err)
+	if err == nil && !a.seqKnown {
+		var last int
+		if last, err = lastSegment(in.part.dir); err != nil {
+			err = fmt.Errorf("scanning spool directory: %w", err)
 		}
-		a.seq, a.seqKnown = last, true
+		a.seq, a.seqKnown = last, err == nil
+	}
+	if err != nil {
+		in.part.discard()
+		return "", err
 	}
 	name := segmentName(a.seq + 1)
-	if err := writeSegment(dir, name, batch); err != nil {
+	if err := in.part.publish(name); err != nil {
 		return "", fmt.Errorf("spooling segment %s: %w", name, err)
 	}
 	a.seq++
 	return name, nil
 }
 
-// writeSegment writes batch to dir/name through a temporary ".part"
-// file, created exclusively, synced, and renamed once; the directory is
-// synced after the rename. The one rename makes the whole batch visible
-// at once — a campaign or a restart sees all of it or none — and the
-// syncs make it durable before the upload is acknowledged. On any
-// failure nothing of the batch is left under either name.
-func writeSegment(dir, name string, batch []upload) error {
-	path := filepath.Join(dir, name)
-	part := path + ".part"
-	f, err := os.OpenFile(part, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+// appDir returns the application's spool directory, creating it on
+// first use. A new directory is on disk only once the spool root's entry
+// for it is, so its creator syncs the root; dirMu makes creation and
+// that sync one step, so no upload finds the directory before its entry
+// is durable.
+func (s *Server) appDir(app string) (string, error) {
+	dir := filepath.Join(s.cfg.SpoolDir, app)
+	s.dirMu.Lock()
+	defer s.dirMu.Unlock()
+	if err := os.Mkdir(dir, 0o755); err == nil {
+		if err := syncDir(s.cfg.SpoolDir); err != nil {
+			return "", fmt.Errorf("creating spool directory: %w", err)
+		}
+	} else if !errors.Is(err, fs.ErrExist) {
+		return "", fmt.Errorf("creating spool directory: %w", err)
+	}
+	return dir, nil
+}
+
+// partFile is a segment being written: a privately named ".part" file in
+// the application's spool directory that receives one tar entry per
+// document, in document order, as the upload validates them. No
+// campaign reads a ".part" file and serve.New deletes any it finds, so
+// a batch becomes visible only when publish renames it, all at once.
+// Headers carry no clock value and no owner, so equal batches give
+// byte-identical segments; the header format is left to archive/tar,
+// which switches to PAX for names longer than USTAR allows.
+type partFile struct {
+	dir string
+	f   *os.File
+	tw  *tar.Writer
+}
+
+// createPart creates an empty part file in dir.
+func createPart(dir string) (*partFile, error) {
+	f, err := os.CreateTemp(dir, "*.part")
 	if err != nil {
+		return nil, err
+	}
+	return &partFile{dir: dir, f: f, tw: tar.NewWriter(f)}, nil
+}
+
+// add appends u's entry.
+func (p *partFile) add(u upload) error {
+	hdr := tar.Header{Typeflag: tar.TypeReg, Name: u.name, Mode: 0o644, Size: int64(len(u.data))}
+	if err := p.tw.WriteHeader(&hdr); err != nil {
 		return err
 	}
-	err = writeTar(f, batch)
+	_, err := p.tw.Write(u.data)
+	return err
+}
+
+// finish ends the archive, syncs the file to disk and closes it.
+func (p *partFile) finish() error {
+	err := p.tw.Close()
 	if err == nil {
-		err = f.Sync()
+		err = p.f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
+	if cerr := p.f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		err = os.Rename(part, path)
+	return err
+}
+
+// discard closes and removes the part file. It does nothing to a part
+// file that publish renamed.
+func (p *partFile) discard() {
+	if p == nil || p.f == nil {
+		return
 	}
-	if err != nil {
-		_ = os.Remove(part)
+	_ = p.f.Close()
+	_ = os.Remove(p.f.Name())
+	p.f = nil
+}
+
+// publish renames the finished part file to the segment name and syncs
+// the directory, so the segment is durable before the upload is
+// acknowledged. On failure nothing of the batch is left under either
+// name.
+func (p *partFile) publish(name string) error {
+	path := filepath.Join(p.dir, name)
+	if err := os.Rename(p.f.Name(), path); err != nil {
+		p.discard()
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	p.f = nil
+	if err := syncDir(p.dir); err != nil {
 		_ = os.Remove(path)
 		return err
 	}
 	return nil
-}
-
-// writeTar writes one entry per document. Headers carry no clock value
-// and no owner, so equal batches give byte-identical segments; the
-// header format is left to archive/tar, which switches to PAX for names
-// longer than USTAR allows.
-func writeTar(w io.Writer, batch []upload) error {
-	tw := tar.NewWriter(w)
-	for _, u := range batch {
-		hdr := tar.Header{Typeflag: tar.TypeReg, Name: u.name, Mode: 0o644, Size: int64(len(u.data))}
-		if err := tw.WriteHeader(&hdr); err != nil {
-			return err
-		}
-		if _, err := tw.Write(u.data); err != nil {
-			return err
-		}
-	}
-	return tw.Close()
 }
 
 // syncDir flushes a directory's entries to disk. Windows cannot flush a

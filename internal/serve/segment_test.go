@@ -63,6 +63,26 @@ func decodedUpload(tb testing.TB, name string, data []byte) upload {
 	return upload{name: name, data: data, profile: p}
 }
 
+// writeSegment writes batch as the segment dir/name the way an upload
+// does: entry by entry into a part file, synced and published.
+func writeSegment(dir, name string, batch []upload) error {
+	p, err := createPart(dir)
+	if err != nil {
+		return err
+	}
+	for _, u := range batch {
+		if err := p.add(u); err != nil {
+			p.discard()
+			return err
+		}
+	}
+	if err := p.finish(); err != nil {
+		p.discard()
+		return err
+	}
+	return p.publish(name)
+}
+
 // loadSpool runs one campaign's ingest hook over dir.
 func loadSpool(tb testing.TB, dir string, workers int, handoff map[string][]upload) []ingest.File {
 	tb.Helper()

@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -123,6 +124,15 @@ func (c Config) maxCampaigns() int {
 	return c.MaxCampaigns
 }
 
+// uploadWorkers bounds the validation workers of one upload: Workers,
+// or GOMAXPROCS when it is unset, as for a campaign.
+func (c Config) uploadWorkers() int {
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Workers
+}
+
 func (c Config) requestTimeout() time.Duration {
 	if c.RequestTimeout == 0 {
 		return 30 * time.Second
@@ -158,6 +168,9 @@ type Server struct {
 	fitSem chan struct{}
 	// fits counts live fit-loop goroutines, for Drain.
 	fits sync.WaitGroup
+	// dirMu makes creating an application's spool directory and
+	// syncing the spool root one step (appDir).
+	dirMu sync.Mutex
 
 	mu      sync.Mutex
 	started bool

@@ -126,9 +126,10 @@ type appState struct {
 	name string
 
 	// upMu serializes upload batches for this application, held across
-	// the whole admit → spool-write → commit sequence so admission
-	// checks and the segments they admitted cannot interleave. It also
-	// guards seq.
+	// the whole admit → publish → commit sequence so admission checks
+	// and the segments they admitted cannot interleave. Each upload
+	// writes and syncs its part file before taking it, so only the
+	// rename and the directory sync happen under it. It also guards seq.
 	upMu sync.Mutex
 	// seq is the number of the application's last spool segment, valid
 	// once seqKnown; the first spool write of the process seeds it from

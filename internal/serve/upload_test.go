@@ -2,8 +2,8 @@ package serve_test
 
 // The upload-path suite: how the handler reads an upload body (declared
 // length, chunked, over the cap, cut short) and which envelope decoder
-// the harness's own uploads take, plus BenchmarkUpload, the
-// decode/validate layer's benchmark.
+// the harness's own uploads take. BenchmarkUpload, the POST's layer
+// benchmark, is in intake_test.go.
 
 import (
 	"bufio"
@@ -14,8 +14,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -24,9 +22,6 @@ import (
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
 	"extradeep/internal/serve"
-	"extradeep/internal/simulator/engine"
-	"extradeep/internal/simulator/hardware"
-	"extradeep/internal/simulator/parallel"
 )
 
 // serveUpload runs one upload through the handler of a new, un-started
@@ -223,81 +218,5 @@ func TestServeUploadShortBody(t *testing.T) {
 	}
 	if code := errorCode(t, body); code != "bad_request" {
 		t.Fatalf("error code %q, want bad_request", code)
-	}
-}
-
-// caseStudyEnvelope is the upload body of the cifar10 case study that
-// perfbench's serve-upload workload posts: 5 rank counts × 5
-// repetitions × 4 sampled ranks, 90 JSON documents in file-name order.
-func caseStudyEnvelope(tb testing.TB) []byte {
-	tb.Helper()
-	b, err := engine.ByName("cifar10")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	files := map[string]string{}
-	for _, r := range defaultRanks {
-		cfg := engine.RunConfig{
-			System: hardware.DEEP(), Strategy: parallel.DataParallel{},
-			Ranks: r, WeakScaling: true, Seed: 1, SampleRanks: 4,
-		}
-		for rep := 1; rep <= 5; rep++ {
-			ps, err := engine.Profile(b, cfg, rep, true)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			for _, p := range ps {
-				data, err := json.Marshal(p)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				files[p.FileName()] = string(data)
-			}
-		}
-	}
-	if len(files) != 90 {
-		tb.Fatalf("case study has %d documents, want 90", len(files))
-	}
-	return envelope("json", contentsOf(files))
-}
-
-// BenchmarkUpload measures the decode/validate layer of the service
-// path: one 90-document case-study upload through the handler of a new,
-// un-started server, so nothing fits. Each iteration reads the body,
-// decodes the envelope, decodes and validates every document and spools
-// the batch; building the server and clearing its spool are not timed.
-//
-//	go test -run '^$' -bench BenchmarkUpload -benchtime 20x -count 5 ./internal/serve
-func BenchmarkUpload(b *testing.B) {
-	body := caseStudyEnvelope(b)
-	bench, err := engine.ByName("cifar10")
-	if err != nil {
-		b.Fatal(err)
-	}
-	setup := engine.SetupFunc(bench, parallel.DataParallel{}, true)
-	root := b.TempDir()
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		spool := filepath.Join(root, "spool")
-		srv, err := serve.New(serve.Config{SpoolDir: spool, Setup: setup})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := srv.Handler()
-		req := httptest.NewRequest(http.MethodPost, "/v1/apps/cifar10/profiles", bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		b.StartTimer()
-		h.ServeHTTP(rec, req)
-		b.StopTimer()
-		if rec.Code != http.StatusAccepted {
-			b.Fatalf("status %d, body %s", rec.Code, rec.Body)
-		}
-		if err := os.RemoveAll(spool); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 	}
 }
