@@ -82,28 +82,6 @@ func Efficiencies(runtime *pmnf.Function, xs []float64) ([]float64, error) {
 	return out, nil
 }
 
-// EfficiencyModel fits a PMNF model to the efficiency series, following
-// the same process as the speedup model. The baseline point's efficiency
-// is 1 by definition rather than by measurement; when enough points remain
-// it is excluded from the fit so the definitional jump does not distort
-// the model.
-func EfficiencyModel(runtime *pmnf.Function, xs []float64, opts modeling.Options) (*modeling.Model, error) {
-	effs, err := Efficiencies(runtime, xs)
-	if err != nil {
-		return nil, err
-	}
-	min := opts.EffectiveMinPoints()
-	if len(xs) > min {
-		xs, effs = xs[1:], effs[1:]
-	}
-	points := make([]measurement.Point, len(xs))
-	for i, x := range xs {
-		points[i] = measurement.Point{x}
-	}
-	opts.NonNegativeCoefficients = false
-	return modeling.Fit(points, effs, opts)
-}
-
 // CostModel computes training cost per Eq. 14: C(x) = T(x)·o with
 // o = x·ϱ the total number of CPU cores across all ranks. Cost is
 // expressed in core-hours. A custom formula can replace the default.

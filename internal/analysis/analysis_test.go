@@ -131,25 +131,6 @@ func TestEfficienciesDegradeWithOverhead(t *testing.T) {
 	}
 }
 
-func TestEfficiencyModelFits(t *testing.T) {
-	// Six points: the definitional baseline (ε=1) is dropped, leaving five
-	// smoothly varying efficiencies the PMNF can fit.
-	xs := []float64{2, 4, 8, 16, 32, 64}
-	m, err := EfficiencyModel(caseStudyRuntime(), xs, modeling.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := Efficiencies(caseStudyRuntime(), xs)
-	for i, x := range xs {
-		if i == 0 {
-			continue // baseline excluded from the fit
-		}
-		if math.Abs(m.Predict(x)-e[i]) > 0.05 {
-			t.Errorf("efficiency model at %v = %v, want ≈%v", x, m.Predict(x), e[i])
-		}
-	}
-}
-
 func TestCostModelMatchesPaperCaseStudy(t *testing.T) {
 	// Paper: C_epoch at 32 ranks ≈ 22.49 core-hours with ϱ = 8 cores/rank
 	// on DEEP; T_epoch(32) ≈ 304 s.

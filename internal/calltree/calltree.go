@@ -1,13 +1,12 @@
-// Package calltree models the application's kernel namespace: the call
-// paths of instrumented functions and kernels, the kind of API each kernel
-// belongs to (CUDA, cuDNN, cuBLAS, MPI, NCCL, memory operations, OS, NVTX
-// user code), and the phase category (computation, communication, memory
-// operations) used to build application-level models (Eq. 6 of the paper).
+// Package calltree classifies the kernels found on the application's call
+// paths: the kind of API each kernel belongs to (CUDA, cuDNN, cuBLAS, MPI,
+// NCCL, memory operations, OS, NVTX user code), and the phase category
+// (computation, communication, memory operations) used to build
+// application-level models (Eq. 6 of the paper).
 package calltree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -124,140 +123,6 @@ func CategoryOf(k Kind) Category {
 	default:
 		return CategoryUnknown
 	}
-}
-
-// Separator joins callpath components, matching the paper's
-// "App->train()->compute_gradients()" notation.
-const Separator = "->"
-
-// Join builds a callpath string from components.
-func Join(components ...string) string { return strings.Join(components, Separator) }
-
-// Split breaks a callpath string into its components.
-func Split(path string) []string {
-	if path == "" {
-		return nil
-	}
-	return strings.Split(path, Separator)
-}
-
-// Node is one node of the call tree.
-type Node struct {
-	// Name is the node's own name, e.g. "train" or "MPI_Allreduce".
-	Name string
-	// Kind classifies the kernel this node represents.
-	Kind Kind
-	// Children maps child name → child node.
-	Children map[string]*Node
-	parent   *Node
-}
-
-// Tree is a call tree with an unnamed root.
-type Tree struct {
-	root *Node
-}
-
-// NewTree returns an empty call tree.
-func NewTree() *Tree {
-	return &Tree{root: &Node{Children: make(map[string]*Node)}}
-}
-
-// Insert adds the callpath (a list of components) to the tree, creating
-// intermediate nodes as needed, and tags the leaf with the given kind.
-// It returns the leaf node.
-func (t *Tree) Insert(kind Kind, components ...string) *Node {
-	cur := t.root
-	for _, c := range components {
-		next := cur.Children[c]
-		if next == nil {
-			next = &Node{Name: c, Children: make(map[string]*Node), parent: cur}
-			cur.Children[c] = next
-		}
-		cur = next
-	}
-	if cur != t.root {
-		cur.Kind = kind
-	}
-	return cur
-}
-
-// InsertPath adds a Separator-joined callpath string.
-func (t *Tree) InsertPath(kind Kind, path string) *Node {
-	return t.Insert(kind, Split(path)...)
-}
-
-// Find returns the node at the given callpath, or nil.
-func (t *Tree) Find(components ...string) *Node {
-	cur := t.root
-	for _, c := range components {
-		cur = cur.Children[c]
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur
-}
-
-// FindPath is Find for a Separator-joined callpath string.
-func (t *Tree) FindPath(path string) *Node { return t.Find(Split(path)...) }
-
-// Path returns the full callpath string of the node.
-func (n *Node) Path() string {
-	if n == nil || n.parent == nil {
-		return ""
-	}
-	var parts []string
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		parts = append(parts, cur.Name)
-	}
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return Join(parts...)
-}
-
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
-
-// Category returns the node's phase category.
-func (n *Node) Category() Category { return CategoryOf(n.Kind) }
-
-// Walk visits every node of the tree (excluding the root) in depth-first,
-// name-sorted order.
-func (t *Tree) Walk(visit func(*Node)) {
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		names := make([]string, 0, len(n.Children))
-		for name := range n.Children {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := n.Children[name]
-			visit(child)
-			rec(child)
-		}
-	}
-	rec(t.root)
-}
-
-// Leaves returns the callpath strings of all leaf nodes in sorted order.
-func (t *Tree) Leaves() []string {
-	var out []string
-	t.Walk(func(n *Node) {
-		if n.IsLeaf() {
-			out = append(out, n.Path())
-		}
-	})
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the number of nodes (excluding the root).
-func (t *Tree) Size() int {
-	n := 0
-	t.Walk(func(*Node) { n++ })
-	return n
 }
 
 // ClassifyKernelName guesses the Kind of a kernel from its name using the

@@ -66,136 +66,6 @@ func TestCategoryString(t *testing.T) {
 	}
 }
 
-func TestJoinSplit(t *testing.T) {
-	path := Join("App", "train", "MPI_Allreduce")
-	if path != "App->train->MPI_Allreduce" {
-		t.Errorf("Join = %q", path)
-	}
-	parts := Split(path)
-	if len(parts) != 3 || parts[0] != "App" || parts[2] != "MPI_Allreduce" {
-		t.Errorf("Split = %v", parts)
-	}
-	if Split("") != nil {
-		t.Error("Split(\"\") should be nil")
-	}
-}
-
-func TestTreeInsertAndFind(t *testing.T) {
-	tree := NewTree()
-	leaf := tree.Insert(KindMPI, "App", "train", "MPI_Allreduce")
-	if leaf.Name != "MPI_Allreduce" || leaf.Kind != KindMPI {
-		t.Errorf("leaf = %+v", leaf)
-	}
-	if got := tree.Find("App", "train", "MPI_Allreduce"); got != leaf {
-		t.Error("Find did not return the inserted leaf")
-	}
-	if tree.Find("App", "missing") != nil {
-		t.Error("Find invented a node")
-	}
-}
-
-func TestTreeInsertPathAndFindPath(t *testing.T) {
-	tree := NewTree()
-	tree.InsertPath(KindCUDA, "App->train->EigenMetaKernel")
-	n := tree.FindPath("App->train->EigenMetaKernel")
-	if n == nil || n.Kind != KindCUDA {
-		t.Fatal("InsertPath/FindPath round trip failed")
-	}
-	if got := n.Path(); got != "App->train->EigenMetaKernel" {
-		t.Errorf("Path = %q", got)
-	}
-}
-
-func TestTreeInsertSharedPrefix(t *testing.T) {
-	tree := NewTree()
-	tree.Insert(KindCUDA, "App", "train", "k1")
-	tree.Insert(KindMPI, "App", "train", "k2")
-	if tree.Size() != 4 { // App, train, k1, k2
-		t.Errorf("Size = %d, want 4", tree.Size())
-	}
-}
-
-func TestTreeInsertEmptyPathReturnsRootWithoutTagging(t *testing.T) {
-	tree := NewTree()
-	n := tree.Insert(KindMPI)
-	if n.Path() != "" {
-		t.Error("empty insert should return root")
-	}
-	if tree.Size() != 0 {
-		t.Error("empty insert must not create nodes")
-	}
-}
-
-func TestNodePathRoot(t *testing.T) {
-	var n *Node
-	if n.Path() != "" {
-		t.Error("nil node path should be empty")
-	}
-}
-
-func TestTreeLeaves(t *testing.T) {
-	tree := NewTree()
-	tree.InsertPath(KindCUDA, "App->train->k1")
-	tree.InsertPath(KindMPI, "App->train->k2")
-	tree.InsertPath(KindNVTX, "App->test")
-	leaves := tree.Leaves()
-	want := []string{"App->test", "App->train->k1", "App->train->k2"}
-	if len(leaves) != len(want) {
-		t.Fatalf("leaves = %v", leaves)
-	}
-	for i := range want {
-		if leaves[i] != want[i] {
-			t.Errorf("leaves[%d] = %q, want %q", i, leaves[i], want[i])
-		}
-	}
-}
-
-func TestTreeWalkOrderIsDeterministic(t *testing.T) {
-	build := func() []string {
-		tree := NewTree()
-		tree.InsertPath(KindCUDA, "b->x")
-		tree.InsertPath(KindCUDA, "a->y")
-		tree.InsertPath(KindCUDA, "c")
-		var order []string
-		tree.Walk(func(n *Node) { order = append(order, n.Name) })
-		return order
-	}
-	first := build()
-	for i := 0; i < 5; i++ {
-		again := build()
-		for j := range first {
-			if first[j] != again[j] {
-				t.Fatalf("walk order unstable: %v vs %v", first, again)
-			}
-		}
-	}
-	want := []string{"a", "y", "b", "x", "c"}
-	for i := range want {
-		if first[i] != want[i] {
-			t.Fatalf("walk order = %v, want %v", first, want)
-		}
-	}
-}
-
-func TestIsLeaf(t *testing.T) {
-	tree := NewTree()
-	tree.InsertPath(KindCUDA, "App->train")
-	if tree.FindPath("App").IsLeaf() {
-		t.Error("inner node reported as leaf")
-	}
-	if !tree.FindPath("App->train").IsLeaf() {
-		t.Error("leaf not reported as leaf")
-	}
-}
-
-func TestNodeCategory(t *testing.T) {
-	tree := NewTree()
-	n := tree.InsertPath(KindNCCL, "App->ncclAllReduce")
-	if n.Category() != CategoryCommunication {
-		t.Errorf("category = %v", n.Category())
-	}
-}
-
 func TestClassifyKernelName(t *testing.T) {
 	cases := []struct {
 		name string

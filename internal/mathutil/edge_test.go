@@ -19,17 +19,8 @@ func TestEmptyInputs(t *testing.T) {
 	if _, ok := Median(nil); ok {
 		t.Error("Median(nil) reported ok")
 	}
-	if _, ok := Quantile(nil, 0.5); ok {
-		t.Error("Quantile(nil) reported ok")
-	}
-	if _, _, ok := MinMax(nil); ok {
-		t.Error("MinMax(nil) reported ok")
-	}
 	if _, ok := SMAPE(nil, nil); ok {
 		t.Error("SMAPE(nil, nil) reported ok")
-	}
-	if _, ok := MAPE(nil, nil); ok {
-		t.Error("MAPE(nil, nil) reported ok")
 	}
 	if _, ok := RSS(nil, nil); ok {
 		t.Error("RSS(nil, nil) reported ok")
@@ -58,9 +49,6 @@ func TestMismatchedLengths(t *testing.T) {
 	if _, ok := SMAPE(p, a); ok {
 		t.Error("SMAPE with mismatched lengths reported ok")
 	}
-	if _, ok := MAPE(p, a); ok {
-		t.Error("MAPE with mismatched lengths reported ok")
-	}
 	if _, ok := RSS(p, a); ok {
 		t.Error("RSS with mismatched lengths reported ok")
 	}
@@ -77,10 +65,6 @@ func TestNaNPropagation(t *testing.T) {
 	m, ok := Mean([]float64{1, nan})
 	if !ok || !math.IsNaN(m) {
 		t.Errorf("Mean with a NaN = (%v, %v), want (NaN, true)", m, ok)
-	}
-	// A NaN q must be rejected, not interpolated.
-	if _, ok := Quantile([]float64{1, 2, 3}, nan); ok {
-		t.Error("Quantile with NaN q reported ok")
 	}
 	if !math.IsNaN(NormalQuantile(nan)) {
 		t.Error("NormalQuantile(NaN) is not NaN")
@@ -118,27 +102,10 @@ func TestInfinityHandling(t *testing.T) {
 	}
 }
 
-func TestQuantileRange(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if _, ok := Quantile(xs, -0.01); ok {
-		t.Error("Quantile with q < 0 reported ok")
-	}
-	if _, ok := Quantile(xs, 1.01); ok {
-		t.Error("Quantile with q > 1 reported ok")
-	}
-	if v, ok := Quantile([]float64{7}, 0.99); !ok || !Close(v, 7) {
-		t.Errorf("Quantile of a singleton = (%v, %v), want (7, true)", v, ok)
-	}
-}
-
 func TestErrorMetricDegenerateInputs(t *testing.T) {
 	// SMAPE defines two exact zeros as zero error.
 	if v, ok := SMAPE([]float64{0}, []float64{0}); !ok || v != 0 {
 		t.Errorf("SMAPE(0, 0) = (%v, %v), want (0, true)", v, ok)
-	}
-	// MAPE skips zero actuals; all-zero actuals leave nothing to average.
-	if _, ok := MAPE([]float64{1, 2}, []float64{0, 0}); ok {
-		t.Error("MAPE with all-zero actuals reported ok")
 	}
 	// R² is undefined when the actuals have no variance.
 	if _, ok := RSquared([]float64{1, 2}, []float64{5, 5}); ok {

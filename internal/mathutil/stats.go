@@ -1,7 +1,7 @@
 // Package mathutil provides the small numerical and statistical kernel used
-// throughout Extra-Deep: robust location estimates (median, quantiles),
-// dispersion measures, error metrics (SMAPE, MAPE, RSS, R²), and probability
-// helpers (normal and Student-t quantiles) for confidence intervals.
+// throughout Extra-Deep: robust location estimates (median), dispersion
+// measures, error metrics (SMAPE, RSS, R²), and probability helpers (normal
+// and Student-t quantiles) for confidence intervals.
 //
 // All functions operate on float64 slices and never modify their inputs
 // unless explicitly documented otherwise.
@@ -39,16 +39,6 @@ func Mean(xs []float64) (float64, bool) {
 	return Sum(xs) / float64(len(xs)), true
 }
 
-// MeanErr is Mean with an error instead of a bool, for call sites that
-// propagate failure: it returns ErrEmpty when xs is empty.
-func MeanErr(xs []float64) (float64, error) {
-	m, ok := Mean(xs)
-	if !ok {
-		return 0, ErrEmpty
-	}
-	return m, nil
-}
-
 // Median returns the median of xs without modifying it.
 // It returns 0 and false when xs is empty.
 //
@@ -77,38 +67,6 @@ func MedianInPlace(xs []float64) (float64, bool) {
 	// Halve before adding so that two near-max-magnitude values of the
 	// same sign do not overflow to ±Inf.
 	return xs[n/2-1]/2 + xs[n/2]/2, true
-}
-
-// MedianErr is Median with an error instead of a bool, for call sites that
-// propagate failure: it returns ErrEmpty when xs is empty.
-func MedianErr(xs []float64) (float64, error) {
-	m, ok := Median(xs)
-	if !ok {
-		return 0, ErrEmpty
-	}
-	return m, nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between closest ranks (type-7 estimator, the R default).
-// It returns 0 and false when xs is empty or q is outside [0,1].
-func Quantile(xs []float64, q float64) (float64, bool) {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, false
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	if len(tmp) == 1 {
-		return tmp[0], true
-	}
-	pos := q * float64(len(tmp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo], true
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac, true
 }
 
 // Variance returns the unbiased sample variance of xs (divisor n−1).
@@ -152,24 +110,6 @@ func CoefficientOfVariation(xs []float64) (float64, bool) {
 	return sd / math.Abs(mean), true
 }
 
-// MinMax returns the smallest and largest element of xs.
-// It returns zeros and false when xs is empty.
-func MinMax(xs []float64) (min, max float64, ok bool) {
-	if len(xs) == 0 {
-		return 0, 0, false
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, true
-}
-
 // AbsPercentError returns |predicted−actual| / |actual| · 100.
 // A zero actual value with a non-zero prediction yields +Inf; two zeros
 // yield 0 (a perfect prediction of nothing).
@@ -201,29 +141,6 @@ func SMAPE(predicted, actual []float64) (float64, bool) {
 		total += 2 * math.Abs(p-a) / denom
 	}
 	return total / float64(len(predicted)) * 100, true
-}
-
-// MAPE returns the mean absolute percentage error (in percent) between
-// predictions and actuals. Points with a zero actual value are skipped.
-// It returns 0 and false when the slices are empty, of unequal length, or
-// when every actual value is zero.
-func MAPE(predicted, actual []float64) (float64, bool) {
-	if len(predicted) == 0 || len(predicted) != len(actual) {
-		return 0, false
-	}
-	var total float64
-	n := 0
-	for i := range predicted {
-		if actual[i] == 0 {
-			continue
-		}
-		total += math.Abs(predicted[i]-actual[i]) / math.Abs(actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return total / float64(n) * 100, true
 }
 
 // RSS returns the residual sum of squares Σ(predicted−actual)².

@@ -1,9 +1,9 @@
 package mathutil
 
 import (
-	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,32 +49,6 @@ func TestMean(t *testing.T) {
 	got, ok := Mean([]float64{2, 4, 6})
 	if !ok || !Close(got, 4) {
 		t.Errorf("Mean = %v, ok=%v; want 4, true", got, ok)
-	}
-}
-
-func TestMeanErrEmpty(t *testing.T) {
-	if _, err := MeanErr(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("MeanErr(nil) = %v, want ErrEmpty", err)
-	}
-}
-
-func TestMeanErr(t *testing.T) {
-	got, err := MeanErr([]float64{2, 4, 6})
-	if err != nil || !Close(got, 4) {
-		t.Errorf("MeanErr = %v, %v; want 4, nil", got, err)
-	}
-}
-
-func TestMedianErrEmpty(t *testing.T) {
-	if _, err := MedianErr(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("MedianErr(nil) = %v, want ErrEmpty", err)
-	}
-}
-
-func TestMedianErr(t *testing.T) {
-	got, err := MedianErr([]float64{9, 1, 5})
-	if err != nil || !Close(got, 5) {
-		t.Errorf("MedianErr = %v, %v; want 5, nil", got, err)
 	}
 }
 
@@ -130,8 +104,7 @@ func TestMedianBoundsProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		min, max, _ := MinMax(xs)
-		return m >= min && m <= max
+		return m >= slices.Min(xs) && m <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -153,61 +126,6 @@ func TestMedianPermutationInvariance(t *testing.T) {
 		got, _ := Median(shuffled)
 		if got != want {
 			t.Fatalf("median changed under permutation: %v vs %v", got, want)
-		}
-	}
-}
-
-func TestQuantileEndpoints(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if q, _ := Quantile(xs, 0); !Close(q, 1) {
-		t.Errorf("q0 = %v, want 1", q)
-	}
-	if q, _ := Quantile(xs, 1); !Close(q, 5) {
-		t.Errorf("q1 = %v, want 5", q)
-	}
-	if q, _ := Quantile(xs, 0.5); !Close(q, 3) {
-		t.Errorf("q0.5 = %v, want 3", q)
-	}
-}
-
-func TestQuantileInterpolation(t *testing.T) {
-	xs := []float64{0, 10}
-	if q, _ := Quantile(xs, 0.25); !AlmostEqual(q, 2.5, 1e-12) {
-		t.Errorf("q0.25 = %v, want 2.5", q)
-	}
-}
-
-func TestQuantileInvalid(t *testing.T) {
-	if _, ok := Quantile([]float64{1}, -0.1); ok {
-		t.Error("negative q accepted")
-	}
-	if _, ok := Quantile([]float64{1}, 1.1); ok {
-		t.Error("q > 1 accepted")
-	}
-	if _, ok := Quantile(nil, 0.5); ok {
-		t.Error("empty input accepted")
-	}
-}
-
-// Property: quantile is monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(30)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 1000
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			v, ok := Quantile(xs, q)
-			if !ok {
-				t.Fatalf("Quantile failed at q=%v", q)
-			}
-			if v < prev-1e-9 {
-				t.Fatalf("quantile not monotone: q=%v gave %v after %v", q, v, prev)
-			}
-			prev = v
 		}
 	}
 }
@@ -242,13 +160,6 @@ func TestCoefficientOfVariation(t *testing.T) {
 func TestCoefficientOfVariationZeroMean(t *testing.T) {
 	if _, ok := CoefficientOfVariation([]float64{-1, 1}); ok {
 		t.Error("CV with zero mean reported ok")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, ok := MinMax([]float64{3, -2, 7, 0})
-	if !ok || min != -2 || max != 7 {
-		t.Errorf("MinMax = (%v,%v), want (-2,7)", min, max)
 	}
 }
 
@@ -310,26 +221,6 @@ func TestSMAPESymmetryBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	m, ok := MAPE([]float64{110, 90}, []float64{100, 100})
-	if !ok || !AlmostEqual(m, 10, 1e-12) {
-		t.Errorf("MAPE = %v, want 10", m)
-	}
-}
-
-func TestMAPESkipsZeroActuals(t *testing.T) {
-	m, ok := MAPE([]float64{5, 110}, []float64{0, 100})
-	if !ok || !AlmostEqual(m, 10, 1e-12) {
-		t.Errorf("MAPE = %v, want 10 (zero-actual point skipped)", m)
-	}
-}
-
-func TestMAPEAllZeroActuals(t *testing.T) {
-	if _, ok := MAPE([]float64{1}, []float64{0}); ok {
-		t.Error("MAPE with only zero actuals reported ok")
-	}
-}
-
 func TestRSS(t *testing.T) {
 	r, ok := RSS([]float64{1, 2}, []float64{0, 4})
 	if !ok || !Close(r, 5) {
@@ -359,28 +250,6 @@ func TestLog2(t *testing.T) {
 	}
 	if v := Log2(-1); !math.IsNaN(v) {
 		t.Errorf("Log2(-1) = %v, want NaN", v)
-	}
-}
-
-// Property: for sorted data the type-7 quantile at rank positions matches
-// the raw order statistics.
-func TestQuantileOrderStatisticsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(20)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		for k := 0; k < n; k++ {
-			q := float64(k) / float64(n-1)
-			v, _ := Quantile(xs, q)
-			if !AlmostEqual(v, sorted[k], 1e-9) {
-				t.Fatalf("quantile at rank %d = %v, want %v", k, v, sorted[k])
-			}
-		}
 	}
 }
 

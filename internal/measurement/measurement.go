@@ -99,10 +99,6 @@ func (s Sample) Median() (float64, bool) { return mathutil.Median(s.Reps) }
 // Mean returns the mean over repetitions.
 func (s Sample) Mean() (float64, bool) { return mathutil.Mean(s.Reps) }
 
-// Variation returns the run-to-run variation (coefficient of variation)
-// over repetitions; false when fewer than two repetitions exist.
-func (s Sample) Variation() (float64, bool) { return mathutil.CoefficientOfVariation(s.Reps) }
-
 // Series is an ordered set of samples of one metric for one callpath across
 // measurement points.
 type Series struct {

@@ -68,17 +68,6 @@ func TestSampleMedian(t *testing.T) {
 	}
 }
 
-func TestSampleVariation(t *testing.T) {
-	s := Sample{Reps: []float64{90, 100, 110}}
-	v, ok := s.Variation()
-	if !ok || v < 0.09 || v > 0.11 {
-		t.Errorf("variation = %v, want ≈0.1", v)
-	}
-	if _, ok := (Sample{Reps: []float64{1}}).Variation(); ok {
-		t.Error("variation of single rep reported ok")
-	}
-}
-
 func TestSeriesAddMergesSamePoint(t *testing.T) {
 	var s Series
 	s.Add(Point{4}, 1.0)

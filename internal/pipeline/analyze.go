@@ -50,8 +50,8 @@ type ConfigRow struct {
 	Cost       float64
 }
 
-// AnalysisResult carries everything the Analyze stage derives; Render
-// turns it into the text report.
+// AnalysisResult carries everything the Analyze stage derives;
+// RenderContext turns it into the text report.
 type AnalysisResult struct {
 	// Models are the fitted models the analysis ran on.
 	Models *ModelSet

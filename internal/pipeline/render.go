@@ -8,19 +8,6 @@ import (
 	"extradeep/internal/epoch"
 )
 
-// Render is the Report stage: it turns an AnalysisResult into the text
-// report the extradeep CLI prints. The output depends only on the result
-// values, never on timing or scheduling — this is where the pipeline's
-// byte-identical determinism guarantee is observable.
-func (p *Pipeline) Render(res *AnalysisResult) string {
-	var b strings.Builder
-	_ = p.observe(StageReport, func() (Counters, error) {
-		renderAnalysis(&b, res)
-		return Counters{"bytes": b.Len()}, nil
-	})
-	return b.String()
-}
-
 // renderAnalysis writes the report sections in their fixed order:
 // application models, bottleneck ranking, least-benefit ranking, optional
 // prediction, scalability/cost table, cost-effectiveness.
@@ -95,9 +82,11 @@ func renderQuarantine(b *strings.Builder, ms *ModelSet) {
 	}
 }
 
-// RenderContext is the Report stage under the resilience policy
-// (injection point "report", deadline budget): like Render, but a
-// full run — or the CLI — can inject faults at every stage boundary.
+// RenderContext is the Report stage: it turns an AnalysisResult into the
+// text report the extradeep CLI prints, under the resilience policy
+// (injection point "report", deadline budget). The output depends only on
+// the result values, never on timing or scheduling — this is where the
+// pipeline's byte-identical determinism guarantee is observable.
 func (p *Pipeline) RenderContext(ctx context.Context, res *AnalysisResult) (string, error) {
 	var b strings.Builder
 	err := p.runStage(ctx, StageReport, func(sctx context.Context) (Counters, error) {

@@ -46,12 +46,6 @@ func NewColumnSetShared(rows [][]float64, shared map[Factor][]float64) *ColumnSe
 	return &ColumnSet{rows: rows, factors: make(map[Factor][]float64, 8), shared: shared}
 }
 
-// Len returns the number of configuration rows.
-func (cs *ColumnSet) Len() int { return len(cs.rows) }
-
-// Row returns the r-th configuration row.
-func (cs *ColumnSet) Row(r int) []float64 { return cs.rows[r] }
-
 // FactorColumn returns the cached column of f evaluated at every row,
 // computing and caching it on first use. Entries where f.Param is outside
 // the row's arity are NaN, mirroring Term.EvalBasis's bounds behaviour.

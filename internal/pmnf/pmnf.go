@@ -13,7 +13,6 @@ package pmnf
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"extradeep/internal/mathutil"
@@ -184,22 +183,6 @@ func (fn *Function) Eval(params ...float64) float64 {
 // EvalAt is Eval taking a slice, convenient when the arity is dynamic.
 func (fn *Function) EvalAt(params []float64) float64 { return fn.Eval(params...) }
 
-// NumParams returns the highest referenced parameter index + 1.
-func (fn *Function) NumParams() int {
-	n := 0
-	for _, t := range fn.Terms {
-		for _, f := range t.Factors {
-			if f.Param+1 > n {
-				n = f.Param + 1
-			}
-		}
-	}
-	if len(fn.ParamNames) > n {
-		n = len(fn.ParamNames)
-	}
-	return n
-}
-
 // String renders the function in the paper's style, e.g.
 // "158.6 + 0.58*p^(2/3)*log2(p)^2".
 func (fn *Function) String() string {
@@ -273,23 +256,4 @@ func (fn *Function) Growth() Growth {
 		}
 	}
 	return best
-}
-
-// SortByGrowth sorts the given functions from fastest- to slowest-growing;
-// ties are broken by the value at the supplied reference point so that, of
-// two O(x) kernels, the more expensive ranks first. It returns the order
-// as a permutation of indices into fns.
-func SortByGrowth(fns []*Function, reference []float64) []int {
-	idx := make([]int, len(fns))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ga, gb := fns[idx[a]].Growth(), fns[idx[b]].Growth()
-		if c := ga.Compare(gb); c != 0 {
-			return c > 0
-		}
-		return fns[idx[a]].EvalAt(reference) > fns[idx[b]].EvalAt(reference)
-	})
-	return idx
 }

@@ -153,13 +153,6 @@ func TestConstantFunction(t *testing.T) {
 	}
 }
 
-func TestNumParams(t *testing.T) {
-	fn := &Function{Terms: []Term{{Coefficient: 1, Factors: []Factor{{Param: 2, PolyExp: 1}}}}}
-	if got := fn.NumParams(); got != 3 {
-		t.Errorf("NumParams = %d, want 3", got)
-	}
-}
-
 func TestGrowthCompare(t *testing.T) {
 	cases := []struct {
 		a, b Growth
@@ -231,29 +224,5 @@ func TestFunctionGrowthMultiParam(t *testing.T) {
 	g := fn.Growth()
 	if !approx(g.PolyDegree, 1.5, 1e-12) || g.LogDegree != 1 {
 		t.Errorf("growth = %v, want {1.5 1}", g)
-	}
-}
-
-func TestSortByGrowth(t *testing.T) {
-	constant := ConstantFunction(1e9)
-	linear := &Function{Terms: []Term{{Coefficient: 1, Factors: []Factor{{Param: 0, PolyExp: 1}}}}}
-	quadratic := &Function{Terms: []Term{{Coefficient: 1e-6, Factors: []Factor{{Param: 0, PolyExp: 2}}}}}
-	order := SortByGrowth([]*Function{constant, linear, quadratic}, []float64{64})
-	// Fastest growth first: quadratic, linear, constant — despite the huge
-	// constant coefficient.
-	want := []int{2, 1, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSortByGrowthTieBreakByValue(t *testing.T) {
-	cheap := &Function{Terms: []Term{{Coefficient: 1, Factors: []Factor{{Param: 0, PolyExp: 1}}}}}
-	costly := &Function{Terms: []Term{{Coefficient: 50, Factors: []Factor{{Param: 0, PolyExp: 1}}}}}
-	order := SortByGrowth([]*Function{cheap, costly}, []float64{10})
-	if order[0] != 1 {
-		t.Errorf("order = %v, want the costly O(x) kernel first", order)
 	}
 }

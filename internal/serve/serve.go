@@ -191,9 +191,6 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool dir: %w", err)
 	}
-	if err := removePartFiles(cfg.SpoolDir); err != nil {
-		return nil, err
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = resilience.WallClock{}
@@ -245,36 +242,6 @@ func (s *Server) markStarted(ctx context.Context) error {
 	return nil
 }
 
-// removePartFiles deletes the ".part" temporaries that a crash between
-// an upload's segment write and its rename leaves in application
-// directories. No campaign reads them and no upload reuses one, so they
-// would otherwise stay forever. New runs it before any handler exists,
-// so it never removes a live upload's temporary.
-func removePartFiles(root string) error {
-	apps, err := os.ReadDir(root)
-	if err != nil {
-		return fmt.Errorf("serve: scanning spool: %w", err)
-	}
-	for _, app := range apps {
-		if !app.IsDir() || !validAppName(app.Name()) {
-			continue
-		}
-		dir := filepath.Join(root, app.Name())
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("serve: scanning spool app %s: %w", app.Name(), err)
-		}
-		for _, e := range entries {
-			if e.Type().IsRegular() && strings.HasSuffix(e.Name(), ".part") {
-				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-					return fmt.Errorf("serve: removing stale spool file: %w", err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // scannedApp is one application directory found in the spool.
 type scannedApp struct {
 	name   string
@@ -311,7 +278,11 @@ func scanSpool(root string) ([]scannedApp, error) {
 
 // scanApp inventories one application's spool directory: the documents
 // of every segment, read from the segment headers alone, and the loose
-// profile files beside them.
+// profile files beside them. It deletes the ".part" temporaries that a
+// crash between an upload's segment write and its rename leaves behind:
+// no campaign reads them and no upload reuses one, so they would
+// otherwise stay forever. New scans before any handler exists, so this
+// never removes a live upload's temporary.
 func scanApp(root, name string) (scannedApp, error) {
 	dir := filepath.Join(root, name)
 	entries, err := os.ReadDir(dir)
@@ -336,6 +307,12 @@ func scanApp(root, name string) (scannedApp, error) {
 	}
 	for _, e := range entries {
 		if e.IsDir() {
+			continue
+		}
+		if e.Type().IsRegular() && strings.HasSuffix(e.Name(), ".part") {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return scannedApp{}, fmt.Errorf("serve: removing stale spool file: %w", err)
+			}
 			continue
 		}
 		if _, ok := segmentSeq(e.Name()); !ok {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"regexp"
 	"sort"
 	"strings"
@@ -261,15 +262,15 @@ func (a *appState) admit(format string, batch []upload) error {
 		return errMixedSpool
 	}
 	if a.format != "" && a.format != format {
-		return &conflictError{kind: "format", detail: "application " + a.name + " already serves " + a.format + " profiles; cannot accept " + format}
+		return &apiError{status: http.StatusConflict, code: "conflict_format", message: "application " + a.name + " already serves " + a.format + " profiles; cannot accept " + format}
 	}
 	seen := map[identity]string{}
 	for _, u := range batch {
 		if prev, ok := a.ids[u.id]; ok {
-			return &conflictError{kind: "duplicate", detail: u.name + " duplicates the identity of already-spooled " + prev}
+			return &apiError{status: http.StatusConflict, code: "conflict_duplicate", message: u.name + " duplicates the identity of already-spooled " + prev}
 		}
 		if prev, ok := seen[u.id]; ok {
-			return &conflictError{kind: "duplicate", detail: u.name + " duplicates the identity of " + prev + " in the same upload"}
+			return &apiError{status: http.StatusConflict, code: "conflict_duplicate", message: u.name + " duplicates the identity of " + prev + " in the same upload"}
 		}
 		seen[u.id] = u.name
 	}

@@ -163,8 +163,9 @@ type costResponse struct {
 	Degraded     bool    `json:"degraded,omitempty"`
 }
 
-// apiError is a refusal the handlers construct directly; it maps onto
-// one HTTP status and one exit-equivalent class.
+// apiError is a refusal the handlers, the intake and store.admit
+// construct directly; it maps onto one HTTP status and one
+// exit-equivalent class.
 type apiError struct {
 	status  int
 	code    string
@@ -174,18 +175,10 @@ type apiError struct {
 
 func (e *apiError) Error() string { return e.message }
 
-// conflictError is a 409: the upload contradicts already-spooled state
-// (duplicate identity or format mismatch). store.admit returns it.
-type conflictError struct {
-	kind   string
-	detail string
-}
-
-func (e *conflictError) Error() string { return e.detail }
-
-// errMixedSpool marks an application whose spool directory holds both
-// formats (only producible by hand-editing the spool on disk).
-var errMixedSpool = errors.New("spool directory holds both json and csv files; remove one format and restart")
+// errMixedSpool is the 409 of an application whose spool directory holds
+// both formats (only producible by hand-editing the spool on disk).
+var errMixedSpool = &apiError{status: http.StatusConflict, code: "conflict_mixed_spool",
+	message: "spool directory holds both json and csv files; remove one format and restart"}
 
 // exitEquivalentFor maps an HTTP status to the batch CLI exit code with
 // the same meaning (see the package comment table).
@@ -229,21 +222,11 @@ func writeError(w http.ResponseWriter, status int, code, message string, files [
 }
 
 // writeAPIError dispatches an error to the envelope: apiErrors carry
-// their own status/code, conflictErrors map to 409, anything else is a
-// 500 internal.
+// their own status/code, anything else is a 500 internal.
 func writeAPIError(w http.ResponseWriter, err error) {
 	var ae *apiError
 	if errors.As(err, &ae) {
 		writeError(w, ae.status, ae.code, ae.message, ae.files)
-		return
-	}
-	var ce *conflictError
-	if errors.As(err, &ce) {
-		writeError(w, http.StatusConflict, "conflict_"+ce.kind, ce.detail, nil)
-		return
-	}
-	if errors.Is(err, errMixedSpool) {
-		writeError(w, http.StatusConflict, "conflict_mixed_spool", err.Error(), nil)
 		return
 	}
 	writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)

@@ -2,14 +2,10 @@
 // evaluation (Section 4.1): CIFAR-10, CIFAR-100, ImageNet, IMDB, and
 // Speech Commands. Only the performance-relevant properties are modeled —
 // sample counts, input shapes and bytes per sample — since sample *content*
-// does not influence training time. Synthetic sample generation is
-// provided for the I/O phase of the simulated training runs.
+// does not influence training time.
 package dataset
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Kind classifies the learning task.
 type Kind int
@@ -170,50 +166,4 @@ func ByName(name string) (Dataset, error) {
 // Names returns the dataset names in the paper's presentation order.
 func Names() []string {
 	return []string{"cifar10", "cifar100", "imagenet", "imdb", "speechcommands"}
-}
-
-// Sample is one synthetic training sample.
-type Sample struct {
-	// Input is the flattened input tensor.
-	Input []float32
-	// Label is the target class.
-	Label int
-}
-
-// Generate produces n synthetic samples with the dataset's shape,
-// deterministically from the seed. Content is random — it only exists so
-// the simulated input pipeline has real bytes to move.
-func (d Dataset) Generate(n int, seed int64) []Sample {
-	rng := rand.New(rand.NewSource(seed))
-	elems := d.InputElements()
-	// Text inputs are token indices, not dense tensors; store the
-	// sequence only.
-	if d.Kind == KindText {
-		elems = d.InputShape[0]
-	}
-	out := make([]Sample, n)
-	for i := range out {
-		in := make([]float32, elems)
-		for j := range in {
-			in[j] = rng.Float32()
-		}
-		out[i] = Sample{Input: in, Label: rng.Intn(d.Classes)}
-	}
-	return out
-}
-
-// Shard returns the half-open sample index range [lo, hi) that worker
-// `rank` of `workers` processes when the dataset is sharded evenly, the
-// way the benchmarks shard by MPI rank.
-func (d Dataset) Shard(rank, workers int) (lo, hi int) {
-	if workers <= 0 {
-		return 0, d.TrainSamples
-	}
-	per := d.TrainSamples / workers
-	lo = rank * per
-	hi = lo + per
-	if rank == workers-1 {
-		hi = d.TrainSamples
-	}
-	return lo, hi
 }

@@ -102,88 +102,6 @@ func TestNamesOrderStable(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	d := CIFAR10()
-	a := d.Generate(3, 42)
-	b := d.Generate(3, 42)
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatal("wrong sample count")
-	}
-	for i := range a {
-		if a[i].Label != b[i].Label {
-			t.Fatal("labels differ across identical seeds")
-		}
-		for j := range a[i].Input {
-			if a[i].Input[j] != b[i].Input[j] {
-				t.Fatal("inputs differ across identical seeds")
-			}
-		}
-	}
-	c := d.Generate(3, 43)
-	same := true
-	for i := range a {
-		if a[i].Label != c[i].Label {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical labels")
-	}
-}
-
-func TestGenerateShapes(t *testing.T) {
-	img := CIFAR10().Generate(1, 1)[0]
-	if len(img.Input) != 32*32*3 {
-		t.Errorf("image sample has %d elements", len(img.Input))
-	}
-	txt := IMDB().Generate(1, 1)[0]
-	if len(txt.Input) != 256 {
-		t.Errorf("text sample has %d tokens, want 256", len(txt.Input))
-	}
-}
-
-func TestGenerateLabelsInRange(t *testing.T) {
-	d := SpeechCommands()
-	for _, s := range d.Generate(100, 7) {
-		if s.Label < 0 || s.Label >= d.Classes {
-			t.Fatalf("label %d out of range", s.Label)
-		}
-	}
-}
-
-func TestShardEven(t *testing.T) {
-	d := CIFAR10() // 50000 train samples
-	total := 0
-	for rank := 0; rank < 8; rank++ {
-		lo, hi := d.Shard(rank, 8)
-		if hi <= lo {
-			t.Fatalf("rank %d: empty shard [%d,%d)", rank, lo, hi)
-		}
-		total += hi - lo
-	}
-	if total != d.TrainSamples {
-		t.Errorf("shards cover %d samples, want %d", total, d.TrainSamples)
-	}
-}
-
-func TestShardRemainderGoesToLastRank(t *testing.T) {
-	d := CIFAR10()
-	_, hi := d.Shard(6, 7)
-	lo7, hi7 := d.Shard(6, 7)
-	_ = hi
-	if hi7 != d.TrainSamples {
-		t.Errorf("last shard ends at %d, want %d (lo=%d)", hi7, d.TrainSamples, lo7)
-	}
-}
-
-func TestShardZeroWorkers(t *testing.T) {
-	d := CIFAR10()
-	lo, hi := d.Shard(0, 0)
-	if lo != 0 || hi != d.TrainSamples {
-		t.Error("zero workers should return the full range")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindImage.String() != "image" || KindText.String() != "text" || KindAudio.String() != "audio" {
 		t.Error("kind names wrong")

@@ -143,19 +143,6 @@ func TestTrainFLOPsIsThreeTimesForward(t *testing.T) {
 	}
 }
 
-func TestActivationBytesPositive(t *testing.T) {
-	for _, m := range []*Model{
-		ResNet50(32, 32, 3, 10),
-		EfficientNetB0(224, 224, 3, 1000),
-		CNN10(124, 129, 1, 35),
-		NNLM(256, 20000, 2),
-	} {
-		if m.ActivationBytes() <= 0 {
-			t.Errorf("%s: non-positive activation bytes", m.Name)
-		}
-	}
-}
-
 func TestComputeLayersExcludePlumbing(t *testing.T) {
 	m := CNN10(124, 129, 1, 35)
 	for _, l := range m.ComputeLayers() {

@@ -172,15 +172,6 @@ func (m *Model) TrainFLOPs() float64 { return 3 * m.FwdFLOPs() }
 // (float32 gradients, one per parameter).
 func (m *Model) GradientBytes() float64 { return m.TotalParams() * 4 }
 
-// ActivationBytes returns the total activation memory per sample.
-func (m *Model) ActivationBytes() float64 {
-	var total float64
-	for _, l := range m.Layers {
-		total += l.ActivationBytes()
-	}
-	return total
-}
-
 // ComputeLayers returns the layers that map to GPU compute kernels.
 func (m *Model) ComputeLayers() []Layer {
 	out := make([]Layer, 0, len(m.Layers))
