@@ -37,11 +37,6 @@ func campaignConfig(cfg pipeline.Config, strong bool) pipeline.Config {
 	return cfg
 }
 
-// ModelSet holds every model created for one application. It is an alias
-// for the pipeline's model set: the staged pipeline owns model creation,
-// core keeps the name for its facade API.
-type ModelSet = pipeline.ModelSet
-
 // Campaign describes one end-to-end measurement and modeling campaign on
 // the simulated substrate: profile the benchmark at the modeling ranks
 // (with repetitions), create models, and additionally measure the
@@ -86,7 +81,7 @@ func (c Campaign) Validate() error {
 // CampaignResult is the outcome of RunCampaign.
 type CampaignResult struct {
 	// Models are the models fitted on the modeling ranks.
-	Models *ModelSet
+	Models *pipeline.ModelSet
 	// AppActuals holds the derived per-epoch application values measured
 	// at every rank count (modeling and evaluation points): callpath →
 	// ranks → per-repetition values.

@@ -143,7 +143,7 @@ func TestCampaignValidate(t *testing.T) {
 
 func TestPercentErrorMissingSeries(t *testing.T) {
 	res := &CampaignResult{
-		Models:     &ModelSet{App: map[string]*modeling.Model{}},
+		Models:     &pipeline.ModelSet{App: map[string]*modeling.Model{}},
 		AppActuals: map[string]map[int][]float64{},
 	}
 	if _, ok := res.PercentError("App", 4); ok {

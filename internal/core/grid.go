@@ -52,7 +52,7 @@ func (c GridCampaign) Validate() error {
 // GridResult is the outcome of RunGridCampaign.
 type GridResult struct {
 	// Models are the fitted two-parameter models.
-	Models *ModelSet
+	Models *pipeline.ModelSet
 	// Aggregates are the per-cell aggregation results.
 	Aggregates []*aggregate.ConfigAggregate
 	// Setup is the epoch-extrapolation setup used, exposed so callers can

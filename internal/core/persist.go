@@ -30,7 +30,7 @@ type modelFile struct {
 // bytes. SaveModels writes exactly these bytes; edserve's /models
 // endpoint returns them, which is what makes API-path versus batch-path
 // fit parity byte-comparable.
-func EncodeModels(ms *ModelSet) ([]byte, error) {
+func EncodeModels(ms *pipeline.ModelSet) ([]byte, error) {
 	if ms == nil {
 		return nil, errors.New("core: nil model set")
 	}
@@ -58,7 +58,7 @@ func EncodeModels(ms *ModelSet) ([]byte, error) {
 
 // SaveModels writes a model set to a JSON file, so an expensive modeling
 // campaign's results can be reused for predictions without re-profiling.
-func SaveModels(path string, ms *ModelSet) error {
+func SaveModels(path string, ms *pipeline.ModelSet) error {
 	data, err := EncodeModels(ms)
 	if err != nil {
 		return err
@@ -70,7 +70,7 @@ func SaveModels(path string, ms *ModelSet) error {
 }
 
 // LoadModels reads a model set previously written by SaveModels.
-func LoadModels(path string) (*ModelSet, error) {
+func LoadModels(path string) (*pipeline.ModelSet, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading models: %w", err)
@@ -82,7 +82,7 @@ func LoadModels(path string) (*ModelSet, error) {
 	if mf.Version != modelFileVersion {
 		return nil, fmt.Errorf("core: unsupported model-file version %d (want %d)", mf.Version, modelFileVersion)
 	}
-	ms := &ModelSet{
+	ms := &pipeline.ModelSet{
 		App:    make(map[string]*modeling.Model, len(mf.App)),
 		Kernel: make(map[measurement.Metric]map[string]*modeling.Model, len(mf.Kernel)),
 	}

@@ -55,7 +55,7 @@ var hotPathDefaults = []hotPathDefault{
 	{"internal/modeling", "modeling.sparseSearch"},
 	{"internal/modeling", "hypothesisSpace.*"},
 	// Basis-column evaluation: every factor/term touch of every fit.
-	{"internal/pmnf", "ColumnSet.*"},
+	{"internal/pmnf", "pmnf.FactorColumn"},
 	{"internal/pmnf", "pmnf.TermProduct"},
 	{"internal/pmnf", "Factor.Eval"},
 	{"internal/pmnf", "Term.Eval"},

@@ -123,16 +123,16 @@ func pressAgrees(points []measurement.Point, values []float64, opts Options, hyp
 func checkPress(points []measurement.Point, values []float64, opts Options) error {
 	arity := len(points[0])
 	if arity == 1 {
-		_, _, err := pressAgrees(points, values, opts, hypothesesCached(opts))
+		_, _, err := pressAgrees(points, values, opts, hypotheses(opts))
 		return err
 	}
-	hyps := sparseHypotheses(arity, points, values, opts, func(pts []measurement.Point, vals []float64) func(hypothesis) (float64, bool) {
-		return func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }
-	})
+	hyps := sparseSearch(arity, points, values, buildShapes(opts), func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
+		return rankByCV(func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }, hs)
+	}, nil)
 	if _, _, err := pressAgrees(points, values, opts, hyps); err != nil {
 		return err
 	}
-	shapes := len(shapeSet(opts))
+	shapes := len(buildShapes(opts))
 	for p := 0; p < arity; p++ {
 		lp, lv := axisLine(points, values, p)
 		if len(lp) < 3 {
@@ -408,7 +408,7 @@ func TestPropEngineOracleEquivalenceAdversarial(t *testing.T) {
 				return fmt.Errorf("%s: %w", k.name, err)
 			}
 			norm := normalizeOptions(opts)
-			_, declined, err := pressAgrees(points, values, norm, hypothesesCached(norm))
+			_, declined, err := pressAgrees(points, values, norm, hypotheses(norm))
 			if err != nil {
 				return fmt.Errorf("%s: %w", k.name, err)
 			}
@@ -434,7 +434,11 @@ func TestSettleReplaysDecidingCandidates(t *testing.T) {
 	for i, p := range points {
 		values[i] = 3 + 0.5*p[0]*p[0]
 	}
-	opts := normalizeOptions(DefaultOptions())
+	// The search space holds every exponent the cases use, so the task's
+	// fit-cache entry has their columns.
+	opts := DefaultOptions()
+	opts.PolyExponents = []float64{1, 1 + 1.6e-9, 2, 3}
+	opts = normalizeOptions(opts)
 	shape := func(e float64) hypothesis {
 		return hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{{PolyExp: e}}}}}
 	}
@@ -563,7 +567,7 @@ func TestAxisLineEdgeCases(t *testing.T) {
 		// Only two points share the minimum of parameter 1, so the axis
 		// line through parameter 0 has 2 < 3 points and the sparse search
 		// must fall back to the full set (pinned here via axisLine's
-		// return; the fallback branch is in sparseHypotheses).
+		// return; the fallback branch is in sparseSearch).
 		points := []measurement.Point{{2, 32}, {4, 32}, {2, 64}, {4, 64}, {8, 64}}
 		values := []float64{1, 2, 3, 4, 5}
 		pts, vals := axisLine(points, values, 0)

@@ -14,12 +14,13 @@ import (
 
 // This file is the design-matrix engine: the fast fit path that the
 // whole hypothesis search runs on. A fitContext is built once per
-// (points, values, Options) task. It evaluates every basis factor once
-// per configuration into cached columns (pmnf.ColumnSet) and assembles
-// each hypothesis's full-data normal equations directly from those
-// columns, in the exact floating-point operation order of the reference
-// direct-solve path (oracle.go), so full-data coefficients, RSS and
-// growth are bit-identical to the oracle's.
+// (points, values, Options) task. It reads every basis factor's column
+// from the task's fit-cache entry (evaluated once per configuration per
+// process, see basisEntry) and assembles each hypothesis's full-data
+// normal equations directly from those columns, in the exact
+// floating-point operation order of the reference direct-solve path
+// (oracle.go), so full-data coefficients, RSS and growth are
+// bit-identical to the oracle's.
 //
 // Leave-one-out cross-validation is ranked fast and replayed exactly only
 // where model selection is decided. Every fold comes from the one
@@ -42,13 +43,13 @@ import (
 var errUnderDetermined = errors.New("modeling: under-determined fold")
 
 // fitContext is the per-task state of the design-matrix engine. It is
-// confined to one goroutine: the column cache fills lazily and every
-// scratch buffer is reused across the hypothesis space.
+// confined to one goroutine: every scratch buffer is reused across the
+// hypothesis space, and the shared fit-cache entry is only read.
 type fitContext struct {
 	points []measurement.Point
 	values []float64
 	opts   Options
-	cols   *pmnf.ColumnSet
+	basis  *basisEntry // shared, read-only
 
 	ynorm float64 // ‖values‖₂, a scale of the PRESS error bound
 
@@ -111,30 +112,33 @@ type fitScratch struct {
 	wfull             []float64
 }
 
-// The fit tasks of one campaign overwhelmingly share their measurement
-// points (one task per kernel × metric over the same configurations), so
-// the basis columns — which depend only on the points and the exponent
-// sets — are shared process-wide: the first task for a (points, shapes)
-// signature evaluates every shape column eagerly into an immutable map,
-// later tasks seed their ColumnSet with it read-only. Values are pure
-// functions of the key, so a racing double-compute stores bit-identical
-// columns and determinism is unaffected. The cache is capped; beyond the
-// cap tasks simply fall back to private lazy columns.
+// The fit cache. A task's basis columns and search space depend only on
+// its measurement points, the exponent sets and the term budget, and the
+// fit tasks of one campaign overwhelmingly share their points (one task
+// per kernel × metric over the same configurations). So the first task
+// for such a key builds one immutable basisEntry — every shape's factor
+// column at every parameter, the expanded shapes and, for
+// one-parameter rows, the single-parameter hypothesis list — and later
+// tasks read it. Every value is a pure function of the key, so a racing
+// double-build is bit-identical and determinism is unaffected. The cache
+// holds at most basisCacheCap entries: publishing into a full cache
+// empties it first, so a long-lived process keeps the point sets it is
+// fitting now.
 var (
-	basisCache sync.Map // basisSig → *basisEntry
-	basisCount atomic.Int32
+	basisMu    sync.RWMutex
+	basisCache = make(map[basisSig]*basisEntry)
 )
 
 const basisCacheCap = 256
 
-// basisSig is the shared-basis cache key: a two-lane FNV-1a content
-// hash over the row bits and exponent signature, plus the row/arity
-// counts. It replaced a canonical-string key that built a multi-kilobyte
-// string per fit task — the single largest allocation on the fit path
-// (allocloop's first repo finding). The hash itself is not trusted for
-// equality: lookups verify the stored content byte-for-byte (see
+// basisSig is the fit-cache key: a two-lane FNV-1a content hash over the
+// row bits, exponent sets and term budget, plus the row/arity counts. It
+// replaced a canonical-string key that built a multi-kilobyte string per
+// fit task — the single largest allocation on the fit path (allocloop's
+// first repo finding). The hash itself is not trusted for equality:
+// lookups verify the stored content byte-for-byte (see
 // basisEntry.matches), so even a 128-bit collision cannot cross-seed
-// columns between tasks — it only degrades the task to private columns.
+// columns between tasks — the colliding task builds its own entry.
 type basisSig struct {
 	h1, h2   uint64
 	n, arity int
@@ -145,8 +149,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// basisSignature hashes the row contents and the exponent sets into a
-// basisSig, allocation-free.
+// basisSignature hashes the row contents, the exponent sets and the term
+// budget into a basisSig, allocation-free.
 func basisSignature(rows [][]float64, opts Options) basisSig {
 	h1 := uint64(fnvOffset64)
 	h2 := uint64(fnvOffset64) ^ 0x9e3779b97f4a7c15
@@ -170,6 +174,7 @@ func basisSignature(rows [][]float64, opts Options) basisSig {
 	for _, e := range opts.LogExponents {
 		mix(uint64(e))
 	}
+	mix(uint64(opts.MaxTerms))
 	arity := 0
 	if len(rows) > 0 {
 		arity = len(rows[0])
@@ -177,21 +182,29 @@ func basisSignature(rows [][]float64, opts Options) basisSig {
 	return basisSig{h1: h1, h2: h2, n: len(rows), arity: arity}
 }
 
-// basisEntry pairs the published factor columns with a verbatim copy of
-// the keyed content, so lookups verify real equality instead of trusting
-// the hash.
+// basisEntry is one fit-cache entry: a verbatim copy of the keyed
+// content, so lookups verify real equality instead of trusting the hash,
+// and the search space built from it. Nothing in it is mutated after
+// construction.
 type basisEntry struct {
-	flat []float64 // row-major copy of the keyed rows
-	lens []int     // per-row arity (points are uniform, but verify anyway)
-	poly []float64
-	logE []int
-	cols map[pmnf.Factor][]float64
+	flat     []float64 // row-major copy of the keyed rows
+	lens     []int     // per-row arity (points are uniform, but verify anyway)
+	poly     []float64
+	logE     []int
+	maxTerms int
+
+	// cols holds the factor column of every shape at every parameter,
+	// shapes the expanded exponent sets, and hyps the single-parameter
+	// hypothesis list (one-parameter rows only).
+	cols   map[pmnf.Factor][]float64
+	shapes []pmnf.Factor
+	hyps   []hypothesis
 }
 
-// matches reports whether the entry was keyed by exactly these rows and
-// exponent sets, comparing float content bit for bit.
+// matches reports whether the entry was keyed by exactly these rows,
+// exponent sets and term budget, comparing float content bit for bit.
 func (e *basisEntry) matches(rows [][]float64, opts Options) bool {
-	if len(e.lens) != len(rows) || len(e.poly) != len(opts.PolyExponents) || len(e.logE) != len(opts.LogExponents) {
+	if len(e.lens) != len(rows) || e.maxTerms != opts.MaxTerms {
 		return false
 	}
 	k := 0
@@ -206,72 +219,70 @@ func (e *basisEntry) matches(rows [][]float64, opts Options) bool {
 			k++
 		}
 	}
-	for i, v := range opts.PolyExponents {
-		if math.Float64bits(e.poly[i]) != math.Float64bits(v) {
-			return false
-		}
-	}
-	for i, v := range opts.LogExponents {
-		if e.logE[i] != v {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(e.poly, opts.PolyExponents, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
+		slices.Equal(e.logE, opts.LogExponents)
 }
 
-// newBasisEntry copies the keyed content (a one-time cost per cache
-// entry, bounded by basisCacheCap) alongside the computed columns.
-func newBasisEntry(rows [][]float64, opts Options, cols map[pmnf.Factor][]float64) *basisEntry {
+// newBasisEntry builds the entry for rows and opts: the copy of the keyed
+// content, the shapes, every shape's column at every parameter, and for
+// one-parameter rows the hypothesis list.
+func newBasisEntry(rows [][]float64, opts Options) *basisEntry {
 	total := 0
 	for _, row := range rows {
 		total += len(row)
 	}
+	arity := len(rows[0])
 	e := &basisEntry{
-		flat: make([]float64, 0, total),
-		lens: make([]int, len(rows)),
-		poly: append([]float64(nil), opts.PolyExponents...),
-		logE: append([]int(nil), opts.LogExponents...),
-		cols: cols,
+		flat:     make([]float64, 0, total),
+		lens:     make([]int, len(rows)),
+		poly:     slices.Clone(opts.PolyExponents),
+		logE:     slices.Clone(opts.LogExponents),
+		maxTerms: opts.MaxTerms,
+		shapes:   buildShapes(opts),
 	}
 	for i, row := range rows {
 		e.lens[i] = len(row)
 		e.flat = append(e.flat, row...)
 	}
+	e.cols = make(map[pmnf.Factor][]float64, arity*len(e.shapes))
+	for _, f := range e.shapes {
+		for p := 0; p < arity; p++ {
+			f.Param = p
+			e.cols[f] = pmnf.FactorColumn(rows, f)
+		}
+	}
+	if arity == 1 {
+		e.hyps = hypotheses(opts)
+	}
 	return e
 }
 
-// sharedBasis returns the immutable shared factor columns for the given
-// rows and options, computing and publishing them on first use. It
-// returns nil when the cache is full or on the (astronomically unlikely)
-// hash collision, in which case the task falls back to private lazy
-// columns — a pure slowdown, never a correctness change, since columns
-// are pure functions of the rows.
-func sharedBasis(rows [][]float64, opts Options) map[pmnf.Factor][]float64 {
+// sharedBasis returns the cache entry for the given rows and options,
+// building and publishing it on first use. A verified hash collision
+// gets an entry of its own that is not published: a pure slowdown, never
+// a correctness change, since every column is a pure function of the
+// rows.
+func sharedBasis(rows [][]float64, opts Options) *basisEntry {
 	sig := basisSignature(rows, opts)
-	if v, ok := basisCache.Load(sig); ok {
-		e := v.(*basisEntry)
+	basisMu.RLock()
+	e := basisCache[sig]
+	basisMu.RUnlock()
+	if e != nil {
 		if e.matches(rows, opts) {
-			return e.cols
+			return e
 		}
-		return nil
+		return newBasisEntry(rows, opts)
 	}
-	if basisCount.Load() >= basisCacheCap {
-		return nil
-	}
-	cs := pmnf.NewColumnSet(rows)
-	arity := len(rows[0])
-	shared := make(map[pmnf.Factor][]float64)
-	for _, s := range shapeSet(opts) {
-		for p := 0; p < arity; p++ {
-			f := s
-			f.Param = p
-			shared[f] = cs.FactorColumn(f)
+	e = newBasisEntry(rows, opts)
+	basisMu.Lock()
+	if basisCache[sig] == nil {
+		if len(basisCache) >= basisCacheCap {
+			clear(basisCache)
 		}
+		basisCache[sig] = e
 	}
-	if _, loaded := basisCache.LoadOrStore(sig, newBasisEntry(rows, opts, shared)); !loaded {
-		basisCount.Add(1)
-	}
-	return shared
+	basisMu.Unlock()
+	return e
 }
 
 // newFitContext builds the engine state for one fit task; bind gives it
@@ -292,7 +303,7 @@ func newFitContext(points []measurement.Point, values []float64, opts Options) *
 		points: points,
 		values: values,
 		opts:   opts,
-		cols:   pmnf.NewColumnSetShared(rows, sharedBasis(rows, opts)),
+		basis:  sharedBasis(rows, opts),
 		ynorm:  ynorm,
 	}
 }
@@ -337,7 +348,7 @@ func (fc *fitContext) prepare(h hypothesis) {
 	for c, t := range h.terms {
 		facs := fc.facCols[c][:0]
 		for _, f := range t.Factors {
-			facs = append(facs, fc.cols.FactorColumn(f))
+			facs = append(facs, fc.basis.cols[f])
 		}
 		fc.facCols[c] = facs
 		fc.termCols[c] = pmnf.TermProduct(len(fc.points), facs, fc.termCols[c])
@@ -809,9 +820,9 @@ func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
 }
 
 // rankLine is the engine's stage-1 ranker: it scores the single-shape
-// hypotheses hs on the axis line (a sub-context with its own column
-// cache; the full context when the search fell back to the complete
-// point set).
+// hypotheses hs on the axis line (a sub-context over the line's own
+// fit-cache entry; the full context when the search fell back to the
+// complete point set).
 func (fc *fitContext) rankLine(points []measurement.Point, values []float64, hs []hypothesis) []rated {
 	if len(points) == len(fc.points) && len(points) > 0 && &points[0] == &fc.points[0] {
 		return fc.rankShapes(hs)
@@ -1206,7 +1217,7 @@ func (fc *fitContext) search() (*Model, error) {
 	arity := len(fc.points[0])
 	var hyps []hypothesis
 	if arity == 1 {
-		hyps = hypothesesCached(fc.opts)
+		hyps = fc.basis.hyps
 	} else {
 		// Multi-parameter sparse modeling: a full cross product of shape
 		// combinations is quadratic in the (large) shape set and makes
@@ -1214,7 +1225,7 @@ func (fc *fitContext) search() (*Model, error) {
 		// sparse-modeling approach, first evaluate single-parameter
 		// hypotheses, then build combinations only from the best few
 		// shapes per parameter.
-		hyps = sparseSearch(arity, fc.points, fc.values, fc.opts, fc.rankLine, &fc.space)
+		hyps = sparseSearch(arity, fc.points, fc.values, fc.basis.shapes, fc.rankLine, &fc.space)
 	}
 	if len(hyps) == 0 {
 		return nil, ErrNoHypothesis

@@ -5,13 +5,14 @@
 // selects the hypothesis with the smallest cross-validated symmetric mean
 // absolute percentage error (SMAPE).
 //
-// Fitting runs on a per-task fitContext (see fitcontext.go) that
-// evaluates every basis term once per configuration into cached columns,
-// ranks each hypothesis's leave-one-out folds from one full-data
-// factorization (PRESS), and replays the oracle's fold-by-fold solves
-// exactly wherever selection is decided — bit-identical to the reference
-// direct-solve oracle (oracle.go), which survives behind the EDFIT_ORACLE
-// flag for verification.
+// Fitting runs on a per-task fitContext (see fitcontext.go) that reads
+// its basis columns and search space from the one fit cache (built once
+// per point set and exponent sets, see basisEntry), ranks each
+// hypothesis's leave-one-out folds from one full-data factorization
+// (PRESS), and replays the oracle's fold-by-fold solves exactly wherever
+// selection is decided — bit-identical to the reference direct-solve
+// oracle (oracle.go), which survives behind the EDFIT_ORACLE flag for
+// verification.
 package modeling
 
 import (
@@ -19,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"sync"
 
 	"extradeep/internal/mathutil"
 	"extradeep/internal/measurement"
@@ -294,43 +293,11 @@ func ratedLess(a, b rated) bool {
 	return a.shape.LogExp < b.shape.LogExp
 }
 
-// cvRanker supplies, for one (points, values) dataset, the
-// cross-validation function used to rank hypotheses on it. The oracle
-// ranks with its direct-solve cross-validation through sparseHypotheses.
-type cvRanker func(points []measurement.Point, values []float64) func(hypothesis) (float64, bool)
-
 // topRanker ranks one parameter's single-shape hypotheses hs on the axis
 // line (points, values) and returns the sparseTopShapes best in
 // ratedLess order. The engine and the oracle plug in their own ranking
 // so sparse hypothesis generation is shared between them.
 type topRanker func(points []measurement.Point, values []float64, hs []hypothesis) []rated
-
-// sparseHypotheses is sparseSearch with stage 1 ranked by a plain
-// cross-validation function: every shape is scored, then sorted. It
-// passes no hypothesisSpace, so the list it returns owns its storage.
-func sparseHypotheses(arity int, points []measurement.Point, values []float64, opts Options, ranker cvRanker) []hypothesis {
-	return sparseSearch(arity, points, values, opts, func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
-		return rankByCV(ranker(pts, vals), hs)
-	}, nil)
-}
-
-// rankByCV scores every single-shape hypothesis with cv and keeps the
-// sparseTopShapes best in ratedLess order.
-func rankByCV(cv func(hypothesis) (float64, bool), hs []hypothesis) []rated {
-	var rs []rated
-	for _, h := range hs {
-		smape, ok := cv(h)
-		if !ok {
-			continue
-		}
-		rs = append(rs, rated{shape: h.terms[0].Factors[0], smape: smape})
-	}
-	sort.SliceStable(rs, func(i, j int) bool { return ratedLess(rs[i], rs[j]) })
-	if len(rs) > sparseTopShapes {
-		rs = rs[:sparseTopShapes]
-	}
-	return rs
-}
 
 // hypothesisSpace is the storage a generated hypothesis list is cut
 // from: the hypotheses themselves and one slab each for their terms and
@@ -379,10 +346,10 @@ func (sp *hypothesisSpace) add(ts ...pmnf.Term) {
 // sparseSearch implements the two-stage multi-parameter search: rank
 // every single-parameter shape by cross-validated SMAPE, then combine the
 // top shapes of each parameter pair additively, multiplicatively, and in
-// hybrid (term + cross-term) form. The hypotheses are built into sp, or
-// into fresh storage when sp is nil; the returned list aliases it.
-func sparseSearch(arity int, points []measurement.Point, values []float64, opts Options, top topRanker, sp *hypothesisSpace) []hypothesis {
-	shapes := shapeSet(opts)
+// hybrid (term + cross-term) form, over the expanded exponent sets
+// shapes. The hypotheses are built into sp, or into fresh storage when sp
+// is nil; the returned list aliases it.
+func sparseSearch(arity int, points []measurement.Point, values []float64, shapes []pmnf.Factor, top topRanker, sp *hypothesisSpace) []hypothesis {
 	if sp == nil {
 		sp = new(hypothesisSpace)
 	}
@@ -463,104 +430,8 @@ func axisLine(points []measurement.Point, values []float64, param int) ([]measur
 	return pts, vals
 }
 
-// The hypothesis search space depends only on the exponent sets and the
-// term budget, yet it used to be regenerated on every Fit call — once per
-// kernel × metric, thousands of times per analysis run. The caches below
-// memoize the expanded shapes and the single-parameter hypothesis list per
-// exponent signature. Cached slices are shared across goroutines and must
-// never be mutated by callers; the fitting code only reads them.
-var (
-	shapeCache      exponentCache[[]pmnf.Factor]
-	hypothesisCache exponentCache[[]hypothesis]
-)
-
-// exponentCache memoizes one search-space value per exponent sets (and
-// term budget). It is keyed, like the shared-basis cache, by a content
-// hash that every hit verifies against a verbatim copy of the exponents,
-// so a lookup allocates nothing and a hash collision costs a rebuild,
-// never a wrong search space. Exponent order is part of the key: a
-// reordered set is a different (if equivalent) search space and simply
-// caches separately.
-type exponentCache[T any] struct {
-	mu      sync.RWMutex
-	entries map[uint64]*exponentEntry[T]
-}
-
-// exponentEntry is one cached value with the exponents it was built from.
-type exponentEntry[T any] struct {
-	poly     []float64
-	logE     []int
-	maxTerms int
-	value    T
-}
-
-// matches reports whether the entry was built from exactly these
-// exponent sets and term budget, comparing floats bit for bit.
-func (e *exponentEntry[T]) matches(opts Options, maxTerms int) bool {
-	return e.maxTerms == maxTerms &&
-		slices.EqualFunc(e.poly, opts.PolyExponents, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
-		slices.Equal(e.logE, opts.LogExponents)
-}
-
-// exponentsSignature hashes the exponent sets and term budget (FNV-1a).
-func exponentsSignature(opts Options, maxTerms int) uint64 {
-	h := uint64(fnvOffset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ uint64(byte(v>>s))) * fnvPrime64
-		}
-	}
-	for _, e := range opts.PolyExponents {
-		mix(math.Float64bits(e))
-	}
-	mix(uint64(len(opts.PolyExponents)))
-	for _, e := range opts.LogExponents {
-		mix(uint64(e))
-	}
-	mix(uint64(len(opts.LogExponents)))
-	mix(uint64(maxTerms))
-	return h
-}
-
-// get returns the cached value for opts and maxTerms, building and
-// publishing it on first use. Racing first uses build bit-identical
-// values; the first published one stays.
-func (c *exponentCache[T]) get(opts Options, maxTerms int, build func(Options) T) T {
-	sig := exponentsSignature(opts, maxTerms)
-	c.mu.RLock()
-	e := c.entries[sig]
-	c.mu.RUnlock()
-	if e != nil {
-		if e.matches(opts, maxTerms) {
-			return e.value
-		}
-		return build(opts) // hash collision: rebuild rather than trust the hash
-	}
-	value := build(opts)
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[uint64]*exponentEntry[T])
-	}
-	if c.entries[sig] == nil {
-		c.entries[sig] = &exponentEntry[T]{
-			poly:     slices.Clone(opts.PolyExponents),
-			logE:     slices.Clone(opts.LogExponents),
-			maxTerms: maxTerms,
-			value:    value,
-		}
-	}
-	c.mu.Unlock()
-	return value
-}
-
-// shapeSet expands the exponent sets into the factor shapes of the search
-// space (excluding the constant), memoized per exponent signature. The
-// returned slice is shared — callers must not modify it.
-func shapeSet(opts Options) []pmnf.Factor {
-	return shapeCache.get(opts, 0, buildShapes)
-}
-
-// buildShapes is shapeSet without the cache.
+// buildShapes expands the exponent sets into the factor shapes of the
+// search space (excluding the constant), in a new slice.
 func buildShapes(opts Options) []pmnf.Factor {
 	shapes := make([]pmnf.Factor, 0, len(opts.PolyExponents)*len(opts.LogExponents))
 	for _, i := range opts.PolyExponents {
@@ -574,25 +445,19 @@ func buildShapes(opts Options) []pmnf.Factor {
 	return shapes
 }
 
-// hypothesesCached returns the memoized single-parameter hypothesis space
-// for the given options. The returned slice is shared — callers must not
-// modify it.
-func hypothesesCached(opts Options) []hypothesis {
-	return hypothesisCache.get(opts, opts.MaxTerms, hypotheses)
-}
-
 // hypothesis is a candidate model shape: the basis terms without
 // coefficients. The constant basis is implicit.
 type hypothesis struct {
 	terms []pmnf.Term // coefficients ignored; factors define the basis
 }
 
-// hypotheses generates the single-parameter hypothesis search space: the
-// constant, single terms x^i·log^j for (i,j) ∈ I×J\{(0,0)} and, when
-// MaxTerms ≥ 2, all unordered pairs of distinct shapes. Multi-parameter
-// search spaces are built adaptively by sparseHypotheses.
+// hypotheses generates the single-parameter hypothesis search space, in
+// new storage: the constant, single terms x^i·log^j for
+// (i,j) ∈ I×J\{(0,0)} and, when MaxTerms ≥ 2, all unordered pairs of
+// distinct shapes. Multi-parameter search spaces are built adaptively by
+// sparseSearch.
 func hypotheses(opts Options) []hypothesis {
-	shapes := shapeSet(opts)
+	shapes := buildShapes(opts)
 	var out []hypothesis
 	// The constant-only hypothesis is always a candidate.
 	out = append(out, hypothesis{})

@@ -2,6 +2,7 @@ package modeling
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -448,24 +449,168 @@ func TestFitSeriesSurfacesNoHypothesis(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Hypothesis-space memoization: repeated Fit calls with equal options
-// must reuse the cached search space and keep producing identical models.
+// The fit cache: tasks over the same points, exponent sets and term
+// budget share one basisEntry — columns and search space — and repeated
+// Fit calls keep producing identical models.
 // ---------------------------------------------------------------------
 
+// rowsOf views points as the fit cache's rows.
+func rowsOf(points []measurement.Point) [][]float64 {
+	rows := make([][]float64, len(points))
+	for i, p := range points {
+		rows[i] = p
+	}
+	return rows
+}
+
+// fitCacheLen returns the number of published fit-cache entries.
+func fitCacheLen() int {
+	basisMu.RLock()
+	defer basisMu.RUnlock()
+	return len(basisCache)
+}
+
+// resetFitCache empties the fit cache.
+func resetFitCache() {
+	basisMu.Lock()
+	clear(basisCache)
+	basisMu.Unlock()
+}
+
+// checkEntry reports whether e is the complete entry for rows and opts:
+// it matches them, holds every shape's column at every parameter bit for
+// bit, and for one-parameter rows the whole hypothesis list.
+func checkEntry(e *basisEntry, rows [][]float64, opts Options) error {
+	if e == nil {
+		return errors.New("no entry")
+	}
+	if !e.matches(rows, opts) {
+		return errors.New("entry keyed by other content")
+	}
+	shapes := buildShapes(opts)
+	if len(e.shapes) != len(shapes) || len(e.cols) != len(shapes)*len(rows[0]) {
+		return fmt.Errorf("%d shapes and %d columns, want %d and %d", len(e.shapes), len(e.cols), len(shapes), len(shapes)*len(rows[0]))
+	}
+	for _, f := range shapes {
+		for p := range rows[0] {
+			f.Param = p
+			col, want := e.cols[f], pmnf.FactorColumn(rows, f)
+			if len(col) != len(want) {
+				return fmt.Errorf("%v: column of %d rows, want %d", f, len(col), len(want))
+			}
+			for r := range want {
+				if math.Float64bits(col[r]) != math.Float64bits(want[r]) {
+					return fmt.Errorf("%v row %d: %g, want %g", f, r, col[r], want[r])
+				}
+			}
+		}
+	}
+	if len(rows[0]) == 1 {
+		if want := len(hypotheses(opts)); len(e.hyps) != want {
+			return fmt.Errorf("%d hypotheses, want %d", len(e.hyps), want)
+		}
+	} else if e.hyps != nil {
+		return errors.New("multi-parameter entry carries a hypothesis list")
+	}
+	return nil
+}
+
 func TestHypothesisMemoizationReturnsSharedSpace(t *testing.T) {
-	opts := DefaultOptions()
-	h1 := hypothesesCached(opts)
-	h2 := hypothesesCached(opts)
-	if len(h1) == 0 || len(h1) != len(h2) {
-		t.Fatalf("cached hypothesis sets differ: %d vs %d", len(h1), len(h2))
+	opts := normalizeOptions(DefaultOptions())
+	points := points1D(2, 4, 8, 16, 32)
+	values := evalAll(func(x float64) float64 { return 10 + 2*x }, 2, 4, 8, 16, 32)
+	fc1 := newFitContext(points, values, opts)
+	fc2 := newFitContext(points1D(2, 4, 8, 16, 32), values, opts)
+	if fc1.basis != fc2.basis {
+		t.Fatal("second task over the same points built its own entry instead of reusing the cache")
 	}
-	if &h1[0] != &h2[0] {
-		t.Error("second lookup rebuilt the hypothesis space instead of reusing the cache")
+	if err := checkEntry(fc1.basis, rowsOf(points), opts); err != nil {
+		t.Fatal(err)
 	}
-	s1 := shapeSet(opts)
-	s2 := shapeSet(opts)
-	if &s1[0] != &s2[0] {
-		t.Error("second shapeSet lookup rebuilt the shapes instead of reusing the cache")
+}
+
+func TestFitCacheKeysTermBudget(t *testing.T) {
+	points := points1D(2, 4, 8, 16, 32, 64)
+	values := evalAll(func(x float64) float64 { return 3 + x + 0.5*x*x }, 2, 4, 8, 16, 32, 64)
+	one, two := normalizeOptions(DefaultOptions()), normalizeOptions(LargeOptions())
+	rows := rowsOf(points)
+	e1, e2 := sharedBasis(rows, one), sharedBasis(rows, two)
+	if e1 == e2 {
+		t.Fatal("MaxTerms 1 and 2 share one entry")
+	}
+	for _, c := range []struct {
+		e    *basisEntry
+		opts Options
+	}{{e1, one}, {e2, two}} {
+		if err := checkEntry(c.e, rows, c.opts); err != nil {
+			t.Fatalf("MaxTerms %d: %v", c.opts.MaxTerms, err)
+		}
+		if err := checkEquivalence(points, values, c.opts); err != nil {
+			t.Fatalf("MaxTerms %d: %v", c.opts.MaxTerms, err)
+		}
+	}
+	if len(e1.hyps) == len(e2.hyps) {
+		t.Errorf("both term budgets got %d hypotheses", len(e1.hyps))
+	}
+}
+
+// TestFitCachePastCap fits one more distinct point set than the cache
+// holds: the last task still gets a complete, published entry, the cache
+// never exceeds its cap, and every model matches the oracle bit for bit.
+func TestFitCachePastCap(t *testing.T) {
+	resetFitCache()
+	defer resetFitCache()
+	opts := normalizeOptions(DefaultOptions())
+	for i := 0; i <= basisCacheCap; i++ {
+		xs := []float64{2, 4, 8, 16, 32 + float64(i)/8}
+		points := points1D(xs...)
+		values := evalAll(func(x float64) float64 { return 5 + 0.25*x*math.Log2(x) }, xs...)
+		if err := checkEquivalence(points, values, opts); err != nil {
+			t.Fatalf("point set %d: %v", i, err)
+		}
+		if n := fitCacheLen(); n > basisCacheCap {
+			t.Fatalf("point set %d: the cache holds %d entries, cap %d", i, n, basisCacheCap)
+		}
+		if i < basisCacheCap {
+			continue
+		}
+		rows := rowsOf(points)
+		e := sharedBasis(rows, opts)
+		if err := checkEntry(e, rows, opts); err != nil {
+			t.Fatalf("past the cap: %v", err)
+		}
+		basisMu.RLock()
+		published := basisCache[basisSignature(rows, opts)]
+		basisMu.RUnlock()
+		if published != e {
+			t.Fatal("past the cap: the entry was not published")
+		}
+	}
+}
+
+// TestFitCacheCollisionBuildsPrivateEntry plants another point set's entry
+// under a task's key, as a hash collision would: the task gets a complete
+// entry of its own and the planted one stays published.
+func TestFitCacheCollisionBuildsPrivateEntry(t *testing.T) {
+	resetFitCache()
+	defer resetFitCache()
+	opts := normalizeOptions(DefaultOptions())
+	rows := rowsOf(points1D(3, 6, 12, 24, 48))
+	other := rowsOf(points1D(3, 6, 12, 24, 49))
+	sig := basisSignature(rows, opts)
+	planted := newBasisEntry(other, opts)
+	basisMu.Lock()
+	basisCache[sig] = planted
+	basisMu.Unlock()
+	e := sharedBasis(rows, opts)
+	if err := checkEntry(e, rows, opts); err != nil {
+		t.Fatal(err)
+	}
+	basisMu.RLock()
+	kept := basisCache[sig]
+	basisMu.RUnlock()
+	if kept != planted || fitCacheLen() != 1 {
+		t.Error("the colliding task replaced the published entry")
 	}
 }
 

@@ -29,24 +29,41 @@ var forceOracle = os.Getenv("EDFIT_ORACLE") != ""
 
 // fitOracle is the oracle's Fit: the same hypothesis generation as the
 // engine (sparse ranking included, via the oracle's cross-validation),
+// built into fresh storage that shares nothing with the fit cache, and
 // selected by the direct-solve selectBestDirect. Inputs must already be
 // validated and opts normalized.
 func fitOracle(points []measurement.Point, values []float64, opts Options) (*Model, error) {
 	arity := len(points[0])
 	var hyps []hypothesis
 	if arity == 1 {
-		hyps = hypothesesCached(opts)
+		hyps = hypotheses(opts)
 	} else {
-		hyps = sparseHypotheses(arity, points, values, opts, func(pts []measurement.Point, vals []float64) func(hypothesis) (float64, bool) {
-			return func(h hypothesis) (float64, bool) {
-				return crossValidateDirect(h, pts, vals, opts)
-			}
-		})
+		hyps = sparseSearch(arity, points, values, buildShapes(opts), func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
+			return rankByCV(func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }, hs)
+		}, nil)
 	}
 	if len(hyps) == 0 {
 		return nil, ErrNoHypothesis
 	}
 	return selectBestDirect(points, values, hyps, opts)
+}
+
+// rankByCV scores every single-shape hypothesis with cv and keeps the
+// sparseTopShapes best in ratedLess order.
+func rankByCV(cv func(hypothesis) (float64, bool), hs []hypothesis) []rated {
+	var rs []rated
+	for _, h := range hs {
+		smape, ok := cv(h)
+		if !ok {
+			continue
+		}
+		rs = append(rs, rated{shape: h.terms[0].Factors[0], smape: smape})
+	}
+	sort.SliceStable(rs, func(i, j int) bool { return ratedLess(rs[i], rs[j]) })
+	if len(rs) > sparseTopShapes {
+		rs = rs[:sparseTopShapes]
+	}
+	return rs
 }
 
 // designMatrix builds the regression design matrix for a hypothesis: the

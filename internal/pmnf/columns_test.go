@@ -8,10 +8,10 @@ import (
 	"extradeep/internal/propcheck"
 )
 
-// The column engine's contract is bitwise: every cached-column evaluation
-// must reproduce the corresponding scalar evaluation path exactly,
-// because the modeling layer's bit-identical-selection guarantee rests on
-// it. These tests compare Float64bits, not approximate values.
+// The column engine's contract is bitwise: every column evaluation must
+// reproduce the corresponding scalar evaluation path exactly, because the
+// modeling layer's bit-identical-selection guarantee rests on it. These
+// tests compare Float64bits, not approximate values.
 
 func bitsEqual(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
@@ -23,7 +23,6 @@ func testRows() [][]float64 {
 
 func TestFactorColumnMatchesScalarEval(t *testing.T) {
 	rows := testRows()
-	cs := NewColumnSet(rows)
 	factors := []Factor{
 		{Param: 0, PolyExp: 1},
 		{Param: 0, PolyExp: 0.5, LogExp: 1},
@@ -33,7 +32,7 @@ func TestFactorColumnMatchesScalarEval(t *testing.T) {
 		{Param: 1, PolyExp: 0, LogExp: 1},
 	}
 	for _, f := range factors {
-		col := cs.FactorColumn(f)
+		col := FactorColumn(rows, f)
 		if len(col) != len(rows) {
 			t.Fatalf("%v: column length %d, want %d", f, len(col), len(rows))
 		}
@@ -43,17 +42,13 @@ func TestFactorColumnMatchesScalarEval(t *testing.T) {
 				t.Fatalf("%v row %d: column %x, scalar %x", f, r, math.Float64bits(col[r]), math.Float64bits(want))
 			}
 		}
-		// Second fetch must return the cached column (same backing array).
-		if again := cs.FactorColumn(f); &again[0] != &col[0] {
-			t.Fatalf("%v: second fetch recomputed the column", f)
-		}
 	}
 }
 
 func TestFactorColumnOutOfRangeIsNaN(t *testing.T) {
-	cs := NewColumnSet([][]float64{{2}, {4}, {8}})
+	rows := [][]float64{{2}, {4}, {8}}
 	for _, f := range []Factor{{Param: 1, PolyExp: 1}, {Param: -1, PolyExp: 1}} {
-		for r, v := range cs.FactorColumn(f) {
+		for r, v := range FactorColumn(rows, f) {
 			if !math.IsNaN(v) {
 				t.Fatalf("param %d row %d: got %g, want NaN", f.Param, r, v)
 			}
@@ -61,9 +56,18 @@ func TestFactorColumnOutOfRangeIsNaN(t *testing.T) {
 	}
 }
 
+// termColumn is a term's basis column as the modeling engine assembles
+// it: TermProduct over the term's factor columns.
+func termColumn(rows [][]float64, t Term, dst []float64) []float64 {
+	facs := make([][]float64, len(t.Factors))
+	for i, f := range t.Factors {
+		facs[i] = FactorColumn(rows, f)
+	}
+	return TermProduct(len(rows), facs, dst)
+}
+
 func TestTermColumnMatchesEvalBasis(t *testing.T) {
 	rows := testRows()
-	cs := NewColumnSet(rows)
 	terms := []Term{
 		{Factors: []Factor{{Param: 0, PolyExp: 1.5, LogExp: 1}}},
 		{Factors: []Factor{{Param: 0, PolyExp: 0.75}, {Param: 1, PolyExp: 1.0 / 3, LogExp: 2}}},
@@ -72,7 +76,7 @@ func TestTermColumnMatchesEvalBasis(t *testing.T) {
 	}
 	var dst []float64
 	for _, term := range terms {
-		dst = cs.TermColumn(term, dst)
+		dst = termColumn(rows, term, dst)
 		for r, row := range rows {
 			want := term.EvalBasis(row)
 			if !bitsEqual(dst[r], want) {
@@ -80,31 +84,6 @@ func TestTermColumnMatchesEvalBasis(t *testing.T) {
 					term.Render(nil), r, math.Float64bits(dst[r]), dst[r], math.Float64bits(want), want)
 			}
 		}
-	}
-}
-
-func TestSharedColumnsConsultedBeforeLocal(t *testing.T) {
-	rows := [][]float64{{2}, {4}, {8}}
-	f := Factor{Param: 0, PolyExp: 1}
-	g := Factor{Param: 0, PolyExp: 2}
-	pre := NewColumnSet(rows)
-	shared := map[Factor][]float64{f: pre.FactorColumn(f)}
-	cs := NewColumnSetShared(rows, shared)
-	// The shared column is returned as-is (same backing array), never
-	// recomputed into the local cache.
-	if col := cs.FactorColumn(f); &col[0] != &shared[f][0] {
-		t.Fatal("shared column was recomputed instead of reused")
-	}
-	// Factors outside the shared set still evaluate correctly and cache
-	// locally.
-	col := cs.FactorColumn(g)
-	for r, row := range rows {
-		if want := g.Eval(row[0]); !bitsEqual(col[r], want) {
-			t.Fatalf("row %d: %g, want %g", r, col[r], want)
-		}
-	}
-	if again := cs.FactorColumn(g); &again[0] != &col[0] {
-		t.Fatal("local column was not cached")
 	}
 }
 
@@ -124,7 +103,7 @@ func TestTermProductReusesDst(t *testing.T) {
 }
 
 // TestPropColumnsBitIdentical sweeps randomized functions and rows: the
-// column APIs must agree with the scalar evaluation paths bit for bit on
+// column functions must agree with the scalar evaluation paths bit for bit on
 // arbitrary (positive-domain) inputs, including fractional and negative
 // exponents where Pow/Log rounding makes operand order observable.
 func TestPropColumnsBitIdentical(t *testing.T) {
@@ -164,13 +143,12 @@ func TestPropColumnsBitIdentical(t *testing.T) {
 		},
 	}
 	propcheck.Check(t, gen, func(c colCase) error {
-		cs := NewColumnSet(c.rows)
 		var dst []float64
 		for _, term := range c.fn.Terms {
-			dst = cs.TermColumn(term, dst)
+			dst = termColumn(c.rows, term, dst)
 			for r, row := range c.rows {
 				if want := term.EvalBasis(row); !bitsEqual(dst[r], want) {
-					return fmt.Errorf("TermColumn row %d: %x != scalar %x", r, math.Float64bits(dst[r]), math.Float64bits(want))
+					return fmt.Errorf("term column row %d: %x != scalar %x", r, math.Float64bits(dst[r]), math.Float64bits(want))
 				}
 			}
 		}

@@ -21,8 +21,6 @@ type GPU struct {
 	FP32TFLOPS float64
 	// TensorTFLOPS is the peak mixed-precision (tensor-core) throughput.
 	TensorTFLOPS float64
-	// MemGiB is the device memory capacity.
-	MemGiB float64
 	// MemBandwidthGBs is the device memory bandwidth in GB/s.
 	MemBandwidthGBs float64
 	// PCIeGBs is the host↔device transfer bandwidth in GB/s.
@@ -84,7 +82,6 @@ func (n Network) Latency() float64 { return n.LatencyUS * 1e-6 }
 type Node struct {
 	CPUs        []CPU
 	GPUs        []GPU
-	MemGiB      float64
 	GPUsPerNode int
 }
 
@@ -163,7 +160,6 @@ func DEEP() System {
 		Node: Node{
 			CPUs:        []CPU{{Name: "Xeon Cascade Lake Silver 4215", Cores: 8, BaseGHz: 2.5}},
 			GPUs:        []GPU{V100()},
-			MemGiB:      48,
 			GPUsPerNode: 1,
 		},
 		Network: Network{
@@ -187,7 +183,6 @@ func JURECA() System {
 		Node: Node{
 			CPUs:        []CPU{{Name: "AMD EPYC 7742", Cores: 64, BaseGHz: 2.25}, {Name: "AMD EPYC 7742", Cores: 64, BaseGHz: 2.25}},
 			GPUs:        []GPU{A100(), A100(), A100(), A100()},
-			MemGiB:      512,
 			GPUsPerNode: 4,
 		},
 		Network: Network{
@@ -207,7 +202,6 @@ func V100() GPU {
 		Name:            "V100",
 		FP32TFLOPS:      15.7,
 		TensorTFLOPS:    125,
-		MemGiB:          16,
 		MemBandwidthGBs: 900,
 		PCIeGBs:         16,
 		NVLinkGBs:       0, // single GPU per DEEP node
@@ -221,7 +215,6 @@ func A100() GPU {
 		Name:            "A100",
 		FP32TFLOPS:      19.5,
 		TensorTFLOPS:    312,
-		MemGiB:          40,
 		MemBandwidthGBs: 1555,
 		PCIeGBs:         32,
 		NVLinkGBs:       600,

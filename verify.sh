@@ -208,7 +208,8 @@ fi
 # BenchmarkParallelFit is a one-parameter campaign, so only the 9x9 grid
 # reaches the two-parameter sparse hypothesis search. With the hypothesis
 # space and the selection candidates in pooled per-task scratch, the
-# exponent caches keyed by a hash instead of a formatted string, the
+# one fit cache (each point set's basis columns and search space) keyed
+# by a hash instead of a formatted string, the
 # epoch series built from one slab per experiment, and each sample's
 # median taken in one scratch slice, BenchmarkParallelFit measured
 # 1.44-1.46k allocs/op (1.79-1.81k when every median copied its
