@@ -416,19 +416,19 @@ func BenchmarkPipelineResilience(b *testing.B) {
 	b.Run("checkpoint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := armed()
-			cfg.Checkpoint = &resilience.Store{Dir: b.TempDir()}
+			cfg.CheckpointDir = b.TempDir()
 			runOnce(b, cfg)
 		}
 	})
 	b.Run("resume", func(b *testing.B) {
-		store := &resilience.Store{Dir: b.TempDir()}
+		dir := b.TempDir()
 		warm := armed()
-		warm.Checkpoint = store
+		warm.CheckpointDir = dir
 		runOnce(b, warm)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := armed()
-			cfg.Checkpoint = store
+			cfg.CheckpointDir = dir
 			cfg.Resume = true
 			runOnce(b, cfg)
 		}

@@ -58,7 +58,6 @@ import (
 	"time"
 
 	"extradeep/internal/pipeline"
-	"extradeep/internal/resilience"
 	"extradeep/internal/serve"
 	"extradeep/internal/simulator/engine"
 	"extradeep/internal/simulator/hardware"
@@ -139,15 +138,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	pcfg := pipeline.Config{
-		Workers:      *jobs,
-		StageTimeout: *stageTimeout,
-		Resume:       *resume,
+		Workers:       *jobs,
+		StageTimeout:  *stageTimeout,
+		CheckpointDir: *checkpointDir,
+		Resume:        *resume,
 	}
 	if *timings {
 		pcfg.Observer = &pipeline.LogObserver{W: stderr}
-	}
-	if *checkpointDir != "" {
-		pcfg.Checkpoint = &resilience.Store{Dir: *checkpointDir}
 	}
 	srv, err := serve.New(serve.Config{
 		Config:         pcfg,

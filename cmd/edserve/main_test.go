@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -41,6 +43,41 @@ func TestRunUsageErrors(t *testing.T) {
 			code := run(context.Background(), tc.args, &stdout, &stderr)
 			if code != exitUsage {
 				t.Fatalf("exit %d, want %d (usage); stderr: %s", code, exitUsage, stderr.String())
+			}
+		})
+	}
+}
+
+// TestRunUncreatableDirs: edserve refuses to start when it cannot
+// create its spool or checkpoint directory, rather than serving without
+// them.
+func TestRunUncreatableDirs(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	under := filepath.Join(file, "dir") // a directory inside a regular file
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"spool", []string{"-spool", under}, "spool dir"},
+		{"checkpoint dir", []string{"-spool", t.TempDir(), "-checkpoint-dir", under, "-resume"}, "checkpoint dir"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Cancelled up front, so a server that does start shuts down
+			// at once instead of blocking the test.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-benchmark", "imdb", "-listen", "127.0.0.1:0"}, tc.args...)
+			code := run(ctx, args, &stdout, &stderr)
+			if code != exitUsage || !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("exit %d, stderr %q; want %d naming the %s", code, stderr.String(), exitUsage, tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("server started: %s", stdout.String())
 			}
 		})
 	}

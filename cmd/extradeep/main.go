@@ -163,12 +163,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sayf(stderr, "extradeep: fault injection active: %s\n", resilience.FormatSchedule(schedule))
 	}
 
-	var store *resilience.Store
 	if *checkpointDir != "" {
 		if err := os.MkdirAll(*checkpointDir, 0o755); err != nil {
 			return fail(err)
 		}
-		store = &resilience.Store{Dir: *checkpointDir}
 	}
 
 	// The staged analysis pipeline: Ingest → Aggregate → Epoch → Fit →
@@ -179,14 +177,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		obs = &pipeline.LogObserver{W: stderr}
 	}
 	pl := pipeline.New(pipeline.Config{
-		Workers:      *jobs,
-		Aggregation:  aggregate.DefaultOptions(),
-		Modeling:     modeling.DefaultOptions(),
-		Observer:     obs,
-		Injector:     injector,
-		StageTimeout: *stageTimeout,
-		Checkpoint:   store,
-		Resume:       *resume,
+		Workers:       *jobs,
+		Aggregation:   aggregate.DefaultOptions(),
+		Modeling:      modeling.DefaultOptions(),
+		Observer:      obs,
+		Injector:      injector,
+		StageTimeout:  *stageTimeout,
+		CheckpointDir: *checkpointDir,
+		Resume:        *resume,
 	})
 	// Cancel-kind faults target the armed cancel exactly like a ^C at
 	// their scheduled point; without injection this is a plain context.

@@ -286,17 +286,17 @@ func TestRunCampaignResilienceQuarantine(t *testing.T) {
 }
 
 // TestRunCampaignCheckpointResume pins the facade's checkpoint/resume
-// path: a campaign checkpointed through Options.Checkpoint and resumed
+// path: a campaign checkpointed through Options.CheckpointDir and resumed
 // over identical inputs reproduces the same application model.
 func TestRunCampaignCheckpointResume(t *testing.T) {
-	store := &resilience.Store{Dir: t.TempDir()}
+	dir := t.TempDir()
 	c := testCampaign(t)
-	c.Options.Checkpoint = store
+	c.Options.CheckpointDir = dir
 	cold, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(store.Dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("checkpoint store empty after campaign (err=%v)", err)
 	}

@@ -47,8 +47,8 @@ var wallclockPolicedPackages = []string{
 	// suffix entry.
 	"internal/propcheck",
 	"internal/report",
-	// resilience schedules faults, deadlines and checkpoints that must
-	// replay identically from a seed: its only clock access goes through
+	// resilience schedules faults and deadlines that must replay
+	// identically from a seed: its only clock access goes through
 	// the Clock interface, and the WallClock implementation is the one
 	// sanctioned timer consumer.
 	"internal/resilience",

@@ -1,15 +1,20 @@
 package pipeline
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
 	"extradeep/internal/pmnf"
-	"extradeep/internal/resilience"
 )
 
 // Checkpoint/resume for the fit stage. Every fit task is keyed by a
@@ -17,15 +22,29 @@ import (
 // modeling options), so a resumed run reuses a stored result if and only
 // if recomputing it would be byte-identical — any input or configuration
 // change silently invalidates the record. Each completed task is its own
-// record file under its key, so any campaign that contains the same task
+// record file, <key>.ckpt, so any campaign that contains the same task
 // reuses it, and two different profile sets can share one checkpoint
 // directory.
+//
+// The directory is a verified cache. A record file is
+//
+//	edckpt v2\n
+//	<sha256 hex of payload>\n
+//	<payload: the JSON ckptRecord>
+//
+// written with one os.WriteFile: no temp file, no rename, no fsync. The
+// digest is the only integrity mechanism. A torn, zeroed or interleaved
+// write, or a record of another format version, fails the digest or the
+// strict decode and is a miss, so its task refits and the refit
+// overwrites it in place. A crash can cost refit work, never a wrong
+// model, and leaves nothing but record files behind.
+const ckptMagic = "edckpt v2"
 
-// SavedModel is the serialized form of one fitted model: the payload of
-// a checkpoint task record and the value of each entry in core's model
-// file, so both artifacts share one layout. JSON float64 encoding
-// round-trips exactly, so a decoded model predicts — and renders —
-// byte-identically to the freshly fitted one.
+// SavedModel is the serialized form of one fitted model: the model of a
+// checkpoint record and the value of each entry in core's model file,
+// so both artifacts share one layout. JSON float64 encoding round-trips
+// exactly, so a decoded model predicts — and renders — byte-identically
+// to the freshly fitted one.
 type SavedModel struct {
 	Function *pmnf.Function `json:"function"`
 	SMAPE    float64        `json:"smape"`
@@ -75,13 +94,72 @@ func (s SavedModel) Model() (*modeling.Model, error) {
 	}, nil
 }
 
-// decodeModel decodes a checkpoint task record's model payload.
-func decodeModel(data []byte) (*modeling.Model, error) {
-	var s SavedModel
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("pipeline: decoding checkpointed model: %w", err)
+// ckptRecord is one completed fit task: its fitted model, or the class
+// and reason it was skipped or quarantined with.
+type ckptRecord struct {
+	// Key is the task's content key; a record read under another key is
+	// a miss.
+	Key string `json:"key"`
+	// Name is the human-readable task identity, e.g. "kernel time k/a".
+	Name string `json:"name"`
+	// Status is "fitted" (Model set) or "skipped" (Class and Reason set).
+	Status string      `json:"status"`
+	Class  string      `json:"class,omitempty"`
+	Reason string      `json:"reason,omitempty"`
+	Model  *SavedModel `json:"model,omitempty"`
+}
+
+// encodeRecord returns the file bytes of a record.
+func encodeRecord(rec ckptRecord) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: encoding checkpoint record: %w", err)
 	}
-	return s.Model()
+	return fmt.Appendf(nil, "%s\n%x\n%s", ckptMagic, sha256.Sum256(payload), payload), nil
+}
+
+// decodeRecord strictly decodes the file bytes of the record stored
+// under key. It rejects a bad magic or digest, unknown fields, a record
+// of another key, an unknown status, and a status its model does not
+// match, so resume never proceeds from a record it cannot reproduce.
+func decodeRecord(data []byte, key string) (ckptRecord, error) {
+	head, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok || string(head) != ckptMagic {
+		return ckptRecord{}, errors.New("pipeline: checkpoint record: bad magic")
+	}
+	digest, payload, ok := bytes.Cut(rest, []byte{'\n'})
+	if sum := sha256.Sum256(payload); !ok || string(digest) != hex.EncodeToString(sum[:]) {
+		return ckptRecord{}, errors.New("pipeline: checkpoint record: digest mismatch")
+	}
+	var rec ckptRecord
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return ckptRecord{}, fmt.Errorf("pipeline: decoding checkpoint record: %w", err)
+	}
+	if rec.Key != key {
+		return ckptRecord{}, fmt.Errorf("pipeline: checkpoint record %q read under key %q", rec.Key, key)
+	}
+	switch {
+	case rec.Status == "fitted" && rec.Model != nil && rec.Model.Function != nil:
+	case rec.Status == "skipped" && rec.Model == nil:
+	default:
+		return ckptRecord{}, fmt.Errorf("pipeline: checkpoint record %s: status %q does not match its model", key, rec.Status)
+	}
+	return rec, nil
+}
+
+// contentKey hashes the given parts into a content key (hex). Parts are
+// length-prefixed, so ("ab","c") and ("a","bc") key differently.
+func contentKey(parts ...[]byte) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ckptSeries is the canonical serialization of a fit task's input series
@@ -111,7 +189,7 @@ func fitTaskKey(t fitTask, opts modeling.Options) (string, error) {
 	if t.app {
 		app[0] = 1
 	}
-	return resilience.Key(
+	return contentKey(
 		[]byte("fit/v1"),
 		[]byte(t.metric),
 		[]byte(t.path),
@@ -121,7 +199,7 @@ func fitTaskKey(t fitTask, opts modeling.Options) (string, error) {
 	), nil
 }
 
-// taskName renders the human-readable identity stored in task records.
+// name renders the human-readable identity stored in task records.
 func (t fitTask) name() string {
 	kind := "kernel"
 	if t.app {
@@ -130,22 +208,24 @@ func (t fitTask) name() string {
 	return fmt.Sprintf("%s %s %s", kind, t.metric, t.path)
 }
 
-// ckptPlan is the fit stage's checkpoint context: the store, every
+// ckptPlan is the fit stage's checkpoint context: the directory, every
 // task's content key, and whether stored records may be reused. A nil
-// plan (no store) reuses nothing and records nothing.
+// plan (no directory) reuses nothing and records nothing.
 type ckptPlan struct {
-	store  *resilience.Store
+	dir    string
 	keys   []string // task index → content key
 	resume bool
 }
 
-// newCkptPlan derives the content key of every task; it returns a nil
-// plan for a nil store.
-func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options, resume bool) (*ckptPlan, error) {
-	if store == nil {
+// newCkptPlan derives the content key of every task and creates the
+// directory; it returns a nil plan for an empty directory. A directory
+// that cannot be created only makes every write fail, and writes are
+// best effort (record).
+func newCkptPlan(dir string, tasks []fitTask, opts modeling.Options, resume bool) (*ckptPlan, error) {
+	if dir == "" {
 		return nil, nil
 	}
-	plan := &ckptPlan{store: store, keys: make([]string, len(tasks)), resume: resume}
+	plan := &ckptPlan{dir: dir, keys: make([]string, len(tasks)), resume: resume}
 	for i, t := range tasks {
 		key, err := fitTaskKey(t, opts)
 		if err != nil {
@@ -153,25 +233,38 @@ func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options
 		}
 		plan.keys[i] = key
 	}
+	_ = os.MkdirAll(dir, 0o755)
 	return plan, nil
 }
 
-// reuse returns the stored record for task i when resuming. Nil-safe.
-func (p *ckptPlan) reuse(i int) (resilience.TaskRecord, bool) {
+// path maps task i to its record file. Keys are hex hashes, so the name
+// needs no escaping.
+func (p *ckptPlan) path(i int) string { return filepath.Join(p.dir, p.keys[i]+".ckpt") }
+
+// reuse returns task i's stored record when resuming. A missing,
+// unreadable or damaged record is a miss: the task refits.
+func (p *ckptPlan) reuse(i int) (ckptRecord, bool) {
 	if p == nil || !p.resume {
-		return resilience.TaskRecord{}, false
+		return ckptRecord{}, false
 	}
-	return p.store.Task(p.keys[i])
+	data, err := os.ReadFile(p.path(i))
+	if err != nil {
+		return ckptRecord{}, false
+	}
+	rec, err := decodeRecord(data, p.keys[i])
+	return rec, err == nil
 }
 
-// record persists task i's completed record under its key. Nil-safe.
-// Write failures are deliberately swallowed: checkpointing is an
-// optimization, never a reason to fail a run that is otherwise
-// succeeding.
-func (p *ckptPlan) record(i int, rec resilience.TaskRecord) {
+// record writes task i's completed record under its key. Write failures
+// are deliberately swallowed: checkpointing is an optimization, never a
+// reason to fail a run that is otherwise succeeding, and a torn write is
+// a miss on the next read.
+func (p *ckptPlan) record(i int, rec ckptRecord) {
 	if p == nil {
 		return
 	}
 	rec.Key = p.keys[i]
-	_ = p.store.PutTask(rec)
+	if data, err := encodeRecord(rec); err == nil {
+		_ = os.WriteFile(p.path(i), data, 0o644)
+	}
 }

@@ -194,10 +194,12 @@ type Config struct {
 	// wall clock. Tests substitute a resilience.FakeClock for
 	// deterministic schedules.
 	Clock resilience.Clock
-	// Checkpoint persists every completed fit task as its own record in
-	// this store; nil disables it.
-	Checkpoint *resilience.Store
-	// Resume reuses stored task records from Checkpoint. Reuse is
+	// CheckpointDir persists every completed fit task as its own record
+	// file in this directory, created by each fit stage; "" disables it.
+	// Records are a verified cache: a missing or damaged one refits its
+	// task, and a failed write is not an error.
+	CheckpointDir string
+	// Resume reuses stored task records from CheckpointDir. Reuse is
 	// content-keyed per task — any change to a task's inputs or the
 	// modeling options invalidates its record — so a resumed run is
 	// byte-identical to an uninterrupted one, and a campaign reuses every

@@ -156,18 +156,18 @@ func TestCheckpointResumeAfterKillMidFit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := &resilience.Store{Dir: t.TempDir()}
+	ckpt := t.TempDir()
 	clock := resilience.NewFakeClock()
 	inj := resilience.NewInjector(clock,
 		resilience.Fault{Point: "fit:task:4", Kind: resilience.KindError, Class: resilience.ClassFatal})
 	cfg := resilientConfig(1, clock, inj) // sequential: tasks 0–3 checkpoint before the kill
-	cfg.Checkpoint = store
+	cfg.CheckpointDir = ckpt
 	if _, err := New(cfg).Run(context.Background(), testSpec(dir, setup)); err == nil {
 		t.Fatal("killed run succeeded")
 	}
 
 	col := &Collector{}
-	resumed, err := New(Config{Workers: 4, Checkpoint: store, Resume: true, Observer: col}).Run(context.Background(), testSpec(dir, setup))
+	resumed, err := New(Config{Workers: 4, CheckpointDir: ckpt, Resume: true, Observer: col}).Run(context.Background(), testSpec(dir, setup))
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
@@ -190,12 +190,12 @@ func TestCheckpointResumeAfterKillMidFit(t *testing.T) {
 // records.
 func TestCheckpointInvalidatedByOptionChange(t *testing.T) {
 	dir, setup := writeCampaign(t)
-	store := &resilience.Store{Dir: t.TempDir()}
-	if _, err := New(Config{Workers: 4, Checkpoint: store}).Run(context.Background(), testSpec(dir, setup)); err != nil {
+	ckpt := t.TempDir()
+	if _, err := New(Config{Workers: 4, CheckpointDir: ckpt}).Run(context.Background(), testSpec(dir, setup)); err != nil {
 		t.Fatal(err)
 	}
 	col := &Collector{}
-	cfg := Config{Workers: 4, Checkpoint: store, Resume: true, Observer: col}
+	cfg := Config{Workers: 4, CheckpointDir: ckpt, Resume: true, Observer: col}
 	cfg.Modeling.MaxTerms = 2 // non-default hypothesis space
 	if _, err := New(cfg).Run(context.Background(), testSpec(dir, setup)); err != nil {
 		t.Fatal(err)
@@ -289,12 +289,12 @@ func TestCheckpointReusedAcrossCampaigns(t *testing.T) {
 	// both fit counters.
 	resume := func(first, second string) (string, Counters, Counters) {
 		t.Helper()
-		store := &resilience.Store{Dir: t.TempDir()}
+		ckpt := t.TempDir()
 		colFirst, colSecond := &Collector{}, &Collector{}
-		if _, err := New(Config{Workers: 4, Checkpoint: store, Observer: colFirst}).Run(ctx, testSpec(first, setup)); err != nil {
+		if _, err := New(Config{Workers: 4, CheckpointDir: ckpt, Observer: colFirst}).Run(ctx, testSpec(first, setup)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := New(Config{Workers: 4, Checkpoint: store, Resume: true, Observer: colSecond}).Run(ctx, testSpec(second, setup))
+		res, err := New(Config{Workers: 4, CheckpointDir: ckpt, Resume: true, Observer: colSecond}).Run(ctx, testSpec(second, setup))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,39 +334,38 @@ func TestCheckpointDamagedRecordRefitsOnlyThatTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, damage := range map[string]func(store *resilience.Store, key, path string) error{
-		"truncated": func(_ *resilience.Store, _, path string) error {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(path, data[:len(data)/2], 0o644)
+	for name, damage := range map[string]func(key string, data []byte) []byte{
+		"truncated": func(_ string, data []byte) []byte { return data[:len(data)/2] },
+		"valid envelope, bad record": func(key string, _ []byte) []byte {
+			return envelope(`{"key":"` + key + `","status":"maybe"}`)
 		},
-		"valid envelope, bad record": func(store *resilience.Store, key, _ string) error {
-			return store.Put(key, []byte(`{"key":"`+key+`","status":"maybe"}`))
-		},
-		"valid record, bad model": func(store *resilience.Store, key, _ string) error {
-			return store.PutTask(resilience.TaskRecord{Key: key, Status: resilience.StatusFitted, Payload: []byte("not a model")})
+		"valid record, bad model": func(key string, _ []byte) []byte {
+			return envelope(`{"key":"` + key + `","name":"n","status":"fitted","model":{"function":null}}`)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			store := &resilience.Store{Dir: t.TempDir()}
-			if _, err := New(Config{Workers: 4, Checkpoint: store}).Run(ctx, testSpec(dir, setup)); err != nil {
+			ckpt := t.TempDir()
+			if _, err := New(Config{Workers: 4, CheckpointDir: ckpt}).Run(ctx, testSpec(dir, setup)); err != nil {
 				t.Fatal(err)
 			}
-			paths, err := filepath.Glob(filepath.Join(store.Dir, "*.ckpt"))
+			paths, err := filepath.Glob(filepath.Join(ckpt, "*.ckpt"))
 			if err != nil || len(paths) == 0 {
 				t.Fatalf("no record files in the store: %v", err)
 			}
 			sort.Strings(paths)
 			path := paths[len(paths)/2]
-			if err := damage(store, strings.TrimSuffix(filepath.Base(path), ".ckpt"), path); err != nil {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = damage(strings.TrimSuffix(filepath.Base(path), ".ckpt"), data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
 			for run, wantReused := range []int{len(paths) - 1, len(paths)} {
 				col := &Collector{}
-				resumed, err := New(Config{Workers: 4, Checkpoint: store, Resume: true, Observer: col}).Run(ctx, testSpec(dir, setup))
+				resumed, err := New(Config{Workers: 4, CheckpointDir: ckpt, Resume: true, Observer: col}).Run(ctx, testSpec(dir, setup))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -469,19 +468,19 @@ func TestPropResumeByteIdentical(t *testing.T) {
 	propcheck.CheckConfig(t, propcheck.Config{Iterations: 10},
 		propcheck.IntRange(0, nTasks-1),
 		func(task int) error {
-			store := &resilience.Store{Dir: t.TempDir()}
+			ckpt := t.TempDir()
 			clock := resilience.NewFakeClock()
 			inj := resilience.NewInjector(clock, resilience.Fault{
 				Point: fmt.Sprintf("fit:task:%d", task),
 				Kind:  resilience.KindError, Class: resilience.ClassFatal,
 			})
 			cfg := resilientConfig(4, clock, inj)
-			cfg.Checkpoint = store
+			cfg.CheckpointDir = ckpt
 			_, ierr := New(cfg).Run(context.Background(), testSpec(dir, setup))
 			if ierr == nil {
 				return fmt.Errorf("fault at task %d did not interrupt the run", task)
 			}
-			resumed, rerr := New(Config{Workers: 4, Checkpoint: store, Resume: true}).Run(context.Background(), testSpec(dir, setup))
+			resumed, rerr := New(Config{Workers: 4, CheckpointDir: ckpt, Resume: true}).Run(context.Background(), testSpec(dir, setup))
 			if rerr != nil {
 				return fmt.Errorf("resume after kill at task %d: %w", task, rerr)
 			}

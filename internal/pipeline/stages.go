@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -16,9 +15,7 @@ import (
 	"extradeep/internal/resilience"
 )
 
-// ModelSet holds every model created for one application. (It moved here
-// from internal/core when the fit stage became part of the pipeline;
-// core keeps a type alias for compatibility.)
+// ModelSet holds every model created for one application.
 type ModelSet struct {
 	// Kernel maps metric → callpath → fitted model, one per application
 	// kernel that survived filtering.
@@ -160,7 +157,7 @@ type fitTask struct {
 // (degenerate data) are skipped silently as before, recorded with class
 // FailureUnmodelable; fits that panic or fail with the degraded class
 // are quarantined with their failure class and the run completes
-// partially (ModelSet.Degraded reports it). With Config.Checkpoint set,
+// partially (ModelSet.Degraded reports it). With Config.CheckpointDir set,
 // every completed task persists as its own record under a content key of
 // its inputs, and a Config.Resume run reuses the stored result of every
 // task whose inputs are unchanged, whichever campaign stored it —
@@ -203,7 +200,7 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 			tasks = append(tasks, fitTask{metric: measurement.MetricTime, path: path, series: appExp.Series(measurement.MetricTime, path), app: true})
 		}
 
-		plan, err := newCkptPlan(p.cfg.Checkpoint, tasks, p.cfg.Modeling, p.cfg.Resume)
+		plan, err := newCkptPlan(p.cfg.CheckpointDir, tasks, p.cfg.Modeling, p.cfg.Resume)
 		if err != nil {
 			return Counters{"tasks": len(tasks)}, err
 		}
@@ -216,17 +213,15 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 		reused := make([]bool, len(tasks))
 		err = ForEach(sctx, p.cfg.Workers, len(tasks), func(i int) error {
 			if rec, ok := plan.reuse(i); ok {
-				if rec.Status == resilience.StatusFitted {
-					if m, derr := decodeModel(rec.Payload); derr == nil {
-						models[i], reused[i] = m, true
-						return nil
-					}
-					// Damaged payload: recover to a miss and refit.
-				} else {
-					failures[i] = &FitFailure{Metric: string(tasks[i].metric), Callpath: tasks[i].path, App: tasks[i].app, Class: rec.Class, Reason: rec.Reason}
-					reused[i] = true
+				reused[i] = true
+				if rec.Model == nil {
+					failures[i] = tasks[i].failure(rec.Class, rec.Reason)
 					return nil
 				}
+				// decodeRecord admits only models with a function, the
+				// one thing Model rejects.
+				models[i], _ = rec.Model.Model()
+				return nil
 			}
 			return p.fitOne(sctx, i, tasks[i], plan, models, failures)
 		})
@@ -282,6 +277,11 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 	return ms, nil
 }
 
+// failure records the task as skipped or quarantined with class.
+func (t fitTask) failure(class, reason string) *FitFailure {
+	return &FitFailure{Metric: string(t.metric), Callpath: t.path, App: t.app, Class: class, Reason: reason}
+}
+
 // fitOne runs a single fit task with per-task resilience: the task's
 // injection point fires first; degraded-class injected failures and
 // panics (from injection or the modeling code itself) quarantine the
@@ -295,8 +295,8 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 // (fitTaskKey) cover only the task inputs and are unaffected.
 func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan, models []*modeling.Model, failures []*FitFailure) (err error) {
 	quarantine := func(class, reason string) {
-		failures[i] = &FitFailure{Metric: string(t.metric), Callpath: t.path, App: t.app, Class: class, Reason: reason}
-		plan.record(i, resilience.TaskRecord{Name: t.name(), Status: resilience.StatusSkipped, Class: class, Reason: reason})
+		failures[i] = t.failure(class, reason)
+		plan.record(i, ckptRecord{Name: t.name(), Status: "skipped", Class: class, Reason: reason})
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -318,9 +318,8 @@ func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan,
 	}
 	models[i] = m
 	if plan != nil {
-		if payload, perr := json.Marshal(SaveModel(m)); perr == nil {
-			plan.record(i, resilience.TaskRecord{Name: t.name(), Status: resilience.StatusFitted, Payload: payload})
-		}
+		saved := SaveModel(m)
+		plan.record(i, ckptRecord{Name: t.name(), Status: "fitted", Model: &saved})
 	}
 	return nil
 }

@@ -1,18 +1,17 @@
 // Package resilience is the pipeline's failure-handling layer: a typed
 // error taxonomy (retryable / fatal / degraded), a Clock that makes stage
-// deadlines and stalls deterministic under test, a deterministic runtime
-// fault injector whose schedules are replayable like EDCHECK_SEED
-// recipes, and a content-hash-keyed checkpoint store with atomic
-// temp+rename writes, one record file per completed task. Nothing here
-// retries: every stage runs once, because the stages are deterministic
-// work over in-memory data and a rerun would repeat the same failure.
+// deadlines and stalls deterministic under test, and a deterministic
+// runtime fault injector whose schedules are replayable like EDCHECK_SEED
+// recipes. Nothing here retries: every stage runs once, because the
+// stages are deterministic work over in-memory data and a rerun would
+// repeat the same failure. (Fit-task checkpoints live with the fit stage
+// in internal/pipeline.)
 //
-// The package is stdlib-only and deliberately knows nothing about
-// profiles or models: the pipeline hands it opaque byte payloads and
-// string-named injection points, so the same machinery can guard any
-// staged computation. It is part of the edlint-policed deterministic
-// core: nothing here may read the wall clock or draw randomness outside
-// the explicitly sanctioned sleep in WallClock.
+// The package is stdlib-only and knows nothing about profiles or models:
+// the pipeline hands it string-named injection points. It is part of the
+// edlint-policed deterministic core: nothing here may read the wall
+// clock or draw randomness outside the explicitly sanctioned sleep in
+// WallClock.
 //
 // The taxonomy's invariant, enforced end to end by the propcheck fault
 // suites: every run either completes, completes partially with all
@@ -45,7 +44,7 @@ const (
 	ClassDegraded
 )
 
-// String names the class for reports and checkpoint records.
+// String names the class in error messages.
 func (c Class) String() string {
 	switch c {
 	case ClassFatal:

@@ -8,7 +8,6 @@ import (
 
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
-	"extradeep/internal/resilience"
 	"extradeep/internal/serve"
 )
 
@@ -41,9 +40,9 @@ func TestServeSharedCheckpointStore(t *testing.T) {
 	files := makeCampaign(t, defaultRanks, 2, 53)
 	obs := &pipeline.Collector{}
 	s := startServer(t, serve.Config{Config: pipeline.Config{
-		Checkpoint: &resilience.Store{Dir: t.TempDir()},
-		Resume:     true,
-		Observer:   obs,
+		CheckpointDir: t.TempDir(),
+		Resume:        true,
+		Observer:      obs,
 	}})
 
 	s.mustUpload(t, testApp, contentsOf(files))

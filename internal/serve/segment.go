@@ -419,28 +419,23 @@ func spoolLoader(dir, format string, workers int, handoff map[string][]upload) f
 
 // readEntry reads the entry of size bytes at off in r. When want is set
 // and the entry holds exactly want.data, it reports same and returns no
-// data: the entry is compared through buf, never held whole. Otherwise
-// it returns the entry's bytes — on a mismatch the prefix already
-// compared is taken from want.data, so every byte is read once.
+// data: the entry is compared through buf, never held whole. Otherwise,
+// a mismatch included, it reads and returns the whole entry.
 func readEntry(r io.ReaderAt, off, size int64, want *upload, buf []byte) (data []byte, same bool, err error) {
-	k := 0
 	if want != nil && int64(len(want.data)) == size {
-		for k < len(want.data) {
+		k := 0
+		for ; k < len(want.data); k += len(buf) {
 			n := min(len(buf), len(want.data)-k)
 			if _, err := r.ReadAt(buf[:n], off+int64(k)); err != nil {
 				return nil, false, err
 			}
 			if !bytes.Equal(buf[:n], want.data[k:k+n]) {
-				data = make([]byte, size)
-				copy(data, want.data[:k])
-				copy(data[k:], buf[:n])
-				k += n
-				_, err = r.ReadAt(data[k:], off+int64(k))
-				return data, false, err
+				break
 			}
-			k += n
 		}
-		return nil, true, nil
+		if k >= len(want.data) {
+			return nil, true, nil
+		}
 	}
 	data = make([]byte, size)
 	_, err = r.ReadAt(data, off)

@@ -82,9 +82,10 @@ import (
 // The embedded pipeline.Config is the batch pipeline's configuration,
 // run as is by every campaign: Workers also bounds the validation of one
 // upload, Clock also paces request deadlines and coalescing windows, and
-// Checkpoint is one content-keyed record store shared by every
+// CheckpointDir is one content-keyed record directory shared by every
 // application (with Resume, a campaign reuses every fit task any earlier
-// campaign stored, whichever application it belonged to).
+// campaign stored, whichever application it belonged to); New creates
+// it as it creates SpoolDir.
 type Config struct {
 	pipeline.Config
 
@@ -190,6 +191,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool dir: %w", err)
+	}
+	if cfg.CheckpointDir != "" {
+		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+			return nil, fmt.Errorf("serve: checkpoint dir: %w", err)
+		}
 	}
 	clock := cfg.Clock
 	if clock == nil {

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"extradeep/internal/pipeline"
-	"extradeep/internal/resilience"
 	"extradeep/internal/serve"
 )
 
@@ -26,7 +25,7 @@ import (
 func restartable(tb testing.TB, spool, ckpt string, coalesce time.Duration) (*testServer, context.CancelFunc) {
 	tb.Helper()
 	cfg := serve.Config{
-		Config:         pipeline.Config{Checkpoint: &resilience.Store{Dir: ckpt}, Resume: true},
+		Config:         pipeline.Config{CheckpointDir: ckpt, Resume: true},
 		SpoolDir:       spool,
 		Setup:          testSetup(tb),
 		CoalesceWindow: coalesce,

@@ -107,13 +107,14 @@ go test -race -shuffle=on -run "$(echo "$lint_suites" | tr ' ' '|')" ./internal/
 # resilience: the randomized fault-schedule invariants — every run either
 # completes, completes partially with all failures classified, or fails
 # with a typed error; resume after any interruption is byte-identical;
-# the injector replays exactly from its seed — rerun under the
-# race detector as a dedicated stage with their own wall-time budget, so
+# the injector replays exactly from its seed; a checkpoint record cut,
+# zeroed or block-zeroed by a crash is a miss that refits only its task
+# — rerun under the race detector as a dedicated stage with their own wall-time budget, so
 # a hang in the chaos path (a stalled stage, a leaked goroutine blocking
 # exit) surfaces as budget-exceeded rather than wedging the whole gate.
 # The suites are selected by name, so require_suites checks them first.
 begin resilience test "go test -race (fault-schedule propcheck invariants, 120s budget)"
-res_suites="TestPropFaultScheduleTrichotomy TestPropResumeByteIdentical TestPropCheckpointRoundTrip TestPropInjectorReplayIdentical"
+res_suites="TestPropFaultScheduleTrichotomy TestPropResumeByteIdentical TestPropCheckpointRoundTrip TestPropCheckpointCrashConsistency TestPropInjectorReplayIdentical"
 res_run=$(echo "$res_suites" | tr ' ' '|')
 require_suites "./internal/resilience ./internal/pipeline" $res_suites
 res_start=$(date +%s)
@@ -351,7 +352,7 @@ begin fuzz test "fuzz smoke (5s per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=5s ./internal/importer
 go test -run='^$' -fuzz='^FuzzProfileRead$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzParseFileName$' -fuzztime=5s ./internal/profile
-go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=5s ./internal/resilience
+go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=5s ./internal/pipeline
 go test -run='^$' -fuzz='^FuzzUploadEnvelope$' -fuzztime=5s ./internal/serve
 
 echo "verify.sh: all gates passed"
