@@ -40,8 +40,9 @@
 // interrupted campaign's checkpoints are resumable, so a restart with
 // -resume converges to identical models without refitting finished work.
 //
-// Exit codes: 0 — clean shutdown; 1 — runtime failure (bind, spool scan);
-// 2 — flag or usage errors.
+// Exit codes: 0 — clean shutdown; 1 — runtime failure (an uncreatable
+// spool or checkpoint directory, spool scan, bind); 2 — flag or usage
+// errors.
 package main
 
 import (
@@ -124,6 +125,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *resume && *checkpointDir == "" {
 		return usage(errors.New("-resume requires -checkpoint-dir"))
 	}
+	if *spoolDir == "" {
+		return usage(errors.New("-spool must name a directory"))
+	}
 	strat, err := parallel.ByName(*strategyName)
 	if err != nil {
 		return usage(err)
@@ -156,7 +160,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		RequestTimeout: *requestTimeout,
 	})
 	if err != nil {
-		return usage(err)
+		// The flags are checked above, so what is left is the
+		// environment's: a directory it cannot create, or a spool it
+		// cannot read.
+		return fail(err)
 	}
 
 	// Bind before Start so a bad -listen fails fast, and so tests using

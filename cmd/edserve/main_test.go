@@ -36,6 +36,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"unknown benchmark", []string{"-benchmark", "nope"}},
 		{"no setup source", []string{}},
 		{"batch without train samples", []string{"-batch", "32"}},
+		{"empty spool", []string{"-benchmark", "imdb", "-spool", ""}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,7 +51,8 @@ func TestRunUsageErrors(t *testing.T) {
 
 // TestRunUncreatableDirs: edserve refuses to start when it cannot
 // create its spool or checkpoint directory, rather than serving without
-// them.
+// them, and exits 1 as extradeep does: the fault is the environment's,
+// not the command line's.
 func TestRunUncreatableDirs(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
@@ -73,8 +75,8 @@ func TestRunUncreatableDirs(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			args := append([]string{"-benchmark", "imdb", "-listen", "127.0.0.1:0"}, tc.args...)
 			code := run(ctx, args, &stdout, &stderr)
-			if code != exitUsage || !strings.Contains(stderr.String(), tc.want) {
-				t.Fatalf("exit %d, stderr %q; want %d naming the %s", code, stderr.String(), exitUsage, tc.want)
+			if code != exitFailure || !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("exit %d, stderr %q; want %d naming the %s", code, stderr.String(), exitFailure, tc.want)
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("server started: %s", stdout.String())

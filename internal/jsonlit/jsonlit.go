@@ -3,7 +3,8 @@
 // two-byte ones (\" \\ \/ \b \f \n \r \t) or a \uXXXX outside the
 // surrogate range. json.Marshal writes every literal that way, escaping
 // <, > and & as \u003c, \u003e and \u0026. Literals holding any other
-// escape are left to encoding/json by the callers.
+// escape are left to encoding/json by the callers. Escape writes a
+// decoded string back as a literal.
 package jsonlit
 
 import (
@@ -93,5 +94,36 @@ func Append(dst, lit []byte) []byte {
 			dst = append(dst, Simple[c])
 			lit = lit[i+2:]
 		}
+	}
+}
+
+// shortEscape maps a byte Escape escapes to the letter of its two-byte
+// escape; 0 marks the control bytes written as \u00XX.
+var shortEscape = [0x80]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
+
+// Escape appends to dst the contents of a string literal that decodes
+// to s: the quote and the backslash are escaped, the control bytes
+// \b \f \n \r \t by their two-byte escapes and the others as \u00XX,
+// and every other byte is copied as it is, so s must be valid UTF-8 for
+// the literal to decode to s exactly. Each escape Escape writes is no
+// longer than any fast-path escape of the same byte, so a literal that
+// Append decoded is no longer once escaped again.
+func Escape(dst, s []byte) []byte {
+	const hex = "0123456789abcdef"
+	for {
+		i := 0
+		for i < len(s) && s[i] >= 0x20 && s[i] != '"' && s[i] != '\\' {
+			i++
+		}
+		dst = append(dst, s[:i]...)
+		if i == len(s) {
+			return dst
+		}
+		if c := s[i]; shortEscape[c] != 0 {
+			dst = append(dst, '\\', shortEscape[c])
+		} else {
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		}
+		s = s[i+1:]
 	}
 }

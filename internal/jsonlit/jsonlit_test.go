@@ -50,3 +50,32 @@ func TestAppendMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestEscapeRoundTrips: the literal Escape writes for a decoded string
+// decodes back to it, by encoding/json and by Append, and is no longer
+// than the fast-path literal the string was decoded from.
+func TestEscapeRoundTrips(t *testing.T) {
+	bs := "\x5c" // one backslash, kept out of the literals below
+	for _, lit := range []string{
+		"",
+		"plain text",
+		bs + `"q` + bs + `"` + bs + bs,
+		bs + "/" + bs + "b" + bs + "f" + bs + "n" + bs + "r" + bs + "t",
+		bs + "u0000" + bs + "u001F" + bs + "u000a" + bs + "u0022" + bs + "u005c" + bs + "u002f",
+		"caf\xc3\xa9" + bs + "u20AC" + bs + "uFFFF",
+		"App" + bs + "u003ek" + bs + "u003Cx" + bs + "u0026",
+	} {
+		s := Append(nil, []byte(lit))
+		esc := Escape([]byte("x"), s)[1:]
+		var got string
+		if err := json.Unmarshal([]byte(`"`+string(esc)+`"`), &got); err != nil || got != string(s) {
+			t.Errorf("Escape(%q) = %q, which encoding/json decodes to %q (%v)", s, esc, got, err)
+		}
+		if back := Append(nil, esc); !bytes.Equal(back, s) {
+			t.Errorf("Escape(%q) = %q, which Append decodes to %q", s, esc, back)
+		}
+		if len(esc) > len(lit) {
+			t.Errorf("Escape(%q) = %q is longer than the literal %q", s, esc, lit)
+		}
+	}
+}

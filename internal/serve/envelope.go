@@ -7,18 +7,18 @@ import (
 	"extradeep/internal/jsonlit"
 )
 
-// envScanner checks an upload body on the fast path without writing to
-// it, handing out each content literal as soon as it has measured it.
-// It accepts the shape json.Marshal writes for an uploadRequest,
+// envScanner reads an upload body on the fast path, unescaping each
+// string literal over its own bytes as it reads it. It accepts the shape
+// json.Marshal writes for an uploadRequest,
 //
 //	{"format":"json","profiles":[{"content":"…"},…]}
 //
 // with exact keys in that order, whitespace anywhere and at least one
-// document: header returns the format literal, next each content
-// literal in turn, and end reports whether the whole body was accepted.
-// Literals are spans of the body, still escaped. Nothing may write to
-// the body before end has accepted it, so a body the fast path refuses
-// reaches json.Unmarshal exactly as it arrived.
+// document: header returns the format, next each document in turn, and
+// end reports whether the whole body was accepted. Each is returned
+// decoded, as a sub-slice of the body capped at its own end that the
+// scanner does not write to again, so the documents can be decoded
+// while the scan goes on.
 //
 // The simple escapes and every \uXXXX escape except a surrogate stay on
 // the fast path, as does valid non-ASCII UTF-8: JSON profiles hold \" and
@@ -27,26 +27,35 @@ import (
 // unknown, repeated or reordered key, a null or a value of another type,
 // a surrogate escape, invalid UTF-8, a control byte, trailing data or an
 // empty profiles array. The caller decodes such a body with
-// json.Unmarshal, so every result and error stays encoding/json's.
+// json.Unmarshal of rebuild's equivalent body, so every result and error
+// stays encoding/json's.
 //
 // The first departure from the canonical shape sets bad; from then on
-// nothing is consumed and next hands out nothing more.
+// nothing is consumed or rewritten and next hands out nothing more.
 type envScanner struct {
 	data []byte
 	pos  int
 	bad  bool
-	// done marks the end of the profiles array; n counts the literals
+	// done marks the end of the profiles array; n counts the documents
 	// next has handed out.
 	done bool
 	n    int
+	// spans lists, in body order, the literals unescaped in place.
+	spans []litSpan
 }
 
+// litSpan is a literal the scanner rewrote: data[start:dec] holds its
+// decoded contents, and the body's own bytes resume at end, the
+// literal's closing quote or, in a literal that ended the fast path, the
+// byte that ended it. data[dec:end] holds stale bytes.
+type litSpan struct{ start, dec, end int }
+
 // header consumes the envelope up to the first profile and returns the
-// format literal.
-func (s *envScanner) header() envString {
+// decoded format.
+func (s *envScanner) header() []byte {
 	s.expect('{')
 	s.key(`"format"`)
-	format := s.content()
+	format := s.literal()
 	s.expect(',')
 	s.key(`"profiles"`)
 	s.expect('[')
@@ -54,22 +63,22 @@ func (s *envScanner) header() envString {
 }
 
 // next consumes the next element of the profiles array and returns its
-// content literal; ok is false at the end of the array and after a
+// decoded content; ok is false at the end of the array and after a
 // departure from the fast path.
-func (s *envScanner) next() (doc envString, ok bool) {
+func (s *envScanner) next() (doc []byte, ok bool) {
 	if s.bad || s.done {
-		return envString{}, false
+		return nil, false
 	}
 	if s.n > 0 && !s.eat(',') {
 		s.done = true
-		return envString{}, false
+		return nil, false
 	}
 	s.expect('{')
 	s.key(`"content"`)
-	doc = s.content()
+	doc = s.literal()
 	s.expect('}')
 	if s.bad {
-		return envString{}, false
+		return nil, false
 	}
 	s.n++
 	return doc, true
@@ -84,27 +93,28 @@ func (s *envScanner) end() bool {
 	return !s.bad && s.pos == len(s.data)
 }
 
-// envString is one string literal of an upload body: raw is its contents
-// between the quotes, a sub-slice of the body capped at its own end, and
-// n its decoded length. Every escape is longer than what it stands for,
-// so n == len(raw) exactly when raw holds no escape. The json.Unmarshal
-// fallback wraps its decoded documents the same way, with n == len(raw),
-// so decode returns them as they are.
-type envString struct {
-	raw []byte
-	n   int
-}
-
-// decode unescapes the literal over its own bytes and returns the
-// decoded bytes, a prefix of raw; it may run only once the scanner has
-// accepted the body. Literals of one body never overlap, so documents
-// can be decoded concurrently. decode rewrites raw, so it runs once per
-// literal.
-func (e envString) decode() []byte {
-	if e.n == len(e.raw) {
-		return e.raw
+// rebuild returns a body json.Unmarshal decodes exactly as it would have
+// decoded the body the scanner was given, to the same value or the same
+// error text: each rewritten literal's decoded bytes escaped again
+// (jsonlit.Escape), every other byte as it arrived. json.Unmarshal's
+// result depends on a literal only through its value, and its error
+// texts carry no offsets, so the two bodies are equivalent. Only a
+// refused body needs it, and a body with no rewritten literal is
+// returned as it is.
+func (s *envScanner) rebuild() []byte {
+	if len(s.spans) == 0 {
+		return s.data
 	}
-	return jsonlit.Append(e.raw[:0], e.raw)
+	// An escaped-again literal is no longer than it arrived, so the
+	// rebuilt body fits in the body's length.
+	out := make([]byte, 0, len(s.data))
+	from := 0
+	for _, sp := range s.spans {
+		out = append(out, s.data[from:sp.start]...)
+		out = jsonlit.Escape(out, s.data[sp.start:sp.dec])
+		from = sp.end
+	}
+	return append(out, s.data[from:]...)
 }
 
 // plainBytes marks the bytes that stand for themselves inside a string
@@ -127,68 +137,62 @@ func (s *envScanner) key(quoted string) {
 	s.expect(':')
 }
 
-// content returns the string literal at the cursor as a span of the
-// body, with its decoded length.
-func (s *envScanner) content() envString {
+// literal consumes the string literal at the cursor and returns its
+// contents, unescaped over the literal's own bytes: a write cursor w
+// trails the read cursor i, since every escape is longer than what it
+// stands for. It ends the fast path on a byte or escape the fast path
+// does not take, recording what it has rewritten so far for rebuild.
+func (s *envScanner) literal() []byte {
 	if !s.eat('"') {
 		s.bad = true
-		return envString{}
+		return nil
 	}
-	n, end := s.measure()
-	if s.bad {
-		return envString{}
-	}
-	raw := s.data[s.pos:end:end]
-	s.pos = end + 1
-	return envString{raw: raw, n: n}
-}
-
-// measure checks the string literal that starts at the cursor, just past
-// its opening quote, and returns its decoded length and the index of its
-// closing quote. It ends the fast path on a byte or escape the fast path
-// does not take.
-func (s *envScanner) measure() (n, end int) {
 	b := s.data
-	for i := s.pos; i < len(b); {
+	start := s.pos
+	i, w := start, start
+	for i < len(b) {
 		// Runs of plain ASCII, most of every profile, cost one table
-		// load per byte.
-		start := i
+		// load and one store per byte.
 		for i < len(b) && plainBytes[b[i]] {
+			b[w] = b[i]
 			i++
+			w++
 		}
-		n += i - start
 		if i == len(b) {
 			break
 		}
 		switch c := b[i]; {
 		case c == '"':
-			return n, i
+			if w != i {
+				s.spans = append(s.spans, litSpan{start, w, i})
+			}
+			s.pos = i + 1
+			return b[start:w:w]
 		case c == '\\' && i+1 < len(b) && jsonlit.Simple[b[i+1]] != 0:
-			n++
+			b[w] = jsonlit.Simple[b[i+1]]
+			w++
 			i += 2
+			continue
 		case c == '\\':
-			r, ok := jsonlit.Unicode(b[i:])
-			if !ok {
-				s.bad = true
-				return 0, 0
+			if r, ok := jsonlit.Unicode(b[i:]); ok {
+				w += utf8.EncodeRune(b[w:], r)
+				i += 6
+				continue
 			}
-			n += utf8.RuneLen(r)
-			i += 6
-		case c < 0x20:
-			s.bad = true
-			return 0, 0
-		default:
-			r, size := utf8.DecodeRune(b[i:])
-			if r == utf8.RuneError && size == 1 {
-				s.bad = true
-				return 0, 0
+		case c >= utf8.RuneSelf:
+			if r, size := utf8.DecodeRune(b[i:]); r != utf8.RuneError || size > 1 {
+				w += copy(b[w:], b[i:i+size])
+				i += size
+				continue
 			}
-			n += size
-			i += size
 		}
+		break // a control byte, or an escape or byte the fast path refuses
+	}
+	if w != i {
+		s.spans = append(s.spans, litSpan{start, w, i})
 	}
 	s.bad = true
-	return 0, 0
+	return nil
 }
 
 // eat consumes c, after any whitespace, if it is the next byte.

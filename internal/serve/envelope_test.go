@@ -3,20 +3,20 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
-
-	"extradeep/internal/jsonlit"
 )
 
 // scanEnvelope runs the envelope scanner over a whole body the way an
-// upload does and returns the format literal, every content literal and
-// whether the fast path accepted the body.
-func scanEnvelope(body []byte) (format envString, docs []envString, ok bool) {
+// upload does and returns the format, every document and whether the
+// fast path accepted the body. The scanner rewrites body.
+func scanEnvelope(body []byte) (format []byte, docs [][]byte, ok bool) {
 	sc := envScanner{data: body}
 	format = sc.header()
 	for doc, more := sc.next(); more; doc, more = sc.next() {
@@ -26,52 +26,54 @@ func scanEnvelope(body []byte) (format envString, docs []envString, ok bool) {
 }
 
 // FuzzUploadEnvelope asserts the envelope fast path's contract on
-// arbitrary bodies. Until the scanner has accepted a body nothing writes
-// to it, though the validation workers unescape each document into
-// their scratch as soon as the scanner hands it out, so the
-// json.Unmarshal fallback always sees the body as it arrived. Whenever
-// the scanner accepts a body, json.Unmarshal accepts a copy of it too
-// and gives the same format, every scratch decode equals
-// encoding/json's document, and every document then decodes in place to
-// the same bytes as a sub-slice of the body that shares no byte with any
-// other document. The seeds that probe the fast path's edges are the
-// fast-* and fallback-* files under testdata.
+// arbitrary bodies, against encoding/json's decode of a pristine copy.
+// Whenever the scanner accepts a body, json.Unmarshal accepts it too and
+// gives the same format and the same number of documents; every document
+// equals encoding/json's both when the scanner hands it out and after
+// the scan, so nothing writes to it once handed out, and each is a
+// sub-slice of the body that shares no byte with any other. Whenever the
+// scanner refuses a body, json.Unmarshal of the rebuilt body gives the
+// same error text, or the same uploadRequest, as it gives for the
+// pristine copy, and the rebuilt body is no longer than the pristine
+// one. The seeds that probe the fast path's edges are the fast-* and
+// fallback-* files under testdata.
 func FuzzUploadEnvelope(f *testing.F) {
 	f.Add([]byte(`{"format":"json","profiles":[{"content":"{\"app\":\"imdb\"}"}]}`))
 	f.Add([]byte(`{"format":"csv","profiles":[{"content":"a,b\n1,2\n"},{"content":""}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		orig := bytes.Clone(body)
+		var want uploadRequest
+		wantErr := json.Unmarshal(orig, &want)
 		sc := envScanner{data: body}
-		lit := sc.header()
-		var docs []envString
-		var scratch [][]byte
+		format := sc.header()
+		var docs, early [][]byte
 		for doc, more := sc.next(); more; doc, more = sc.next() {
 			docs = append(docs, doc)
-			scratch = append(scratch, jsonlit.Append(nil, doc.raw))
+			early = append(early, bytes.Clone(doc))
 		}
-		ok := sc.end()
-		if !bytes.Equal(body, orig) {
-			t.Fatalf("scanning (ok = %v) rewrote the body:\n%q\nwas\n%q", ok, body, orig)
+		if !sc.end() {
+			rebuilt := sc.rebuild()
+			if len(rebuilt) > len(orig) {
+				t.Fatalf("rebuilt body is %d bytes, the body %d", len(rebuilt), len(orig))
+			}
+			var got uploadRequest
+			gotErr := json.Unmarshal(rebuilt, &got)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("rebuilt body decodes to %+v (%v), the body to %+v (%v)\nrebuilt %q\nbody    %q", got, gotErr, want, wantErr, rebuilt, orig)
+			}
+			return
 		}
-		if !ok {
-			return // the fallback decodes it: json.Unmarshal's by construction
+		if wantErr != nil {
+			t.Fatalf("fast path accepted a body json.Unmarshal refuses: %v", wantErr)
 		}
-		var req uploadRequest
-		if err := json.Unmarshal(orig, &req); err != nil {
-			t.Fatalf("fast path accepted a body json.Unmarshal refuses: %v", err)
-		}
-		if format := string(lit.decode()); format != req.Format || len(docs) != len(req.Profiles) {
-			t.Fatalf("fast path: format %q, %d documents; json.Unmarshal: format %q, %d documents", format, len(docs), req.Format, len(req.Profiles))
+		if string(format) != want.Format || len(docs) != len(want.Profiles) {
+			t.Fatalf("fast path: format %q, %d documents; json.Unmarshal: format %q, %d documents", format, len(docs), want.Format, len(want.Profiles))
 		}
 		end := 0 // the first body offset no earlier document reaches
-		for i, d := range docs {
-			want := []byte(req.Profiles[i].Content)
-			if !bytes.Equal(scratch[i], want) {
-				t.Fatalf("document %d: scratch decode %q, json.Unmarshal %q", i, scratch[i], want)
-			}
-			doc := d.decode()
-			if !bytes.Equal(doc, want) {
-				t.Fatalf("document %d: in-place decode %q, json.Unmarshal %q", i, doc, want)
+		for i, doc := range docs {
+			w := []byte(want.Profiles[i].Content)
+			if !bytes.Equal(early[i], w) || !bytes.Equal(doc, w) {
+				t.Fatalf("document %d: handed out as %q, %q after the scan; json.Unmarshal %q", i, early[i], doc, w)
 			}
 			if cap(doc) == 0 {
 				continue // an empty document holds no byte of the body

@@ -7,29 +7,26 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"extradeep/internal/ingest"
-	"extradeep/internal/jsonlit"
 	"extradeep/internal/resilience"
 )
 
 // An upload POST is one pipeline over the request body. The handler's
-// goroutine scans the envelope (envScanner) and hands each content
-// literal to the validation workers as soon as it has measured it, so
-// documents decode while the scan goes on. Once the scan has accepted
-// the envelope, the same goroutine writes each validated document, in
-// document order, into the batch's part file. When validation ends the
-// part file is synced, and only admission, the rename to the segment
-// name and the directory sync remain for the application's upload lock.
+// goroutine scans the envelope (envScanner), which unescapes each
+// content literal over its own span of the body, and hands each
+// document to the validation workers as soon as it has read it, so
+// documents decode while the scan goes on. The same goroutine writes
+// each validated document, in document order, into the batch's part
+// file. When validation ends the part file is synced, and only
+// admission, the rename to the segment name and the directory sync
+// remain for the application's upload lock.
 //
-// Nothing writes to the body until the scanner has accepted all of it:
-// a worker that takes a document earlier unescapes it into its own
-// pooled scratch buffer and decodes from there, and the document's span
-// of the body is unescaped in place once the envelope is accepted. A
-// body the scanner refuses therefore reaches json.Unmarshal exactly as
-// it arrived, and the fallback's documents run through the same
-// pipeline.
+// A document is final once the scanner hands it out, so the workers
+// decode it from the body and the writer takes it as it is. A body the
+// scanner refuses discards the part file and reaches json.Unmarshal as
+// the scanner's rebuilt equivalent, and the fallback's documents run
+// through the same pipeline.
 
 // uploadQueue bounds the documents waiting for a validation worker, and
 // the results waiting for the handler. The handler takes in results
@@ -38,20 +35,14 @@ import (
 // faster than the workers, finish without waiting for them.
 const uploadQueue = 128
 
-// scratchBufs holds the buffers validation workers unescape documents
-// into while the body may not be written.
-var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// docTask is the i-th content literal of an upload.
+// docTask is the i-th document of an upload.
 type docTask struct {
 	i   int
-	doc envString
+	doc []byte
 }
 
 // docResult is the validation outcome of the i-th document: its upload
-// record, or the stage and error that refused it. data is nil when the
-// worker decoded the document from scratch; its span of the body is
-// unescaped once the envelope is accepted.
+// record, or the stage and error that refused it.
 type docResult struct {
 	i int
 	upload
@@ -61,27 +52,23 @@ type docResult struct {
 }
 
 // intake is one upload's pipeline. Only the handler's goroutine touches
-// its fields below results; the workers share only the channels,
-// accepted and panicked.
+// its fields below results; the workers share only the channels and
+// panicked.
 type intake struct {
-	s       *Server
-	app     string
-	format  string
-	ctx     context.Context // the request's
-	run     context.Context // ends with ctx, on shutdown or on a worker's panic
-	stop    context.CancelFunc
-	workers int
-	started int
-	wg      sync.WaitGroup
-	tasks   chan docTask
-	results chan docResult
-	// accepted is set once the scanner has accepted the envelope; from
-	// then on the body's bytes may be rewritten.
-	accepted atomic.Bool
+	s        *Server
+	app      string
+	format   string
+	ctx      context.Context // the request's
+	run      context.Context // ends with ctx, on shutdown or on a worker's panic
+	stop     context.CancelFunc
+	workers  int
+	started  int
+	wg       sync.WaitGroup
+	tasks    chan docTask
+	results  chan docResult
 	mu       sync.Mutex
 	panicked any
 
-	docs     []envString
 	slots    []docResult
 	received int
 	// next is the first document not yet written to part; halted is set
@@ -107,7 +94,7 @@ type intake struct {
 func (s *Server) receive(ctx context.Context, app string, body []byte) (*intake, error) {
 	in := s.newIntake(ctx, app)
 	sc := envScanner{data: body}
-	in.format = string(jsonlit.Append(nil, sc.header().raw))
+	in.format = string(sc.header())
 	known := in.format == "json" || in.format == "csv"
 	for doc, ok := sc.next(); ok; doc, ok = sc.next() {
 		if known {
@@ -115,21 +102,18 @@ func (s *Server) receive(ctx context.Context, app string, body []byte) (*intake,
 		}
 	}
 	n := sc.n
-	if sc.end() {
-		in.accept()
-	} else {
+	if !sc.end() {
 		in.shutdown()
+		in.part.discard()
 		var req uploadRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(sc.rebuild(), &req); err != nil {
 			return nil, &apiError{status: http.StatusBadRequest, code: "bad_request", message: "malformed upload envelope: " + err.Error()}
 		}
 		in = s.newIntake(ctx, app)
 		in.format, n = req.Format, len(req.Profiles)
 		known = in.format == "json" || in.format == "csv"
-		in.accept()
 		for i := 0; known && i < n; i++ {
-			f := req.Profiles[i].Content
-			in.add(envString{raw: []byte(f), n: len(f)})
+			in.add([]byte(req.Profiles[i].Content))
 		}
 	}
 	switch {
@@ -166,9 +150,8 @@ func (s *Server) newIntake(ctx context.Context, app string) *intake {
 // add hands the next document to the workers, starting one more worker
 // while fewer than the bound run. While the queue is full it takes in
 // the results that arrive meanwhile.
-func (in *intake) add(doc envString) {
-	t := docTask{i: len(in.docs), doc: doc}
-	in.docs = append(in.docs, doc)
+func (in *intake) add(doc []byte) {
+	t := docTask{i: len(in.slots), doc: doc}
 	in.slots = append(in.slots, docResult{})
 	if in.started < in.workers {
 		in.started++
@@ -190,19 +173,11 @@ func (in *intake) add(doc envString) {
 	}
 }
 
-// accept marks the envelope accepted: the workers unescape the
-// documents they take from now on in place, and the documents already
-// validated are written.
-func (in *intake) accept() {
-	in.accepted.Store(true)
-	in.flush()
-}
-
 // finish waits for every document's result, then syncs the part file
 // of a batch that validated whole and assembles the verdict in document
 // order, so it is the same for every worker count.
 func (in *intake) finish() error {
-	for in.received < len(in.docs) && in.run.Err() == nil {
+	for in.received < len(in.slots) && in.run.Err() == nil {
 		select {
 		case r := <-in.results:
 			in.collect(r)
@@ -258,13 +233,11 @@ func (in *intake) work() {
 			in.fail(v)
 		}
 	}()
-	scratch := scratchBufs.Get().(*[]byte)
-	defer scratchBufs.Put(scratch)
 	for t := range in.tasks {
 		if in.run.Err() != nil {
 			return
 		}
-		r := in.validate(t, scratch)
+		r := in.validate(t)
 		select {
 		case in.results <- r:
 		case <-in.run.Done():
@@ -287,20 +260,10 @@ func (in *intake) fail(v any) {
 // validate decodes and validates one document with the exact
 // read/decode/validate classification directory ingestion uses
 // (ingest.DecodeBytes) and derives its canonical spool name.
-func (in *intake) validate(t docTask, scratch *[]byte) docResult {
+func (in *intake) validate(t docTask) docResult {
 	r := docResult{i: t.i, done: true}
-	data := t.doc.raw
-	switch {
-	case t.doc.n == len(data):
-		r.data = data
-	case in.accepted.Load():
-		r.data = t.doc.decode()
-		data = r.data
-	default:
-		*scratch = jsonlit.Append((*scratch)[:0], data)
-		data = *scratch
-	}
-	r.profile, r.stage, r.err = ingest.DecodeBytes(data, in.format)
+	r.data = t.doc
+	r.profile, r.stage, r.err = ingest.DecodeBytes(r.data, in.format)
 	if r.err != nil {
 		return r
 	}
@@ -321,21 +284,14 @@ func (in *intake) collect(r docResult) {
 }
 
 // flush writes the validated documents at the head of the batch into
-// the part file, in document order, once the envelope is accepted,
-// unescaping over the body each one a worker decoded from scratch. It
-// halts at the first document that refuses the batch.
+// the part file, in document order. It halts at the first document that
+// refuses the batch.
 func (in *intake) flush() {
-	if !in.accepted.Load() {
-		return
-	}
 	for !in.halted && in.next < len(in.slots) && in.slots[in.next].done {
 		r := &in.slots[in.next]
 		if r.err != nil || r.profile.App != in.app {
 			in.halted = true
 			return
-		}
-		if r.data == nil {
-			r.data = in.docs[in.next].decode()
 		}
 		if in.werr == nil {
 			in.werr = in.write(r.upload)

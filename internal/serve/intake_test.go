@@ -153,22 +153,34 @@ func insertAt(body []byte, i int, s string) []byte {
 }
 
 // TestIntakeLateDeparture: a body whose departure from the envelope's
-// fast path comes only after N canonical documents, which the workers
-// have begun to decode by then, answers exactly as encoding/json's
-// decode of the body leads to, at every worker count: the same status
-// and envelope bytes, the same segment when accepted, and no part file
-// or segment left behind when refused. Any write to the body before the
-// scanner accepted it would change what the fallback decodes.
+// fast path comes only after canonical documents, which the scanner has
+// unescaped in place and the workers and the part file's writer have
+// begun to take by then, answers exactly as encoding/json's decode of
+// the pristine body leads to, at every worker count: the same status and
+// envelope bytes, the same segment when accepted, and no part file or
+// segment left behind when refused. A rebuilt body that decoded
+// differently from the pristine one, or a part file kept past the
+// refusal, would fail it.
 func TestIntakeLateDeparture(t *testing.T) {
-	batch := testBatch(t, defaultTestRanks, 4, 83)
+	batch := testBatch(t, defaultTestRanks, 10, 83)
 	app := batch[0].profile.App
 	docs := batchDocs(batch)
 	canon := envelopeOf(t, "json", docs)
-	// A spot inside a string value of the last document's literal.
+	// A spot inside a string value of the last document's literal, after
+	// the escapes before it.
 	last := bytes.LastIndex(canon, []byte(`\"name\":\"`)) + len(`\"name\":\"`)
 	first, err := json.Marshal(string(docs[0]))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The key of document 40, a middle element.
+	const mid = 40
+	if len(docs) <= mid {
+		t.Fatalf("batch has %d documents, want more than %d", len(docs), mid)
+	}
+	key := 0
+	for range mid + 1 {
+		key += bytes.Index(canon[key+1:], []byte(`{"content":`)) + 1
 	}
 	for _, tc := range []struct {
 		name string
@@ -180,6 +192,10 @@ func TestIntakeLateDeparture(t *testing.T) {
 		{"surrogate pair in the last literal", insertAt(canon, last, "\x5cud83d\x5cude00")},
 		{"lone surrogate in the last literal", insertAt(canon, last, "\x5cudc00")},
 		{"control byte in the last literal", insertAt(canon, last, "\x01")},
+		{"invalid escape in the last literal", insertAt(canon, last, "\x5cx")},
+		{"invalid UTF-8 in the last literal", insertAt(canon, last, "\xff")},
+		{"cut inside the last literal", bytes.Clone(canon[:last+3])},
+		{"recased key on a middle document", append(append(bytes.Clone(canon[:key]), `{"Content":`...), canon[key+len(`{"content":`):]...)},
 		{"unknown format", envelopeOf(t, "xml", docs)},
 		{"empty array", envelopeOf(t, "json", nil)},
 	} {
@@ -349,15 +365,21 @@ func caseStudyEnvelope(tb testing.TB) []byte {
 
 // BenchmarkScanEnvelope measures the envelope scan alone, the layer that
 // hands documents to the validation workers: one pass of envScanner over
-// the case-study envelope, never writing to it.
+// the case-study envelope, unescaping every literal in place. The scan
+// rewrites the body, so each iteration scans a fresh copy of it, made
+// outside the timer.
 //
 //	go test -run '^$' -bench BenchmarkScanEnvelope -benchmem ./internal/serve
 func BenchmarkScanEnvelope(b *testing.B) {
-	body := caseStudyEnvelope(b)
+	pristine := caseStudyEnvelope(b)
+	body := make([]byte, len(pristine))
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(body, pristine)
+		b.StartTimer()
 		sc := envScanner{data: body}
 		sc.header()
 		for _, more := sc.next(); more; _, more = sc.next() {
