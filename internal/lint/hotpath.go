@@ -50,6 +50,11 @@ var hotPathDefaults = []hotPathDefault{
 	{"internal/modeling", "modeling.newFitContext"},
 	{"internal/modeling", "modeling.sharedBasis"},
 	{"internal/modeling", "modeling.basisSignature"},
+	// The design records: built once per point set for every single-shape
+	// hypothesis, and per task for every two-shape combination.
+	{"internal/modeling", "design.*"},
+	{"internal/modeling", "designScratch.*"},
+	{"internal/modeling", "modeling.predictRow"},
 	// The sparse hypothesis search and the pooled slabs it builds each
 	// task's hypothesis space into.
 	{"internal/modeling", "modeling.sparseSearch"},
@@ -76,7 +81,7 @@ var hotPathDefaults = []hotPathDefault{
 	// once per hypothesis.
 	{"internal/mathutil", "mathutil.SolveLinearSystem"},
 	{"internal/mathutil", "mathutil.SolveLinearSystemInto"},
-	{"internal/mathutil", "SolveWorkspace.grow"},
+	{"internal/mathutil", "Elimination.*"},
 	{"internal/mathutil", "mathutil.SMAPE"},
 	{"internal/mathutil", "mathutil.RSS"},
 }

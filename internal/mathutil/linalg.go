@@ -24,27 +24,8 @@ func SolveLinearSystem(a [][]float64, b []float64) ([]float64, error) {
 // allocating. The zero value is ready to use. A workspace is not safe
 // for concurrent use.
 type SolveWorkspace struct {
-	m     [][]float64
-	scale []float64
-	x     []float64
-}
-
-// grow resizes the workspace for an n-equation system.
-func (ws *SolveWorkspace) grow(n int) {
-	for len(ws.m) < n {
-		ws.m = append(ws.m, nil)
-	}
-	for i := 0; i < n; i++ {
-		for len(ws.m[i]) < n+1 {
-			ws.m[i] = append(ws.m[i], 0)
-		}
-	}
-	for len(ws.scale) < n {
-		ws.scale = append(ws.scale, 0)
-	}
-	for len(ws.x) < n {
-		ws.x = append(ws.x, 0)
-	}
+	elim Elimination
+	x    []float64
 }
 
 // SolveLinearSystemInto is SolveLinearSystem with caller-owned scratch:
@@ -52,8 +33,10 @@ func (ws *SolveWorkspace) grow(n int) {
 // workspace's reusable buffers, and the returned solution aliases
 // workspace memory — valid until the next solve on the same workspace.
 // A nil workspace allocates fresh buffers, making the two functions
-// interchangeable; the elimination itself is shared, so solutions are
-// bit-identical between them.
+// interchangeable. The solve is Factor then Apply on the workspace's
+// Elimination, so a caller that factors a matrix once and applies it to
+// many right-hand sides gets exactly the bits of solving each system
+// here.
 func SolveLinearSystemInto(a [][]float64, b []float64, ws *SolveWorkspace) ([]float64, error) {
 	n := len(a)
 	if n == 0 {
@@ -65,73 +48,176 @@ func SolveLinearSystemInto(a [][]float64, b []float64, ws *SolveWorkspace) ([]fl
 	if ws == nil {
 		ws = &SolveWorkspace{}
 	}
-	ws.grow(n)
-	// Copy the augmented system so callers keep their data.
-	m := ws.m[:n]
-	for i := range m {
+	if err := ws.elim.Factor(a); err != nil {
+		return nil, err
+	}
+	if cap(ws.x) < n {
+		ws.x = make([]float64, n)
+	}
+	x := ws.x[:n]
+	copy(x, b)
+	return ws.elim.Apply(x)
+}
+
+// Elimination is the matrix half of a Gaussian elimination with scaled
+// partial pivoting: the row scales, the pivot row of every column, the
+// multipliers and the eliminated matrix U, or the verdict that the
+// matrix is singular. Factor records it once; Apply then runs the same
+// eliminations on a right-hand side, in the order the augmented system's
+// column would have seen them, so factoring once and applying many times
+// is bit-identical to solving each system whole. Apply only reads the
+// elimination, so one factored matrix may be applied concurrently.
+type Elimination struct {
+	n     int
+	u     []float64 // n×n row-major: the eliminated matrix, U on and above the diagonal
+	mult  []float64 // mult[col*n+r]: the multiplier of row r at column col
+	scale []float64 // row scales (factor-time scratch)
+	piv   []int     // the row swapped into place at each column
+	err   error
+}
+
+// EliminationSize returns the float64s and ints an Elimination of n
+// equations keeps, for Carve.
+func EliminationSize(n int) (floats, ints int) { return 2*n*n + n, n }
+
+// Carve gives e storage for n-equation systems cut from the front of fs
+// and is (see EliminationSize) and returns the rest, so many
+// eliminations can share one slab. Factor allocates only when a system
+// is larger than the storage it has.
+func (e *Elimination) Carve(n int, fs []float64, is []int) ([]float64, []int) {
+	e.u, fs = fs[:n*n:n*n], fs[n*n:]
+	e.mult, fs = fs[:n*n:n*n], fs[n*n:]
+	e.scale, fs = fs[:n:n], fs[n:]
+	e.piv, is = is[:n:n], is[n:]
+	return fs, is
+}
+
+// grow makes room for an n-equation system.
+func (e *Elimination) grow(n int) {
+	if cap(e.u) < n*n || cap(e.mult) < n*n || cap(e.scale) < n || cap(e.piv) < n {
+		floats, ints := EliminationSize(n)
+		e.Carve(n, make([]float64, floats), make([]int, ints))
+	}
+	e.n = n
+	e.u, e.mult, e.scale, e.piv = e.u[:n*n], e.mult[:n*n], e.scale[:n], e.piv[:n]
+}
+
+// fail records err as the elimination's verdict and returns it.
+func (e *Elimination) fail(err error) error {
+	e.err = err
+	return err
+}
+
+// Factor eliminates the square matrix a (it is copied, not modified). It
+// returns ErrSingular when a row is all zeros, when no pivot's scaled
+// magnitude reaches 1e-13, or when a pivot of U is zero; Apply then
+// returns the same error.
+func (e *Elimination) Factor(a [][]float64) error {
+	n := len(a)
+	e.err = nil
+	if n == 0 {
+		return e.fail(ErrEmpty)
+	}
+	e.grow(n)
+	m := e.u
+	for i := range a {
 		if len(a[i]) != n {
-			return nil, fmt.Errorf("mathutil: row %d has %d columns, want %d", i, len(a[i]), n)
+			return e.fail(fmt.Errorf("mathutil: row %d has %d columns, want %d", i, len(a[i]), n))
 		}
-		copy(m[i], a[i])
-		m[i][n] = b[i]
+		copy(m[i*n:(i+1)*n], a[i])
 	}
 	// Row scale factors for scaled partial pivoting.
-	scale := ws.scale[:n]
-	for i := range m {
+	scale := e.scale
+	for i := 0; i < n; i++ {
 		scale[i] = 0
 		for j := 0; j < n; j++ {
-			if v := math.Abs(m[i][j]); v > scale[i] {
+			if v := math.Abs(m[i*n+j]); v > scale[i] {
 				scale[i] = v
 			}
 		}
 		if scale[i] == 0 {
-			return nil, ErrSingular
+			return e.fail(ErrSingular)
 		}
 	}
 	for col := 0; col < n; col++ {
 		// Pick the pivot row with the largest scaled magnitude.
 		pivot := col
-		best := math.Abs(m[col][col]) / scale[col]
+		best := math.Abs(m[col*n+col]) / scale[col]
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m[r][col]) / scale[r]; v > best {
+			if v := math.Abs(m[r*n+col]) / scale[r]; v > best {
 				best = v
 				pivot = r
 			}
 		}
 		if best < 1e-13 {
-			return nil, ErrSingular
+			return e.fail(ErrSingular)
 		}
-		m[col], m[pivot] = m[pivot], m[col]
-		scale[col], scale[pivot] = scale[pivot], scale[col]
+		e.piv[col] = pivot
+		if pivot != col {
+			for c := 0; c < n; c++ {
+				m[col*n+c], m[pivot*n+c] = m[pivot*n+c], m[col*n+c]
+			}
+			scale[col], scale[pivot] = scale[pivot], scale[col]
+		}
 		// Eliminate below.
 		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
+			f := m[r*n+col] / m[col*n+col]
+			e.mult[col*n+r] = f
 			if f == 0 {
 				continue
 			}
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
+			for c := col; c < n; c++ {
+				m[r*n+c] -= f * m[col*n+c]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if m[i*n+i] == 0 {
+			return e.fail(ErrSingular)
+		}
+	}
+	return nil
+}
+
+// Apply solves A·x = b in place for the matrix last factored: b holds
+// the right-hand side on entry and the solution on return. It returns
+// ErrSingular when the solution is not finite, and the factoring error
+// when Factor failed.
+func (e *Elimination) Apply(b []float64) ([]float64, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	n := e.n
+	if len(b) != n {
+		return nil, fmt.Errorf("mathutil: dimension mismatch: %d equations, %d right-hand sides", n, len(b))
+	}
+	// The right-hand side's share of the elimination: the same swaps and
+	// multipliers, column by column.
+	for col := 0; col < n; col++ {
+		if p := e.piv[col]; p != col {
+			b[col], b[p] = b[p], b[col]
+		}
+		for r := col + 1; r < n; r++ {
+			if f := e.mult[col*n+r]; f != 0 {
+				b[r] -= f * b[col]
 			}
 		}
 	}
 	// Back substitution.
-	x := ws.x[:n]
+	m := e.u
 	for i := n - 1; i >= 0; i-- {
-		sum := m[i][n]
+		sum := b[i]
 		for j := i + 1; j < n; j++ {
-			sum -= m[i][j] * x[j]
+			sum -= m[i*n+j] * b[j]
 		}
-		if m[i][i] == 0 {
-			return nil, ErrSingular
-		}
-		x[i] = sum / m[i][i]
+		b[i] = sum / m[i*n+i]
 	}
-	for _, v := range x {
+	for _, v := range b {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, ErrSingular
 		}
 	}
-	return x, nil
+	return b, nil
 }
 
 // LeastSquares fits coefficients c minimizing ‖X·c − y‖² where X is the

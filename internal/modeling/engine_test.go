@@ -100,7 +100,7 @@ func pressAgrees(points []measurement.Point, values []float64, opts Options, hyp
 		if !fc.solveFull(h) || len(points)-1 < len(h.terms)+1 {
 			continue
 		}
-		s, ok, dec := fc.press(h)
+		s, ok, dec := fc.press()
 		if !dec {
 			declined++
 			continue
@@ -126,9 +126,7 @@ func checkPress(points []measurement.Point, values []float64, opts Options) erro
 		_, _, err := pressAgrees(points, values, opts, hypotheses(opts))
 		return err
 	}
-	hyps := sparseSearch(arity, points, values, buildShapes(opts), func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
-		return rankByCV(func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }, hs)
-	}, nil)
+	hyps := sparseSearch(arity, buildShapes(opts), oracleRanker(points, values, opts), nil)
 	if _, _, err := pressAgrees(points, values, opts, hyps); err != nil {
 		return err
 	}
@@ -424,6 +422,33 @@ func TestPropEngineOracleEquivalenceAdversarial(t *testing.T) {
 	}
 }
 
+// TestPressSpreadMinMatchesMathMin pins the builtin min that press caps
+// each fold's SMAPE spread with, min(2, v), against the math.Min it
+// replaced: the same bits for every v, NaN, ±Inf and ±0 included, so no
+// score or guard decision moves. The two differ on one pair only, a NaN
+// against −Inf (math.Min gives −Inf, min NaN), which the constant 2 never
+// is.
+func TestPressSpreadMinMatchesMathMin(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 2, 1, 3, -5, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, a := range vals {
+		for _, b := range vals {
+			got, want := min(a, b), math.Min(a, b)
+			switch {
+			case math.IsNaN(a) && math.IsInf(b, -1) || math.IsInf(a, -1) && math.IsNaN(b):
+				if !math.IsNaN(got) || !math.IsInf(want, -1) {
+					t.Errorf("min(%g, %g) = %g and math.Min %g, want NaN and -Inf", a, b, got, want)
+				}
+			case math.IsNaN(want):
+				if !math.IsNaN(got) {
+					t.Errorf("min(%g, %g) = %g, math.Min gives NaN", a, b, got)
+				}
+			case math.Float64bits(got) != math.Float64bits(want):
+				t.Errorf("min(%g, %g) = %g (%x), math.Min gives %g (%x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 // TestSettleReplaysDecidingCandidates pins, one decision at a time,
 // which candidates a settle round hands to the exact replay. Scores are
 // set by hand (the replay then computes the real ones), so each case
@@ -440,7 +465,13 @@ func TestSettleReplaysDecidingCandidates(t *testing.T) {
 	opts.PolyExponents = []float64{1, 1 + 1.6e-9, 2, 3}
 	opts = normalizeOptions(opts)
 	shape := func(e float64) hypothesis {
-		return hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{{PolyExp: e}}}}}
+		for _, h := range hypotheses(opts) {
+			if len(h.terms) == 1 && h.terms[0].Factors[0] == (pmnf.Factor{PolyExp: e}) {
+				return h
+			}
+		}
+		t.Fatalf("x^%g is not in the search space", e)
+		return hypothesis{}
 	}
 	type score struct {
 		exp        float64

@@ -22,6 +22,13 @@ import (
 // (oracle.go), so full-data coefficients, RSS and growth are
 // bit-identical to the oracle's.
 //
+// A hypothesis's fit splits into a half that depends only on the points
+// (its design: XᵀX, the elimination, the PRESS factors, see design) and
+// a half that depends on the values. The fit-cache entry holds the
+// design of the constant and of every single-shape hypothesis, built
+// once per point set; a task scoring one of them runs only the values'
+// half. Two-shape combinations build their design per task.
+//
 // Leave-one-out cross-validation is ranked fast and replayed exactly only
 // where model selection is decided. Every fold comes from the one
 // full-data factorization through the PRESS identity
@@ -52,6 +59,11 @@ type fitContext struct {
 	basis  *basisEntry // shared, read-only
 
 	ynorm float64 // ‖values‖₂, a scale of the PRESS error bound
+	sumY  float64 // Σ values in row order: Xᵀy's constant entry
+
+	// cur is the design of the hypothesis solveFull last solved: a
+	// fit-cache record or the scratch's work design.
+	cur *design
 
 	// fullPreds holds the full-data predictions of the scored hypothesis
 	// and ones the constant design column, both this context's rows of
@@ -74,25 +86,34 @@ type fitContext struct {
 // prediction replay); nonFinite the rows where any term column is
 // NaN/Inf; owner/lastTerms memoize the context and hypothesis they were
 // prepared for, since a replay re-prepares the hypothesis just scored.
-// xtx/xty are the accumulated normal equations, ws the solver workspace,
-// preds/acts the replayed fold predictions, coef the full-data
-// coefficients of the scored hypothesis, rows backs fullPreds and ones,
-// and shapes/cands hold the stage-1 ranking and the selection.
+// work is the design of a combination, built per hypothesis in
+// workF/workI; lineVals holds an axis line's values while stage 1 ranks
+// on it; designScratch holds the normal equations and PRESS
+// factors its build and the replayed folds work in. xty is the
+// right-hand side, ws the solver workspace, preds/acts the replayed fold
+// predictions, coef the full-data coefficients of the scored hypothesis,
+// wfull its scaled coefficients, rows backs fullPreds and ones, and
+// shapes/cands hold the stage-1 ranking and the selection.
 type fitScratch struct {
 	owner     *fitContext
 	lastTerms []pmnf.Term
 	termCols  [][]float64
 	facCols   [][][]float64
 	nonFinite []int
-	xtx       [][]float64
-	xty       []float64
-	ws        mathutil.SolveWorkspace
-	preds     []float64
-	acts      []float64
-	coef      []float64
-	rows      []float64
-	shapes    []scoredShape
-	cands     []candidate
+	designScratch
+	work     design
+	workF    []float64
+	workI    []int
+	xty      []float64
+	lineVals []float64
+	ws       mathutil.SolveWorkspace
+	preds    []float64
+	acts     []float64
+	coef     []float64
+	wfull    []float64
+	rows     []float64
+	shapes   []scoredShape
+	cands    []candidate
 
 	// Hypothesis and candidate storage: the task's sparse hypothesis
 	// list, the full-data coefficients of every selection candidate back
@@ -101,29 +122,21 @@ type fitScratch struct {
 	space       hypothesisSpace
 	candCoefs   []float64
 	growthTerms []pmnf.Term
-
-	// PRESS scratch: the Cholesky factor of the scaled normal matrix
-	// B = D⁻¹XᵀXD⁻¹, its inverse and B⁻¹ (c×c, row-major), the column
-	// scales D and their inverses, one fold's scaled row z = D⁻¹xᵢ,
-	// g = B⁻¹z and the downdated scaled coefficients.
-	chol, linv, binv  []float64
-	dcol, dinv        []float64
-	zrow, grow, wfold []float64
-	wfull             []float64
 }
 
-// The fit cache. A task's basis columns and search space depend only on
-// its measurement points, the exponent sets and the term budget, and the
-// fit tasks of one campaign overwhelmingly share their points (one task
-// per kernel × metric over the same configurations). So the first task
-// for such a key builds one immutable basisEntry — every shape's factor
-// column at every parameter, the expanded shapes and, for
-// one-parameter rows, the single-parameter hypothesis list — and later
-// tasks read it. Every value is a pure function of the key, so a racing
-// double-build is bit-identical and determinism is unaffected. The cache
-// holds at most basisCacheCap entries: publishing into a full cache
-// empties it first, so a long-lived process keeps the point sets it is
-// fitting now.
+// The fit cache. A task's basis columns, search space and single-shape
+// designs depend only on its measurement points, the exponent sets and
+// the term budget, and the fit tasks of one campaign overwhelmingly
+// share their points (one task per kernel × metric over the same
+// configurations). So the first task for such a key builds one immutable
+// basisEntry — every shape's factor column at every parameter, the
+// design of the constant and of every single-shape hypothesis, the
+// expanded shapes and, for one-parameter rows, the single-parameter
+// hypothesis list — and later tasks read it. Every value is a pure
+// function of the key, so a racing double-build is bit-identical and
+// determinism is unaffected. The cache holds at most basisCacheCap
+// entries: publishing into a full cache empties it first, so a
+// long-lived process keeps the point sets it is fitting now.
 var (
 	basisMu    sync.RWMutex
 	basisCache = make(map[basisSig]*basisEntry)
@@ -131,8 +144,8 @@ var (
 
 const basisCacheCap = 256
 
-// basisSig is the fit-cache key: a two-lane FNV-1a content hash over the
-// row bits, exponent sets and term budget, plus the row/arity counts. It
+// basisSig is the fit-cache key: a two-lane content hash over the row
+// bits, exponent sets and term budget, plus the row/arity counts. It
 // replaced a canonical-string key that built a multi-kilobyte string per
 // fit task — the single largest allocation on the fit path (allocloop's
 // first repo finding). The hash itself is not trusted for equality:
@@ -144,22 +157,26 @@ type basisSig struct {
 	n, arity int
 }
 
+// The hash lanes' seeds and odd multipliers (the golden ratio's and
+// MurmurHash3's finalizer constants).
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	sigSeed1 = 14695981039346656037
+	sigSeed2 = sigSeed1 ^ 0x9e3779b97f4a7c15
+	sigMul1  = 0x9e3779b97f4a7c15
+	sigMul2  = 0xff51afd7ed558ccd
 )
 
 // basisSignature hashes the row contents, the exponent sets and the term
-// budget into a basisSig, allocation-free.
-func basisSignature(rows [][]float64, opts Options) basisSig {
-	h1 := uint64(fnvOffset64)
-	h2 := uint64(fnvOffset64) ^ 0x9e3779b97f4a7c15
+// budget into a basisSig, allocation-free. Each step mixes one whole
+// 64-bit word into both lanes: xor, multiply, then fold the high half
+// down so every bit of the word reaches the next step's product.
+func basisSignature(rows []measurement.Point, opts Options) basisSig {
+	h1, h2 := uint64(sigSeed1), uint64(sigSeed2)
 	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			b := uint64(byte(v >> s))
-			h1 = (h1 ^ b) * fnvPrime64
-			h2 = (h2 ^ b) * fnvPrime64
-		}
+		h1 = (h1 ^ v) * sigMul1
+		h1 ^= h1 >> 29
+		h2 = (h2 ^ v) * sigMul2
+		h2 ^= h2 >> 32
 	}
 	for _, row := range rows {
 		for _, v := range row {
@@ -194,16 +211,35 @@ type basisEntry struct {
 	maxTerms int
 
 	// cols holds the factor column of every shape at every parameter,
+	// shape s at parameter p at index p·len(shapes)+s (see basisCol);
 	// shapes the expanded exponent sets, and hyps the single-parameter
 	// hypothesis list (one-parameter rows only).
-	cols   map[pmnf.Factor][]float64
+	cols   [][]float64
 	shapes []pmnf.Factor
 	hyps   []hypothesis
+
+	// recs holds the designs of the constant (recs[0]) and of the
+	// single-shape hypothesis on column i (recs[1+i]), all cut from one
+	// slab; single[i] is column i as a one-term factor list.
+	recs   []design
+	single [][][]float64
+
+	// lines holds each parameter's stage-1 axis line (multi-parameter
+	// rows only).
+	lines []axisLineRef
+}
+
+// axisLineRef is one parameter's axis line through the entry's rows: the
+// row indices on it and its points (views of flat), or nil rows when
+// fewer than minLinePoints lie on it and the ranking uses every row.
+type axisLineRef struct {
+	rows   []int
+	points []measurement.Point
 }
 
 // matches reports whether the entry was keyed by exactly these rows,
 // exponent sets and term budget, comparing float content bit for bit.
-func (e *basisEntry) matches(rows [][]float64, opts Options) bool {
+func (e *basisEntry) matches(rows []measurement.Point, opts Options) bool {
 	if len(e.lens) != len(rows) || e.maxTerms != opts.MaxTerms {
 		return false
 	}
@@ -223,18 +259,22 @@ func (e *basisEntry) matches(rows [][]float64, opts Options) bool {
 		slices.Equal(e.logE, opts.LogExponents)
 }
 
-// newBasisEntry builds the entry for rows and opts: the copy of the keyed
-// content, the shapes, every shape's column at every parameter, and for
-// one-parameter rows the hypothesis list.
-func newBasisEntry(rows [][]float64, opts Options) *basisEntry {
+// newBasisEntry builds the entry for points and opts: the copy of the
+// keyed content, the shapes, every shape's column at every parameter,
+// the designs of the constant and single-shape hypotheses, and for
+// one-parameter rows the hypothesis list, for multi-parameter ones the
+// axis lines.
+func newBasisEntry(points []measurement.Point, opts Options) *basisEntry {
+	rows := make([][]float64, len(points))
 	total := 0
-	for _, row := range rows {
-		total += len(row)
+	for i, p := range points {
+		rows[i] = p
+		total += len(p)
 	}
-	arity := len(rows[0])
+	n, arity := len(rows), len(rows[0])
 	e := &basisEntry{
 		flat:     make([]float64, 0, total),
-		lens:     make([]int, len(rows)),
+		lens:     make([]int, n),
 		poly:     slices.Clone(opts.PolyExponents),
 		logE:     slices.Clone(opts.LogExponents),
 		maxTerms: opts.MaxTerms,
@@ -244,36 +284,73 @@ func newBasisEntry(rows [][]float64, opts Options) *basisEntry {
 		e.lens[i] = len(row)
 		e.flat = append(e.flat, row...)
 	}
-	e.cols = make(map[pmnf.Factor][]float64, arity*len(e.shapes))
-	for _, f := range e.shapes {
-		for p := 0; p < arity; p++ {
+	ns := len(e.shapes)
+	e.cols = make([][]float64, arity*ns)
+	for p := 0; p < arity; p++ {
+		for s, f := range e.shapes {
 			f.Param = p
-			e.cols[f] = pmnf.FactorColumn(rows, f)
+			e.cols[p*ns+s] = pmnf.FactorColumn(rows, f)
 		}
 	}
 	if arity == 1 {
 		e.hyps = hypotheses(opts)
+	} else {
+		e.lines = make([]axisLineRef, arity)
+		for p := range e.lines {
+			rs := axisRows(points, p)
+			if len(rs) < minLinePoints {
+				continue
+			}
+			ln := axisLineRef{rows: rs, points: make([]measurement.Point, len(rs))}
+			for i, r := range rs {
+				ln.points[i] = e.flat[r*arity : (r+1)*arity : (r+1)*arity]
+			}
+			e.lines[p] = ln
+		}
+	}
+
+	// The designs, in one slab of floats and one of ints.
+	e.recs = make([]design, 1+len(e.cols))
+	e.single = make([][][]float64, len(e.cols))
+	f1, i1 := designSize(1, n)
+	f2, i2 := designSize(2, n)
+	fs := make([]float64, f1+len(e.cols)*f2+n)
+	is := make([]int, i1+len(e.cols)*i2)
+	ones := fs[len(fs)-n:]
+	for r := range ones {
+		ones[r] = 1
+	}
+	var sc designScratch
+	fs, is = e.recs[0].carve(1, n, fs, is)
+	e.recs[0].build(nil, nil, ones, &sc)
+	for i := range e.cols {
+		e.single[i] = e.cols[i : i+1 : i+1]
+		fs, is = e.recs[1+i].carve(2, n, fs, is)
+		e.recs[1+i].build(e.single[i], e.single[i:i+1:i+1], ones, &sc)
+	}
+	for i := range e.recs {
+		e.recs[i].buildPress(n, &sc)
 	}
 	return e
 }
 
-// sharedBasis returns the cache entry for the given rows and options,
+// sharedBasis returns the cache entry for the given points and options,
 // building and publishing it on first use. A verified hash collision
 // gets an entry of its own that is not published: a pure slowdown, never
 // a correctness change, since every column is a pure function of the
-// rows.
-func sharedBasis(rows [][]float64, opts Options) *basisEntry {
-	sig := basisSignature(rows, opts)
+// points.
+func sharedBasis(points []measurement.Point, opts Options) *basisEntry {
+	sig := basisSignature(points, opts)
 	basisMu.RLock()
 	e := basisCache[sig]
 	basisMu.RUnlock()
 	if e != nil {
-		if e.matches(rows, opts) {
+		if e.matches(points, opts) {
 			return e
 		}
-		return newBasisEntry(rows, opts)
+		return newBasisEntry(points, opts)
 	}
-	e = newBasisEntry(rows, opts)
+	e = newBasisEntry(points, opts)
 	basisMu.Lock()
 	if basisCache[sig] == nil {
 		if len(basisCache) >= basisCacheCap {
@@ -289,13 +366,10 @@ func sharedBasis(rows [][]float64, opts Options) *basisEntry {
 // scratch before the first hypothesis is scored. opts must already be
 // normalized and (points, values) validated.
 func newFitContext(points []measurement.Point, values []float64, opts Options) *fitContext {
-	rows := make([][]float64, len(points))
-	for i, p := range points {
-		rows[i] = p
-	}
-	var yy float64
+	var yy, sy float64
 	for _, v := range values {
 		yy += v * v
+		sy += v
 	}
 	//edlint:ignore logdomain a sum of squares cannot be negative
 	ynorm := math.Sqrt(yy)
@@ -303,8 +377,9 @@ func newFitContext(points []measurement.Point, values []float64, opts Options) *
 		points: points,
 		values: values,
 		opts:   opts,
-		basis:  sharedBasis(rows, opts),
+		basis:  sharedBasis(points, opts),
 		ynorm:  ynorm,
+		sumY:   sy,
 	}
 }
 
@@ -345,10 +420,12 @@ func (fc *fitContext) prepare(h hypothesis) {
 		fc.facCols = append(fc.facCols, nil)
 	}
 	fc.nonFinite = fc.nonFinite[:0]
+	next := 0 // h.cols index of the term's first factor
 	for c, t := range h.terms {
 		facs := fc.facCols[c][:0]
-		for _, f := range t.Factors {
-			facs = append(facs, fc.basis.cols[f])
+		for range t.Factors {
+			facs = append(facs, fc.basis.cols[h.cols[next]])
+			next++
 		}
 		fc.facCols[c] = facs
 		fc.termCols[c] = pmnf.TermProduct(len(fc.points), facs, fc.termCols[c])
@@ -377,55 +454,50 @@ func (fc *fitContext) foldClean(leave int) bool {
 	}
 }
 
-// solveFold accumulates the normal equations XᵀX·c = Xᵀy over every row
-// except `leave` (pass leave < 0 for the full-data fit) and solves them.
-// Each entry of the upper triangle is summed over the rows in row order,
-// as mathutil.LeastSquares sums it, so the solution is bit-identical to
-// building the design matrix and solving directly; summing one entry at a
-// time over contiguous columns only changes which entry is worked on
-// when. The returned slice aliases solver scratch; callers use it before
-// the next solve.
+// solveFold accumulates the normal equations XᵀX·c = Xᵀy of the
+// prepared hypothesis over every row except `leave` and solves them: one
+// fold of the replay. Each entry of the upper triangle is summed over the
+// rows in row order, as mathutil.LeastSquares sums it, so the solution
+// is bit-identical to building the design matrix and solving directly;
+// summing one entry at a time over contiguous columns only changes which
+// entry is worked on when. The returned slice aliases solver scratch;
+// callers use it before the next solve.
 func (fc *fitContext) solveFold(nTerms, leave int) ([]float64, error) {
 	cols := nTerms + 1
-	rows := len(fc.points)
-	if leave >= 0 {
-		rows--
-	}
-	if rows < cols {
+	if len(fc.points)-1 < cols {
 		return nil, errUnderDetermined
 	}
-	for len(fc.xtx) < cols {
-		fc.xtx = append(fc.xtx, nil)
-	}
+	xtx := fc.normal(cols)
+	xty := fc.rhs(cols)
+	terms := fc.termCols[:nTerms]
 	for i := 0; i < cols; i++ {
-		if cap(fc.xtx[i]) < cols {
-			fc.xtx[i] = make([]float64, cols)
-		}
-		fc.xtx[i] = fc.xtx[i][:cols] // a replay may follow a wider hypothesis
-	}
-	for len(fc.xty) < cols {
-		fc.xty = append(fc.xty, 0)
-	}
-	for i := 0; i < cols; i++ {
-		ci := fc.column(i)
-		fc.xty[i] = dotSkip(ci, fc.values, leave)
+		ci := designColumn(fc.ones, terms, i)
+		xty[i] = dotSkip(ci, fc.values, leave)
 		for j := i; j < cols; j++ {
-			fc.xtx[i][j] = dotSkip(ci, fc.column(j), leave)
+			xtx[i][j] = dotSkip(ci, designColumn(fc.ones, terms, j), leave)
 		}
 		for j := 0; j < i; j++ {
-			fc.xtx[i][j] = fc.xtx[j][i]
+			xtx[i][j] = xtx[j][i]
 		}
 	}
-	return mathutil.SolveLinearSystemInto(fc.xtx[:cols], fc.xty[:cols], &fc.ws)
+	return mathutil.SolveLinearSystemInto(xtx, xty, &fc.ws)
 }
 
-// column returns design-matrix column i: the constant column of ones,
-// then the prepared hypothesis's term columns.
-func (fc *fitContext) column(i int) []float64 {
-	if i == 0 {
-		return fc.ones
+// rhs returns the right-hand-side scratch sized for c coefficients.
+func (fc *fitContext) rhs(c int) []float64 {
+	if cap(fc.xty) < c {
+		fc.xty = make([]float64, max(c, 3))
 	}
-	return fc.termCols[i-1]
+	return fc.xty[:c]
+}
+
+// designColumn returns design-matrix column i: the constant column of
+// ones, then the term columns.
+func designColumn(ones []float64, terms [][]float64, i int) []float64 {
+	if i == 0 {
+		return ones
+	}
+	return terms[i-1]
 }
 
 // dotSkip returns Σ a[r]·b[r] over the rows r ≠ leave, summed in row
@@ -456,15 +528,14 @@ func (fc *fitContext) negativeTerm(coefs []float64) bool {
 	return false
 }
 
-// predictRow evaluates the model (coefs over the prepared hypothesis's
-// terms) at row r, replaying pmnf.Function.Eval's operand order — the
-// coefficient first, then each factor in term order — from the factor
-// columns prepare stashed.
-func (fc *fitContext) predictRow(h hypothesis, coefs []float64, r int) float64 {
+// predictRow evaluates the model (coefs over the terms whose factor
+// columns are facs) at row r, replaying pmnf.Function.Eval's operand
+// order — the coefficient first, then each factor in term order.
+func predictRow(facs [][][]float64, coefs []float64, r int) float64 {
 	pred := coefs[0]
-	for ti := range h.terms {
+	for ti, tf := range facs {
 		tv := coefs[ti+1]
-		for _, col := range fc.facCols[ti] {
+		for _, col := range tf {
 			tv *= col[r]
 		}
 		pred += tv
@@ -472,23 +543,53 @@ func (fc *fitContext) predictRow(h hypothesis, coefs []float64, r int) float64 {
 	return pred
 }
 
-// solveFull prepares h and solves its full-data normal equations into
-// fc.coef, with the full-data predictions in fc.fullPreds, leaving the
-// accumulated XᵀX in fc.xtx for the PRESS factorization. It reports
-// false when the full-data regression is degenerate — the oracle's
-// full-data fit fails for exactly the same inputs.
-func (fc *fitContext) solveFull(h hypothesis) bool {
+// designOf returns h's design: the fit-cache record of the constant or a
+// single shape, else the work design built for h now.
+func (fc *fitContext) designOf(h hypothesis) *design {
+	switch {
+	case len(h.terms) == 0:
+		return &fc.basis.recs[0]
+	case len(h.terms) == 1 && len(h.cols) == 1:
+		return &fc.basis.recs[1+h.cols[0]]
+	}
 	fc.prepare(h)
-	if len(fc.nonFinite) > 0 {
+	k, n := len(h.terms), len(fc.points)
+	floats, ints := designSize(k+1, n)
+	if cap(fc.workF) < floats {
+		fc.workF = make([]float64, floats)
+	}
+	if cap(fc.workI) < ints {
+		fc.workI = make([]int, ints)
+	}
+	fc.work.carve(k+1, n, fc.workF[:floats], fc.workI[:ints])
+	fc.work.build(fc.termCols[:k], fc.facCols[:k], fc.ones, &fc.designScratch)
+	return &fc.work
+}
+
+// solveFull solves h's full-data normal equations into fc.coef, with the
+// full-data predictions in fc.fullPreds and h's design in fc.cur for
+// press: the values' half of the fit (Xᵀy, the design's recorded
+// elimination, the predictions). It reports false when the full-data
+// regression is degenerate — the oracle's full-data fit fails for
+// exactly the same inputs.
+func (fc *fitContext) solveFull(h hypothesis) bool {
+	d := fc.designOf(h)
+	fc.cur = d
+	if !d.ok {
 		return false
 	}
-	coefs, err := fc.solveFold(len(h.terms), -1)
+	xty := fc.rhs(d.c)
+	xty[0] = fc.sumY
+	for i, col := range d.terms {
+		xty[i+1] = dotSkip(col, fc.values, -1)
+	}
+	coefs, err := d.elim.Apply(xty)
 	if err != nil {
 		return false
 	}
 	fc.coef = append(fc.coef[:0], coefs...)
 	for r := range fc.fullPreds {
-		fc.fullPreds[r] = fc.predictRow(h, fc.coef, r)
+		fc.fullPreds[r] = predictRow(d.facs, fc.coef, r)
 	}
 	return true
 }
@@ -554,7 +655,7 @@ func (fc *fitContext) crossValidate(h hypothesis) (float64, bool) {
 		if fc.negativeTerm(coefs) {
 			return 0, false
 		}
-		fc.preds = append(fc.preds, fc.predictRow(h, coefs, leave))
+		fc.preds = append(fc.preds, predictRow(fc.facCols[:len(h.terms)], coefs, leave))
 		fc.acts = append(fc.acts, fc.values[leave])
 	}
 	return mathutil.SMAPE(fc.preds, fc.acts)
@@ -585,6 +686,14 @@ func (s cvScore) overlaps(t cvScore) bool { return s.lo() <= t.hi() && t.lo() <=
 // the guard exercised and the replay share honest.
 var guardScored, guardReplayed atomic.Int64
 
+// GuardCounts returns the process-wide guard counters: the hypotheses
+// the engine has scored and how many of them it replayed fold by fold.
+// Both are sums over fit tasks, so a fixed set of tasks adds the same
+// counts however its tasks are scheduled.
+func GuardCounts() (scored, replayed int64) {
+	return guardScored.Load(), guardReplayed.Load()
+}
+
 // flush moves the context's counts into the guard counters.
 func (fc *fitContext) flush() {
 	guardScored.Add(int64(fc.scored))
@@ -607,7 +716,7 @@ func (fc *fitContext) scoreCV(h hypothesis) (cvScore, bool) {
 	if len(fc.points)-1 < len(h.terms)+1 {
 		return cvScore{}, false // every fold is under-determined
 	}
-	if s, ok, decided := fc.press(h); decided {
+	if s, ok, decided := fc.press(); decided {
 		return s, ok
 	}
 	return fc.replay(h)
@@ -639,55 +748,171 @@ const (
 	pivotMargin = 4
 )
 
-// growPress sizes the PRESS scratch for c coefficients, in one
+// design is the half of a hypothesis's full-data fit and PRESS scoring
+// that depends only on the points, never on the values: the term
+// columns, XᵀX's elimination (mathutil.Elimination) and, per row, the
+// PRESS quantities. With it, solveFull and press run only the values'
+// half: Xᵀy, the elimination's right-hand-side pass, the predictions and
+// press's per-row residual loop. Every quantity is computed by the
+// operations, in the order, the undivided fit used, so the split changes
+// no bit of any coefficient, score or replay decision.
+//
+// The fit-cache records are built whole, PRESS half included, and then
+// only read: every task over their point set shares them.
+type design struct {
+	// terms are the term columns (the constant column is implicit) and
+	// facs each term's factor columns, for the predictions.
+	terms [][]float64
+	facs  [][][]float64
+	c     int // coefficients: the constant and one per term
+
+	// ok reports whether the full-data solve can succeed whatever the
+	// values: every column finite, at least c rows and a non-singular
+	// XᵀX (c×c, row-major), eliminated in elim.
+	ok   bool
+	xtx  []float64
+	elim mathutil.Elimination
+
+	// PRESS, once pressed: the column scales D (w = D·c); per row
+	// i < firstBad, at stride c+3, gᵢ = B⁻¹zᵢ, 1−hᵢᵢ, rel = γκ/(1−hᵢᵢ)
+	// and ‖gᵢ‖. firstBad is the first row whose design check sends the
+	// guard to replay: 0 when the guard cannot score the hypothesis at
+	// all, the row count when no row does. The fit-cache records are
+	// pressed when built; a work design only when press first needs it,
+	// since a combination whose full-data coefficients are rejected is
+	// never scored.
+	pressed  bool
+	d        []float64
+	rows     []float64
+	firstBad int
+}
+
+// designSize returns the float64s and ints a design of c coefficients
+// on n rows keeps.
+func designSize(c, n int) (floats, ints int) {
+	floats, ints = mathutil.EliminationSize(c)
+	return floats + c*c + c + n*(c+3), ints
+}
+
+// carve gives d storage for c coefficients on n rows cut from the front
+// of fs and is (see designSize) and returns the rest.
+func (d *design) carve(c, n int, fs []float64, is []int) ([]float64, []int) {
+	d.c = c
+	fs, is = d.elim.Carve(c, fs, is)
+	d.xtx, fs = fs[:c*c:c*c], fs[c*c:]
+	d.d, fs = fs[:c:c], fs[c:]
+	k := n * (c + 3)
+	d.rows, fs = fs[:k:k], fs[k:]
+	return fs, is
+}
+
+// designScratch is the scratch a design is built in, also used by the
+// replayed folds: the normal matrix, and the PRESS factors — the
+// Cholesky factor L of the scaled normal matrix B = D⁻¹XᵀXD⁻¹, L⁻¹ and
+// B⁻¹ (c×c, row-major), D⁻¹ and one row's scaled design row z = D⁻¹xᵢ.
+type designScratch struct {
+	xtx              [][]float64
+	chol, linv, binv []float64
+	dinv, z          []float64
+}
+
+// normal returns the normal-matrix scratch sized c×c.
+func (sc *designScratch) normal(c int) [][]float64 {
+	for len(sc.xtx) < c {
+		sc.xtx = append(sc.xtx, nil)
+	}
+	for i := 0; i < c; i++ {
+		if cap(sc.xtx[i]) < c {
+			sc.xtx[i] = make([]float64, c)
+		}
+		sc.xtx[i] = sc.xtx[i][:c] // a replay may follow a wider hypothesis
+	}
+	return sc.xtx[:c]
+}
+
+// growPress sizes the PRESS factors for c coefficients, in one
 // allocation (sized for at least three coefficients, the widest
 // hypothesis of the sparse search).
-func (fc *fitContext) growPress(c int) {
-	if len(fc.chol) >= c*c {
+func (sc *designScratch) growPress(c int) {
+	if len(sc.chol) >= c*c {
 		return
 	}
 	c = max(c, 3)
-	buf := make([]float64, 3*c*c+6*c)
+	buf := make([]float64, 3*c*c+2*c)
 	take := func(k int) []float64 {
 		s := buf[:k:k]
 		buf = buf[k:]
 		return s
 	}
-	fc.chol, fc.linv, fc.binv = take(c*c), take(c*c), take(c*c)
-	fc.dcol, fc.dinv, fc.zrow, fc.grow, fc.wfold, fc.wfull = take(c), take(c), take(c), take(c), take(c), take(c)
+	sc.chol, sc.linv, sc.binv = take(c*c), take(c*c), take(c*c)
+	sc.dinv, sc.z = take(c), take(c)
 }
 
-// press scores h's leave-one-out folds from the full-data normal
-// equations fc.xtx and coefficients fc.coef that solveFull(h) left
-// behind. decided is false when the guard must replay h; otherwise ok
-// reports whether the oracle accepts every fold, and s is the PRESS
-// CV-SMAPE with its error bound.
-func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
-	n := len(fc.points)
-	c := len(h.terms) + 1
-	fc.growPress(c)
-	L, li, bi := fc.chol[:c*c], fc.linv[:c*c], fc.binv[:c*c]
-	d, dinv := fc.dcol[:c], fc.dinv[:c]
-	for k := 0; k < c; k++ {
-		a := fc.xtx[k][k]
-		if !(a > 0) || math.IsInf(a, 0) {
-			return cvScore{}, false, false
+// build computes the solve half of the design of the hypothesis whose
+// term columns are terms (and their factor columns facs) on the rows of
+// ones, the constant column; d's storage must already be carved for it.
+func (d *design) build(terms [][]float64, facs [][][]float64, ones []float64, sc *designScratch) {
+	n, c := len(ones), len(terms)+1
+	d.terms, d.facs, d.ok, d.pressed = terms, facs, false, false
+	for _, col := range terms {
+		for _, v := range col {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
 		}
-		d[k] = math.Sqrt(a)
-		dinv[k] = 1 / d[k]
+	}
+	if n < c {
+		return // under-determined
+	}
+	xtx := sc.normal(c)
+	for i := 0; i < c; i++ {
+		ci := designColumn(ones, terms, i)
+		for j := i; j < c; j++ {
+			xtx[i][j] = dotSkip(ci, designColumn(ones, terms, j), -1)
+		}
+		for j := 0; j < i; j++ {
+			xtx[i][j] = xtx[j][i]
+		}
+		copy(d.xtx[i*c:(i+1)*c], xtx[i])
+	}
+	d.ok = d.elim.Factor(xtx) == nil
+}
+
+// buildPress computes the design's PRESS half on its n rows.
+func (d *design) buildPress(n int, sc *designScratch) {
+	d.pressed, d.firstBad = true, 0
+	if d.ok && n-1 >= d.c { // else the full-data solve fails or every fold is under-determined
+		d.firstBad = d.pressRows(n, sc)
+	}
+}
+
+// pressRows computes the PRESS quantities of the design from its normal
+// matrix and returns the first row the guard replays at.
+func (d *design) pressRows(n int, sc *designScratch) int {
+	c, xtx := d.c, d.xtx
+	sc.growPress(c)
+	L, li, bi := sc.chol[:c*c], sc.linv[:c*c], sc.binv[:c*c]
+	dd, dinv := d.d, sc.dinv[:c]
+	for k := 0; k < c; k++ {
+		a := xtx[k*c+k]
+		if !(a > 0) || math.IsInf(a, 0) {
+			return 0
+		}
+		dd[k] = math.Sqrt(a)
+		dinv[k] = 1 / dd[k]
 	}
 	// Cholesky factor L of B, then L⁻¹ and B⁻¹ = L⁻ᵀL⁻¹; tr(B⁻¹) gives
 	// the condition estimate and det B = Π Lₖₖ² the pivot bound.
 	detB := 1.0
 	for i := 0; i < c; i++ {
 		for j := 0; j <= i; j++ {
-			v := fc.xtx[i][j] * dinv[i] * dinv[j]
+			v := xtx[i*c+j] * dinv[i] * dinv[j]
 			for m := 0; m < j; m++ {
 				v -= L[i*c+m] * L[j*c+m]
 			}
 			if i == j {
 				if !(v > 0) {
-					return cvScore{}, false, false
+					return 0
 				}
 				L[i*c+i] = math.Sqrt(v)
 				detB *= v
@@ -720,17 +945,8 @@ func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
 	kappa := float64(c) * trace
 	gamma := guardSafety * float64(n+c) * unitRoundoff
 	if !(gamma*kappa <= guardMaxRel) {
-		return cvScore{}, false, false
+		return 0
 	}
-	w := fc.wfull[:c]
-	wn := 0.0
-	for k := range w {
-		w[k] = d[k] * fc.coef[k]
-		wn += w[k] * w[k]
-	}
-	//edlint:ignore logdomain a sum of squares cannot be negative
-	wn = math.Sqrt(wn)
-	sqrtC := math.Sqrt(float64(c))
 	// The replay eliminates each fold matrix A₍₋ᵢ₎ = XᵀX − xᵢxᵢᵀ with
 	// partial pivoting on its rows scaled to unit maximum, which keeps
 	// every scaled pivot at or below 2^k; the smallest is therefore at
@@ -739,22 +955,23 @@ func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
 	// at most Dₖ·max D (plus the accumulation error), so the smallest
 	// scaled pivot of fold i is at least pivBase·(1−hᵢᵢ).
 	dmax := 0.0
-	for _, v := range d {
+	for _, v := range dd {
 		dmax = math.Max(dmax, v)
 	}
 	pivBase := detB / math.Ldexp(1, c*(c-1)/2)
-	for _, v := range d {
+	for _, v := range dd {
 		pivBase *= v / (dmax * (1 + gamma))
 	}
 
-	z, g, wf := fc.zrow[:c], fc.grow[:c], fc.wfold[:c]
-	undecided := false
-	var total, spread float64
+	z := sc.z[:c]
+	stride := c + 3
 	for i := 0; i < n; i++ {
 		z[0] = dinv[0]
 		for k := 1; k < c; k++ {
-			z[k] = fc.termCols[k-1][i] * dinv[k]
+			z[k] = d.terms[k-1][i] * dinv[k]
 		}
+		row := d.rows[i*stride : (i+1)*stride]
+		g := row[:c]
 		lev := 0.0
 		for k := 0; k < c; k++ {
 			v := 0.0
@@ -767,27 +984,63 @@ func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
 		om := 1 - lev
 		rel := gamma * kappa / om
 		if !(om > 0) || !(rel <= guardMaxRel) || !(pivBase*om >= pivotMargin*pivotCut) {
-			return cvScore{}, false, false
+			return i
 		}
-		y := fc.values[i]
-		r := (y - fc.fullPreds[i]) / om
 		gn := 0.0
-		for k := range wf {
-			wf[k] = w[k] - g[k]*r
-			gn += g[k] * g[k]
+		for _, v := range g {
+			gn += v * v
 		}
 		//edlint:ignore logdomain a sum of squares cannot be negative
-		gn = math.Sqrt(gn)
+		row[c], row[c+1], row[c+2] = om, rel, math.Sqrt(gn)
+	}
+	return n
+}
+
+// press scores the leave-one-out folds of the hypothesis solveFull just
+// solved, from its design fc.cur and the full-data coefficients fc.coef
+// and predictions fc.fullPreds. decided is false when the guard must
+// replay it; otherwise ok reports whether the oracle accepts every fold,
+// and s is the PRESS CV-SMAPE with its error bound.
+func (fc *fitContext) press() (s cvScore, ok, decided bool) {
+	d := fc.cur
+	n, c := len(fc.points), d.c
+	if !d.pressed {
+		d.buildPress(n, &fc.designScratch)
+	}
+	if d.firstBad == 0 {
+		return cvScore{}, false, false
+	}
+	if cap(fc.wfull) < c {
+		fc.wfull = make([]float64, max(c, 3))
+	}
+	w := fc.wfull[:c]
+	wn := 0.0
+	for k := range w {
+		w[k] = d.d[k] * fc.coef[k]
+		wn += w[k] * w[k]
+	}
+	//edlint:ignore logdomain a sum of squares cannot be negative
+	wn = math.Sqrt(wn)
+	sqrtC := math.Sqrt(float64(c))
+	stride := c + 3
+	undecided := false
+	var total, spread float64
+	for i := 0; i < d.firstBad; i++ {
+		row := d.rows[i*stride : (i+1)*stride]
+		g, om, rel, gn := row[:c], row[c], row[c+1], row[c+2]
+		y := fc.values[i]
+		r := (y - fc.fullPreds[i]) / om
 		ar := math.Abs(r)
-		// ‖w₍₋ᵢ₎‖ ≤ ‖w‖ + ‖g‖·|r|.
+		// ‖w₍₋ᵢ₎‖ ≤ ‖w‖ + ‖g‖·|r|, w₍₋ᵢ₎ = w − g·r.
 		scale := ar + sqrtC*(2*wn+gn*ar+2*fc.ynorm)
 		if fc.opts.NonNegativeCoefficients {
 			beta := rel * (1 + gn) * scale
 			for k := 1; k < c; k++ {
-				if wf[k] < -beta {
+				wf := w[k] - g[k]*r
+				if wf < -beta {
 					return cvScore{}, false, true // this fold's replay rejects h
 				}
-				if wf[k] <= beta {
+				if wf <= beta {
 					undecided = true
 				}
 			}
@@ -801,12 +1054,12 @@ func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
 			total += 2 * math.Abs(p-y) / den
 		}
 		if den-e > 0 {
-			spread += math.Min(2, 4*e/(den-e))
+			spread += min(2, 4*e/(den-e))
 		} else {
 			spread += 2
 		}
 	}
-	if undecided {
+	if undecided || d.firstBad < n {
 		return cvScore{}, false, false
 	}
 	s.smape = total / float64(n) * 100
@@ -819,15 +1072,21 @@ func (fc *fitContext) press(h hypothesis) (s cvScore, ok, decided bool) {
 	return s, true, true
 }
 
-// rankLine is the engine's stage-1 ranker: it scores the single-shape
-// hypotheses hs on the axis line (a sub-context over the line's own
-// fit-cache entry; the full context when the search fell back to the
-// complete point set).
-func (fc *fitContext) rankLine(points []measurement.Point, values []float64, hs []hypothesis) []rated {
-	if len(points) == len(fc.points) && len(points) > 0 && &points[0] == &fc.points[0] {
+// rankLine is the engine's stage-1 ranker: it scores parameter param's
+// single-shape hypotheses hs on the axis line the fit-cache entry holds
+// (a sub-context over the line's own entry, the values gathered into
+// scratch; the full context when the line is too short).
+func (fc *fitContext) rankLine(param int, hs []hypothesis) []rated {
+	ln := fc.basis.lines[param]
+	if ln.rows == nil {
 		return fc.rankShapes(hs)
 	}
-	lc := newFitContext(points, values, fc.opts)
+	vals := fc.lineVals[:0]
+	for _, r := range ln.rows {
+		vals = append(vals, fc.values[r])
+	}
+	fc.lineVals = vals
+	lc := newFitContext(ln.points, vals, fc.opts)
 	lc.bind(fc.fitScratch)
 	top := lc.rankShapes(hs)
 	lc.flush()
@@ -886,7 +1145,10 @@ func (fc *fitContext) rankShapes(hs []hypothesis) []rated {
 		}
 		ss = kept
 	}
-	shape := func(e scoredShape) rated { return rated{shape: hs[e.idx].terms[0].Factors[0], smape: e.cv.smape} }
+	shape := func(e scoredShape) rated {
+		h := hs[e.idx]
+		return rated{shape: h.terms[0].Factors[0], col: h.cols[0], smape: e.cv.smape}
+	}
 	slices.SortStableFunc(ss, func(a, b scoredShape) int { return compareBy(ratedLess, shape(a), shape(b)) })
 	rs := make([]rated, min(len(ss), sparseTopShapes))
 	for i := range rs {
@@ -1167,7 +1429,7 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 	fc.prepare(h)
 	preds := make([]float64, n)
 	for i := range preds {
-		preds[i] = fc.predictRow(h, coefs, i)
+		preds[i] = predictRow(fc.facCols[:len(h.terms)], coefs, i)
 	}
 	r2, okR2 := mathutil.RSquared(preds, fc.values)
 	if !okR2 {
@@ -1225,7 +1487,7 @@ func (fc *fitContext) search() (*Model, error) {
 		// sparse-modeling approach, first evaluate single-parameter
 		// hypotheses, then build combinations only from the best few
 		// shapes per parameter.
-		hyps = sparseSearch(arity, fc.points, fc.values, fc.basis.shapes, fc.rankLine, &fc.space)
+		hyps = sparseSearch(arity, fc.basis.shapes, fc.rankLine, &fc.space)
 	}
 	if len(hyps) == 0 {
 		return nil, ErrNoHypothesis

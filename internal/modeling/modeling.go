@@ -272,9 +272,11 @@ func samplesSorted(samples []measurement.Sample) bool {
 const sparseTopShapes = 4
 
 // rated is one stage-1 ranking entry of the sparse search: a
-// single-parameter shape and its cross-validated SMAPE on the axis line.
+// single-parameter shape, its fit-cache column (see basisCol) and its
+// cross-validated SMAPE on the axis line.
 type rated struct {
 	shape pmnf.Factor
+	col   int32
 	smape float64
 }
 
@@ -293,22 +295,46 @@ func ratedLess(a, b rated) bool {
 	return a.shape.LogExp < b.shape.LogExp
 }
 
-// topRanker ranks one parameter's single-shape hypotheses hs on the axis
-// line (points, values) and returns the sparseTopShapes best in
+// topRanker ranks parameter param's single-shape hypotheses hs on the
+// parameter's axis line (see axisLine; the complete point set when fewer
+// than minLinePoints lie on it) and returns the sparseTopShapes best in
 // ratedLess order. The engine and the oracle plug in their own ranking
 // so sparse hypothesis generation is shared between them.
-type topRanker func(points []measurement.Point, values []float64, hs []hypothesis) []rated
+type topRanker func(param int, hs []hypothesis) []rated
+
+// minLinePoints is the fewest axis-line points a stage-1 ranking runs
+// on; below it the ranking uses the complete point set.
+const minLinePoints = 3
+
+// basisCol is one factor of the search space: a shape at a parameter
+// and the index of its column among the fit-cache entry's cols, shape s
+// of the expanded exponent sets at parameter p being column
+// p·len(shapes)+s. Hypotheses carry the indices so the engine reads
+// their columns without hashing factors.
+type basisCol struct {
+	f   pmnf.Factor
+	idx int32
+}
+
+// shapeCol returns shape s of shapes at parameter p as a basisCol.
+func shapeCol(shapes []pmnf.Factor, p, s int) basisCol {
+	f := shapes[s]
+	f.Param = p
+	return basisCol{f: f, idx: int32(p*len(shapes) + s)}
+}
 
 // hypothesisSpace is the storage a generated hypothesis list is cut
-// from: the hypotheses themselves and one slab each for their terms and
-// factors. A fit task's space lives in its pooled fitScratch, so the
-// sparse search allocates nothing per hypothesis once the slabs have
-// grown; the next task overwrites it, which is why nothing a fit returns
-// may alias it.
+// from: the hypotheses themselves and one slab each for their terms,
+// factors and factor columns (parallel to the factors). A fit task's
+// space lives in its pooled fitScratch, so the sparse search allocates
+// nothing per hypothesis once the slabs have grown; the next task
+// overwrites it, which is why nothing a fit returns may alias it.
 type hypothesisSpace struct {
 	hyps    []hypothesis
 	terms   []pmnf.Term
 	factors []pmnf.Factor
+	cols    []int32
+	mark    int // start in cols of the hypothesis being cut
 }
 
 // reset empties the space and sizes it for up to nHyps hypotheses with
@@ -324,23 +350,33 @@ func (sp *hypothesisSpace) reset(nHyps, nTerms, nFactors int) {
 	if cap(sp.factors) < nFactors {
 		sp.factors = make([]pmnf.Factor, 0, nFactors)
 	}
-	sp.hyps, sp.terms, sp.factors = sp.hyps[:0], sp.terms[:0], sp.factors[:0]
+	if cap(sp.cols) < nFactors {
+		sp.cols = make([]int32, 0, nFactors)
+	}
+	sp.hyps, sp.terms, sp.factors, sp.cols, sp.mark = sp.hyps[:0], sp.terms[:0], sp.factors[:0], sp.cols[:0], 0
 }
 
-// term cuts a term with the factors fs from the factor slab.
-func (sp *hypothesisSpace) term(fs ...pmnf.Factor) pmnf.Term {
+// term cuts a term with the factors cs from the factor and column slabs.
+func (sp *hypothesisSpace) term(cs ...basisCol) pmnf.Term {
 	start := len(sp.factors)
-	sp.factors = append(sp.factors, fs...)
-	end := len(sp.factors)
+	end := start + len(cs)
+	sp.factors = slices.Grow(sp.factors, len(cs))[:end]
+	sp.cols = slices.Grow(sp.cols, len(cs))[:end]
+	for i, c := range cs {
+		sp.factors[start+i], sp.cols[start+i] = c.f, c.idx
+	}
 	return pmnf.Term{Factors: sp.factors[start:end:end]}
 }
 
-// add appends the hypothesis with the terms ts, cut from the term slab.
+// add appends the hypothesis with the terms ts, cut from the term slab;
+// its columns are those of the terms cut since the previous add.
 func (sp *hypothesisSpace) add(ts ...pmnf.Term) {
 	start := len(sp.terms)
 	sp.terms = append(sp.terms, ts...)
 	end := len(sp.terms)
-	sp.hyps = append(sp.hyps, hypothesis{terms: sp.terms[start:end:end]})
+	cols := sp.cols[sp.mark:len(sp.cols):len(sp.cols)]
+	sp.mark = len(sp.cols)
+	sp.hyps = append(sp.hyps, hypothesis{terms: sp.terms[start:end:end], cols: cols})
 }
 
 // sparseSearch implements the two-stage multi-parameter search: rank
@@ -349,7 +385,7 @@ func (sp *hypothesisSpace) add(ts ...pmnf.Term) {
 // hybrid (term + cross-term) form, over the expanded exponent sets
 // shapes. The hypotheses are built into sp, or into fresh storage when sp
 // is nil; the returned list aliases it.
-func sparseSearch(arity int, points []measurement.Point, values []float64, shapes []pmnf.Factor, top topRanker, sp *hypothesisSpace) []hypothesis {
+func sparseSearch(arity int, shapes []pmnf.Factor, top topRanker, sp *hypothesisSpace) []hypothesis {
 	if sp == nil {
 		sp = new(hypothesisSpace)
 	}
@@ -368,17 +404,11 @@ func sparseSearch(arity int, points []measurement.Point, values []float64, shape
 		// other parameters sit at their minimum — on the full cross
 		// product the other parameters' effect would drown the shape
 		// signal of this one.
-		linePts, lineVals := axisLine(points, values, param)
-		if len(linePts) < 3 {
-			linePts, lineVals = points, values
-		}
 		first := len(sp.hyps)
-		for _, s := range shapes {
-			f := s
-			f.Param = param
-			sp.add(sp.term(f))
+		for s := range shapes {
+			sp.add(sp.term(shapeCol(shapes, param, s)))
 		}
-		topPerParam[param] = top(linePts, lineVals, sp.hyps[first:])
+		topPerParam[param] = top(param, sp.hyps[first:])
 	}
 
 	// Stage 2: combinations of the top shapes per parameter pair.
@@ -386,7 +416,7 @@ func sparseSearch(arity int, points []measurement.Point, values []float64, shape
 		for p2 := p1 + 1; p2 < arity; p2++ {
 			for _, r1 := range topPerParam[p1] {
 				for _, r2 := range topPerParam[p2] {
-					f1, f2 := r1.shape, r2.shape
+					f1, f2 := basisCol{r1.shape, r1.col}, basisCol{r2.shape, r2.col}
 					sp.add(sp.term(f1), sp.term(f2))
 					sp.add(sp.term(f1, f2))
 					sp.add(sp.term(f1), sp.term(f1, f2))
@@ -398,10 +428,10 @@ func sparseSearch(arity int, points []measurement.Point, values []float64, shape
 	return sp.hyps
 }
 
-// axisLine extracts the subset of points (and their values) where every
-// parameter except `param` is at its data minimum — the cheapest 1-D line
-// through a measurement grid, used to rank single-parameter shapes.
-func axisLine(points []measurement.Point, values []float64, param int) ([]measurement.Point, []float64) {
+// axisRows returns the indices of the points where every parameter
+// except `param` is at its data minimum — the cheapest 1-D line through a
+// measurement grid, used to rank single-parameter shapes.
+func axisRows(points []measurement.Point, param int) []int {
 	arity := len(points[0])
 	mins := make([]float64, arity)
 	copy(mins, points[0])
@@ -412,8 +442,7 @@ func axisLine(points []measurement.Point, values []float64, param int) ([]measur
 			}
 		}
 	}
-	var pts []measurement.Point
-	var vals []float64
+	var rows []int
 	for i, p := range points {
 		onLine := true
 		for j, v := range p {
@@ -423,9 +452,20 @@ func axisLine(points []measurement.Point, values []float64, param int) ([]measur
 			}
 		}
 		if onLine {
-			pts = append(pts, p)
-			vals = append(vals, values[i])
+			rows = append(rows, i)
 		}
+	}
+	return rows
+}
+
+// axisLine extracts the points on param's axis line (see axisRows) and
+// their values.
+func axisLine(points []measurement.Point, values []float64, param int) ([]measurement.Point, []float64) {
+	rows := axisRows(points, param)
+	pts := make([]measurement.Point, len(rows))
+	vals := make([]float64, len(rows))
+	for i, r := range rows {
+		pts[i], vals[i] = points[r], values[r]
 	}
 	return pts, vals
 }
@@ -446,9 +486,11 @@ func buildShapes(opts Options) []pmnf.Factor {
 }
 
 // hypothesis is a candidate model shape: the basis terms without
-// coefficients. The constant basis is implicit.
+// coefficients, and the fit-cache column of every factor. The constant
+// basis is implicit.
 type hypothesis struct {
 	terms []pmnf.Term // coefficients ignored; factors define the basis
+	cols  []int32     // basisCol.idx of every factor, in term and factor order
 }
 
 // hypotheses generates the single-parameter hypothesis search space, in
@@ -458,23 +500,25 @@ type hypothesis struct {
 // sparseSearch.
 func hypotheses(opts Options) []hypothesis {
 	shapes := buildShapes(opts)
-	var out []hypothesis
+	ns, pairs := len(shapes), 0
+	if opts.MaxTerms >= 2 {
+		pairs = ns * (ns - 1) / 2
+	}
+	var sp hypothesisSpace
+	sp.reset(1+ns+pairs, ns+2*pairs, ns+2*pairs)
 	// The constant-only hypothesis is always a candidate.
-	out = append(out, hypothesis{})
-	for _, s := range shapes {
-		out = append(out, hypothesis{terms: []pmnf.Term{{Factors: []pmnf.Factor{s}}}})
+	sp.hyps = append(sp.hyps, hypothesis{})
+	for s := range shapes {
+		sp.add(sp.term(shapeCol(shapes, 0, s)))
 	}
 	if opts.MaxTerms >= 2 {
-		for a := 0; a < len(shapes); a++ {
-			for b := a + 1; b < len(shapes); b++ {
-				out = append(out, hypothesis{terms: []pmnf.Term{
-					{Factors: []pmnf.Factor{shapes[a]}},
-					{Factors: []pmnf.Factor{shapes[b]}},
-				}})
+		for a := 0; a < ns; a++ {
+			for b := a + 1; b < ns; b++ {
+				sp.add(sp.term(shapeCol(shapes, 0, a)), sp.term(shapeCol(shapes, 0, b)))
 			}
 		}
 	}
-	return out
+	return sp.hyps
 }
 
 // validateFitInputs runs the shared precondition checks of every fit

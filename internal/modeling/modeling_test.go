@@ -477,24 +477,29 @@ func resetFitCache() {
 	basisMu.Unlock()
 }
 
-// checkEntry reports whether e is the complete entry for rows and opts:
-// it matches them, holds every shape's column at every parameter bit for
-// bit, and for one-parameter rows the whole hypothesis list.
-func checkEntry(e *basisEntry, rows [][]float64, opts Options) error {
+// checkEntry reports whether e is the complete entry for points and
+// opts: it matches them, holds every shape's column at every parameter
+// bit for bit, a design per column and the constant's, and for
+// one-parameter rows the whole hypothesis list.
+func checkEntry(e *basisEntry, points []measurement.Point, opts Options) error {
 	if e == nil {
 		return errors.New("no entry")
 	}
-	if !e.matches(rows, opts) {
+	if !e.matches(points, opts) {
 		return errors.New("entry keyed by other content")
 	}
+	rows := rowsOf(points)
 	shapes := buildShapes(opts)
 	if len(e.shapes) != len(shapes) || len(e.cols) != len(shapes)*len(rows[0]) {
 		return fmt.Errorf("%d shapes and %d columns, want %d and %d", len(e.shapes), len(e.cols), len(shapes), len(shapes)*len(rows[0]))
 	}
-	for _, f := range shapes {
+	if len(e.recs) != 1+len(e.cols) {
+		return fmt.Errorf("%d designs for %d columns", len(e.recs), len(e.cols))
+	}
+	for s := range shapes {
 		for p := range rows[0] {
-			f.Param = p
-			col, want := e.cols[f], pmnf.FactorColumn(rows, f)
+			c := shapeCol(shapes, p, s)
+			f, col, want := c.f, e.cols[c.idx], pmnf.FactorColumn(rows, c.f)
 			if len(col) != len(want) {
 				return fmt.Errorf("%v: column of %d rows, want %d", f, len(col), len(want))
 			}
@@ -524,7 +529,7 @@ func TestHypothesisMemoizationReturnsSharedSpace(t *testing.T) {
 	if fc1.basis != fc2.basis {
 		t.Fatal("second task over the same points built its own entry instead of reusing the cache")
 	}
-	if err := checkEntry(fc1.basis, rowsOf(points), opts); err != nil {
+	if err := checkEntry(fc1.basis, points, opts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -533,8 +538,7 @@ func TestFitCacheKeysTermBudget(t *testing.T) {
 	points := points1D(2, 4, 8, 16, 32, 64)
 	values := evalAll(func(x float64) float64 { return 3 + x + 0.5*x*x }, 2, 4, 8, 16, 32, 64)
 	one, two := normalizeOptions(DefaultOptions()), normalizeOptions(LargeOptions())
-	rows := rowsOf(points)
-	e1, e2 := sharedBasis(rows, one), sharedBasis(rows, two)
+	e1, e2 := sharedBasis(points, one), sharedBasis(points, two)
 	if e1 == e2 {
 		t.Fatal("MaxTerms 1 and 2 share one entry")
 	}
@@ -542,7 +546,7 @@ func TestFitCacheKeysTermBudget(t *testing.T) {
 		e    *basisEntry
 		opts Options
 	}{{e1, one}, {e2, two}} {
-		if err := checkEntry(c.e, rows, c.opts); err != nil {
+		if err := checkEntry(c.e, points, c.opts); err != nil {
 			t.Fatalf("MaxTerms %d: %v", c.opts.MaxTerms, err)
 		}
 		if err := checkEquivalence(points, values, c.opts); err != nil {
@@ -574,13 +578,12 @@ func TestFitCachePastCap(t *testing.T) {
 		if i < basisCacheCap {
 			continue
 		}
-		rows := rowsOf(points)
-		e := sharedBasis(rows, opts)
-		if err := checkEntry(e, rows, opts); err != nil {
+		e := sharedBasis(points, opts)
+		if err := checkEntry(e, points, opts); err != nil {
 			t.Fatalf("past the cap: %v", err)
 		}
 		basisMu.RLock()
-		published := basisCache[basisSignature(rows, opts)]
+		published := basisCache[basisSignature(points, opts)]
 		basisMu.RUnlock()
 		if published != e {
 			t.Fatal("past the cap: the entry was not published")
@@ -595,8 +598,8 @@ func TestFitCacheCollisionBuildsPrivateEntry(t *testing.T) {
 	resetFitCache()
 	defer resetFitCache()
 	opts := normalizeOptions(DefaultOptions())
-	rows := rowsOf(points1D(3, 6, 12, 24, 48))
-	other := rowsOf(points1D(3, 6, 12, 24, 49))
+	rows := points1D(3, 6, 12, 24, 48)
+	other := points1D(3, 6, 12, 24, 49)
 	sig := basisSignature(rows, opts)
 	planted := newBasisEntry(other, opts)
 	basisMu.Lock()

@@ -38,14 +38,24 @@ func fitOracle(points []measurement.Point, values []float64, opts Options) (*Mod
 	if arity == 1 {
 		hyps = hypotheses(opts)
 	} else {
-		hyps = sparseSearch(arity, points, values, buildShapes(opts), func(pts []measurement.Point, vals []float64, hs []hypothesis) []rated {
-			return rankByCV(func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }, hs)
-		}, nil)
+		hyps = sparseSearch(arity, buildShapes(opts), oracleRanker(points, values, opts), nil)
 	}
 	if len(hyps) == 0 {
 		return nil, ErrNoHypothesis
 	}
 	return selectBestDirect(points, values, hyps, opts)
+}
+
+// oracleRanker is the oracle's stage-1 ranker over (points, values): each
+// parameter's axis line, cut afresh, scored by crossValidateDirect.
+func oracleRanker(points []measurement.Point, values []float64, opts Options) topRanker {
+	return func(param int, hs []hypothesis) []rated {
+		pts, vals := axisLine(points, values, param)
+		if len(pts) < minLinePoints {
+			pts, vals = points, values
+		}
+		return rankByCV(func(h hypothesis) (float64, bool) { return crossValidateDirect(h, pts, vals, opts) }, hs)
+	}
 }
 
 // rankByCV scores every single-shape hypothesis with cv and keeps the
@@ -57,7 +67,7 @@ func rankByCV(cv func(hypothesis) (float64, bool), hs []hypothesis) []rated {
 		if !ok {
 			continue
 		}
-		rs = append(rs, rated{shape: h.terms[0].Factors[0], smape: smape})
+		rs = append(rs, rated{shape: h.terms[0].Factors[0], col: h.cols[0], smape: smape})
 	}
 	sort.SliceStable(rs, func(i, j int) bool { return ratedLess(rs[i], rs[j]) })
 	if len(rs) > sparseTopShapes {

@@ -75,7 +75,7 @@ func TestPooledScratchNeverLeaksIntoModel(t *testing.T) {
 func TestFunctionOwnsItsFactors(t *testing.T) {
 	var sp hypothesisSpace
 	sp.reset(1, 2, 3)
-	sp.add(sp.term(pmnf.Factor{PolyExp: 1}), sp.term(pmnf.Factor{PolyExp: 0.5, Param: 1}, pmnf.Factor{LogExp: 1}))
+	sp.add(sp.term(basisCol{f: pmnf.Factor{PolyExp: 1}}), sp.term(basisCol{f: pmnf.Factor{PolyExp: 0.5, Param: 1}}, basisCol{f: pmnf.Factor{LogExp: 1}}))
 	m := &Model{Function: function(sp.hyps[0], []float64{1, 2, 3})}
 	before := frozen(m)
 	for i := range sp.factors {
@@ -88,10 +88,11 @@ func TestFunctionOwnsItsFactors(t *testing.T) {
 
 // TestSparseSearchSteadyStateAllocs bounds the allocations of one 5×5
 // two-parameter fit through the scratch pool. On warm scratch it makes
-// ~40 allocations and on fresh scratch ~130, which the race detector's
-// pool drops can approach; with a string cache key for the exponent sets
-// it made ~75 and ~160, and with the per-hypothesis Terms and Factors and
-// the per-candidate Function it used to build ~870. The hypothesis space
+// ~13 allocations, and fresh scratch, which the race detector's pool
+// drops can hand out, adds the scratch's own; while every task cut its
+// axis lines and copied its points it made ~34 warm, with a string cache
+// key for the exponent sets ~75, and with the per-hypothesis Terms and
+// Factors and the per-candidate Function it used to build ~870. The hypothesis space
 // holds ~230 hypotheses, so even one allocation per hypothesis coming
 // back exceeds the bound.
 func TestSparseSearchSteadyStateAllocs(t *testing.T) {
