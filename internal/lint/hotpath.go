@@ -19,7 +19,7 @@ import (
 //     the lint instead of silently policing nothing.
 //   - hotPathDefaults below names the policed core: the functions every
 //     fit task funnels through. An entry matches by package-path suffix
-//     plus the function's display name ("fitContext.prepare"), with a
+//     plus the function's display name ("fitContext.solveFull"), with a
 //     "Recv.*" wildcard covering every method of a receiver type.
 //
 // Hotness deliberately does NOT propagate to transitive callees, and a
@@ -54,6 +54,7 @@ var hotPathDefaults = []hotPathDefault{
 	// hypothesis, and per task for every two-shape combination.
 	{"internal/modeling", "design.*"},
 	{"internal/modeling", "designScratch.*"},
+	{"internal/modeling", "modeling.normalEquations"},
 	{"internal/modeling", "modeling.predictRow"},
 	// The sparse hypothesis search and the pooled slabs it builds each
 	// task's hypothesis space into.
@@ -80,32 +81,33 @@ var hotPathDefaults = []hotPathDefault{
 	// The solver each fold lands in, and the fit-quality scorers called
 	// once per hypothesis.
 	{"internal/mathutil", "mathutil.SolveLinearSystem"},
-	{"internal/mathutil", "mathutil.SolveLinearSystemInto"},
 	{"internal/mathutil", "Elimination.*"},
 	{"internal/mathutil", "mathutil.SMAPE"},
 	{"internal/mathutil", "mathutil.RSS"},
 }
 
 // hotByDefault reports whether the (unit path, display name) pair is in
-// the policed default set. The test-unit suffix is ignored so in-package
-// test units police the same declarations.
+// the policed default set.
 func hotByDefault(path, display string) bool {
-	path = strings.TrimSuffix(path, "_test")
 	for _, d := range hotPathDefaults {
-		if !strings.HasSuffix(path, d.pkg) {
-			continue
-		}
-		if recv, ok := strings.CutSuffix(d.pattern, ".*"); ok {
-			if strings.HasPrefix(display, recv+".") {
-				return true
-			}
-			continue
-		}
-		if display == d.pattern {
+		if d.matches(path, display) {
 			return true
 		}
 	}
 	return false
+}
+
+// matches reports whether the pattern designates the declaration named
+// display in the unit at path. The test-unit suffix is ignored so
+// in-package test units police the same declarations.
+func (d hotPathDefault) matches(path, display string) bool {
+	if !strings.HasSuffix(strings.TrimSuffix(path, "_test"), d.pkg) {
+		return false
+	}
+	if recv, ok := strings.CutSuffix(d.pattern, ".*"); ok {
+		return strings.HasPrefix(display, recv+".")
+	}
+	return display == d.pattern
 }
 
 // hotByDirective reports whether fd's doc comment carries the

@@ -9,8 +9,8 @@ import (
 	"extradeep/internal/propcheck"
 )
 
-// referenceSolve is the elimination SolveLinearSystemInto ran before it
-// was split into Factor and Apply, frozen: the augmented system [A | b]
+// referenceSolve is the elimination the linear solver ran before it was
+// split into Factor and Apply, frozen: the augmented system [A | b]
 // eliminated as one, row slices swapped, then back substitution. The
 // split must reproduce it bit for bit, errors included.
 func referenceSolve(a [][]float64, b []float64) ([]float64, error) {
@@ -207,10 +207,10 @@ func factorCaseGen() propcheck.Gen[factorCase] {
 // TestPropFactorApplyMatchesReference factors each matrix once and
 // applies the elimination to several right-hand sides: every solution,
 // and every error's singular verdict, must equal the frozen reference
-// elimination's, and so must SolveLinearSystemInto's on a reused
-// workspace.
+// elimination's, and so must a solve into one Elimination reused across
+// every case.
 func TestPropFactorApplyMatchesReference(t *testing.T) {
-	ws := &SolveWorkspace{}
+	var reused Elimination
 	propcheck.CheckConfig(t, propcheck.Config{Iterations: 400}, factorCaseGen(), func(c factorCase) error {
 		var e Elimination
 		ferr := e.Factor(c.a)
@@ -223,7 +223,7 @@ func TestPropFactorApplyMatchesReference(t *testing.T) {
 			if err := sameSolve(c.kind+" factor+apply", got, gotErr, want, wantErr); err != nil {
 				return err
 			}
-			got, gotErr = SolveLinearSystemInto(c.a, b, ws)
+			got, gotErr = solveInto(&reused, c.a, b)
 			if err := sameSolve(c.kind+" solve", got, gotErr, want, wantErr); err != nil {
 				return err
 			}

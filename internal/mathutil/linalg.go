@@ -13,31 +13,11 @@ var ErrSingular = errors.New("mathutil: singular or ill-conditioned system")
 
 // SolveLinearSystem solves A·x = b in place of nothing: it copies its inputs,
 // runs Gaussian elimination with scaled partial pivoting, and returns x.
-// A must be square with len(A) == len(b).
+// A must be square with len(A) == len(b). The solve is Factor then Apply
+// on a fresh Elimination, so a caller that factors a matrix once and
+// applies it to many right-hand sides gets exactly the bits of solving
+// each system here.
 func SolveLinearSystem(a [][]float64, b []float64) ([]float64, error) {
-	return SolveLinearSystemInto(a, b, nil)
-}
-
-// SolveWorkspace holds the scratch buffers of SolveLinearSystemInto so
-// repeated small solves (the PMNF fit engine issues one per
-// cross-validation fold per hypothesis) reuse memory instead of
-// allocating. The zero value is ready to use. A workspace is not safe
-// for concurrent use.
-type SolveWorkspace struct {
-	elim Elimination
-	x    []float64
-}
-
-// SolveLinearSystemInto is SolveLinearSystem with caller-owned scratch:
-// the inputs are still copied (callers keep their data), but into the
-// workspace's reusable buffers, and the returned solution aliases
-// workspace memory — valid until the next solve on the same workspace.
-// A nil workspace allocates fresh buffers, making the two functions
-// interchangeable. The solve is Factor then Apply on the workspace's
-// Elimination, so a caller that factors a matrix once and applies it to
-// many right-hand sides gets exactly the bits of solving each system
-// here.
-func SolveLinearSystemInto(a [][]float64, b []float64, ws *SolveWorkspace) ([]float64, error) {
 	n := len(a)
 	if n == 0 {
 		return nil, ErrEmpty
@@ -45,18 +25,11 @@ func SolveLinearSystemInto(a [][]float64, b []float64, ws *SolveWorkspace) ([]fl
 	if len(b) != n {
 		return nil, fmt.Errorf("mathutil: dimension mismatch: %d equations, %d right-hand sides", n, len(b))
 	}
-	if ws == nil {
-		ws = &SolveWorkspace{}
-	}
-	if err := ws.elim.Factor(a); err != nil {
+	var e Elimination
+	if err := e.Factor(a); err != nil {
 		return nil, err
 	}
-	if cap(ws.x) < n {
-		ws.x = make([]float64, n)
-	}
-	x := ws.x[:n]
-	copy(x, b)
-	return ws.elim.Apply(x)
+	return e.Apply(append([]float64(nil), b...))
 }
 
 // Elimination is the matrix half of a Gaussian elimination with scaled

@@ -3,6 +3,7 @@ package modeling
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -281,6 +282,10 @@ func TestPropEngineOracleEquivalence(t *testing.T) {
 // make a single multiplicative term f₁·f₂ the winner; the combination
 // stage lists that term right after the two-term f₁+f₂, so its solve
 // runs on normal-equation scratch sized for one more coefficient.
+// Overflow surfaces put one parameter value of 1e103 first, in the
+// middle and last on a 5×3 grid's axis line: x³ overflows to +Inf there,
+// so the replay meets term columns with one non-finite row, which the
+// oracle's folds reject all but one of.
 func TestPropEngineOracleEquivalenceGrid(t *testing.T) {
 	type gridCase struct {
 		a, cp, cb, cross float64
@@ -327,6 +332,19 @@ func TestPropEngineOracleEquivalenceGrid(t *testing.T) {
 			}
 			if terms := m.Function.Terms; len(terms) != 1 || len(terms[0].Factors) != 2 {
 				return fmt.Errorf("product surface selected %s, want the single term p·b^(1/2)", m.Function)
+			}
+		}
+		for _, at := range []int{0, 2, 4} {
+			var pts []measurement.Point
+			var vals []float64
+			for _, p := range slices.Insert([]float64{2, 4, 8, 16}, at, 1e103) {
+				for _, b := range []float64{32, 64, 128} {
+					pts = append(pts, measurement.Point{p, b})
+					vals = append(vals, c.a+c.cp*math.Log2(p)+c.cb*b)
+				}
+			}
+			if err := checkEquivalence(pts, vals, DefaultOptions()); err != nil {
+				return fmt.Errorf("overflow at axis position %d: %w", at, err)
 			}
 		}
 		return nil

@@ -1,7 +1,6 @@
 package modeling
 
 import (
-	"errors"
 	"math"
 	"slices"
 	"sync"
@@ -27,7 +26,8 @@ import (
 // a half that depends on the values. The fit-cache entry holds the
 // design of the constant and of every single-shape hypothesis, built
 // once per point set; a task scoring one of them runs only the values'
-// half. Two-shape combinations build their design per task.
+// half. Two-shape combinations build their design per task. The exact
+// fold replay reads its columns from the same designs.
 //
 // Leave-one-out cross-validation is ranked fast and replayed exactly only
 // where model selection is decided. Every fold comes from the one
@@ -44,10 +44,6 @@ import (
 // minimum, the Occam threshold, the winner's tie group), and always when
 // it wins: the reported SMAPE is the replayed one. Selection is
 // therefore bit-identical to the oracle.
-
-// errUnderDetermined mirrors the oracle's rejection of folds with fewer
-// rows than coefficients.
-var errUnderDetermined = errors.New("modeling: under-determined fold")
 
 // fitContext is the per-task state of the design-matrix engine. It is
 // confined to one goroutine: every scratch buffer is reused across the
@@ -81,32 +77,25 @@ type fitContext struct {
 // and folds and shared by the task's contexts: the stage-1 axis-line
 // contexts run to completion before the task's own context starts.
 // Between tasks it rests in scratchPool.
-// termCols holds the prepared hypothesis's basis columns and facCols the
-// per-term factor column references they were assembled from (for the
-// prediction replay); nonFinite the rows where any term column is
-// NaN/Inf; owner/lastTerms memoize the context and hypothesis they were
-// prepared for, since a replay re-prepares the hypothesis just scored.
 // work is the design of a combination, built per hypothesis in
-// workF/workI; lineVals holds an axis line's values while stage 1 ranks
-// on it; designScratch holds the normal equations and PRESS
-// factors its build and the replayed folds work in. xty is the
-// right-hand side, ws the solver workspace, preds/acts the replayed fold
-// predictions, coef the full-data coefficients of the scored hypothesis,
-// wfull its scaled coefficients, rows backs fullPreds and ones, and
-// shapes/cands hold the stage-1 ranking and the selection.
+// workF/workI from its term columns termCols and their factor columns
+// facCols; lineVals holds an axis line's values while stage 1 ranks on
+// it; designScratch holds the normal equations and PRESS factors a
+// design's build and the replayed folds work in, and fold the replayed
+// fold's elimination. xty is the right-hand side, preds/acts the
+// replayed fold predictions, coef the full-data coefficients of the
+// scored hypothesis, wfull its scaled coefficients, rows backs fullPreds
+// and ones, and shapes/cands hold the stage-1 ranking and the selection.
 type fitScratch struct {
-	owner     *fitContext
-	lastTerms []pmnf.Term
-	termCols  [][]float64
-	facCols   [][][]float64
-	nonFinite []int
+	termCols [][]float64
+	facCols  [][][]float64
 	designScratch
 	work     design
 	workF    []float64
 	workI    []int
+	fold     mathutil.Elimination
 	xty      []float64
 	lineVals []float64
-	ws       mathutil.SolveWorkspace
 	preds    []float64
 	acts     []float64
 	coef     []float64
@@ -401,88 +390,6 @@ func (fc *fitContext) bind(sc *fitScratch) {
 	fc.ones = sc.rows[len(sc.rows)-n:]
 }
 
-// prepare caches the basis columns of h's terms — and the factor columns
-// they are built from — and records the rows at which any term column is
-// non-finite. A repeated call for the hypothesis just prepared on this
-// context is a no-op: a replay re-prepares the hypothesis just scored,
-// and the memo spares the second column assembly.
-func (fc *fitContext) prepare(h hypothesis) {
-	k := len(h.terms)
-	if fc.owner == fc && k == len(fc.lastTerms) && (k == 0 || &h.terms[0] == &fc.lastTerms[0]) {
-		return
-	}
-	fc.owner = fc
-	fc.lastTerms = h.terms
-	for len(fc.termCols) < k {
-		fc.termCols = append(fc.termCols, nil)
-	}
-	for len(fc.facCols) < k {
-		fc.facCols = append(fc.facCols, nil)
-	}
-	fc.nonFinite = fc.nonFinite[:0]
-	next := 0 // h.cols index of the term's first factor
-	for c, t := range h.terms {
-		facs := fc.facCols[c][:0]
-		for range t.Factors {
-			facs = append(facs, fc.basis.cols[h.cols[next]])
-			next++
-		}
-		fc.facCols[c] = facs
-		fc.termCols[c] = pmnf.TermProduct(len(fc.points), facs, fc.termCols[c])
-	}
-	for r := 0; r < len(fc.points); r++ {
-		for c := 0; c < k; c++ {
-			if v := fc.termCols[c][r]; math.IsNaN(v) || math.IsInf(v, 0) {
-				fc.nonFinite = append(fc.nonFinite, r)
-				break
-			}
-		}
-	}
-}
-
-// foldClean reports whether the design matrix of the fold leaving out row
-// `leave` is fully finite — the oracle checks exactly the rows the fold
-// fits on, so a single bad row poisons every fold except its own.
-func (fc *fitContext) foldClean(leave int) bool {
-	switch len(fc.nonFinite) {
-	case 0:
-		return true
-	case 1:
-		return fc.nonFinite[0] == leave
-	default:
-		return false
-	}
-}
-
-// solveFold accumulates the normal equations XᵀX·c = Xᵀy of the
-// prepared hypothesis over every row except `leave` and solves them: one
-// fold of the replay. Each entry of the upper triangle is summed over the
-// rows in row order, as mathutil.LeastSquares sums it, so the solution
-// is bit-identical to building the design matrix and solving directly;
-// summing one entry at a time over contiguous columns only changes which
-// entry is worked on when. The returned slice aliases solver scratch;
-// callers use it before the next solve.
-func (fc *fitContext) solveFold(nTerms, leave int) ([]float64, error) {
-	cols := nTerms + 1
-	if len(fc.points)-1 < cols {
-		return nil, errUnderDetermined
-	}
-	xtx := fc.normal(cols)
-	xty := fc.rhs(cols)
-	terms := fc.termCols[:nTerms]
-	for i := 0; i < cols; i++ {
-		ci := designColumn(fc.ones, terms, i)
-		xty[i] = dotSkip(ci, fc.values, leave)
-		for j := i; j < cols; j++ {
-			xtx[i][j] = dotSkip(ci, designColumn(fc.ones, terms, j), leave)
-		}
-		for j := 0; j < i; j++ {
-			xtx[i][j] = xtx[j][i]
-		}
-	}
-	return mathutil.SolveLinearSystemInto(xtx, xty, &fc.ws)
-}
-
 // rhs returns the right-hand-side scratch sized for c coefficients.
 func (fc *fitContext) rhs(c int) []float64 {
 	if cap(fc.xty) < c {
@@ -498,6 +405,26 @@ func designColumn(ones []float64, terms [][]float64, i int) []float64 {
 		return ones
 	}
 	return terms[i-1]
+}
+
+// normalEquations sums the normal matrix XᵀX of the design whose columns
+// are ones and terms over every row except leave (-1: every row) into
+// xtx. Each entry of the upper triangle is summed over the rows in row
+// order, as mathutil.LeastSquares sums it, so solving it is bit-identical
+// to building the design matrix and solving directly; summing one entry
+// at a time over contiguous columns only changes which entry is worked
+// on when.
+func normalEquations(terms [][]float64, ones []float64, leave int, xtx [][]float64) {
+	c := len(terms) + 1
+	for i := 0; i < c; i++ {
+		ci := designColumn(ones, terms, i)
+		for j := i; j < c; j++ {
+			xtx[i][j] = dotSkip(ci, designColumn(ones, terms, j), leave)
+		}
+		for j := 0; j < i; j++ {
+			xtx[i][j] = xtx[j][i]
+		}
+	}
 }
 
 // dotSkip returns Σ a[r]·b[r] over the rows r ≠ leave, summed in row
@@ -544,7 +471,8 @@ func predictRow(facs [][][]float64, coefs []float64, r int) float64 {
 }
 
 // designOf returns h's design: the fit-cache record of the constant or a
-// single shape, else the work design built for h now.
+// single shape, else the work design built for h now from its term
+// columns, each the product of its factors' cached columns.
 func (fc *fitContext) designOf(h hypothesis) *design {
 	switch {
 	case len(h.terms) == 0:
@@ -552,8 +480,21 @@ func (fc *fitContext) designOf(h hypothesis) *design {
 	case len(h.terms) == 1 && len(h.cols) == 1:
 		return &fc.basis.recs[1+h.cols[0]]
 	}
-	fc.prepare(h)
 	k, n := len(h.terms), len(fc.points)
+	for len(fc.termCols) < k {
+		fc.termCols = append(fc.termCols, nil)
+		fc.facCols = append(fc.facCols, nil)
+	}
+	next := 0 // h.cols index of the term's first factor
+	for c, t := range h.terms {
+		facs := fc.facCols[c][:0]
+		for range t.Factors {
+			facs = append(facs, fc.basis.cols[h.cols[next]])
+			next++
+		}
+		fc.facCols[c] = facs
+		fc.termCols[c] = pmnf.TermProduct(n, facs, fc.termCols[c])
+	}
 	floats, ints := designSize(k+1, n)
 	if cap(fc.workF) < floats {
 		fc.workF = make([]float64, floats)
@@ -636,26 +577,35 @@ func function(h hypothesis, coefs []float64) *pmnf.Function {
 }
 
 // crossValidate computes the leave-one-out CV-SMAPE of hypothesis h by
-// replaying every fold's solve from the cached columns in the oracle's
-// operation order, preserving its per-fold singularity and
-// coefficient-sign rejections bit for bit. It is the guard's exact path.
+// replaying every fold's solve on h's design in the oracle's operation
+// order: each fold's normal equations summed without its row, factored
+// and applied on the scratch elimination. It preserves the oracle's
+// per-fold singularity and coefficient-sign rejections bit for bit and
+// is the guard's exact path. The oracle rejects a fold whose rows are
+// not all finite or fewer than its coefficients; a non-finite row lies
+// in every fold but its own, so either rejects h whole.
 func (fc *fitContext) crossValidate(h hypothesis) (float64, bool) {
-	fc.prepare(h)
-	n := len(fc.points)
+	d := fc.designOf(h)
+	n, c := len(fc.points), d.c
+	if !d.finite || n-1 < c {
+		return 0, false
+	}
+	xtx, xty := fc.normal(c), fc.rhs(c)
 	fc.preds = fc.preds[:0]
 	fc.acts = fc.acts[:0]
 	for leave := 0; leave < n; leave++ {
-		if !fc.foldClean(leave) {
+		normalEquations(d.terms, fc.ones, leave, xtx)
+		for i := range xty {
+			xty[i] = dotSkip(designColumn(fc.ones, d.terms, i), fc.values, leave)
+		}
+		if fc.fold.Factor(xtx) != nil {
 			return 0, false
 		}
-		coefs, err := fc.solveFold(len(h.terms), leave)
-		if err != nil {
+		coefs, err := fc.fold.Apply(xty)
+		if err != nil || fc.negativeTerm(coefs) {
 			return 0, false
 		}
-		if fc.negativeTerm(coefs) {
-			return 0, false
-		}
-		fc.preds = append(fc.preds, predictRow(fc.facCols[:len(h.terms)], coefs, leave))
+		fc.preds = append(fc.preds, predictRow(d.facs, coefs, leave))
 		fc.acts = append(fc.acts, fc.values[leave])
 	}
 	return mathutil.SMAPE(fc.preds, fc.acts)
@@ -741,7 +691,7 @@ const (
 	unitRoundoff = 0x1p-53
 	guardSafety  = 32
 	guardMaxRel  = 1e-4
-	// pivotCut is SolveLinearSystemInto's singular cut on scaled pivots;
+	// pivotCut is Elimination.Factor's singular cut on scaled pivots;
 	// a fold whose smallest scaled pivot may come within pivotMargin of
 	// it is replayed.
 	pivotCut    = 1e-13
@@ -766,12 +716,13 @@ type design struct {
 	facs  [][][]float64
 	c     int // coefficients: the constant and one per term
 
-	// ok reports whether the full-data solve can succeed whatever the
-	// values: every column finite, at least c rows and a non-singular
-	// XᵀX (c×c, row-major), eliminated in elim.
-	ok   bool
-	xtx  []float64
-	elim mathutil.Elimination
+	// finite reports whether every term column is finite, and ok
+	// whether the full-data solve can succeed whatever the values: the
+	// columns finite, at least c rows and a non-singular XᵀX (c×c,
+	// row-major), eliminated in elim.
+	finite, ok bool
+	xtx        []float64
+	elim       mathutil.Elimination
 
 	// PRESS, once pressed: the column scales D (w = D·c); per row
 	// i < firstBad, at stride c+3, gᵢ = B⁻¹zᵢ, 1−hᵢᵢ, rel = γκ/(1−hᵢᵢ)
@@ -853,10 +804,11 @@ func (sc *designScratch) growPress(c int) {
 // ones, the constant column; d's storage must already be carved for it.
 func (d *design) build(terms [][]float64, facs [][][]float64, ones []float64, sc *designScratch) {
 	n, c := len(ones), len(terms)+1
-	d.terms, d.facs, d.ok, d.pressed = terms, facs, false, false
+	d.terms, d.facs, d.finite, d.ok, d.pressed = terms, facs, true, false, false
 	for _, col := range terms {
 		for _, v := range col {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
+				d.finite = false
 				return
 			}
 		}
@@ -865,15 +817,9 @@ func (d *design) build(terms [][]float64, facs [][][]float64, ones []float64, sc
 		return // under-determined
 	}
 	xtx := sc.normal(c)
-	for i := 0; i < c; i++ {
-		ci := designColumn(ones, terms, i)
-		for j := i; j < c; j++ {
-			xtx[i][j] = dotSkip(ci, designColumn(ones, terms, j), -1)
-		}
-		for j := 0; j < i; j++ {
-			xtx[i][j] = xtx[j][i]
-		}
-		copy(d.xtx[i*c:(i+1)*c], xtx[i])
+	normalEquations(terms, ones, -1, xtx)
+	for i, row := range xtx {
+		copy(d.xtx[i*c:(i+1)*c], row)
 	}
 	d.ok = d.elim.Factor(xtx) == nil
 }
@@ -1094,10 +1040,12 @@ func (fc *fitContext) rankLine(param int, hs []hypothesis) []rated {
 }
 
 // scoredShape is one stage-1 entry while the ranking settles: the index
-// of its hypothesis (negative once a replay rejected it) and its score.
+// of its hypothesis (negative once a replay rejected it) and its score;
+// r is its sort key, filled once the ranking has settled.
 type scoredShape struct {
 	idx int
 	cv  cvScore
+	r   rated
 }
 
 // rankShapes scores the single-shape hypotheses hs and returns the
@@ -1145,14 +1093,14 @@ func (fc *fitContext) rankShapes(hs []hypothesis) []rated {
 		}
 		ss = kept
 	}
-	shape := func(e scoredShape) rated {
-		h := hs[e.idx]
-		return rated{shape: h.terms[0].Factors[0], col: h.cols[0], smape: e.cv.smape}
+	for i := range ss {
+		h := hs[ss[i].idx]
+		ss[i].r = rated{shape: h.terms[0].Factors[0], col: h.cols[0], smape: ss[i].cv.smape}
 	}
-	slices.SortStableFunc(ss, func(a, b scoredShape) int { return compareBy(ratedLess, shape(a), shape(b)) })
+	slices.SortStableFunc(ss, func(a, b scoredShape) int { return compareBy(ratedLess, a.r, b.r) })
 	rs := make([]rated, min(len(ss), sparseTopShapes))
 	for i := range rs {
-		rs[i] = shape(ss[i])
+		rs[i] = ss[i].r
 	}
 	fc.shapes = ss
 	return rs
@@ -1426,10 +1374,10 @@ func (fc *fitContext) selectBest(hyps []hypothesis) (*Model, error) {
 
 	// Full-data predictions of the winner from its cached factor columns.
 	coefs := fc.candCoefs[best.coef : best.coef+1+best.terms]
-	fc.prepare(h)
+	facs := fc.designOf(h).facs
 	preds := make([]float64, n)
 	for i := range preds {
-		preds[i] = predictRow(fc.facCols[:len(h.terms)], coefs, i)
+		preds[i] = predictRow(facs, coefs, i)
 	}
 	r2, okR2 := mathutil.RSquared(preds, fc.values)
 	if !okR2 {
@@ -1467,7 +1415,6 @@ func fitValidated(points []measurement.Point, values []float64, opts Options) (*
 	fc.bind(sc)
 	m, err := fc.search()
 	fc.flush()
-	sc.owner, sc.lastTerms = nil, nil
 	fc.fitScratch = nil
 	scratchPool.Put(sc)
 	return m, err
