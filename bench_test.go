@@ -17,6 +17,7 @@ import (
 	"extradeep/internal/core"
 	"extradeep/internal/epoch"
 	"extradeep/internal/experiments"
+	"extradeep/internal/ingest"
 	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
@@ -577,6 +578,49 @@ func BenchmarkAggregate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := pl.Aggregate(context.Background(), profiles); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// writeCorpus writes profiles into a fresh temporary directory, as a
+// profiling campaign leaves them, and returns the directory.
+func writeCorpus(tb testing.TB, profiles []*profile.Profile) string {
+	tb.Helper()
+	store := &profile.Store{Dir: tb.TempDir()}
+	for _, p := range profiles {
+		if err := store.Write(p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return store.Dir
+}
+
+// ingestCorpora are the two corpora BenchmarkIngest and the ingest
+// allocation test load: the 5×5 grid (25 files) and the case study (90).
+var ingestCorpora = []struct {
+	name     string
+	profiles func(testing.TB) []*profile.Profile
+}{
+	{"grid5x5", func(tb testing.TB) []*profile.Profile { ps, _, _ := gridProfiles(tb, 5); return ps }},
+	{"casestudy", caseStudyProfiles},
+}
+
+// BenchmarkIngest measures the Ingest stage (read, decode, validate and
+// summarize every file, then assemble the report) on one worker over the
+// 5×5 grid corpus and the 90-profile case study, written to a temporary
+// directory.
+func BenchmarkIngest(b *testing.B) {
+	for _, c := range ingestCorpora {
+		b.Run(c.name, func(b *testing.B) {
+			dir := writeCorpus(b, c.profiles(b))
+			pl := pipeline.New(pipeline.Config{Workers: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.Ingest(context.Background(), dir, "json", ingest.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -196,7 +196,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *strict {
 		opts.Policy = ingest.Strict
 	}
-	report, err := pl.Ingest(ctx, *profilesDir, *format, opts)
+	ingestDir := pl.Ingest
+	if *checkOnly {
+		// The checks read every event; the analysis reads only the
+		// summaries Ingest keeps.
+		ingestDir = pl.IngestTraces
+	}
+	report, err := ingestDir(ctx, *profilesDir, *format, opts)
 	if err != nil {
 		sayln(stderr, "extradeep:", err)
 		return exitNoData

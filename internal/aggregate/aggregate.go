@@ -19,11 +19,12 @@
 // The first epoch is treated as warm-up and excluded, mirroring the
 // paper's handling of framework initialization effects.
 //
-// Steps 1 and 2's median over steps depend on one profile alone, so
-// Aggregate reduces each profile to a small summary first and then merges
-// the summaries of a configuration through one dense kernel table. Both
-// run in pooled scratch; results carry metric-indexed arrays (see
-// KernelAggregate and MetricAt).
+// Steps 1 and 2's median over steps depend on one profile alone, so each
+// profile is reduced to a small summary first (trace.Summary: at ingest,
+// or here for a profile that carries none), and Aggregate merges the
+// summaries of a configuration through one dense kernel table in pooled
+// scratch; results carry metric-indexed arrays (see KernelAggregate and
+// MetricAt).
 package aggregate
 
 import (
@@ -36,22 +37,16 @@ import (
 	"sync"
 
 	"extradeep/internal/calltree"
-	"extradeep/internal/mathutil"
 	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
 	"extradeep/internal/trace"
 )
 
-// Options configures the aggregation pipeline.
-type Options struct {
-	// SkipWarmupEpochs is the number of leading epochs whose measurements
-	// are discarded. The default (when the trace has more than one epoch)
-	// is 1, per the paper. Traces with a single epoch are used as-is.
-	SkipWarmupEpochs int
-	// UseMean aggregates with means instead of medians across steps,
-	// ranks and repetitions (for the noise-resilience ablation).
-	UseMean bool
-}
+// Options configures the aggregation pipeline: how each profile is
+// summarized and how the summaries are merged. It is the summary's
+// options type, so a profile summarized at ingest (profile.Profile's
+// Summary) records the options it was built under.
+type Options = trace.SummaryOptions
 
 // DefaultOptions returns the paper's configuration: one warm-up epoch
 // skipped, median aggregation.
@@ -134,43 +129,18 @@ type ConfigAggregate struct {
 	TrainSteps int
 }
 
-// kernelKey returns the aggregation key for an event: the callpath when
-// set, the bare name otherwise.
-func kernelKey(e trace.Event) string {
-	if e.Callpath != "" {
-		return e.Callpath
-	}
-	return e.Name
-}
-
-// metricValue extracts the value of metric m from an event: duration for
-// time, 1 for visits, transferred bytes for bytes.
-func metricValue(e trace.Event, m measurement.Metric) float64 {
-	switch m {
-	case measurement.MetricTime:
-		return e.Duration
-	case measurement.MetricVisits:
-		return e.Visits()
-	case measurement.MetricBytes:
-		return e.Bytes
-	default:
-		return 0
-	}
-}
-
-// metricIDs orders every metric a kernel can record. metricsFor returns
-// a prefix of it, so a metric's position in metricsFor's result is its
-// position here too, and per-metric arrays are indexed by it.
-var metricIDs = [...]measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
+// metricIDs orders every metric a kernel can record, as the summary's
+// metric indices do (trace.MetricTime, MetricVisits, MetricBytes).
+// metricsFor returns a prefix of it, so a metric's position in
+// metricsFor's result is its position here too, and per-metric arrays
+// are indexed by it.
+var metricIDs = [trace.NumMetrics]measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
 
 // metricsFor returns the metrics recorded for a kernel kind: memory
 // operations additionally carry transferred bytes. Callers must not
 // modify the result.
 func metricsFor(kind calltree.Kind) []measurement.Metric {
-	if calltree.CategoryOf(kind) == calltree.CategoryMemory {
-		return metricIDs[:3]
-	}
-	return metricIDs[:2]
+	return metricIDs[:trace.MetricCount(kind)]
 }
 
 // NumMetrics is the number of metrics a kernel can record: the length of
@@ -191,61 +161,8 @@ func MetricIndex(m measurement.Metric) int {
 	return -1
 }
 
-// reduce aggregates a slice with median (default) or mean. It is the
-// last reader of xs: the median sorts xs in place, the mean sums it in
-// order.
-func reduce(xs []float64, useMean bool) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if useMean {
-		m, _ := mathutil.Mean(xs) // non-empty by the guard above
-		return m
-	}
-	m, _ := mathutil.MedianInPlace(xs) // non-empty by the guard above
-	return m
-}
-
-// Phase indices of the per-phase arrays.
-const (
-	phaseTrain = iota
-	phaseValidation
-	numPhases
-)
-
-// kernelSummary is one kernel's share of a profile summary.
-type kernelSummary struct {
-	// key, name and kind are those of the kernel's last kept event in
-	// the profile.
-	key, name string
-	kind      calltree.Kind
-	// row locates, per phase and metric index, the kernel's per-step sums
-	// v_n in the scratch arena; -1 marks a metric no kept event of the
-	// kernel recorded in that phase.
-	row [numPhases][NumMetrics]int
-	// v holds ṽ_kr, the reduction of each row over the kept steps.
-	v [numPhases][NumMetrics]float64
-}
-
-// noRows is a kernelSummary.row with every row absent.
-var noRows = [numPhases][NumMetrics]int{{-1, -1, -1}, {-1, -1, -1}}
-
-// summary is what one profile contributes to its configuration's
-// aggregate: Fig. 2's steps (1) and (2)-over-steps, which depend on that
-// profile alone.
-type summary struct {
-	// trainSteps is the number of kept training steps.
-	trainSteps int
-	// kernels lists the kernels with a kept event, in order of their
-	// first such event.
-	kernels []kernelSummary
-}
-
-// stepSlot is a step's position among the kept steps of its phase; pos <
-// 0 marks a step that is not kept.
-type stepSlot struct {
-	phase, pos int
-}
+// stride is the number of (phase, metric) entries per kernel slot.
+const stride = trace.NumPhases * NumMetrics
 
 // tableSlot is one kernel of the configuration's kernel table.
 type tableSlot struct {
@@ -259,16 +176,11 @@ type tableSlot struct {
 }
 
 // scratch is one worker's reusable aggregation state, taken from
-// scratchPool for one Aggregate call. It is reset per profile (summary
-// state) and per configuration (table state); no result references it.
+// scratchPool for one Aggregate call. It is reset per profile (the
+// summarizer, for a profile without a usable summary) and per
+// configuration (table state); no result references it.
 type scratch struct {
-	// Summary state.
-	sum    summary
-	local  map[string]int // key → index in sum.kernels
-	steps  []stepSlot     // global step index → kept position
-	epochs []trace.EpochSpan
-	skip   []int
-	arena  []float64 // the summary's per-step sums rows
+	sum trace.Summarizer
 
 	// Table state.
 	order []int          // profile indices in (rep, rank) order
@@ -286,7 +198,7 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{local: make(map[string]int), index: make(map[string]int)}
+	return &scratch{index: make(map[string]int)}
 }}
 
 // extend returns s grown by n zero elements.
@@ -300,20 +212,27 @@ func extend[T any](s []T, n int) []T {
 // configuration (all ranks, all repetitions of one measurement point).
 // The profiles must agree on app, params and config.
 //
-// Each profile is first reduced to a summary (steps (1) and the median
-// over steps of step (2)); the summaries are then merged in (repetition,
-// rank) order through one kernel table for the configuration (the median
-// over ranks, then step (3)). Both run in pooled scratch, so the only
-// allocations are the result's.
+// Each profile contributes its summary (steps (1) and the median over
+// steps of step (2)): the one it carries when that was built under opts,
+// otherwise one of its trace, built here. The summaries are then merged
+// in (repetition, rank) order through one kernel table for the
+// configuration (the median over ranks, then step (3)). Both run in
+// pooled scratch, so the only allocations are the result's. A profile
+// that carries only a summary, built under other options, fails with a
+// *SummaryOptionsError: its events are gone, so it cannot be summarized
+// again.
 func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, error) {
 	if len(profiles) == 0 {
 		return nil, errors.New("aggregate: no profiles")
 	}
 	first := profiles[0]
-	for _, p := range profiles[1:] {
+	for _, p := range profiles {
 		if p.App != first.App || !measurement.Point(p.Config).Equal(measurement.Point(first.Config)) {
 			return nil, fmt.Errorf("aggregate: mixed configurations: %s%v vs %s%v",
 				first.App, first.Config, p.App, p.Config)
+		}
+		if sm := p.Summary; sm != nil && sm.Options != opts && emptyTrace(&p.Trace) {
+			return nil, &SummaryOptionsError{App: p.App, Config: p.Config, Rank: p.Rank, Rep: p.Rep, Have: sm.Options, Want: opts}
 		}
 	}
 	s := scratchPool.Get().(*scratch)
@@ -323,12 +242,43 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 	return agg, nil
 }
 
+// SummaryOptionsError reports a profile that holds only a summary, built
+// under other options than the aggregation asks for.
+type SummaryOptionsError struct {
+	// App, Config, Rank and Rep identify the profile.
+	App    string
+	Config []float64
+	Rank   int
+	Rep    int
+	// Have are the options the summary was built under, Want the
+	// aggregation's.
+	Have, Want Options
+}
+
+func (e *SummaryOptionsError) Error() string {
+	return fmt.Sprintf("aggregate: profile %s%v rank %d rep %d holds only a summary built under %+v, not %+v",
+		e.App, e.Config, e.Rank, e.Rep, e.Have, e.Want)
+}
+
+// emptyTrace reports whether tr has no events, steps or epochs.
+func emptyTrace(tr *trace.Trace) bool {
+	return len(tr.Events) == 0 && len(tr.Steps) == 0 && len(tr.Epochs) == 0
+}
+
+// summaryOf returns p's summary under opts: the one p carries when it
+// was built under opts, otherwise its trace's, built in s.
+func (s *scratch) summaryOf(p *profile.Profile, opts Options) *trace.Summary {
+	if sm := p.Summary; sm != nil && sm.Options == opts {
+		return sm
+	}
+	return s.sum.Summarize(&p.Trace, opts)
+}
+
 // release drops the scratch's references to the profiles just
 // aggregated, so a pooled scratch does not keep them alive.
 func (s *scratch) release() {
-	clear(s.local)
+	s.sum.Reset()
 	clear(s.index)
-	clear(s.sum.kernels[:cap(s.sum.kernels)])
 	clear(s.table[:cap(s.table)])
 }
 
@@ -377,115 +327,6 @@ func (s *scratch) aggregate(profiles []*profile.Profile, opts Options) *ConfigAg
 	return agg
 }
 
-// summarize computes one trace's summary into s.sum. Step (1): for every
-// kernel and metric, the per-step sums v_n over the kept steps (warm-up
-// epochs excluded), separated by phase and added in event order into
-// dense rows of s.arena; asynchronous events between steps count toward
-// the following step. Step (2), first half: each row reduced in place to
-// ṽ_kr.
-//
-// A row is allocated at the first event that records its metric in its
-// phase, zero before it. So a kernel whose kind switches from a compute
-// to a memory kind within one profile gains its bytes row at the first
-// memory event, and its earlier steps carry zero bytes.
-func (s *scratch) summarize(tr *trace.Trace, opts Options) {
-	nTrain, nVal := s.keepSteps(tr, opts.SkipWarmupEpochs)
-	s.sum.trainSteps = nTrain
-	s.sum.kernels = s.sum.kernels[:0]
-	s.arena = s.arena[:0]
-	clear(s.local)
-	for _, e := range tr.Events {
-		stepIdx := tr.StepOf(e.Start)
-		if stepIdx == -1 {
-			// Asynchronous kernel: attribute to the following step, per
-			// the paper's between-step handling.
-			stepIdx = tr.FollowingStep(e.Start)
-			if stepIdx == -1 {
-				continue // after the last step: outside the profiled window
-			}
-		}
-		sl := s.steps[stepIdx]
-		if sl.pos < 0 {
-			continue
-		}
-		key := kernelKey(e)
-		k, ok := s.local[key]
-		if !ok {
-			k = len(s.sum.kernels)
-			s.local[key] = k
-			s.sum.kernels = append(s.sum.kernels, kernelSummary{key: key, row: noRows})
-		}
-		ks := &s.sum.kernels[k]
-		ks.kind = e.Kind
-		ks.name = e.Name
-		n := nTrain
-		if sl.phase == phaseValidation {
-			n = nVal
-		}
-		for i, metric := range metricsFor(e.Kind) {
-			off := ks.row[sl.phase][i]
-			if off < 0 {
-				off = len(s.arena)
-				s.arena = extend(s.arena, n)
-				ks.row[sl.phase][i] = off
-			}
-			s.arena[off+sl.pos] += metricValue(e, metric)
-		}
-	}
-	for k := range s.sum.kernels {
-		ks := &s.sum.kernels[k]
-		for ph, n := range [numPhases]int{nTrain, nVal} {
-			for i, off := range ks.row[ph] {
-				if off >= 0 {
-					ks.v[ph][i] = reduce(s.arena[off:off+n], opts.UseMean)
-				}
-			}
-		}
-	}
-}
-
-// keepSteps fills s.steps with every step's position among the kept
-// steps of its phase and returns the kept training and validation step
-// counts. Steps of the skipped warm-up epochs are not kept.
-func (s *scratch) keepSteps(tr *trace.Trace, skipEpochs int) (nTrain, nVal int) {
-	skip := s.warmupEpochs(tr, skipEpochs)
-	s.steps = extend(s.steps[:0], len(tr.Steps))
-	for i, st := range tr.Steps {
-		sl := stepSlot{pos: -1}
-		if !slices.Contains(skip, st.Epoch) {
-			switch st.Phase {
-			case trace.PhaseTrain:
-				sl = stepSlot{phaseTrain, nTrain}
-				nTrain++
-			case trace.PhaseValidation:
-				sl = stepSlot{phaseValidation, nVal}
-				nVal++
-			}
-		}
-		s.steps[i] = sl
-	}
-	return nTrain, nVal
-}
-
-// warmupEpochs returns the epoch indices to skip: the first `skip` epochs,
-// but never all of them — at least one epoch of data must remain.
-func (s *scratch) warmupEpochs(tr *trace.Trace, skip int) []int {
-	if skip <= 0 || len(tr.Epochs) <= skip {
-		if len(tr.Epochs) > 1 && skip > 0 {
-			skip = len(tr.Epochs) - 1
-		} else {
-			return nil
-		}
-	}
-	s.epochs = append(s.epochs[:0], tr.Epochs...)
-	slices.SortFunc(s.epochs, func(a, b trace.EpochSpan) int { return cmp.Compare(a.Index, b.Index) })
-	s.skip = s.skip[:0]
-	for _, ep := range s.epochs[:skip] {
-		s.skip = append(s.skip, ep.Index)
-	}
-	return s.skip
-}
-
 // slot returns the kernel table slot of key, adding one for a new key.
 func (s *scratch) slot(key string, reps int) int {
 	if slot, ok := s.index[key]; ok {
@@ -494,7 +335,7 @@ func (s *scratch) slot(key string, reps int) int {
 	slot := len(s.table)
 	s.index[key] = slot
 	s.table = append(s.table, tableSlot{key: key})
-	s.rankN = extend(s.rankN, numPhases*NumMetrics)
+	s.rankN = extend(s.rankN, stride)
 	s.repVals = extend(s.repVals, reps*NumMetrics)
 	return slot
 }
@@ -506,21 +347,20 @@ func (s *scratch) slot(key string, reps int) int {
 // metrics outside it keep Ṽ_r = 0, as do kernels absent from the
 // repetition.
 func (s *scratch) mergeRep(agg *ConfigAggregate, profiles []*profile.Profile, group []int, rep int, opts Options) {
-	const stride = numPhases * NumMetrics
 	width := len(group)
 	s.present = s.present[:0]
 	for _, pi := range group {
 		p := profiles[pi]
-		s.summarize(&p.Trace, opts)
+		sm := s.summaryOf(p, opts)
 		if agg.TrainSteps == 0 && p.Rank == 0 {
-			agg.TrainSteps = s.sum.trainSteps
+			agg.TrainSteps = sm.TrainSteps
 		}
-		for k := range s.sum.kernels {
-			ks := &s.sum.kernels[k]
-			slot := s.slot(ks.key, agg.Reps)
+		for k := range sm.Kernels {
+			ks := &sm.Kernels[k]
+			slot := s.slot(ks.Key, agg.Reps)
 			st := &s.table[slot]
-			st.kind = ks.kind
-			st.name = ks.name
+			st.kind = ks.Kind
+			st.name = ks.Name
 			if st.rep != rep+1 {
 				st.rep = rep + 1
 				s.present = append(s.present, slot)
@@ -529,11 +369,11 @@ func (s *scratch) mergeRep(agg *ConfigAggregate, profiles []*profile.Profile, gr
 					s.rankVals = extend(s.rankVals, need-len(s.rankVals))
 				}
 			}
-			for ph := range ks.row {
-				for i, off := range ks.row[ph] {
-					if off >= 0 {
+			for ph := range ks.Has {
+				for i, has := range ks.Has[ph] {
+					if has {
 						j := slot*stride + ph*NumMetrics + i
-						s.rankVals[j*width+s.rankN[j]] = ks.v[ph][i]
+						s.rankVals[j*width+s.rankN[j]] = ks.Value[ph][i]
 						s.rankN[j]++
 					}
 				}
@@ -544,10 +384,10 @@ func (s *scratch) mergeRep(agg *ConfigAggregate, profiles []*profile.Profile, gr
 		base := (slot*agg.Reps + rep) * NumMetrics
 		for i := range metricsFor(s.table[slot].kind) {
 			j := slot*stride + i
-			vj := j + phaseValidation*NumMetrics
+			vj := j + int(trace.PhaseValidation)*NumMetrics
 			s.repVals[base+i] = StepValue{
-				Train:      reduce(s.rankVals[j*width:j*width+s.rankN[j]], opts.UseMean),
-				Validation: reduce(s.rankVals[vj*width:vj*width+s.rankN[vj]], opts.UseMean),
+				Train:      opts.Reduce(s.rankVals[j*width : j*width+s.rankN[j]]),
+				Validation: opts.Reduce(s.rankVals[vj*width : vj*width+s.rankN[vj]]),
 			}
 		}
 	}
@@ -594,11 +434,11 @@ func (s *scratch) assemble(agg *ConfigAggregate, opts Options) {
 			for r, sv := range perRep {
 				s.buf[r] = sv.Train
 			}
-			k.Value[i].Train = reduce(s.buf, opts.UseMean)
+			k.Value[i].Train = opts.Reduce(s.buf)
 			for r, sv := range perRep {
 				s.buf[r] = sv.Validation
 			}
-			k.Value[i].Validation = reduce(s.buf, opts.UseMean)
+			k.Value[i].Validation = opts.Reduce(s.buf)
 		}
 		agg.Kernels[st.key] = k
 	}

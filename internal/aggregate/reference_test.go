@@ -55,6 +55,30 @@ func (a *refConfigAggregate) sortedKernels() []*refKernelAggregate {
 	return out
 }
 
+// refKernelKey returns the aggregation key for an event: the callpath
+// when set, the bare name otherwise.
+func refKernelKey(e trace.Event) string {
+	if e.Callpath != "" {
+		return e.Callpath
+	}
+	return e.Name
+}
+
+// refMetricValue extracts the value of metric m from an event: duration
+// for time, 1 for visits, transferred bytes for bytes.
+func refMetricValue(e trace.Event, m measurement.Metric) float64 {
+	switch m {
+	case measurement.MetricTime:
+		return e.Duration
+	case measurement.MetricVisits:
+		return e.Visits()
+	case measurement.MetricBytes:
+		return e.Bytes
+	default:
+		return 0
+	}
+}
+
 // reduce aggregates a slice with median (default) or mean.
 func refReduce(xs []float64, useMean bool) float64 {
 	if len(xs) == 0 {
@@ -132,7 +156,7 @@ func refPerStepSums(tr *trace.Trace, trainIdx, valIdx []int) []refKernelSums {
 		if sl.pos < 0 {
 			continue
 		}
-		key := kernelKey(e)
+		key := refKernelKey(e)
 		k, ok := index[key]
 		if !ok {
 			k = len(kernels)
@@ -155,7 +179,7 @@ func refPerStepSums(tr *trace.Trace, trainIdx, valIdx []int) []refKernelSums {
 			ps = ks.validation
 		}
 		for i, metric := range metricsFor(e.Kind) {
-			ps[i][sl.pos] += metricValue(e, metric)
+			ps[i][sl.pos] += refMetricValue(e, metric)
 		}
 	}
 	return kernels

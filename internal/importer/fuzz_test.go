@@ -1,12 +1,17 @@
-package importer
+package importer_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"extradeep/internal/faults"
+	"extradeep/internal/importer"
+	"extradeep/internal/ingest"
 	"extradeep/internal/profile"
+	"extradeep/internal/trace"
 )
 
 // nonFiniteProfile reports whether any numeric field is NaN/Inf.
@@ -43,11 +48,17 @@ func nonFiniteProfile(p *profile.Profile) bool {
 // FuzzReadCSV asserts the interchange-format invariant on arbitrary
 // input: ReadCSV returns either a valid, all-finite profile or an error —
 // it never panics and never smuggles NaN/Inf into the pipeline, no matter
-// how a foreign converter mangled its export.
+// how a foreign converter mangled its export. Loading the input
+// summarized (ingest.SummarizeBytes) accepts it exactly when the full
+// load does, and refuses it with the same stage and error.
 func FuzzReadCSV(f *testing.F) {
-	f.Add([]byte(sampleCSV))
+	sample, err := os.ReadFile(filepath.Join("testdata", "sample.csv"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample)
 	for _, k := range faults.Kinds() {
-		mutated, err := faults.Apply(k, []byte(sampleCSV), "csv")
+		mutated, err := faults.Apply(k, sample, "csv")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -61,7 +72,17 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("\"quoted\nmultiline\",oops"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadCSV(strings.NewReader(string(data)))
+		_, stage, err := ingest.DecodeBytes(data, "csv")
+		opts := trace.SummaryOptions{SkipWarmupEpochs: len(data) % 3, UseMean: len(data)%2 == 1}
+		sp, sstage, serr := ingest.SummarizeBytes(data, "csv", opts)
+		if (err == nil) != (serr == nil) || (err != nil && (stage != sstage || err.Error() != serr.Error())) {
+			t.Fatalf("summarizing load: stage %v error %v; full load: stage %v error %v", sstage, serr, stage, err)
+		}
+		if serr == nil && (sp.Summary == nil || len(sp.Trace.Events) > 0) {
+			t.Fatalf("summarizing load kept events or no summary: %+v", sp)
+		}
+
+		p, err := importer.ReadCSV(strings.NewReader(string(data)))
 		if err != nil {
 			return // rejected input: the other half of the invariant
 		}

@@ -3,6 +3,8 @@ package importer
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,22 +16,18 @@ import (
 	"extradeep/internal/trace"
 )
 
-const sampleCSV = `# extradeep-csv v1
-# app=cifar10
-# params=p
-# config=4
-# rank=0
-# rep=1
-# wall=12.5
-# sampled=true
-record,a,b,c,d,e,f,g
-epoch,0,0.0,0.2,,,,
-step,0,0,train,0.0,0.1,,
-step,0,1,validation,0.1,0.2,,
-event,EigenMetaKernel,cuda,App->train->EigenMetaKernel,0.01,0.05,0,1
-event,MPI_Allreduce,mpi,App->train->MPI_Allreduce,0.06,0.02,0,1
-event,Memcpy HtoD,memcpy,App->train->Memcpy HtoD,0.005,0.001,4096,1
-`
+// sampleCSV is a small valid CSV profile: metadata, an epoch, a
+// training and a validation step, and three kernels.
+var sampleCSV = readSample()
+
+// readSample returns testdata/sample.csv.
+func readSample() string {
+	data, err := os.ReadFile(filepath.Join("testdata", "sample.csv"))
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
+}
 
 func TestReadCSVBasic(t *testing.T) {
 	p, err := ReadCSV(strings.NewReader(sampleCSV))

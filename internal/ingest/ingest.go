@@ -30,14 +30,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"extradeep/internal/importer"
 	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
+	"extradeep/internal/trace"
 )
 
 // Policy selects how per-file load failures are handled.
@@ -197,30 +198,75 @@ type File struct {
 // any failure by stage. It is safe to call concurrently for different
 // files.
 //
-// The file is read into a pooled buffer that the next load reuses. That
-// is safe because neither decoder retains its input: profile.Decode
-// copies every string it keeps, and the CSV path reads a string copy.
+// The file is read into a buffer of the load's scratch, which the next
+// load reuses. That is safe because no profile retains its input: the
+// JSON decoder copies every string it keeps (interning each distinct
+// one once per document), and the CSV path reads a string copy.
 func LoadFile(path, format string) File {
-	buf := readBufs.Get().(*[]byte)
-	data, err := readFile(path, (*buf)[:0])
-	if cap(data) <= maxPooledRead {
-		*buf = data[:0]
-		defer readBufs.Put(buf)
-	}
+	return loadFile(path, format, nil)
+}
+
+// SummarizeFile is LoadFile, except that the loaded profile carries its
+// trace's summary under opts instead of its events (see
+// SummarizeBytes). The interned strings the summary keeps are the only
+// strings of the document it retains.
+func SummarizeFile(path, format string, opts trace.SummaryOptions) File {
+	return loadFile(path, format, &opts)
+}
+
+func loadFile(path, format string, sum *trace.SummaryOptions) File {
+	sc := getScratch()
+	defer putScratch(sc)
+	var err error
+	sc.read, err = readFile(path, sc.read[:0])
 	if err != nil {
 		return File{Path: path, Stage: StageRead, Err: err}
 	}
-	p, stage, err := DecodeBytes(data, format)
+	p, stage, err := sc.decode(sc.read, format, sum)
 	return File{Path: path, Profile: p, Stage: stage, Err: err}
 }
 
-// maxPooledRead bounds the read buffers LoadFile pools: a buffer grown
+// scratch is the working memory of one load: the read buffer and the
+// JSON decoder's buffers and intern table.
+type scratch struct {
+	read []byte
+	dec  profile.Decoder
+}
+
+// maxPooledRead bounds the read buffer a scratch keeps: a buffer grown
 // past it for an unusually large file is left to the garbage collector,
-// so the pool never pins more than this per worker.
+// so the free list never pins more than this per scratch.
 const maxPooledRead = 4 << 20
 
-// readBufs pools LoadFile's read buffers.
-var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+// freeScratch is a bounded free list of load scratch, as wide as the
+// default worker pools (GOMAXPROCS), so every concurrent load of a
+// default pipeline finds one. Unlike a sync.Pool it is not emptied by
+// garbage collection, so a load allocates the same whether or not a
+// collection ran since the last one.
+var freeScratch = make(chan *scratch, max(4, runtime.GOMAXPROCS(0)))
+
+// getScratch takes a scratch from the free list, or a new one when the
+// list is empty.
+func getScratch() *scratch {
+	select {
+	case sc := <-freeScratch:
+		return sc
+	default:
+		return new(scratch)
+	}
+}
+
+// putScratch returns sc to the free list, or drops it when the list is
+// full.
+func putScratch(sc *scratch) {
+	if cap(sc.read) > maxPooledRead {
+		sc.read = nil
+	}
+	select {
+	case freeScratch <- sc:
+	default:
+	}
+}
 
 // readFile is os.ReadFile appending into buf: the same sizing from the
 // file's stat, the same reads and the same errors.
@@ -309,8 +355,38 @@ func identityOf(p *profile.Profile) identity {
 // rather than from the filesystem: a rejected upload carries the exact
 // stage a directory ingestion would have quarantined it under.
 func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return sc.decode(data, format, nil)
+}
+
+// SummarizeBytes is DecodeBytes, except that a valid profile comes back
+// with its trace's summary under opts (profile.Profile's Summary) in
+// place of its events, which are never kept: a JSON document is
+// summarized where its events were decoded, a CSV one after import. A
+// document is accepted exactly when DecodeBytes accepts it, and refused
+// with the same stage and error.
+func SummarizeBytes(data []byte, format string, opts trace.SummaryOptions) (*profile.Profile, Stage, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return sc.decode(data, format, &opts)
+}
+
+// decode decodes and validates one document, summarizing it under *sum
+// when sum is set.
+func (sc *scratch) decode(data []byte, format string, sum *trace.SummaryOptions) (*profile.Profile, Stage, error) {
 	if format == "json" {
-		p, err := profile.Decode(data)
+		if sum != nil {
+			p, invalid, err := sc.dec.DecodeSummary(data, *sum)
+			if invalid {
+				return nil, StageValidate, err
+			}
+			if err != nil {
+				return nil, StageDecode, err
+			}
+			return p, 0, nil
+		}
+		p, err := sc.dec.Decode(data)
 		if err != nil {
 			return nil, StageDecode, err
 		}
@@ -325,6 +401,9 @@ func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
 			return nil, StageDecode, err
 		}
 		return nil, StageValidate, err
+	}
+	if sum != nil {
+		sc.dec.Summarize(p, *sum)
 	}
 	return p, 0, nil
 }

@@ -69,10 +69,11 @@ var hotPathDefaults = []hotPathDefault{
 	{"internal/pmnf", "Function.Eval"},
 	{"internal/pmnf", "Function.EvalAt"},
 	// Fig. 2's aggregation: the per-profile summary (one pass over every
-	// event of every profile) and the merge through the per-configuration
-	// kernel table, both in pooled scratch.
-	{"internal/aggregate", "scratch.summarize"},
-	{"internal/aggregate", "scratch.keepSteps"},
+	// event of every profile, at ingest or in the Aggregate stage) and
+	// the merge through the per-configuration kernel table, both in
+	// reused scratch.
+	{"internal/trace", "Summarizer.Summarize"},
+	{"internal/trace", "Summarizer.keepSteps"},
 	{"internal/aggregate", "scratch.mergeRep"},
 	{"internal/aggregate", "scratch.assemble"},
 	// The worker pool's fan-out and the per-task fit driver.

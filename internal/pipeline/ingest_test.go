@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"extradeep/internal/aggregate"
 	"extradeep/internal/faults"
 	"extradeep/internal/importer"
 	"extradeep/internal/ingest"
@@ -109,7 +110,8 @@ func quarantineText(qs []ingest.Quarantined) [][3]string {
 // determinism contract: over a campaign damaged with every fault kind
 // and duplicate identities, the report — profiles, quarantine entries
 // with their stage and error text, gate warnings — is the same for every
-// worker count and equal to the sequential ingest.LoadDir, and under
+// worker count and equal to the sequential ingest.LoadDir (its profiles
+// summarized, or as they are for IngestTraces), and under
 // Strict every worker count aborts with the same first-in-name-order
 // error.
 func TestIngestReportIndependentOfWorkers(t *testing.T) {
@@ -133,6 +135,16 @@ func TestIngestReportIndependentOfWorkers(t *testing.T) {
 				t.Fatal("strict LoadDir accepted a damaged campaign")
 			}
 
+			// Ingest summarizes every profile under the pipeline's
+			// aggregation options as it loads it.
+			var dec profile.Decoder
+			summarized := make([]*profile.Profile, len(want.Profiles))
+			for i, p := range want.Profiles {
+				c := *p
+				dec.Summarize(&c, aggregate.DefaultOptions())
+				summarized[i] = &c
+			}
+
 			for _, workers := range []int{1, 4, 4, 4} {
 				p := New(Config{Workers: workers})
 				got, err := p.Ingest(context.Background(), dir, format, lenient)
@@ -142,8 +154,15 @@ func TestIngestReportIndependentOfWorkers(t *testing.T) {
 				if err := got.Gate(lenient); err != nil {
 					t.Fatalf("workers=%d: gate: %v", workers, err)
 				}
-				if !reflect.DeepEqual(got.Profiles, want.Profiles) {
-					t.Errorf("workers=%d: profiles differ from the sequential load", workers)
+				if !reflect.DeepEqual(got.Profiles, summarized) {
+					t.Errorf("workers=%d: profiles differ from the sequential load, summarized", workers)
+				}
+				traces, err := p.IngestTraces(context.Background(), dir, format, lenient)
+				if err != nil {
+					t.Fatalf("workers=%d: IngestTraces: %v", workers, err)
+				}
+				if !reflect.DeepEqual(traces.Profiles, want.Profiles) {
+					t.Errorf("workers=%d: IngestTraces profiles differ from the sequential load", workers)
 				}
 				if g, w := quarantineText(got.Quarantined), quarantineText(want.Quarantined); !reflect.DeepEqual(g, w) {
 					t.Errorf("workers=%d: quarantine\n got %q\nwant %q", workers, g, w)

@@ -230,6 +230,10 @@ func New(cfg Config) *Pipeline {
 	return &Pipeline{cfg: cfg, obs: cfg.Observer}
 }
 
+// Aggregation returns the aggregation options the pipeline runs with,
+// defaults substituted: the options Ingest summarizes each profile under.
+func (p *Pipeline) Aggregation() aggregate.Options { return p.cfg.Aggregation }
+
 // Workers resolves the configured worker bound to a concrete count ≥ 1.
 func (p *Pipeline) Workers() int { return resolveWorkers(p.cfg.Workers) }
 

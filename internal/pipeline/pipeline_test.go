@@ -326,8 +326,15 @@ func TestZeroAggregationUsesDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(zero.Ingest.Profiles[0].Trace.Epochs); n < 2 {
+	full, err := ingest.LoadDir(dir, "json", ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(full.Profiles[0].Trace.Epochs); n < 2 {
 		t.Fatalf("fixture traces have %d epochs, want more than one", n)
+	}
+	if sm := zero.Ingest.Profiles[0].Summary; sm == nil || sm.Options != aggregate.DefaultOptions() {
+		t.Fatalf("zero Config ingested summary %+v, want one under aggregate.DefaultOptions()", sm)
 	}
 	explicit, err := New(Config{Workers: 2, Aggregation: aggregate.DefaultOptions()}).Run(context.Background(), testSpec(dir, setup))
 	if err != nil {

@@ -20,7 +20,10 @@ type RunSpec struct {
 	// loading ProfilesDir: the ingest stage calls it with the stage's
 	// context and assembles its report from the returned loads, which
 	// must be in file-name order. ProfilesDir still names the set in the
-	// report and its errors. nil loads ProfilesDir.
+	// report and its errors. The Aggregate stage reads each profile's
+	// summary when it was built under Config.Aggregation (Pipeline's
+	// Aggregation) and its trace otherwise. nil loads and summarizes
+	// ProfilesDir, as Ingest does.
 	Load func(ctx context.Context) ([]ingest.File, error)
 	// Setup derives the training-setup values per configuration
 	// (Section 2.3.1).

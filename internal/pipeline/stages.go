@@ -51,15 +51,28 @@ func (m *ModelSet) KernelCount() int {
 // assembles the report in file-name order, and adds stage timing,
 // counters and the resilience hooks (injection point "ingest", deadline
 // budget).
+//
+// Each profile is summarized as it is loaded (ingest.SummarizeFile):
+// it carries its trace's summary under Config.Aggregation, which is all
+// the Aggregate stage reads, instead of its events.
 func (p *Pipeline) Ingest(ctx context.Context, dir, format string, opts ingest.Options) (*ingest.Report, error) {
 	return p.ingest(ctx, dir, format, opts, nil)
 }
 
+// IngestTraces is Ingest, except that every profile keeps its full event
+// stream (ingest.LoadFile), for readers of the events such as
+// diagnose.Check.
+func (p *Pipeline) IngestTraces(ctx context.Context, dir, format string, opts ingest.Options) (*ingest.Report, error) {
+	return p.ingest(ctx, dir, format, opts, func(ctx context.Context) ([]ingest.File, error) {
+		return p.loadDir(ctx, dir, format, ingest.LoadFile)
+	})
+}
+
 // ingest is Ingest over the loads that load supplies (see RunSpec.Load);
-// nil loads dir.
+// nil loads and summarizes dir.
 func (p *Pipeline) ingest(ctx context.Context, dir, format string, opts ingest.Options, load func(context.Context) ([]ingest.File, error)) (*ingest.Report, error) {
 	if load == nil {
-		load = func(ctx context.Context) ([]ingest.File, error) { return p.loadDir(ctx, dir, format) }
+		load = func(ctx context.Context) ([]ingest.File, error) { return p.loadDir(ctx, dir, format, p.summarizeFile) }
 	}
 	var report *ingest.Report
 	err := p.runStage(ctx, StageIngest, func(sctx context.Context) (Counters, error) {
@@ -86,19 +99,25 @@ func (p *Pipeline) ingest(ctx context.Context, dir, format string, opts ingest.O
 	return report, err
 }
 
-// loadDir lists dir and loads every profile file of the format on the
-// worker pool, in file-name order.
-func (p *Pipeline) loadDir(ctx context.Context, dir, format string) ([]ingest.File, error) {
+// loadDir lists dir and loads every profile file of the format with
+// load on the worker pool, in file-name order.
+func (p *Pipeline) loadDir(ctx context.Context, dir, format string, load func(path, format string) ingest.File) ([]ingest.File, error) {
 	paths, err := ingest.ListDir(dir, format)
 	if err != nil {
 		return nil, err
 	}
 	files := make([]ingest.File, len(paths))
 	err = ForEach(ctx, p.cfg.Workers, len(paths), func(i int) error {
-		files[i] = ingest.LoadFile(paths[i], format)
+		files[i] = load(paths[i], format)
 		return nil
 	})
 	return files, err
+}
+
+// summarizeFile loads one profile file summarized under the pipeline's
+// aggregation options.
+func (p *Pipeline) summarizeFile(path, format string) ingest.File {
+	return ingest.SummarizeFile(path, format, p.cfg.Aggregation)
 }
 
 // Aggregate groups raw profiles by configuration and runs the Fig. 2

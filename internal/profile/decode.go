@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
-	"sync"
 
 	"extradeep/internal/calltree"
 	"extradeep/internal/jsonlit"
@@ -34,7 +33,71 @@ import (
 // strconv's own exact path. Every other literal goes through
 // strconv.ParseFloat or strconv.ParseInt.
 func Decode(data []byte) (*Profile, error) {
-	if p, ok := decodeFast(data); ok {
+	var d Decoder
+	return d.Decode(data)
+}
+
+// A Decoder decodes profile documents, reusing its working memory from
+// one document to the next: the buffers the fast path collects a trace's
+// arrays in, the table it interns strings in, and the summarizer. Each
+// document's strings are its own, so nothing a result holds is
+// overwritten by a later document. The zero value is ready to use; a
+// Decoder is not safe for concurrent use.
+type Decoder struct {
+	events []trace.Event
+	steps  []trace.StepSpan
+	epochs []trace.EpochSpan
+	strs   map[string]string
+	sum    trace.Summarizer
+}
+
+// Bounds on the working memory a Decoder keeps after a document: an
+// unusually large document's buffers are left to the garbage collector.
+const (
+	maxKeptEvents  = 1 << 16
+	maxKeptStrings = 1 << 12
+)
+
+// Decode decodes one JSON profile document exactly as the package-level
+// Decode does.
+func (d *Decoder) Decode(data []byte) (*Profile, error) {
+	defer d.reset()
+	return d.decode(data, false)
+}
+
+// DecodeSummary decodes one JSON profile document as Decode does,
+// validates the profile as Validate does and, when it is valid, replaces
+// its trace by the trace's summary under opts (see Summarize). The fast
+// path validates and summarizes the events in the buffer it collected
+// them in, so a document's events are never copied. invalid reports
+// that err is Validate's: the document decoded but is not a valid
+// profile. Every error is exactly Decode's or Validate's.
+func (d *Decoder) DecodeSummary(data []byte, opts trace.SummaryOptions) (p *Profile, invalid bool, err error) {
+	defer d.reset()
+	if p, err = d.decode(data, true); err != nil {
+		return nil, false, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, true, err
+	}
+	d.Summarize(p, opts)
+	return p, false, nil
+}
+
+// Summarize replaces the trace of p, which must be valid, by its summary
+// under opts in p.Summary, keeping only the trace's rank.
+func (d *Decoder) Summarize(p *Profile, opts trace.SummaryOptions) {
+	p.Summary = d.sum.Summarize(&p.Trace, opts).Clone()
+	p.Trace = trace.Trace{Rank: p.Trace.Rank}
+	d.sum.Reset()
+}
+
+// decode decodes data on the fast path, or through json.Unmarshal when
+// the document leaves the canonical shape anywhere. With borrow set the
+// fast path's trace arrays are the decoder's own buffers, valid until
+// reset.
+func (d *Decoder) decode(data []byte, borrow bool) (*Profile, error) {
+	if p, ok := d.decodeFast(data, borrow); ok {
 		return p, nil
 	}
 	var p Profile
@@ -46,19 +109,34 @@ func Decode(data []byte) (*Profile, error) {
 
 // decodeFast decodes data on the fast path; ok is false when the
 // document leaves the canonical shape anywhere.
-func decodeFast(data []byte) (p *Profile, ok bool) {
-	d := &decoder{data: data, strs: make(map[string]string)}
+func (d *Decoder) decodeFast(data []byte, borrow bool) (p *Profile, ok bool) {
+	if d.strs == nil {
+		d.strs = make(map[string]string)
+	}
+	fast := &decoder{data: data, strs: d.strs, bufs: d, borrow: borrow}
 	p = new(Profile)
-	d.profile(p)
-	d.space()
-	if d.bad || d.pos != len(d.data) {
+	fast.profile(p)
+	fast.space()
+	if fast.bad || fast.pos != len(fast.data) {
 		return nil, false
 	}
 	return p, true
 }
 
-// eventBufs holds the buffers the fast path decodes event arrays into.
-var eventBufs = sync.Pool{New: func() any { return new([]trace.Event) }}
+// reset clears the decoder's buffers after a document, so they pin none
+// of its strings.
+func (d *Decoder) reset() {
+	clear(d.events)
+	d.events = d.events[:0]
+	if cap(d.events) > maxKeptEvents {
+		d.events = nil
+	}
+	d.steps, d.epochs = d.steps[:0], d.epochs[:0]
+	if len(d.strs) > maxKeptStrings {
+		d.strs = nil
+	}
+	clear(d.strs)
+}
 
 // decoder is the fast path's cursor over one document. The first
 // departure from the canonical shape sets bad; from then on no method
@@ -71,6 +149,11 @@ type decoder struct {
 	// quoted bytes: a profile repeats a few dozen kernel names and
 	// callpaths across hundreds of events.
 	strs map[string]string
+	// bufs holds the buffers the trace's arrays are collected in; with
+	// borrow set the trace keeps them, otherwise it gets copies at their
+	// final size.
+	bufs   *Decoder
+	borrow bool
 }
 
 func (d *decoder) profile(p *Profile) {
@@ -114,28 +197,32 @@ func (d *decoder) trace(t *trace.Trace) {
 			t.Rank = d.int()
 			return 1 << 0
 		case "events":
-			// Events are most of a profile: collect them in a pooled
-			// buffer and allocate the result once, at its final size.
-			// The buffer goes back cleared, pinning no document's strings.
-			buf := eventBufs.Get().(*[]trace.Event)
-			events := (*buf)[:0]
-			d.array(func() { events = append(events, d.event()) })
-			t.Events = append(make([]trace.Event, 0, len(events)), events...)
-			clear(events)
-			*buf = events
-			eventBufs.Put(buf)
+			// Events are most of a profile: collect them in the reused
+			// buffer, so a copy, when there is one, is allocated once.
+			t.Events = collect(d, &d.bufs.events, d.event)
 			return 1 << 1
 		case "steps":
-			t.Steps = []trace.StepSpan{}
-			d.array(func() { t.Steps = append(t.Steps, d.step()) })
+			t.Steps = collect(d, &d.bufs.steps, d.step)
 			return 1 << 2
 		case "epochs":
-			t.Epochs = []trace.EpochSpan{}
-			d.array(func() { t.Epochs = append(t.Epochs, d.epoch()) })
+			t.Epochs = collect(d, &d.bufs.epochs, d.epoch)
 			return 1 << 3
 		}
 		return 0
 	})
+}
+
+// collect decodes the array at the cursor into *buf, reusing its storage,
+// and returns the elements: the buffer itself when d borrows, otherwise
+// a copy at its final size.
+func collect[T any](d *decoder, buf *[]T, elem func() T) []T {
+	s := (*buf)[:0]
+	d.array(func() { s = append(s, elem()) })
+	*buf = s
+	if d.borrow {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 func (d *decoder) event() (e trace.Event) {

@@ -28,7 +28,7 @@ func TestDecodeFastPathClasses(t *testing.T) {
 		}
 		classes[wantFast]++
 		t.Run(name, func(t *testing.T) {
-			if _, ok := decodeFast(corpusSeed(t, path)); ok != wantFast {
+			if _, ok := new(Decoder).decodeFast(corpusSeed(t, path), false); ok != wantFast {
 				t.Errorf("fast path ok = %v, want %v", ok, wantFast)
 			}
 		})

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"extradeep/internal/faults"
+	"extradeep/internal/ingest"
 	"extradeep/internal/profile"
+	"extradeep/internal/trace"
 )
 
 // floats lists every float field of p in a fixed order.
@@ -53,11 +55,30 @@ func checkParity(t *testing.T, data []byte) *profile.Profile {
 	return got
 }
 
+// checkSummaryParity fails t unless loading data summarized
+// (ingest.SummarizeBytes) accepts it exactly when the full load —
+// Decode, then Validate — does, and refuses it with the same stage and
+// error text. An accepted document comes back with a summary under the
+// options and no events.
+func checkSummaryParity(t *testing.T, data []byte) {
+	t.Helper()
+	_, stage, err := ingest.DecodeBytes(data, "json")
+	opts := trace.SummaryOptions{SkipWarmupEpochs: len(data) % 3, UseMean: len(data)%2 == 1}
+	p, sstage, serr := ingest.SummarizeBytes(data, "json", opts)
+	if (err == nil) != (serr == nil) || (err != nil && (stage != sstage || err.Error() != serr.Error())) {
+		t.Fatalf("summarizing load: stage %v error %v; full load: stage %v error %v", sstage, serr, stage, err)
+	}
+	if serr == nil && (p.Summary == nil || p.Summary.Options != opts || len(p.Trace.Events)+len(p.Trace.Steps)+len(p.Trace.Epochs) > 0) {
+		t.Fatalf("summarizing load: summary %+v, trace %+v; want a summary under %+v and no events", p.Summary, p.Trace, opts)
+	}
+}
+
 // FuzzProfileRead asserts the decoder contract on arbitrary file bytes:
 // Decode gives exactly json.Unmarshal's profile or error, and a decoded
 // profile that passes Validate is all-finite — it never panics and never
 // smuggles NaN/Inf into the pipeline. The decoded profile shares no
-// memory with the input bytes.
+// memory with the input bytes. The summarizing load accepts and refuses
+// exactly what Decode plus Validate do (checkSummaryParity).
 func FuzzProfileRead(f *testing.F) {
 	// A small valid profile as json.Marshal writes it.
 	valid := []byte(`{"app":"cifar10","params":["p"],"config":[4],"rank":0,"rep":1,"wall_time":12.5,"sampled":true,"trace":{"rank":0,"events":[{"name":"EigenMetaKernel","kind":1,"start":0.01,"duration":0.05}],"steps":[{"epoch":0,"index":0,"phase":0,"start":0,"end":0.1}],"epochs":[{"index":0,"start":0,"end":0.1}]}}`)
@@ -78,6 +99,7 @@ func FuzzProfileRead(f *testing.F) {
 	f.Add(simulatedDocs(f, "cifar10", []int{2}, 1, 1)[0])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSummaryParity(t, data)
 		p := checkParity(t, data)
 		if p == nil {
 			return

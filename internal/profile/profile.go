@@ -38,8 +38,13 @@ type Profile struct {
 	// Sampled records whether the efficient sampling strategy was used
 	// (only a few steps profiled) or the full run was profiled.
 	Sampled bool `json:"sampled"`
-	// Trace is the recorded event stream.
+	// Trace is the recorded event stream. A profile loaded with its
+	// Summary keeps only the trace's rank.
 	Trace trace.Trace `json:"trace"`
+	// Summary, when set, is the trace's summary (trace.Summarizer), built
+	// when the profile was loaded; the events it was built from are gone.
+	// It is never encoded.
+	Summary *trace.Summary `json:"-"`
 }
 
 // Point returns the profile's application configuration as a measurement
@@ -145,8 +150,12 @@ type Store struct {
 }
 
 // Write serializes the profile into the store's directory, creating the
-// directory if needed.
+// directory if needed. A profile that carries a Summary is refused: its
+// events are gone, and writing it would write an empty trace.
 func (s *Store) Write(p *Profile) error {
+	if p.Summary != nil {
+		return fmt.Errorf("profile: %s holds its trace's summary, not its events, and cannot be written", p.FileName())
+	}
 	if err := p.Validate(); err != nil {
 		return err
 	}

@@ -1,9 +1,11 @@
 package profile
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"extradeep/internal/calltree"
@@ -196,6 +198,36 @@ func TestStoreWriteReadRoundTrip(t *testing.T) {
 	}
 	if got.Trace.Events[0].Kind != calltree.KindCUDA {
 		t.Error("event kind lost in round trip")
+	}
+}
+
+// TestStoreWriteRefusesSummaryOnly: a profile summarized at load keeps
+// no events, so writing it would write an empty trace; Write refuses it
+// and leaves no file behind, while the same document fully decoded
+// writes.
+func TestStoreWriteRefusesSummaryOnly(t *testing.T) {
+	data, err := json.Marshal(validProfile(0, 1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Decoder
+	p, _, err := d.DecodeSummary(data, trace.SummaryOptions{SkipWarmupEpochs: 1})
+	if err != nil || p.Summary == nil {
+		t.Fatalf("DecodeSummary = %v, %v; want a summarized profile", p, err)
+	}
+	s := &Store{Dir: t.TempDir()}
+	if err := s.Write(p); err == nil || !strings.Contains(err.Error(), "summary") {
+		t.Fatalf("Write of a summary-only profile = %v, want a refusal naming the summary", err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir, p.FileName())); !os.IsNotExist(err) {
+		t.Errorf("refused write left %s behind (stat: %v)", p.FileName(), err)
+	}
+	full, err := d.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(full); err != nil {
+		t.Errorf("Write of the fully decoded profile: %v", err)
 	}
 }
 

@@ -104,7 +104,7 @@ func (s *Server) campaign(ctx context.Context, a *appState, gen int64, handoff m
 		ProfilesDir: dir,
 		Format:      format,
 		Ingest:      ingest.Options{Policy: ingest.Lenient},
-		Load:        spoolLoader(dir, format, pl.Workers(), handoff),
+		Load:        spoolLoader(dir, format, pl.Workers(), pl.Aggregation(), handoff),
 		Setup:       s.cfg.Setup,
 		Analyze:     s.cfg.Analyze,
 	})

@@ -258,12 +258,14 @@ func (in *intake) fail(v any) {
 }
 
 // validate decodes and validates one document with the exact
-// read/decode/validate classification directory ingestion uses
-// (ingest.DecodeBytes) and derives its canonical spool name.
+// read/decode/validate classification directory ingestion uses, keeping
+// its trace's summary under the campaigns' aggregation options instead
+// of its events (ingest.SummarizeBytes), and derives its canonical spool
+// name.
 func (in *intake) validate(t docTask) docResult {
 	r := docResult{i: t.i, done: true}
 	r.data = t.doc
-	r.profile, r.stage, r.err = ingest.DecodeBytes(r.data, in.format)
+	r.profile, r.stage, r.err = ingest.SummarizeBytes(r.data, in.format, in.s.aggregation)
 	if r.err != nil {
 		return r
 	}

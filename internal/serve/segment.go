@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"extradeep/internal/aggregate"
 	"extradeep/internal/ingest"
 	"extradeep/internal/pipeline"
 )
@@ -305,9 +306,11 @@ type spoolDoc struct {
 // application's spool directory (see pipeline.RunSpec.Load): the
 // documents of every segment and every loose profile file of the
 // format, in name order, each segment entry under the path
-// dir/<entry name> that one file per document would have. handoff maps
-// a segment name to the batch it was written from, whose profiles
-// upload validation already decoded. workers must be resolved (≥ 1).
+// dir/<entry name> that one file per document would have. Every
+// document is summarized under opts, as the pipeline's own ingest does.
+// handoff maps a segment name to the batch it was written from, whose
+// profiles upload validation already decoded and summarized (under the
+// same options). workers must be resolved (≥ 1).
 //
 // Every segment is indexed first; then the documents of all segments,
 // and the loose files, are split into one contiguous run per worker, so
@@ -319,7 +322,7 @@ type spoolDoc struct {
 // worker. A segment that cannot be opened, or whose framing breaks,
 // adds one read-stage load naming the segment; the entries before the
 // break are kept.
-func spoolLoader(dir, format string, workers int, handoff map[string][]upload) func(context.Context) ([]ingest.File, error) {
+func spoolLoader(dir, format string, workers int, opts aggregate.Options, handoff map[string][]upload) func(context.Context) ([]ingest.File, error) {
 	return func(ctx context.Context) ([]ingest.File, error) {
 		listing, err := os.ReadDir(dir)
 		if err != nil {
@@ -373,7 +376,7 @@ func spoolLoader(dir, format string, workers int, handoff map[string][]upload) f
 				d, out := docs[i], &files[i]
 				out.Path = filepath.Join(dir, d.e.name)
 				if d.seg < 0 {
-					*out = ingest.LoadFile(out.Path, format)
+					*out = ingest.SummarizeFile(out.Path, format, opts)
 					continue
 				}
 				if d.seg != cur {
@@ -399,7 +402,7 @@ func spoolLoader(dir, format string, workers int, handoff map[string][]upload) f
 				case same:
 					out.Profile, out.Reused = want.profile, true
 				default:
-					out.Profile, out.Stage, out.Err = ingest.DecodeBytes(data, format)
+					out.Profile, out.Stage, out.Err = ingest.SummarizeBytes(data, format, opts)
 				}
 			}
 			return nil

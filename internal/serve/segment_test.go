@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"extradeep/internal/aggregate"
 	"extradeep/internal/faults"
 	"extradeep/internal/ingest"
 	"extradeep/internal/pipeline"
@@ -53,10 +54,11 @@ func testBatch(tb testing.TB, ranks []int, reps int, seed int64) []upload {
 	return batch
 }
 
-// decodedUpload is one admitted document: its bytes and their decode.
+// decodedUpload is one admitted document: its bytes and their decode,
+// summarized as upload validation summarizes it.
 func decodedUpload(tb testing.TB, name string, data []byte) upload {
 	tb.Helper()
-	p, _, err := ingest.DecodeBytes(data, "json")
+	p, _, err := ingest.SummarizeBytes(data, "json", aggregate.DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func writeSegment(dir, name string, batch []upload) error {
 // loadSpool runs one campaign's ingest hook over dir.
 func loadSpool(tb testing.TB, dir string, workers int, handoff map[string][]upload) []ingest.File {
 	tb.Helper()
-	files, err := spoolLoader(dir, "json", workers, handoff)(context.Background())
+	files, err := spoolLoader(dir, "json", workers, aggregate.DefaultOptions(), handoff)(context.Background())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestEntryReusesOnlyIdenticalBytes(t *testing.T) {
 			if got := entryBytes(t, filepath.Join(dir, segmentName(1)), handed[0]); !bytes.Equal(got, tc.disk) {
 				t.Fatalf("read %d entry bytes that differ from the %d on disk", len(got), len(tc.disk))
 			}
-			p, stage, err := ingest.DecodeBytes(tc.disk, "json")
+			p, stage, err := ingest.SummarizeBytes(tc.disk, "json", aggregate.DefaultOptions())
 			if f.Stage != stage || (f.Err == nil) != (err == nil) || (f.Profile == nil) != (p == nil) {
 				t.Fatalf("stage=%v err=%v profile=%v, want a plain decode's stage=%v err=%v profile=%v",
 					f.Stage, f.Err, f.Profile != nil, stage, err, p != nil)
@@ -249,7 +251,7 @@ func TestSpoolLoaderReusesHandoff(t *testing.T) {
 	}
 	var obs pipeline.Collector
 	spec.ProfilesDir = spool
-	spec.Load = spoolLoader(spool, "json", 2, map[string][]upload{segmentName(1): handed})
+	spec.Load = spoolLoader(spool, "json", 2, aggregate.DefaultOptions(), map[string][]upload{segmentName(1): handed})
 	res, err := pipeline.New(pipeline.Config{Workers: 2, Observer: &obs}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +408,7 @@ func BenchmarkSpoolLoader(b *testing.B) {
 	small, _ := smallSegmentSpool(b, batch)
 	for _, tc := range []struct{ name, dir string }{{"segments=1", one}, {"segments=per-document", small}} {
 		b.Run(tc.name, func(b *testing.B) {
-			load := spoolLoader(tc.dir, "json", runtime.GOMAXPROCS(0), nil)
+			load := spoolLoader(tc.dir, "json", runtime.GOMAXPROCS(0), aggregate.DefaultOptions(), nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := load(context.Background()); err != nil {

@@ -71,6 +71,7 @@ import (
 	"sync"
 	"time"
 
+	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/resilience"
@@ -158,6 +159,10 @@ type Server struct {
 	cfg   Config
 	store *store
 	clock resilience.Clock
+	// aggregation is the campaigns' aggregation options, defaults
+	// substituted: upload validation summarizes each document under
+	// them, as a campaign's ingest would.
+	aggregation aggregate.Options
 
 	// life is the server's lifecycle context, recorded by Start: fit
 	// loops derive from it, so cancelling it (SIGTERM in cmd/edserve)
@@ -202,10 +207,11 @@ func New(cfg Config) (*Server, error) {
 		clock = resilience.WallClock{}
 	}
 	s := &Server{
-		cfg:    cfg,
-		store:  newStore(),
-		clock:  clock,
-		fitSem: make(chan struct{}, cfg.maxCampaigns()),
+		cfg:         cfg,
+		store:       newStore(),
+		clock:       clock,
+		aggregation: pipeline.New(cfg.Config).Aggregation(),
+		fitSem:      make(chan struct{}, cfg.maxCampaigns()),
 	}
 	// Adopt the spool before any handler exists, so an upload accepted
 	// before Start is already checked against what is spooled.

@@ -162,7 +162,6 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: step %d/%d overlaps its predecessor", s.Epoch, s.Index)
 		}
 	}
-	epochByIndex := make(map[int]EpochSpan, len(t.Epochs))
 	for _, e := range t.Epochs {
 		if !finite(e.Start, e.End) {
 			return fmt.Errorf("trace: epoch %d has non-finite bounds [%v, %v]", e.Index, e.Start, e.End)
@@ -170,15 +169,25 @@ func (t *Trace) Validate() error {
 		if e.End < e.Start {
 			return fmt.Errorf("trace: epoch %d ends before it starts", e.Index)
 		}
-		epochByIndex[e.Index] = e
 	}
 	for _, s := range t.Steps {
-		ep, ok := epochByIndex[s.Epoch]
-		if !ok {
+		ep := t.epoch(s.Epoch)
+		if ep == nil {
 			return fmt.Errorf("trace: step %d/%d references missing epoch", s.Epoch, s.Index)
 		}
 		if s.Start < ep.Start || s.End > ep.End {
 			return fmt.Errorf("trace: step %d/%d escapes its epoch span", s.Epoch, s.Index)
+		}
+	}
+	return nil
+}
+
+// epoch returns the last epoch span with the given index, nil when there
+// is none. A trace has a few epochs, so a scan beats building an index.
+func (t *Trace) epoch(index int) *EpochSpan {
+	for i := len(t.Epochs) - 1; i >= 0; i-- {
+		if t.Epochs[i].Index == index {
+			return &t.Epochs[i]
 		}
 	}
 	return nil

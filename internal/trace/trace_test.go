@@ -138,6 +138,49 @@ func TestValidateRejectsInvertedSpans(t *testing.T) {
 	}
 }
 
+// TestValidateEpochNesting pins the step-in-epoch checks' verdicts and
+// error texts. When several epochs share an index the last one is the
+// step's epoch: a step inside an earlier duplicate but outside the last
+// escapes, and one inside only the last nests.
+func TestValidateEpochNesting(t *testing.T) {
+	step := func(epoch int, start, end float64) StepSpan {
+		return StepSpan{Epoch: epoch, Index: 3, Start: start, End: end}
+	}
+	cases := []struct {
+		name   string
+		steps  []StepSpan
+		epochs []EpochSpan
+		want   string // "" accepts
+	}{
+		{"nested", []StepSpan{step(0, 1, 2)}, []EpochSpan{{Index: 0, Start: 0, End: 5}}, ""},
+		{"on the bounds", []StepSpan{step(0, 0, 5)}, []EpochSpan{{Index: 0, Start: 0, End: 5}}, ""},
+		{"no epochs", []StepSpan{step(0, 1, 2)}, nil, "trace: step 0/3 references missing epoch"},
+		{"other index", []StepSpan{step(1, 1, 2)}, []EpochSpan{{Index: 0, Start: 0, End: 5}}, "trace: step 1/3 references missing epoch"},
+		{"starts early", []StepSpan{step(0, 1, 2)}, []EpochSpan{{Index: 0, Start: 1.5, End: 5}}, "trace: step 0/3 escapes its epoch span"},
+		{"ends late", []StepSpan{step(0, 1, 6)}, []EpochSpan{{Index: 0, Start: 0, End: 5}}, "trace: step 0/3 escapes its epoch span"},
+		{"second of two epochs", []StepSpan{step(1, 6, 7)}, []EpochSpan{{Index: 0, Start: 0, End: 5}, {Index: 1, Start: 5, End: 10}}, ""},
+		{"duplicate index, inside the last", []StepSpan{step(0, 6, 7)},
+			[]EpochSpan{{Index: 0, Start: 0, End: 5}, {Index: 0, Start: 5, End: 10}}, ""},
+		{"duplicate index, inside only the first", []StepSpan{step(0, 1, 2)},
+			[]EpochSpan{{Index: 0, Start: 0, End: 5}, {Index: 0, Start: 5, End: 10}}, "trace: step 0/3 escapes its epoch span"},
+		{"duplicate index, inside only the last of three", []StepSpan{step(2, 21, 22)},
+			[]EpochSpan{{Index: 2, Start: 0, End: 5}, {Index: 1, Start: 5, End: 10}, {Index: 2, Start: 20, End: 30}}, ""},
+		{"inverted epoch before nesting", []StepSpan{step(7, 1, 2)}, []EpochSpan{{Index: 0, Start: 2, End: 1}}, "trace: epoch 0 ends before it starts"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &Trace{Steps: c.steps, Epochs: c.epochs}
+			err := tr.Validate()
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("Validate = %v, want nil", err)
+			case c.want != "" && (err == nil || err.Error() != c.want):
+				t.Errorf("Validate = %v, want %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestValidateRejectsNonFiniteMetrics(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)

@@ -296,6 +296,37 @@ echo "$agg_out" | awk \
 	}
 	END { if (!grid || !cs) print "aggregate-bench: a BenchmarkAggregate sub-benchmark is missing from the output"; exit bad || !grid || !cs }' || { class="budget-exceeded"; exit 1; }
 
+# ingest-bench: the Ingest stage reads each file into a reused scratch
+# held on a bounded free list, decodes it, and keeps only its trace's
+# summary: a valid document's events are never copied out of the
+# decoder's buffer. Twenty iterations of BenchmarkIngest on one worker
+# measured 257 KB and 3,907 allocs/op on the 5x5 grid corpus (25 files)
+# and 917 KB and 13,539 allocs/op on the 90-file case study; with the
+# events copied out of sync.Pool buffers they were 1.48-1.66 MB on the
+# grid. Each ceiling leaves ~10% headroom.
+ingest_grid_bytes_ceiling=283000
+ingest_grid_alloc_ceiling=4300
+ingest_case_bytes_ceiling=1010000
+ingest_case_alloc_ceiling=14900
+begin ingest-bench test "BenchmarkIngest -benchtime 20x -benchmem (grid5x5 <= ${ingest_grid_bytes_ceiling} B/op, ${ingest_grid_alloc_ceiling} allocs/op; casestudy <= ${ingest_case_bytes_ceiling} B/op, ${ingest_case_alloc_ceiling} allocs/op)"
+ingest_out=$("$fit_bin" -test.run '^$' -test.bench 'BenchmarkIngest' -test.benchtime 20x -test.benchmem)
+echo "$ingest_out"
+echo "$ingest_out" | awk \
+	-v grid_bytes="$ingest_grid_bytes_ceiling" -v grid_allocs="$ingest_grid_alloc_ceiling" \
+	-v case_bytes="$ingest_case_bytes_ceiling" -v case_allocs="$ingest_case_alloc_ceiling" '
+	/^BenchmarkIngest\// {
+		if ($1 ~ /grid5x5/) { bytes = grid_bytes; allocs = grid_allocs; grid = 1 }
+		else if ($1 ~ /casestudy/) { bytes = case_bytes; allocs = case_allocs; cs = 1 }
+		else next
+		for (i = 2; i <= NF; i++) {
+			if (($i == "B/op" && $(i - 1) + 0 > bytes) || ($i == "allocs/op" && $(i - 1) + 0 > allocs)) {
+				printf "ingest-bench: %s allocates %s %s, above the ceiling — a copy or a per-document buffer crept back into the decode; profile with '\''go test -run ^$ -bench BenchmarkIngest -benchmem -memprofile mem.out .'\''\n", $1, $(i - 1), $i
+				bad = 1
+			}
+		}
+	}
+	END { if (!grid || !cs) print "ingest-bench: a BenchmarkIngest sub-benchmark is missing from the output"; exit bad || !grid || !cs }' || { class="budget-exceeded"; exit 1; }
+
 # serve-bench: the modeling service must answer queries from its
 # published snapshot cache, never by re-fitting per request. The stage
 # builds the edserve binary (keeping cmd/edserve honest as a compile
@@ -332,14 +363,16 @@ if [ "$serve_elapsed" -gt 30 ]; then
 fi
 
 # upload-bench: an upload holds its profiles once, in the request body —
-# each document is unescaped in place and decoded, spooled and handed off
-# from its span of the body. One BenchmarkUpload iteration (the
-# 90-document, 7.57 MB case-study envelope through the handler of an
-# un-started server) measured 13.4-13.6 MB/op that way, against
-# 20.5-20.7 MB/op when every document was copied into a slice of its own.
-# The 16 MB ceiling sits between the two, so a per-document copy coming
-# back fails the gate.
-upload_bytes_ceiling=16000000
+# each document is unescaped in place, decoded and summarized (its events
+# never copied out of the decoder's buffer), spooled and handed off from
+# its span of the body. One BenchmarkUpload iteration (the 90-document,
+# 7.57 MB case-study envelope through the handler of an un-started
+# server) measured 8.80-8.82 MB/op that way, against 12.8 MB/op when
+# every document's events were copied into its decoded profile and
+# 20.5-20.7 MB/op when every document was also copied into a slice of
+# its own. The 9.7 MB ceiling leaves ~10% headroom, so either copy
+# coming back fails the gate.
+upload_bytes_ceiling=9700000
 begin upload-bench test "BenchmarkUpload -benchtime 1x -benchmem (B/op <= ${upload_bytes_ceiling})"
 upload_out=$(go test -run '^$' -bench 'BenchmarkUpload$' -benchtime 1x -benchmem ./internal/serve)
 echo "$upload_out"
